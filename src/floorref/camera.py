@@ -32,6 +32,7 @@ from .geometry import (
     compose,
     invert,
     nearest_rotation,
+    rotation_from_rotvec,
 )
 
 Array = NDArray[np.float64]
@@ -293,21 +294,52 @@ def build_rectification_map(model: CameraModel, h_cam_ref: RigidTransform) -> Sc
 
 
 class PlateImageFit(NamedTuple):
-    """Camera pose over the plate estimated from target-mark observations."""
+    """Camera pose over the plate estimated from target-mark observations.
+
+    ``iterations`` counts Levenberg-Marquardt iterations, the last one
+    included. ``stop`` says why the refinement ended: ``"step_tol"`` (a trial
+    step fell below the step tolerance) or ``"no_descent"`` (the damping
+    reached 1e12 while every trial step stayed above the tolerance and none
+    lowered the cost).
+    """
 
     h_cam_ref: RigidTransform
     rms_px: float
     iterations: int
+    stop: str
 
 
-def _rotvec_to_rotation(w: Array) -> Array:
-    angle = float(np.linalg.norm(w))
-    if angle < 1e-12:
-        k = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
-        return np.eye(3) + k + 0.5 * (k @ k)
-    a = w / angle
-    k = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
-    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+def _pose_jacobian(model: CameraModel, ref_pts: Array, r: Array, t: Array) -> Array:
+    """Jacobian of the pixel residual of plate points at pose (r, t), (2n, 6).
+
+    Columns are the pose update (dw, dt) applied as ``exp([dw]x) r`` and
+    ``t + dt``; rows follow the residual order [row0, col0, row1, col1, ...].
+    The chain is d pc = -[r p]x dw + dt, the perspective division
+    (x, y) = (X/Z, Y/Z), the radial factor f(r^2) = 1 + k1 r^2 + k2 r^4 + k3 r^6
+    (d xd/dx = f + 2 x^2 f', d xd/dy = 2 x y f', f' = df/d(r^2)), and the
+    pixel scale (row from yd, column from xd).
+    """
+    q = ref_pts @ r.T
+    pc = q + t
+    iz = 1.0 / pc[:, 2]
+    x = pc[:, 0] * iz
+    y = pc[:, 1] * iz
+    qx, qy, qz = q.T
+    zero = np.zeros_like(x)
+    one = np.ones_like(x)
+    # d(x, y)/d(dw, dt), (6, n) each: a row a of the division Jacobian gives q x a for dw
+    dx = np.array([-x * qy, qz + x * qx, -qy, one, zero, -x]) * iz
+    dy = np.array([-y * qy - qz, y * qx, qx, zero, one, -y]) * iz
+
+    k1, k2, k3 = model.k
+    r2 = x * x + y * y
+    f = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
+    fp2 = 2.0 * (k1 + r2 * (2.0 * k2 + 3.0 * r2 * k3))  # 2 f'
+    cross = x * y * fp2
+    jac = np.empty((x.size, 2, 6))
+    jac[:, 0] = ((model.focal_mm / model.sy_mm) * (cross * dx + (f + y * y * fp2) * dy)).T
+    jac[:, 1] = ((model.focal_mm / model.sx_mm) * ((f + x * x * fp2) * dx + cross * dy)).T
+    return jac.reshape(-1, 6)
 
 
 def _homography_dlt(plane_xy: Array, norm_xy: Array) -> Array:
@@ -353,14 +385,21 @@ def estimate_plate_pose_from_image(
 ) -> PlateImageFit:
     """Pose of the plate frame in the camera from coplanar mark observations.
 
-    Homography decomposition provides the initial pose; a damped Gauss-Newton
-    iteration on the pixel reprojection error refines it (cap 100 iterations,
-    step tolerance 1e-10).
+    Homography decomposition (Zhang 2000) provides the initial pose. A
+    Levenberg-Marquardt iteration on the pixel reprojection error refines it,
+    with Marquardt's diagonal scaling of the damping and the analytic Jacobian
+    of the projection (``_pose_jacobian``). A trial step is accepted when it
+    lowers the cost; trial poses that put a mark behind the camera are
+    rejected like steps that raise it. The fit stops when a trial step falls
+    below 1e-10 in every component, accepted or not: the cost is then flat to
+    rounding (``stop == "step_tol"``). It also stops when the damping reaches
+    1e12 with no trial step accepted (``stop == "no_descent"``). The cap is
+    100 iterations.
 
     Raises:
         DegenerateConfiguration: fewer than 4 marks, non-coplanar references,
-            or collinear layout.
-        NonConvergence: refinement failed to reach the step tolerance.
+            collinear layout, or an initial pose with marks behind the camera.
+        NonConvergence: neither stop rule met within 100 iterations.
     """
     if len(observed) < 4:
         raise DegenerateConfiguration(
@@ -396,48 +435,35 @@ def estimate_plate_pose_from_image(
         )
     cost = float(res @ res)
     lam = 1e-3
-    eps = np.array([1e-6, 1e-6, 1e-6, 1e-4, 1e-4, 1e-4])
     iterations = 0
 
     for iterations in range(1, _POSE_MAX_ITER + 1):
-        jac = np.empty((res.size, 6))
-        for i in range(6):
-            dw = np.zeros(3)
-            dt = np.zeros(3)
-            if i < 3:
-                dw[i] = eps[i]
-            else:
-                dt[i - 3] = eps[i]
-            r_plus = residuals(_rotvec_to_rotation(dw) @ r, t + dt)
-            r_minus = residuals(_rotvec_to_rotation(-dw) @ r, t - dt)
-            if r_plus is None or r_minus is None:
-                raise NonConvergence(
-                    "estimate_plate_pose_from_image: pose wandered behind the camera"
-                )
-            jac[:, i] = (r_plus - r_minus) / (2.0 * eps[i])
-
+        jac = _pose_jacobian(model, ref_pts, r, t)
         g = jac.T @ res
         a = jac.T @ jac
-        stepped = False
+        stop = "no_descent"  # unless a trial step descends or falls below tolerance
         while lam < 1e12:
             try:
                 step = np.linalg.solve(a + lam * np.diag(np.diag(a)) + 1e-12 * np.eye(6), -g)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            r_new = nearest_rotation(_rotvec_to_rotation(step[:3]) @ r)
+            small = float(np.max(np.abs(step))) < _POSE_STEP_TOL
+            r_new = nearest_rotation(rotation_from_rotvec(step[:3]) @ r)
             t_new = t + step[3:]
             res_new = residuals(r_new, t_new)
             if res_new is not None and float(res_new @ res_new) < cost:
                 r, t, res = r_new, t_new, res_new
                 cost = float(res @ res)
                 lam = max(lam * 0.3, 1e-12)
-                stepped = True
+                stop = "step_tol" if small else ""
+                break
+            if small:
+                # the cost is flat to rounding within the tolerance: converged
+                stop = "step_tol"
                 break
             lam *= 10.0
-        if not stepped:
-            break  # no descent direction left: converged to working precision
-        if float(np.max(np.abs(step))) < _POSE_STEP_TOL:
+        if stop:
             break
     else:
         raise NonConvergence(
@@ -446,4 +472,4 @@ def estimate_plate_pose_from_image(
 
     rms = math.sqrt(cost / len(observed))
     transform = RigidTransform(r, t, source=ref_frame, dest=frames.CAM)
-    return PlateImageFit(transform, rms, iterations)
+    return PlateImageFit(transform, rms, iterations, stop)

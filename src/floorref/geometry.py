@@ -100,17 +100,29 @@ def rotation_about_z(angle_rad: float) -> Array:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
+def rotation_from_rotvec(w: Sequence[float] | Array) -> Array:
+    """Rotation exp([w]x) of a rotation vector w (axis times angle in rad), Rodrigues form.
+
+    Below 1e-12 rad the second-order series I + K + K^2/2 replaces the
+    division by the angle.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    angle = float(np.linalg.norm(w))
+    if angle < 1e-12:
+        k = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
+        return np.eye(3) + k + 0.5 * (k @ k)
+    a = w / angle
+    k = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
+    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+
+
 def rotation_about_axis(axis: Sequence[float] | Array, angle_rad: float) -> Array:
     """Rotation by angle_rad about an arbitrary axis (Rodrigues form)."""
     a = as_point3(axis)
     n = np.linalg.norm(a)
     if n < 1e-15:
         raise ValueError("rotation axis must be nonzero")
-    a = a / n
-    k = np.array(
-        [[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]]
-    )
-    return np.eye(3) + math.sin(angle_rad) * k + (1.0 - math.cos(angle_rad)) * (k @ k)
+    return rotation_from_rotvec(a * (angle_rad / n))
 
 
 def rotation_distance(a: Array, b: Array) -> float:

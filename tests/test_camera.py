@@ -9,6 +9,7 @@ from floorref import frames
 from floorref.camera import (
     CameraModel,
     ImagePoint,
+    _pose_jacobian,
     back_project,
     build_rectification_map,
     estimate_plate_pose_from_image,
@@ -25,6 +26,14 @@ from floorref.geometry import (
     rotation_about_y,
     rotation_about_z,
     rotation_distance,
+    rotation_from_rotvec,
+)
+from floorref.simulate import (
+    GLASS_NOISE,
+    default_placements,
+    demo_camera,
+    random_world,
+    simulate_referencing_session,
 )
 
 
@@ -282,6 +291,7 @@ class TestPlatePoseFromImage:
             assert rotation_distance(fit.h_cam_ref.rotation, h_cam_ref.rotation) < 1e-8
             assert np.max(np.abs(fit.h_cam_ref.translation - h_cam_ref.translation)) < 1e-6
             assert fit.rms_px < 1e-8
+            assert fit.stop == "step_tol"
 
     def test_noise_monte_carlo_translation_error(self):
         m = model()
@@ -298,10 +308,28 @@ class TestPlatePoseFromImage:
         for _ in range(500):
             obs = _synthetic_observation(m, h_cam_ref, marks, sigma_px=0.05, rng=rng)
             fit = estimate_plate_pose_from_image(m, obs)
+            assert fit.stop == "step_tol"
             errs.append(np.linalg.norm(fit.h_cam_ref.translation - h_cam_ref.translation))
         errs = np.array(errs)
         assert np.mean(errs) < 0.05
         assert np.percentile(errs, 95) < 0.05
+
+    def test_iterations_not_above_finite_difference_fit(self):
+        # LM iterations per session of random_world(1..10), sessions A and B,
+        # as counted with the earlier finite-difference Jacobian. Single
+        # sessions may take a step more or less; the total must not grow.
+        finite_difference = [7, 9, 8, 6, 8, 6, 8, 7, 8, 8, 6, 7, 7, 6, 8, 8, 9, 9, 7, 8]
+        iterations = []
+        for seed in range(1, 11):
+            world = random_world(seed)
+            for reverse, trial in ((False, 1), (True, 2)):
+                placements = default_placements(world, reverse=reverse)
+                session = simulate_referencing_session(world, GLASS_NOISE, *placements, trial=trial)
+                obs = [(ip, session.plate.marks[mark]) for mark, ip in session.image_observation]
+                fit = estimate_plate_pose_from_image(session.camera, obs)
+                assert fit.stop == "step_tol"
+                iterations.append(fit.iterations)
+        assert sum(iterations) <= sum(finite_difference)
 
     def test_three_points_rejected(self):
         m = model()
@@ -329,6 +357,49 @@ class TestPlatePoseFromImage:
                     (ImagePoint(20.0, 20.0), np.array([1.0, 1.0, 0.0])),
                 ],
             )
+
+
+def _pixel_residual(m, ref_pts, r, t):
+    pc = ref_pts @ r.T + t
+    return m.normalized_to_pixel_array(pc[:, :2] / pc[:, 2:]).ravel()
+
+
+class TestPoseJacobian:
+    @pytest.mark.parametrize(
+        "m",
+        [
+            demo_camera(),
+            model(k=(0.1, -0.01, 0.002)),
+            CameraModel(
+                focal_mm=12.0, sx_mm=0.002, sy_mm=0.005, cx_px=1000.0, cy_px=600.0,
+                k=(-0.04, 0.001, 0.0), rows=1200, cols=2000,
+            ),
+        ],
+        ids=["demo", "strong_distortion", "anisotropic"],
+    )
+    def test_matches_central_differences(self, m):
+        rng = np.random.default_rng(17)
+        marks = np.array(_grid_marks())
+        h = np.array([1e-6, 1e-6, 1e-6, 1e-4, 1e-4, 1e-4])
+        for _ in range(20):
+            h_ref_cam = RigidTransform(
+                rotation_about_z(rng.uniform(-math.pi, math.pi))
+                @ rotation_about_axis(np.append(rng.normal(size=2), 0.0), rng.uniform(0, 0.3)),
+                np.array([rng.uniform(-30, 30), rng.uniform(-30, 30), -rng.uniform(100, 250)]),
+                source=frames.CAM,
+                dest=frames.REF,
+            )
+            h_cam_ref = invert(h_ref_cam)
+            r, t = h_cam_ref.rotation, h_cam_ref.translation
+            jac = _pose_jacobian(m, marks, r, t)
+            assert jac.shape == (2 * len(marks), 6)
+            for i in range(6):
+                d = np.zeros(6)
+                d[i] = h[i]
+                plus = _pixel_residual(m, marks, rotation_from_rotvec(d[:3]) @ r, t + d[3:])
+                minus = _pixel_residual(m, marks, rotation_from_rotvec(-d[:3]) @ r, t - d[3:])
+                numeric = (plus - minus) / (2.0 * h[i])
+                assert np.linalg.norm(jac[:, i] - numeric) <= 1e-6 * np.linalg.norm(numeric)
 
 
 class TestAnisotropicPixels:

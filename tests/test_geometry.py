@@ -18,6 +18,7 @@ from floorref.geometry import (
     rotation_about_x,
     rotation_about_z,
     rotation_distance,
+    rotation_from_rotvec,
     rotation_to_quaternion,
     to_homogeneous,
 )
@@ -251,6 +252,21 @@ class TestRotationHelpers:
         q = rotation_to_quaternion(h.rotation)
         assert abs(np.linalg.norm(q) - 1.0) < 1e-12
         assert np.linalg.norm(quaternion_to_rotation(q) - h.rotation) < 1e-9
+
+    def test_rotvec_matches_axis_angle(self):
+        assert np.linalg.norm(rotation_from_rotvec([0.0, 0.0, math.pi / 2.0]) - RZ90) < 1e-15
+        axis = np.array([0.2, -0.5, 1.0])
+        for angle in (-2.5, -1e-3, 0.4, 3.0):
+            r = rotation_from_rotvec(axis / np.linalg.norm(axis) * angle)
+            assert np.linalg.norm(r - rotation_about_axis(axis, angle)) < 1e-15
+            assert abs(rotation_distance(np.eye(3), r) - abs(angle)) < 1e-12
+
+    def test_rotvec_small_angle_branch(self):
+        w = np.array([3e-13, -4e-13, 1e-13])
+        r = rotation_from_rotvec(w)
+        assert np.max(np.abs([r[2, 1] - w[0], r[0, 2] - w[1], r[1, 0] - w[2]])) < 1e-24
+        RigidTransform(r, np.zeros(3), source="a", dest="b")  # a valid rotation
+        assert np.array_equal(rotation_from_rotvec(np.zeros(3)), np.eye(3))
 
     def test_chordal_mean_of_symmetric_pair(self):
         base = rotation_about_axis([0.2, -0.5, 1.0], 0.9)
