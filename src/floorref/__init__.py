@@ -3,7 +3,6 @@ laser tracker and a dual-modality referencing plate, plus the repeatability
 experiment and cluster metrics used to validate it."""
 
 from . import frames
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .camera import (
     CameraModel,
     ImagePoint,
@@ -59,6 +58,8 @@ from .simulate import (
 
 __version__ = "0.1.0"
 
+KERNEL_BACKEND = "python"
+
 __all__ = [
     "CameraModel",
     "ClusterReport",
@@ -66,7 +67,6 @@ __all__ = [
     "FloorRefError",
     "GLASS_NOISE",
     "ImagePoint",
-    "KERNEL_BACKEND",
     "MarkMeasurement",
     "NoiseConfig",
     "ReferencingPlate",

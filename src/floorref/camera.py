@@ -19,7 +19,6 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import frames
-from ._kernels import distort_radial, undistort_radial
 from .errors import (
     BehindCamera,
     DegenerateConfiguration,
@@ -41,6 +40,28 @@ _MIN_DEPTH_MM = 1e-9
 _MAX_INCIDENCE_DEG = 89.0
 _POSE_MAX_ITER = 100
 _POSE_STEP_TOL = 1e-10
+
+
+def distort_radial(xy: Array, k1: float, k2: float, k3: float) -> Array:
+    """Forward radial distortion of normalized image coordinates, shape (n, 2)."""
+    xy = np.asarray(xy, dtype=np.float64)
+    r2 = np.sum(xy * xy, axis=1)
+    factor = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
+    return xy * factor[:, None]
+
+
+def undistort_radial(xy: Array, k1: float, k2: float, k3: float, max_iter: int = 20) -> Array:
+    """Fixed-point inverse of the radial distortion, shape (n, 2)."""
+    xy = np.asarray(xy, dtype=np.float64)
+    rd = np.sqrt(np.sum(xy * xy, axis=1))
+    ru = rd.copy()
+    for _ in range(max_iter):
+        r2 = ru * ru
+        ru = rd / (1.0 + r2 * (k1 + r2 * (k2 + r2 * k3)))
+    scale = np.ones_like(rd)
+    nonzero = rd > 0.0
+    scale[nonzero] = ru[nonzero] / rd[nonzero]
+    return xy * scale[:, None]
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from ._kernels import enclosing_circle
 from .errors import EmptyCluster, EmptyInput, OutOfBounds
 from . import frames
 from .geometry import RigidTransform, apply, as_point3, rotation_about_z
@@ -190,6 +189,99 @@ def run_experiment(
 # --- metrics -------------------------------------------------------------------
 
 
+_LCG_MULT = 6364136223846793005
+_LCG_INC = 1442695040888963407
+_LCG_MASK = (1 << 64) - 1
+
+
+def _shuffled(points: Array) -> Array:
+    """Deterministic Fisher-Yates shuffle driven by a fixed 64-bit LCG."""
+    n = points.shape[0]
+    idx = list(range(n))
+    state = 0x853C49E6748FEA9B
+    for i in range(n - 1, 0, -1):
+        state = (state * _LCG_MULT + _LCG_INC) & _LCG_MASK
+        j = (state >> 16) % (i + 1)
+        idx[i], idx[j] = idx[j], idx[i]
+    return points[idx]
+
+
+def _dist(ax: float, ay: float, bx: float, by: float) -> float:
+    dx = ax - bx
+    dy = ay - by
+    return math.sqrt(dx * dx + dy * dy)
+
+
+def _circle_two(ax: float, ay: float, bx: float, by: float) -> tuple[float, float, float]:
+    cx = (ax + bx) / 2.0
+    cy = (ay + by) / 2.0
+    r = max(_dist(cx, cy, ax, ay), _dist(cx, cy, bx, by))
+    return cx, cy, r
+
+
+def _circle_three(
+    ax: float, ay: float, bx: float, by: float, px: float, py: float
+) -> tuple[float, float, float] | None:
+    # Circumcircle, evaluated about the bounding-box midpoint for conditioning.
+    ox = (min(ax, bx, px) + max(ax, bx, px)) / 2.0
+    oy = (min(ay, by, py) + max(ay, by, py)) / 2.0
+    a0, a1 = ax - ox, ay - oy
+    b0, b1 = bx - ox, by - oy
+    p0, p1 = px - ox, py - oy
+    d = (a0 * (b1 - p1) + b0 * (p1 - a1) + p0 * (a1 - b1)) * 2.0
+    if d == 0.0:
+        return None
+    x = ox + ((a0 * a0 + a1 * a1) * (b1 - p1) + (b0 * b0 + b1 * b1) * (p1 - a1) + (p0 * p0 + p1 * p1) * (a1 - b1)) / d
+    y = oy + ((a0 * a0 + a1 * a1) * (p0 - b0) + (b0 * b0 + b1 * b1) * (a0 - p0) + (p0 * p0 + p1 * p1) * (b0 - a0)) / d
+    r = max(_dist(x, y, ax, ay), _dist(x, y, bx, by), _dist(x, y, px, py))
+    return x, y, r
+
+
+def _inside(cx: float, cy: float, r: float, px: float, py: float) -> bool:
+    return _dist(px, py, cx, cy) <= r * (1.0 + 1e-14) + 1e-14
+
+
+def enclosing_circle(points: Array) -> tuple[float, float, float]:
+    """Center x, center y and radius of the smallest circle containing all
+    points of a non-empty (n, 2) float64 array.
+
+    Randomized incremental construction (Welzl 1991, with one- and two-point
+    boundary passes); expected linear time, deterministic permutation.
+    """
+    pts = _shuffled(points)
+    n = pts.shape[0]
+
+    cx, cy, r = pts[0, 0], pts[0, 1], 0.0
+    for i in range(1, n):
+        px, py = pts[i, 0], pts[i, 1]
+        if _inside(cx, cy, r, px, py):
+            continue
+        # p_i lies on the boundary of the circle over pts[:i+1]
+        cx, cy, r = px, py, 0.0
+        for j in range(i):
+            qx, qy = pts[j, 0], pts[j, 1]
+            if _inside(cx, cy, r, qx, qy):
+                continue
+            # p_i and p_j both lie on the boundary
+            cx, cy, r = _circle_two(px, py, qx, qy)
+            for k in range(j):
+                sx, sy = pts[k, 0], pts[k, 1]
+                if _inside(cx, cy, r, sx, sy):
+                    continue
+                c3 = _circle_three(px, py, qx, qy, sx, sy)
+                if c3 is None:
+                    # collinear triple: widest diameter circle of the three
+                    pairs = (
+                        _circle_two(px, py, qx, qy),
+                        _circle_two(px, py, sx, sy),
+                        _circle_two(qx, qy, sx, sy),
+                    )
+                    cx, cy, r = max(pairs, key=lambda c: c[2])
+                else:
+                    cx, cy, r = c3
+    return float(cx), float(cy), float(r)
+
+
 class Circle(NamedTuple):
     center: Array
     radius_mm: float
@@ -204,7 +296,7 @@ def min_enclosing_circle(points: Sequence[Sequence[float]] | Array) -> Circle:
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.size == 0:
         raise EmptyInput("min_enclosing_circle: no points")
-    if pts.shape[1] != 2:
+    if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"expected 2D points, got shape {pts.shape}")
     cx, cy, r = enclosing_circle(pts)
     return Circle(np.array([cx, cy]), r)

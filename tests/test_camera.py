@@ -12,9 +12,11 @@ from floorref.camera import (
     _pose_jacobian,
     back_project,
     build_rectification_map,
+    distort_radial,
     estimate_plate_pose_from_image,
     project,
     project_points,
+    undistort_radial,
 )
 from floorref.errors import BehindCamera, DegenerateConfiguration, DegenerateViewingGeometry
 from floorref.geometry import (
@@ -118,6 +120,25 @@ class TestProjection:
             CameraModel(-1.0, 0.00345, 0.00345, 10, 10, (0, 0, 0), 100, 100)
         with pytest.raises(ValueError):
             CameraModel(12.0, 0.00345, 0.00345, 10, 10, (0, 0, 0), 1, 100)
+
+
+class TestRadialDistortion:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(-0.1, 0.1),
+        st.floats(-0.01, 0.01),
+        st.floats(-0.001, 0.001),
+    )
+    def test_undistort_inverts_distort(self, k1, k2, k3):
+        grid = np.linspace(-0.4, 0.4, 11)
+        xy = np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2)
+        d = distort_radial(xy, k1, k2, k3)
+        u = undistort_radial(d, k1, k2, k3)
+        assert np.max(np.abs(u - xy)) < 1e-10
+
+    def test_undistort_handles_origin(self):
+        xy = np.array([[0.0, 0.0]])
+        assert np.array_equal(undistort_radial(xy, -0.05, 0.0, 0.0), xy)
 
 
 class TestRectification:
