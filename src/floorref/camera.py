@@ -40,6 +40,8 @@ _MIN_DEPTH_MM = 1e-9
 _MAX_INCIDENCE_DEG = 89.0
 _POSE_MAX_ITER = 100
 _POSE_STEP_TOL = 1e-10
+_UNDISTORT_MAX_ITER = 50
+_UNDISTORT_RTOL = 4.0 * np.finfo(np.float64).eps
 
 
 def distort_radial(xy: Array, k1: float, k2: float, k3: float) -> Array:
@@ -50,17 +52,32 @@ def distort_radial(xy: Array, k1: float, k2: float, k3: float) -> Array:
     return xy * factor[:, None]
 
 
-def undistort_radial(xy: Array, k1: float, k2: float, k3: float, max_iter: int = 20) -> Array:
-    """Fixed-point inverse of the radial distortion, shape (n, 2)."""
+def undistort_radial(xy: Array, k1: float, k2: float, k3: float) -> Array:
+    """Inverse of the radial distortion by fixed-point iteration, shape (n, 2).
+
+    Iterates r_u <- r_d / (1 + k1 r_u^2 + k2 r_u^4 + k3 r_u^6) on the radius
+    until no radius moves by more than 4 eps r_d, and returns that iterate
+    (exact equality is not a stop rule: a radius can alternate between two
+    adjacent floats).
+
+    Raises:
+        NonConvergence: some radius still moves after 50 iterations, i.e. the
+            distortion does not contract there.
+    """
     xy = np.asarray(xy, dtype=np.float64)
     rd = np.sqrt(np.sum(xy * xy, axis=1))
-    ru = rd.copy()
-    for _ in range(max_iter):
+    tol = _UNDISTORT_RTOL * rd
+    ru = rd
+    for _ in range(_UNDISTORT_MAX_ITER):
         r2 = ru * ru
-        ru = rd / (1.0 + r2 * (k1 + r2 * (k2 + r2 * k3)))
-    scale = np.ones_like(rd)
-    nonzero = rd > 0.0
-    scale[nonzero] = ru[nonzero] / rd[nonzero]
+        ru, moved = rd / (1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))), ru
+        if np.all(np.abs(ru - moved) <= tol):
+            break
+    else:
+        raise NonConvergence(
+            f"undistortion did not converge within {_UNDISTORT_MAX_ITER} iterations"
+        )
+    scale = np.divide(ru, rd, out=np.ones_like(rd), where=rd > 0.0)
     return xy * scale[:, None]
 
 
@@ -116,7 +133,10 @@ class CameraModel:
         cc = np.linspace(0.0, self.cols - 1.0, 11)
         grid = np.stack(np.meshgrid(rr, cc, indexing="ij"), axis=-1).reshape(-1, 2)
         xy_d = self._pixel_to_distorted(grid[:, 0], grid[:, 1])
-        xy_u = undistort_radial(xy_d, *self.k)
+        try:
+            xy_u = undistort_radial(xy_d, *self.k)
+        except NonConvergence as e:
+            raise ValueError(f"distortion not invertible over the sensor ({e})") from None
         back = self.normalized_to_pixel_array(xy_u)
         err = np.max(np.abs(back - grid))
         if err > 1e-6:

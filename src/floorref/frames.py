@@ -17,5 +17,3 @@ ROB = "rob"
 CAM = "cam"
 REF = "ref"
 SCN = "scn"
-
-CANONICAL = (ABS, ROB, CAM, REF, SCN)

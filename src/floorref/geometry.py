@@ -47,14 +47,9 @@ def to_homogeneous(p: Sequence[float] | Array) -> Array:
     return np.append(as_point3(p), 1.0)
 
 
-def from_homogeneous(ph: Sequence[float] | Array) -> Array:
-    """Strip the homogeneous coordinate, requiring w == 1."""
-    ph = np.asarray(ph, dtype=np.float64)
-    if ph.shape != (4,):
-        raise ValueError(f"expected a 4-vector, got shape {ph.shape}")
-    if abs(ph[3] - 1.0) > 1e-12:
-        raise ValueError(f"homogeneous coordinate must be 1, got {ph[3]!r}")
-    return ph[:3].copy()
+def triangle_area(a: Array, b: Array, c: Array) -> float:
+    """Area of the triangle with 3D vertices a, b, c (mm^2)."""
+    return 0.5 * float(np.linalg.norm(np.cross(b - a, c - a)))
 
 
 # --- rotations ------------------------------------------------------------
@@ -381,10 +376,3 @@ def chordal_mean(rotations: Sequence[Array]) -> Array:
     m = np.mean([np.asarray(r, dtype=np.float64) for r in rotations], axis=0)
     return nearest_rotation(m)
 
-
-# kept as module metadata so dependent modules state their tolerance source
-TOLERANCES = {
-    "rotation_orthonormality": ROTATION_TOL,
-    "renormalization_trigger": _RENORM_TRIGGER,
-    "collinearity_singular_value_mm": 1e-6,
-}

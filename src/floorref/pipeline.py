@@ -38,6 +38,7 @@ from .geometry import (
     invert,
     register_points,
     rotation_distance,
+    triangle_area,
 )
 from .plate import NEST_IDS, ReferencingPlate, smr_points
 
@@ -310,9 +311,7 @@ def compute_rob_h_cam(session: ReferencingSession) -> ReferencingResult:
 
     with _stage("plate_normal"):
         p_abs = session.nest_positions()
-        area = 0.5 * float(
-            np.linalg.norm(np.cross(p_abs[1] - p_abs[0], p_abs[2] - p_abs[0]))
-        )
+        area = triangle_area(p_abs[0], p_abs[1], p_abs[2])
         if area <= MIN_NORMAL_TRIANGLE_MM2:
             raise DegenerateConfiguration(
                 f"nest triangle area {area:.2f} mm^2 at or below "

@@ -16,7 +16,7 @@ from numpy.typing import NDArray
 
 from .camera import CameraModel, ImagePoint
 from .errors import DegenerateConfiguration, ExcessiveGap, ParallelRays, UnknownNest
-from .geometry import RigidTransform, as_point3
+from .geometry import RigidTransform, as_point3, triangle_area
 
 Array = NDArray[np.float64]
 
@@ -24,10 +24,6 @@ NEST_IDS = ("r", "g", "b")
 MAX_RAY_GAP_MM = 0.5
 MIN_BASELINE_MM = 10.0
 MIN_NEST_TRIANGLE_MM2 = 100.0
-
-
-def _triangle_area(a: Array, b: Array, c: Array) -> float:
-    return 0.5 * float(np.linalg.norm(np.cross(b - a, c - a)))
 
 
 @dataclass(frozen=True)
@@ -66,7 +62,7 @@ class ReferencingPlate:
             nests[nest_id] = p
         if self.delta_mm < 0.0:
             raise ValueError(f"nest offset must be non-negative, got {self.delta_mm}")
-        area = _triangle_area(nests["r"], nests["g"], nests["b"])
+        area = triangle_area(nests["r"], nests["g"], nests["b"])
         if area <= MIN_NEST_TRIANGLE_MM2:
             raise ValueError(
                 f"nest triangle area {area:.1f} mm^2 below {MIN_NEST_TRIANGLE_MM2} mm^2"

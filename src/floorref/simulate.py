@@ -31,6 +31,7 @@ from .geometry import (
     rotation_about_x,
     rotation_about_y,
     rotation_about_z,
+    triangle_area,
 )
 from .pipeline import ROBOT_SMR_ID, ReferencingSession, TrackerMeasurement
 from .plate import NEST_IDS, ReferencingPlate
@@ -111,9 +112,8 @@ class RobotModel:
             raise ValueError("smr height must be positive")
         if len(self.wheel_contacts_xy_mm) != 3:
             raise ValueError("robot model needs exactly three wheel contacts")
-        a, b, c = (np.array(w, dtype=np.float64) for w in self.wheel_contacts_xy_mm)
-        u, v = b - a, c - a
-        area = 0.5 * abs(float(u[0] * v[1] - u[1] * v[0]))
+        a, b, c = (np.array([*w, 0.0], dtype=np.float64) for w in self.wheel_contacts_xy_mm)
+        area = triangle_area(a, b, c)
         if area < 1e3:
             raise ValueError("wheel contacts are (near-)collinear")
         object.__setattr__(

@@ -18,7 +18,12 @@ from floorref.camera import (
     project_points,
     undistort_radial,
 )
-from floorref.errors import BehindCamera, DegenerateConfiguration, DegenerateViewingGeometry
+from floorref.errors import (
+    BehindCamera,
+    DegenerateConfiguration,
+    DegenerateViewingGeometry,
+    NonConvergence,
+)
 from floorref.geometry import (
     RigidTransform,
     apply,
@@ -139,6 +144,11 @@ class TestRadialDistortion:
     def test_undistort_handles_origin(self):
         xy = np.array([[0.0, 0.0]])
         assert np.array_equal(undistort_radial(xy, -0.05, 0.0, 0.0), xy)
+
+    def test_undistort_non_contracting_raises(self):
+        # r_u (1 - 0.9 r_u^2) peaks at about 0.406, so r_d = 0.5 has no inverse
+        with pytest.raises(NonConvergence):
+            undistort_radial(np.array([[0.3, 0.4]]), -0.9, 0.0, 0.0)
 
 
 class TestRectification:
