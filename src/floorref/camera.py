@@ -69,9 +69,10 @@ def undistort_radial(xy: Array, k1: float, k2: float, k3: float) -> Array:
     tol = _UNDISTORT_RTOL * rd
     ru = rd
     for _ in range(_UNDISTORT_MAX_ITER):
+        ru_prev = ru
         r2 = ru * ru
-        ru, moved = rd / (1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))), ru
-        if np.all(np.abs(ru - moved) <= tol):
+        ru = rd / (1.0 + r2 * (k1 + r2 * (k2 + r2 * k3)))
+        if np.all(np.abs(ru - ru_prev) <= tol):
             break
     else:
         raise NonConvergence(

@@ -375,4 +375,3 @@ def chordal_mean(rotations: Sequence[Array]) -> Array:
         raise ValueError("chordal_mean: need at least one rotation")
     m = np.mean([np.asarray(r, dtype=np.float64) for r in rotations], axis=0)
     return nearest_rotation(m)
-
