@@ -247,7 +247,12 @@ def enclosing_circle(points: Array) -> tuple[float, float, float]:
 
     Randomized incremental construction (Welzl 1991, with one- and two-point
     boundary passes); expected linear time, deterministic permutation.
+
+    Raises:
+        ValueError: points is not a non-empty (n, 2) array.
     """
+    if points.ndim != 2 or points.shape[1] != 2 or points.shape[0] == 0:
+        raise ValueError(f"enclosing_circle expects a non-empty (n, 2) array, got shape {points.shape}")
     pts = _shuffled(points)
     n = pts.shape[0]
 
@@ -296,8 +301,6 @@ def min_enclosing_circle(points: Sequence[Sequence[float]] | Array) -> Circle:
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.size == 0:
         raise EmptyInput("min_enclosing_circle: no points")
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError(f"expected 2D points, got shape {pts.shape}")
     cx, cy, r = enclosing_circle(pts)
     return Circle(np.array([cx, cy]), r)
 

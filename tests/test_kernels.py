@@ -1,73 +1,10 @@
-"""Backend equivalence and behavior of the hot kernels (compiled vs pure)."""
-
-import subprocess
-import sys
+"""Behavior of the enclosing-circle kernel, `experiment.enclosing_circle`."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from _oracles import brute_force_enclosing_circle
-from floorref import _kernels
-from floorref._kernels import _ref
-
-
-def _cython_available():
-    try:
-        from floorref._kernels import _core  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def test_active_backend_reported():
-    assert _kernels.BACKEND in ("cython", "python")
-
-
-@pytest.mark.skipif(not _cython_available(), reason="compiled kernels not built")
-def test_backends_agree_bitwise():
-    from floorref._kernels import _core
-
-    rng = np.random.default_rng(0)
-    xy = rng.normal(scale=0.4, size=(500, 2))
-    for k in ((-0.03, 0.0005, 0.0), (0.08, -0.002, 1e-4)):
-        assert np.array_equal(_core.distort_radial(xy, *k), _ref.distort_radial(xy, *k))
-        d = _ref.distort_radial(xy, *k)
-        assert np.array_equal(_core.undistort_radial(d, *k), _ref.undistort_radial(d, *k))
-    for n in (1, 2, 3, 7, 40):
-        pts = rng.normal(size=(n, 2)) * 10.0
-        assert _core.enclosing_circle(pts) == _ref.enclosing_circle(pts)
-
-
-def test_pure_python_env_override():
-    code = (
-        "import os; os.environ['FLOORREF_PURE_PYTHON'] = '1'; "
-        "import floorref._kernels as k; print(k.BACKEND)"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "python"
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.floats(-0.1, 0.1),
-    st.floats(-0.01, 0.01),
-    st.floats(-0.001, 0.001),
-)
-def test_undistort_inverts_distort(k1, k2, k3):
-    grid = np.linspace(-0.4, 0.4, 11)
-    xy = np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2)
-    d = _kernels.distort_radial(xy, k1, k2, k3)
-    u = _kernels.undistort_radial(d, k1, k2, k3)
-    assert np.max(np.abs(u - xy)) < 1e-10
-
-
-def test_undistort_handles_origin():
-    xy = np.array([[0.0, 0.0]])
-    assert np.array_equal(_kernels.undistort_radial(xy, -0.05, 0.0, 0.0), xy)
+from floorref.experiment import enclosing_circle
 
 
 def test_enclosing_circle_matches_brute_force():
@@ -75,7 +12,7 @@ def test_enclosing_circle_matches_brute_force():
     for _ in range(60):
         n = int(rng.integers(1, 25))
         pts = rng.uniform(-50.0, 50.0, size=(n, 2))
-        cx, cy, r = _kernels.enclosing_circle(pts)
+        cx, cy, r = enclosing_circle(pts)
         _, r_bf = brute_force_enclosing_circle(pts)
         assert abs(r - r_bf) < 1e-9
         dists = np.linalg.norm(pts - [cx, cy], axis=1)
@@ -84,4 +21,4 @@ def test_enclosing_circle_matches_brute_force():
 
 def test_enclosing_circle_rejects_empty():
     with pytest.raises(ValueError):
-        _kernels.enclosing_circle(np.empty((0, 2)))
+        enclosing_circle(np.empty((0, 2)))
