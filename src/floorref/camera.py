@@ -177,6 +177,16 @@ class CameraModel:
             and margin_px <= p.col <= self.cols - 1 - margin_px
         )
 
+    def contains_points(self, rowcol: Array, margin_px: float = 0.0) -> Array:
+        """``contains`` for each (row, col) pair of an (n, 2) array; NaN is outside."""
+        row, col = np.asarray(rowcol, dtype=np.float64).T
+        return (
+            (margin_px <= row)
+            & (row <= self.rows - 1 - margin_px)
+            & (margin_px <= col)
+            & (col <= self.cols - 1 - margin_px)
+        )
+
 
 def project_points(
     model: CameraModel, h_cam_world: RigidTransform, pts: Array

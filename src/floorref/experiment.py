@@ -16,18 +16,17 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import EmptyCluster, EmptyInput, OutOfBounds
-from . import frames
-from .geometry import RigidTransform, apply, as_point3, rotation_about_z
+from .errors import EmptyCluster, EmptyInput, FloorRefError, OutOfBounds
+from .geometry import RigidTransform, as_point3, rotations_about_z
 from .pipeline import ReferencingResult
 from .camera import ImagePoint
 from .simulate import (
     NoiseConfig,
     SimWorld,
     STREAM_EXPERIMENT,
-    experiment_placement,
+    experiment_placements,
+    mark_views,
     rng_substream,
-    simulate_mark_observation,
 )
 
 Array = NDArray[np.float64]
@@ -104,6 +103,23 @@ class ExperimentPlan:
         object.__setattr__(self, "yaw_deg_list", tuple(float(v) for v in self.yaw_deg_list))
 
 
+def _measure_marks(
+    result: ReferencingResult, rowcol: Array, r_abs_rob: Array, t_abs_rob: Array
+) -> Array:
+    """Tracker positions (n, 3) of marks seen at (n, 2) image points from robot
+    poses with rotations (n, 3, 3) and translations (n, 3).
+
+    One rectification of all points, then the robot and tracker transforms row
+    by row (a stack of vector products, which round like the one-point form).
+    """
+    xy = result.scene.map_image_points(rowcol)
+    p_scn = np.zeros((xy.shape[0], 1, 3))
+    p_scn[:, 0, :2] = xy
+    h = result.h_rob_scn
+    p_rob = (p_scn @ h.rotation.T) + h.translation
+    return (p_rob @ np.swapaxes(r_abs_rob, 1, 2))[:, 0] + t_abs_rob
+
+
 def measure_mark(
     result: ReferencingResult, image_point: ImagePoint, h_abs_rob: RigidTransform
 ) -> Array:
@@ -117,14 +133,17 @@ def measure_mark(
         OutOfBounds: image point outside the sensor.
     """
     if not result.scene.model.contains(image_point):
-        raise OutOfBounds(
-            f"measure_mark: image point ({image_point.row:.1f}, {image_point.col:.1f}) "
-            f"outside the sensor"
-        )
-    xy = result.scene.map_image_point(image_point)
-    p_scn = np.array([xy[0], xy[1], 0.0])
-    p_rob = apply(result.h_rob_scn, p_scn)
-    return apply(h_abs_rob, p_rob)
+        raise _off_sensor(image_point.row, image_point.col)
+    return _measure_marks(
+        result,
+        np.array([[image_point.row, image_point.col]]),
+        h_abs_rob.rotation[None],
+        h_abs_rob.translation[None],
+    )[0]
+
+
+def _off_sensor(row: float, col: float) -> OutOfBounds:
+    return OutOfBounds(f"measure_mark: image point ({row:.1f}, {col:.1f}) outside the sensor")
 
 
 def run_experiment(
@@ -144,8 +163,21 @@ def run_experiment(
     attitude assumption (no pitch/roll sensing). Deterministic per seed, with
     independent substreams per repeat.
 
+    All repeats x directions go through one batched pass. The random numbers
+    are drawn first, in per-measurement order from each repeat's substream
+    (yaw jitter, offset angle and radius, image noise, tracker noise). The
+    geometry then runs on arrays: the placements, the floor support poses
+    (``simulate.mark_views``), one projection, one rectification of the noisy
+    image points and one robot-to-tracker transform. If measurements fail, the
+    error of the first one in repeat-then-direction order is raised, as a
+    one-at-a-time loop would.
+
     Raises:
         MarkNotVisible: plan geometry pushes the mark out of view.
+        OutOfBounds: image noise pushes a mark image off the sensor.
+        DegenerateConfiguration: no settled support pose on the floor.
+        DegenerateViewingGeometry: an image point does not rectify onto the
+            scene plane.
     """
     base_seed = world.seed if seed is None else seed
     mark_abs = np.array(
@@ -155,35 +187,54 @@ def run_experiment(
             float(np.asarray(world.floor_surface_z(plan.mark_xy_mm[0], plan.mark_xy_mm[1]))),
         ]
     )
-    measurements: list[MarkMeasurement] = []
+    yaws = plan.yaw_deg_list
+    count = plan.repeats * len(yaws)
+    yaw_deg = np.empty(count)
+    offset = np.empty((count, 2))
+    image_noise = np.empty((count, 2))
+    tracker_noise = np.empty((count, 3))
+    k = 0
     for trial in range(plan.repeats):
         rng = rng_substream(base_seed, STREAM_EXPERIMENT, trial)
-        for yaw_deg in plan.yaw_deg_list:
-            yaw_actual = yaw_deg + plan.yaw_jitter_deg * float(rng.standard_normal())
+        for yaw in yaws:
+            yaw_deg[k] = yaw + plan.yaw_jitter_deg * float(rng.standard_normal())
             theta = rng.uniform(0.0, 2.0 * math.pi)
             radius = plan.max_offset_mm * math.sqrt(rng.uniform())
-            offset = (radius * math.cos(theta), radius * math.sin(theta))
-            placement = experiment_placement(
-                world, mark_abs, math.radians(yaw_actual), offset
-            )
-            ip, smr = simulate_mark_observation(
-                world, noise, placement, mark_abs, rng=rng
-            )
-            h_abs_rob = RigidTransform(
-                rotation_about_z(placement.yaw_rad),
-                smr.position,
-                source=frames.ROB,
-                dest=frames.ABS,
-            )
-            measurements.append(
-                MarkMeasurement(
-                    direction=direction_for_yaw(yaw_deg),
-                    yaw_deg=yaw_actual,
-                    position=measure_mark(result, ip, h_abs_rob),
-                    trial=trial,
-                )
-            )
-    return measurements
+            offset[k] = radius * math.cos(theta), radius * math.sin(theta)
+            image_noise[k] = rng.normal(0.0, noise.image_sigma_px, size=2)
+            tracker_noise[k] = rng.normal(0.0, noise.tracker_sigma_mm, size=3)
+            k += 1
+
+    yaw_rad = np.radians(yaw_deg)
+    xy = experiment_placements(world, mark_abs, yaw_rad, offset)
+    views = mark_views(world, xy, yaw_rad, mark_abs)
+    rowcol = views.rowcol + image_noise
+    smr = views.smr_abs + tracker_noise
+    r_abs_rob = rotations_about_z(yaw_rad)  # flat-floor attitude assumption
+
+    failed = ~result.scene.model.contains_points(rowcol)
+    failed |= np.array([e is not None for e in views.error])
+    first = int(np.argmax(failed)) if failed.any() else count
+    try:
+        positions = _measure_marks(result, rowcol[:first], r_abs_rob[:first], smr[:first])
+    except FloorRefError:
+        # raise the error of the first measurement that fails on its own
+        for i in range(first):
+            _measure_marks(result, rowcol[i : i + 1], r_abs_rob[i : i + 1], smr[i : i + 1])
+        raise
+    if first < count:
+        raise views.error[first] or _off_sensor(*rowcol[first])
+
+    directions = [direction_for_yaw(yaw) for yaw in yaws]
+    return [
+        MarkMeasurement(
+            direction=directions[k % len(yaws)],
+            yaw_deg=yaw_actual,
+            position=positions[k],
+            trial=k // len(yaws),
+        )
+        for k, yaw_actual in enumerate(yaw_deg.tolist())
+    ]
 
 
 # --- metrics -------------------------------------------------------------------
@@ -253,24 +304,24 @@ def enclosing_circle(points: Array) -> tuple[float, float, float]:
     """
     if points.ndim != 2 or points.shape[1] != 2 or points.shape[0] == 0:
         raise ValueError(f"enclosing_circle expects a non-empty (n, 2) array, got shape {points.shape}")
-    pts = _shuffled(points)
-    n = pts.shape[0]
+    pts = _shuffled(points).tolist()  # Python floats: scalar arithmetic without numpy scalars
+    n = len(pts)
 
-    cx, cy, r = pts[0, 0], pts[0, 1], 0.0
+    cx, cy, r = pts[0][0], pts[0][1], 0.0
     for i in range(1, n):
-        px, py = pts[i, 0], pts[i, 1]
+        px, py = pts[i]
         if _inside(cx, cy, r, px, py):
             continue
         # p_i lies on the boundary of the circle over pts[:i+1]
         cx, cy, r = px, py, 0.0
         for j in range(i):
-            qx, qy = pts[j, 0], pts[j, 1]
+            qx, qy = pts[j]
             if _inside(cx, cy, r, qx, qy):
                 continue
             # p_i and p_j both lie on the boundary
             cx, cy, r = _circle_two(px, py, qx, qy)
             for k in range(j):
-                sx, sy = pts[k, 0], pts[k, 1]
+                sx, sy = pts[k]
                 if _inside(cx, cy, r, sx, sy):
                     continue
                 c3 = _circle_three(px, py, qx, qy, sx, sy)

@@ -95,6 +95,21 @@ def rotation_about_z(angle_rad: float) -> Array:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
+def rotations_about_z(angles_rad: Sequence[float] | Array) -> Array:
+    """Stack of ``rotation_about_z`` matrices, (n, 3, 3), equal to it entry for entry.
+
+    Cosine and sine come from ``math`` element by element, as in the one-angle
+    form; numpy's vectorized float64 sin/cos may round differently on some CPUs.
+    """
+    angles = np.asarray(angles_rad, dtype=np.float64).reshape(-1).tolist()
+    r = np.zeros((len(angles), 3, 3))
+    r[:, 0, 0] = r[:, 1, 1] = [math.cos(a) for a in angles]
+    r[:, 1, 0] = [math.sin(a) for a in angles]
+    r[:, 0, 1] = -r[:, 1, 0]
+    r[:, 2, 2] = 1.0
+    return r
+
+
 def rotation_from_rotvec(w: Sequence[float] | Array) -> Array:
     """Rotation exp([w]x) of a rotation vector w (axis times angle in rad), Rodrigues form.
 
@@ -260,6 +275,31 @@ def compose(h_bc: RigidTransform, h_ab: RigidTransform) -> RigidTransform:
         r = nearest_rotation(r)
     t = h_bc.rotation @ h_ab.translation + h_bc.translation
     return RigidTransform(r, t, source=h_ab.source, dest=h_bc.dest)
+
+
+def row_dots(a: Array, b: Array) -> Array:
+    """Dot products of matching rows of two (n, k) arrays, (n,).
+
+    Evaluated as a stack of vector products, which round like the one-row
+    ``a @ b`` (a BLAS dot); an elementwise sum of products may not.
+    """
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def compose_rotations(r_bc: Array, r_ab: Array) -> Array:
+    """Rotation part of ``compose`` for a stack of (n, 3, 3) rotations after
+    one (3, 3) rotation, row for row equal to it: a product whose
+    |R^T R - I|_F exceeds the renormalization trigger is replaced by its
+    nearest rotation. Rows with non-finite entries pass through unchanged.
+    """
+    r = np.asarray(r_bc, dtype=np.float64) @ np.asarray(r_ab, dtype=np.float64)
+    off = (np.swapaxes(r, 1, 2) @ r - np.eye(3)).reshape(-1, 9)
+    drift = np.sqrt(row_dots(off, off))
+    for i in np.flatnonzero(drift > _RENORM_TRIGGER):
+        r[i] = nearest_rotation(r[i])
+    return r
 
 
 def invert(h: RigidTransform) -> RigidTransform:

@@ -95,6 +95,13 @@ def _number(doc: Mapping[str, Any], where: str, key: str) -> float:
     return float(v)
 
 
+def _integer(doc: Mapping[str, Any], where: str, key: str) -> int:
+    v = doc.get(key)
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise SchemaError(f"{where}.{key}: expected an integer, got {v!r}")
+    return v
+
+
 def _matrix4(value: Any, where: str) -> np.ndarray:
     try:
         m = np.asarray(value, dtype=np.float64)
@@ -148,8 +155,8 @@ def camera_from_dict(doc: Mapping[str, Any], lenient: bool = False) -> CameraMod
             cx_px=_number(doc, where, "cx_px"),
             cy_px=_number(doc, where, "cy_px"),
             k=tuple(float(v) for v in k),
-            rows=int(_number(doc, where, "rows")),
-            cols=int(_number(doc, where, "cols")),
+            rows=_integer(doc, where, "rows"),
+            cols=_integer(doc, where, "cols"),
         )
     except ValueError as e:
         raise SchemaError(f"{where}: {e}") from e
@@ -268,11 +275,16 @@ def session_from_dict(doc: Mapping[str, Any], lenient: bool = False) -> Referenc
     observation = []
     if not isinstance(doc["image_observation"], list):
         raise SchemaError(f"{where}.image_observation: expected an array")
+    seen: set[str] = set()
     for i, entry in enumerate(doc["image_observation"]):
         w = f"{where}.image_observation[{i}]"
         _check_keys(entry, w, {"mark_id", "row", "col"}, set(), lenient)
+        mark_id = str(entry["mark_id"])
+        if mark_id in seen:
+            raise SchemaError(f"{w}.mark_id: duplicate mark id {mark_id!r}")
+        seen.add(mark_id)
         observation.append(
-            (str(entry["mark_id"]), ImagePoint(_number(entry, w, "row"), _number(entry, w, "col")))
+            (mark_id, ImagePoint(_number(entry, w, "row"), _number(entry, w, "col")))
         )
     return ReferencingSession(
         camera=camera,
@@ -576,9 +588,7 @@ def plan_from_dict(doc: Mapping[str, Any], lenient: bool = False) -> ExperimentP
             raise SchemaError(f"{where}.yaw_deg_list: expected an array")
         kwargs["yaw_deg_list"] = tuple(float(v) for v in yaws)
     if "repeats" in doc:
-        if not isinstance(doc["repeats"], int) or isinstance(doc["repeats"], bool):
-            raise SchemaError(f"{where}.repeats: expected an integer")
-        kwargs["repeats"] = doc["repeats"]
+        kwargs["repeats"] = _integer(doc, where, "repeats")
     if "max_offset_mm" in doc:
         kwargs["max_offset_mm"] = _number(doc, where, "max_offset_mm")
     if "yaw_jitter_deg" in doc:

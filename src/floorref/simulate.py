@@ -14,23 +14,32 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
 
 from . import frames
 from .camera import CameraModel, ImagePoint, project_points
-from .errors import DegenerateConfiguration, DegenerateMotion, MarkNotVisible, TargetNotVisible
+from .errors import (
+    DegenerateConfiguration,
+    DegenerateMotion,
+    FloorRefError,
+    MarkNotVisible,
+    TargetNotVisible,
+)
 from .geometry import (
     RigidTransform,
     apply,
     compose,
+    compose_rotations,
     invert,
     rotation_about_axis,
     rotation_about_x,
     rotation_about_y,
     rotation_about_z,
+    rotations_about_z,
+    row_dots,
     triangle_area,
 )
 from .pipeline import ROBOT_SMR_ID, ReferencingSession, TrackerMeasurement
@@ -46,6 +55,9 @@ STREAM_WORLD = 3
 
 _SUPPORT_TOL_MM = 1e-12
 _SUPPORT_MAX_ITER = 100
+
+# camera-frame points pass through the identity pose unchanged into a projection
+_CAM_IDENTITY = RigidTransform.identity(frames.CAM)
 
 # saddle-shaped non-planarity over normalized plate coordinates; scaled so the
 # configured amplitude is the peak |z| deviation over the plate
@@ -246,50 +258,111 @@ def inject_wooden_plate(world: SimWorld, amplitude_mm: float) -> SimWorld:
 # --- robot support pose ------------------------------------------------------
 
 
-def pose_on_surface(world: SimWorld, placement: RobotPlacement, surface: str) -> RigidTransform:
-    """True robot pose with all three wheels on the named surface
-    ("plate" or "floor").
+class SupportPoses(NamedTuple):
+    """True robot poses for a stack of placements on one surface.
 
-    Alternates between fitting the support plane through the wheel contacts
-    and reposing the rigid wheel triangle on that plane until the contacts sit
-    on the surface within 1e-12 mm.
+    ``rotation`` (n, 3, 3) and ``translation`` (n, 3) map robot to tracker
+    coordinates; ``iterations`` (n,) counts the plane fits of each row; and
+    ``error`` holds, per row, None or the ``DegenerateConfiguration`` the row
+    fails with (singular contact plane, or contacts not settled within 100
+    iterations). A failed row's pose is NaN.
+    """
+
+    rotation: Array
+    translation: Array
+    iterations: Array
+    error: tuple[DegenerateConfiguration | None, ...]
+
+
+def support_poses(world: SimWorld, xy: Array, yaw_rad: Array, surface: str) -> SupportPoses:
+    """True robot poses with all three wheels on the named surface ("plate"
+    or "floor"), for (n, 2) robot positions and (n,) headings.
+
+    Each row alternates between fitting the support plane through its wheel
+    contacts and reposing the rigid wheel triangle on that plane until the
+    contacts sit on the surface within 1e-12 mm. A row's pose is taken at the
+    iteration where it settles; from then on it repeats that iteration on the
+    same contacts until every row has settled. Every operation is taken row
+    by row, so each row equals a one-row call.
     """
     surf = world.plate_surface_z if surface == "plate" else world.floor_surface_z
+    xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
+    x0, y0 = xy[:, 0], xy[:, 1]
+    rz = rotations_about_z(yaw_rad)
+    n_rows = rz.shape[0]
     wheels_xy = np.array(world.robot.wheel_contacts_xy_mm)
+    wheel_x, wheel_y = wheels_xy[None, :, 0, None], wheels_xy[None, :, 1, None]
     h = world.robot.smr_height_mm
-    x0, y0, yaw = placement.x_mm, placement.y_mm, placement.yaw_rad
-    heading = np.array([math.cos(yaw), math.sin(yaw), 0.0])
 
-    c, s = math.cos(yaw), math.sin(yaw)
-    rot2 = np.array([[c, -s], [s, c]])
-    contact_xy = wheels_xy @ rot2.T + [x0, y0]
-    contact_z = np.asarray(surf(contact_xy[:, 0], contact_xy[:, 1]), dtype=np.float64)
+    heading = np.ascontiguousarray(rz[:, :, 0])
+    contact_xy = wheels_xy @ np.swapaxes(np.ascontiguousarray(rz[:, :2, :2]), 1, 2) + xy[:, None, :]
+    contact_z = np.asarray(surf(contact_xy[..., 0], contact_xy[..., 1]), dtype=np.float64)
+    ones = np.ones((n_rows, 3, 1))
+    up = np.ones(n_rows)
 
-    for _ in range(_SUPPORT_MAX_ITER):
-        # plane z = a x + b y + d through the three contacts
-        a_mat = np.column_stack([contact_xy, np.ones(3)])
+    rotation = np.full((n_rows, 3, 3), np.nan)
+    translation = np.full((n_rows, 3), np.nan)
+    iterations = np.full(n_rows, _SUPPORT_MAX_ITER)
+    error: list[DegenerateConfiguration | None] = [None] * n_rows
+    done = np.zeros(n_rows, dtype=bool)  # settled or failed
+    for iteration in range(1, _SUPPORT_MAX_ITER + 1):
+        # plane z = a x + b y + d through the three contacts of each row
+        a_mat = np.concatenate([contact_xy, ones], axis=2)
         try:
-            coeffs = np.linalg.solve(a_mat, contact_z)
-        except np.linalg.LinAlgError as e:
-            raise DegenerateConfiguration(f"pose_on_surface: contact plane singular: {e}") from e
-        n = np.array([-coeffs[0], -coeffs[1], 1.0])
-        n = n / np.linalg.norm(n)
-        x_r = heading - float(heading @ n) * n
-        x_r = x_r / np.linalg.norm(x_r)
-        y_r = np.cross(n, x_r)
-        origin = np.array([x0, y0, coeffs[0] * x0 + coeffs[1] * y0 + coeffs[2]])
-        t = origin + h * n
-        r = np.column_stack([x_r, y_r, n])
-        contacts = origin + np.outer(wheels_xy[:, 0], x_r) + np.outer(wheels_xy[:, 1], y_r)
-        surf_z = np.asarray(surf(contacts[:, 0], contacts[:, 1]), dtype=np.float64)
-        gap = float(np.max(np.abs(surf_z - contacts[:, 2])))
-        if gap < _SUPPORT_TOL_MM:
-            return RigidTransform(r, t, source=frames.ROB, dest=frames.ABS)
-        contact_xy = contacts[:, :2]
-        contact_z = surf_z
-    raise DegenerateConfiguration(
-        f"pose_on_surface: wheel contacts did not settle within {_SUPPORT_MAX_ITER} iterations"
+            coeffs = np.linalg.solve(a_mat, contact_z[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            coeffs = np.full((n_rows, 3), np.nan)
+            for k in range(n_rows):
+                try:
+                    coeffs[k] = np.linalg.solve(a_mat[k], contact_z[k])
+                except np.linalg.LinAlgError as e:
+                    if not done[k]:
+                        error[k] = DegenerateConfiguration(
+                            f"pose_on_surface: contact plane singular: {e}"
+                        )
+                        iterations[k] = iteration
+                        done[k] = True
+        n = np.stack([-coeffs[:, 0], -coeffs[:, 1], up], axis=1)
+        n = n / np.sqrt(row_dots(n, n))[:, None]
+        x_r = heading - row_dots(heading, n)[:, None] * n
+        x_r = x_r / np.sqrt(row_dots(x_r, x_r))[:, None]
+        # y_r = n x x_r, the products and differences of np.cross without its set-up cost
+        (n0, n1, n2), (x0_r, x1_r, x2_r) = n.T, x_r.T
+        y_r = np.stack([n1 * x2_r - n2 * x1_r, n2 * x0_r - n0 * x2_r, n0 * x1_r - n1 * x0_r], axis=1)
+        origin = np.stack([x0, y0, coeffs[:, 0] * x0 + coeffs[:, 1] * y0 + coeffs[:, 2]], axis=1)
+        contacts = origin[:, None, :] + wheel_x * x_r[:, None, :] + wheel_y * y_r[:, None, :]
+        surf_z = np.asarray(surf(contacts[..., 0], contacts[..., 1]), dtype=np.float64)
+        settled = ~done & (np.max(np.abs(surf_z - contacts[..., 2]), axis=1) < _SUPPORT_TOL_MM)
+        if settled.any():
+            rotation[settled] = np.stack([x_r, y_r, n], axis=2)[settled]
+            translation[settled] = (origin + h * n)[settled]
+            iterations[settled] = iteration
+            done |= settled
+            if done.all():
+                break
+        contact_xy = np.where(done[:, None, None], contact_xy, contacts[..., :2])
+        contact_z = np.where(done[:, None], contact_z, surf_z)
+    for i in np.flatnonzero(~done):
+        error[i] = DegenerateConfiguration(
+            f"pose_on_surface: wheel contacts did not settle within {_SUPPORT_MAX_ITER} iterations"
+        )
+    return SupportPoses(rotation, translation, iterations, tuple(error))
+
+
+def pose_on_surface(world: SimWorld, placement: RobotPlacement, surface: str) -> RigidTransform:
+    """True robot pose with all three wheels on the named surface
+    ("plate" or "floor"): the one-row case of ``support_poses``.
+
+    Raises:
+        DegenerateConfiguration: singular contact plane, or contacts not
+            settled within 100 iterations.
+    """
+    poses = support_poses(
+        world, np.array([[placement.x_mm, placement.y_mm]]), [placement.yaw_rad], surface
     )
+    if poses.error[0] is not None:
+        raise poses.error[0]
+    return RigidTransform(poses.rotation[0], poses.translation[0], source=frames.ROB, dest=frames.ABS)
 
 
 def camera_ground_offset(world: SimWorld) -> Array:
@@ -388,6 +461,50 @@ def simulate_referencing_session(
     )
 
 
+class MarkViews(NamedTuple):
+    """Noise-free views of one floor mark from a stack of placements.
+
+    ``rowcol`` (n, 2) holds the true image points (NaN behind the camera),
+    ``smr_abs`` (n, 3) the true robot smr positions, and ``error`` per row None
+    or the error the row fails with: ``DegenerateConfiguration`` from its
+    support pose or ``MarkNotVisible``.
+    """
+
+    rowcol: Array
+    smr_abs: Array
+    error: tuple[FloorRefError | None, ...]
+
+
+def mark_views(world: SimWorld, xy: Array, yaw_rad: Array, mark_abs: Array) -> MarkViews:
+    """True image points of a floor mark seen from (n, 2) robot positions with
+    (n,) headings on the experiment floor, each row equal to a one-row call.
+
+    The camera pose of each row is ``invert(compose(support pose, true
+    hand-eye))`` taken row by row; the mark goes into every camera frame and
+    then through one projection.
+    """
+    xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
+    yaw = np.asarray(yaw_rad, dtype=np.float64).reshape(-1)
+    support = support_poses(world, xy, yaw, "floor")
+    h_rob_cam = world.h_rob_cam_true
+    # h_abs_cam = compose(h_abs_rob, h_rob_cam), then its inverse applied to the mark
+    r_abs_cam = compose_rotations(support.rotation, h_rob_cam.rotation)
+    t_abs_cam = (support.rotation @ h_rob_cam.translation[:, None])[..., 0] + support.translation
+    t_cam_abs = -(np.swapaxes(r_abs_cam, 1, 2) @ t_abs_cam[..., None])[..., 0]
+    mark = np.asarray(mark_abs, dtype=np.float64).reshape(1, 1, 3)
+    p_cam = (mark @ r_abs_cam)[:, 0] + t_cam_abs
+    rc, in_front = project_points(world.camera, _CAM_IDENTITY, p_cam)
+    visible = in_front & world.camera.contains_points(rc)
+    error: list[FloorRefError | None] = list(support.error)
+    for i in np.flatnonzero(~visible):
+        if error[i] is None:
+            error[i] = MarkNotVisible(
+                f"simulate_mark_observation: mark not visible at placement "
+                f"({xy[i, 0]:.0f}, {xy[i, 1]:.0f}, yaw {math.degrees(yaw[i]):.0f} deg)"
+            )
+    return MarkViews(rc, support.translation, tuple(error))
+
+
 def simulate_mark_observation(
     world: SimWorld,
     noise: NoiseConfig,
@@ -398,26 +515,23 @@ def simulate_mark_observation(
     rng: np.random.Generator | None = None,
 ) -> tuple[ImagePoint, TrackerMeasurement]:
     """Image point of a floor mark plus the robot smr tracker reading at a
-    placement on the experiment floor.
+    placement on the experiment floor (a one-row ``mark_views`` plus noise).
 
     Raises:
         MarkNotVisible: mark outside the camera view at this placement.
+        DegenerateConfiguration: no settled support pose.
     """
     if rng is None:
         rng = rng_substream(world.seed, STREAM_MARK, trial)
-    h_abs_rob = pose_on_surface(world, placement, "floor")
-    h_cam_abs = invert(compose(h_abs_rob, world.h_rob_cam_true))
-    rc, in_front = project_points(world.camera, h_cam_abs, np.asarray(mark_abs, dtype=np.float64))
-    ip_true = ImagePoint(float(rc[0, 0]), float(rc[0, 1])) if in_front[0] else None
-    if ip_true is None or not world.camera.contains(ip_true):
-        raise MarkNotVisible(
-            f"simulate_mark_observation: mark not visible at placement "
-            f"({placement.x_mm:.0f}, {placement.y_mm:.0f}, yaw {math.degrees(placement.yaw_rad):.0f} deg)"
-        )
-    noisy = rc[0] + rng.normal(0.0, noise.image_sigma_px, size=2)
+    views = mark_views(
+        world, np.array([[placement.x_mm, placement.y_mm]]), [placement.yaw_rad], mark_abs
+    )
+    if views.error[0] is not None:
+        raise views.error[0]
+    noisy = views.rowcol[0] + rng.normal(0.0, noise.image_sigma_px, size=2)
     smr = TrackerMeasurement(
         ROBOT_SMR_ID,
-        h_abs_rob.translation + _tracker_noise(rng, noise.tracker_sigma_mm),
+        views.smr_abs[0] + _tracker_noise(rng, noise.tracker_sigma_mm),
         position_index=0,
     )
     return ImagePoint(float(noisy[0]), float(noisy[1])), smr
@@ -549,14 +663,21 @@ def ground_truth_poses(
     }
 
 
+def experiment_placements(
+    world: SimWorld, mark_abs: Array, yaw_rad: Array, offset_xy: Array
+) -> Array:
+    """Robot positions (n, 2) putting the mark near the camera footprint
+    center plus (n, 2) offsets at (n,) headings, using the true rig geometry."""
+    g0 = camera_ground_offset(world)
+    rot2 = np.ascontiguousarray(rotations_about_z(yaw_rad)[:, :2, :2])
+    off = np.asarray(offset_xy, dtype=np.float64).reshape(-1, 2)
+    return np.asarray(mark_abs, dtype=np.float64)[:2] + off - rot2 @ g0
+
+
 def experiment_placement(
     world: SimWorld, mark_abs: Array, yaw_rad: float, offset_xy: Iterable[float]
 ) -> RobotPlacement:
     """Placement putting the mark near the camera footprint center plus an
-    offset, using the true rig geometry."""
-    g0 = camera_ground_offset(world)
-    c, s = math.cos(yaw_rad), math.sin(yaw_rad)
-    rot2 = np.array([[c, -s], [s, c]])
-    off = np.asarray(tuple(offset_xy), dtype=np.float64)
-    xy = np.asarray(mark_abs, dtype=np.float64)[:2] + off - rot2 @ g0
+    offset, using the true rig geometry (one row of ``experiment_placements``)."""
+    xy = experiment_placements(world, mark_abs, [yaw_rad], [tuple(offset_xy)])[0]
     return RobotPlacement(float(xy[0]), float(xy[1]), yaw_rad)

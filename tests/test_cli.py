@@ -112,6 +112,16 @@ class TestCalibrate:
         assert run("calibrate", bad, "--out", tmp_path / "r.json") == 4
         assert "register_points" in capsys.readouterr().err
 
+    def test_non_integer_camera_rows_exit_2(self, tmp_path, quiet_world, capsys):
+        session = tmp_path / "session.json"
+        run("simulate", quiet_world, "--out", session)
+        doc = read_json(session)
+        doc["camera"]["rows"] = 2.5
+        bad = tmp_path / "bad.json"
+        write_json(doc, bad)
+        assert run("calibrate", bad, "--out", tmp_path / "r.json") == 2
+        assert "camera.rows" in capsys.readouterr().err
+
     def test_reversal_flow(self, tmp_path, capsys):
         session_a = tmp_path / "a.json"
         session_b = tmp_path / "b.json"
@@ -198,6 +208,17 @@ class TestExperiment:
             )
             == 2
         )
+
+    def test_mark_out_of_view_exit_3(self, tmp_path, quiet_world, capsys):
+        session = tmp_path / "session.json"
+        result = tmp_path / "result.json"
+        run("simulate", quiet_world, "--out", session)
+        run("calibrate", session, "--out", result)
+        plan = tmp_path / "plan.json"
+        write_json({"mark_xy_mm": [1500.0, 700.0], "max_offset_mm": 300.0}, plan)
+        code = run("experiment", quiet_world, result, "--plan", plan, "--out-dir", tmp_path / "out")
+        assert code == 3
+        assert "mark not visible" in capsys.readouterr().err
 
     def test_trials_make_multiple_panels(self, tmp_path, quiet_world):
         session = tmp_path / "session.json"

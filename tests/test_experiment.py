@@ -1,14 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import brute_force_enclosing_circle
+from _oracles import brute_force_enclosing_circle, scalar_run_experiment
 from floorref import frames
 from floorref.camera import ImagePoint
-from floorref.errors import EmptyCluster, EmptyInput, OutOfBounds
+from floorref.errors import EmptyCluster, EmptyInput, MarkNotVisible, OutOfBounds
 from floorref.experiment import (
     DIRECTION_YAW_DEG,
     DIRECTIONS,
@@ -22,7 +23,15 @@ from floorref.experiment import (
     run_experiment,
 )
 from floorref.geometry import RigidTransform, apply, compose
-from floorref.simulate import GLASS_NOISE, NO_NOISE
+from floorref.pipeline import compute_rob_h_cam
+from floorref.simulate import (
+    GLASS_NOISE,
+    NO_NOISE,
+    NoiseConfig,
+    default_placements,
+    random_world,
+    simulate_referencing_session,
+)
 
 
 class TestDirections:
@@ -118,6 +127,48 @@ class TestRunExperiment:
             ExperimentPlan(mark_xy_mm=(0.0, 0.0), yaw_deg_list=())
         with pytest.raises(ValueError):
             ExperimentPlan(mark_xy_mm=(0.0, 0.0), yaw_deg_list=(22.5,))
+
+
+class TestBatchedPass:
+    """run_experiment against the one-measurement-at-a-time loop it replaced
+    (tests/_oracles.py): same draws, same labels, bit-identical positions."""
+
+    @pytest.mark.parametrize("inclination_deg", [0.0, 0.8])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_matches_scalar_loop(self, seed, inclination_deg):
+        world = random_world(seed)
+        p0, p1 = default_placements(world)
+        result = compute_rob_h_cam(simulate_referencing_session(world, GLASS_NOISE, p0, p1))
+        world = replace(
+            world, floor_inclination_rad=math.radians(inclination_deg), floor_azimuth_rad=0.4
+        )
+        plan = ExperimentPlan(mark_xy_mm=(1500.0, 700.0), repeats=5)
+        for noise in (GLASS_NOISE, NO_NOISE):
+            batched = run_experiment(world, noise, plan, result, seed=100 + seed)
+            scalar = scalar_run_experiment(world, noise, plan, result, seed=100 + seed)
+            assert [(m.direction, m.yaw_deg, m.trial) for m in batched] == [
+                (m.direction, m.yaw_deg, m.trial) for m in scalar
+            ]
+            assert np.array_equal(
+                np.array([m.position for m in batched]), np.array([m.position for m in scalar])
+            )
+
+    def test_mark_pushed_out_of_view(self, world, noiseless_result):
+        plan = ExperimentPlan(mark_xy_mm=(1500.0, 700.0), max_offset_mm=300.0)
+        with pytest.raises(MarkNotVisible):
+            run_experiment(world, NO_NOISE, plan, noiseless_result)
+
+    def test_first_failing_measurement_decides_the_error(self, world, noiseless_result):
+        plan = ExperimentPlan(mark_xy_mm=(1500.0, 700.0), repeats=1, max_offset_mm=60.0)
+        off_sensor = NoiseConfig(tracker_sigma_mm=0.0, image_sigma_px=1e5)
+        for run in (run_experiment, scalar_run_experiment):
+            # a later placement of this plan does not see the mark ...
+            with pytest.raises(MarkNotVisible):
+                run(world, NO_NOISE, plan, noiseless_result, seed=1)
+            # ... and with the same draws, image noise pushes an earlier
+            # measurement off the sensor, which is reported first
+            with pytest.raises(OutOfBounds):
+                run(world, off_sensor, plan, noiseless_result, seed=1)
 
 
 class TestMinEnclosingCircle:

@@ -11,13 +11,17 @@ from floorref.geometry import (
     apply,
     chordal_mean,
     compose,
+    compose_rotations,
     invert,
+    nearest_rotation,
     quaternion_to_rotation,
     register_points,
     rotation_about_axis,
     rotation_about_x,
     rotation_about_z,
     rotation_distance,
+    rotations_about_z,
+    row_dots,
     rotation_from_rotvec,
     rotation_to_quaternion,
     to_homogeneous,
@@ -278,3 +282,32 @@ class TestRotationHelpers:
         h = make_transform([0, 0, 1], 0.5, [1, 2, 3])
         with pytest.raises(ValueError):
             h.rotation[0, 0] = 2.0
+
+
+class TestRowStacks:
+    """Stacked forms equal their one-row counterparts bit for bit."""
+
+    def test_rotations_about_z(self):
+        angles = np.random.default_rng(4).uniform(-7.0, 7.0, 50)
+        stack = rotations_about_z(angles)
+        for a, r in zip(angles, stack):
+            assert np.array_equal(r, rotation_about_z(float(a)))
+
+    def test_row_dots(self):
+        rng = np.random.default_rng(5)
+        a, b = rng.normal(size=(2, 200, 3)) * 1e3
+        assert np.array_equal(row_dots(a, b), [float(x @ y) for x, y in zip(a, b)])
+        assert np.array_equal(np.sqrt(row_dots(a, a)), [np.linalg.norm(x) for x in a])
+
+    def test_compose_rotations(self):
+        rng = np.random.default_rng(6)
+        inner = make_transform(rng.normal(size=3), 0.7, rng.normal(size=3), "a", "b")
+        outer = [make_transform(rng.normal(size=3), float(rng.uniform(-3, 3)), np.zeros(3), "b", "c") for _ in range(30)]
+        # a product drifted past the renormalization trigger is renormalized per row
+        drifted = np.array([h.rotation for h in outer]) @ inner.rotation
+        drifted[3] = drifted[3] * (1.0 + 1e-10)
+        stack = compose_rotations(drifted, np.eye(3))
+        assert np.array_equal(stack[3], nearest_rotation(drifted[3]))
+        stack = compose_rotations(np.array([h.rotation for h in outer]), inner.rotation)
+        for h, r in zip(outer, stack):
+            assert np.array_equal(r, compose(h, inner).rotation)

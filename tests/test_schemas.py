@@ -50,6 +50,15 @@ class TestCameraSchema:
             camera_from_dict(doc)
 
 
+    @pytest.mark.parametrize("key", ["rows", "cols"])
+    @pytest.mark.parametrize("value", [2.5, 2048.0, True, "2048"])
+    def test_non_integer_size_rejected(self, world, key, value):
+        doc = camera_to_dict(world.camera)
+        doc[key] = value
+        with pytest.raises(SchemaError, match=rf"camera\.{key}: expected an integer"):
+            camera_from_dict(doc)
+
+
 class TestPlateSchema:
     def test_round_trip(self, world):
         doc = plate_to_dict(world.plate)
@@ -95,6 +104,16 @@ class TestSessionSchema:
         with pytest.raises(SchemaError):
             session_from_dict(doc)
         session_from_dict(doc, lenient=True)
+
+
+    def test_duplicate_mark_id_rejected(self, noiseless_session):
+        doc = session_to_dict(noiseless_session)
+        entries = doc["image_observation"]
+        entries.append(dict(entries[3]))
+        with pytest.raises(
+            SchemaError, match=rf"session\.image_observation\[{len(entries) - 1}\]\.mark_id"
+        ):
+            session_from_dict(doc)
 
 
 class TestResultSchema:

@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from floorref.errors import DegenerateMotion, MarkNotVisible, TargetNotVisible
+from floorref.errors import DegenerateConfiguration, DegenerateMotion, MarkNotVisible, TargetNotVisible
 from floorref.experiment import measure_mark
 from floorref.geometry import apply, compose, invert, rotation_distance
 from floorref.pipeline import compute_rob_h_cam
@@ -21,6 +22,7 @@ from floorref.simulate import (
     pose_on_surface,
     simulate_mark_observation,
     simulate_referencing_session,
+    support_poses,
 )
 
 
@@ -116,6 +118,44 @@ class TestSupportPose:
             n = -n
         heights = (h.translation - contacts) @ n
         assert np.max(np.abs(heights - world.robot.smr_height_mm)) < 1e-9
+
+
+    @pytest.mark.parametrize("surface", ["plate", "floor"])
+    def test_rows_equal_one_row_calls(self, surface):
+        # bowed plate: rows on and off the plate settle after 1 to 3 iterations
+        world = replace(
+            inject_wooden_plate(demo_world(seed=3), 1.5),
+            floor_inclination_rad=math.radians(1.0),
+            floor_azimuth_rad=0.7,
+        )
+        rng = np.random.default_rng(0)
+        xy = np.column_stack([rng.uniform(-100.0, 700.0, 24), rng.uniform(-500.0, 100.0, 24)])
+        yaw = rng.uniform(-math.pi, math.pi, 24)
+        poses = support_poses(world, xy, yaw, surface)
+        assert not any(poses.error)
+        for i in range(24):
+            one = support_poses(world, xy[i : i + 1], yaw[i : i + 1], surface)
+            assert one.iterations[0] == poses.iterations[i]
+            h = pose_on_surface(world, RobotPlacement(float(xy[i, 0]), float(xy[i, 1]), float(yaw[i])), surface)
+            for rotation, translation in ((one.rotation[0], one.translation[0]), (h.rotation, h.translation)):
+                assert np.array_equal(rotation, poses.rotation[i])
+                assert np.array_equal(translation, poses.translation[i])
+        if surface == "plate":
+            assert len(set(poses.iterations.tolist())) > 1
+
+    def test_failed_row_leaves_other_rows_alone(self, world):
+        xy = np.array([[210.0, -270.0], [np.nan, 0.0], [400.0, -100.0]])
+        yaw = np.array([0.3, 0.0, -1.2])
+        poses = support_poses(world, xy, yaw, "plate")
+        assert poses.error[0] is None and poses.error[2] is None
+        assert isinstance(poses.error[1], DegenerateConfiguration)
+        assert np.all(np.isnan(poses.rotation[1]))
+        for i in (0, 2):
+            h = pose_on_surface(world, RobotPlacement(xy[i, 0], xy[i, 1], yaw[i]), "plate")
+            assert np.array_equal(h.rotation, poses.rotation[i])
+            assert np.array_equal(h.translation, poses.translation[i])
+        with pytest.raises(DegenerateConfiguration):
+            pose_on_surface(world, RobotPlacement(float("nan"), 0.0, 0.0), "plate")
 
 
 class TestMarkObservation:
