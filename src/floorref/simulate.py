@@ -295,7 +295,8 @@ def support_poses(world: SimWorld, xy: Array, yaw_rad: Array, surface: str) -> S
     h = world.robot.smr_height_mm
 
     heading = np.ascontiguousarray(rz[:, :, 0])
-    contact_xy = wheels_xy @ np.swapaxes(np.ascontiguousarray(rz[:, :2, :2]), 1, 2) + xy[:, None, :]
+    rot2 = np.ascontiguousarray(rz[:, :2, :2])
+    contact_xy = wheels_xy @ np.swapaxes(rot2, 1, 2) + xy[:, None, :]
     contact_z = np.asarray(surf(contact_xy[..., 0], contact_xy[..., 1]), dtype=np.float64)
     ones = np.ones((n_rows, 3, 1))
     up = np.ones(n_rows)
@@ -327,8 +328,8 @@ def support_poses(world: SimWorld, xy: Array, yaw_rad: Array, surface: str) -> S
         x_r = heading - row_dots(heading, n)[:, None] * n
         x_r = x_r / np.sqrt(row_dots(x_r, x_r))[:, None]
         # y_r = n x x_r, the products and differences of np.cross without its set-up cost
-        (n0, n1, n2), (x0_r, x1_r, x2_r) = n.T, x_r.T
-        y_r = np.stack([n1 * x2_r - n2 * x1_r, n2 * x0_r - n0 * x2_r, n0 * x1_r - n1 * x0_r], axis=1)
+        (a0, a1, a2), (b0, b1, b2) = n.T, x_r.T
+        y_r = np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=1)
         origin = np.stack([x0, y0, coeffs[:, 0] * x0 + coeffs[:, 1] * y0 + coeffs[:, 2]], axis=1)
         contacts = origin[:, None, :] + wheel_x * x_r[:, None, :] + wheel_y * y_r[:, None, :]
         surf_z = np.asarray(surf(contacts[..., 0], contacts[..., 1]), dtype=np.float64)
@@ -362,7 +363,9 @@ def pose_on_surface(world: SimWorld, placement: RobotPlacement, surface: str) ->
     )
     if poses.error[0] is not None:
         raise poses.error[0]
-    return RigidTransform(poses.rotation[0], poses.translation[0], source=frames.ROB, dest=frames.ABS)
+    return RigidTransform(
+        poses.rotation[0], poses.translation[0], source=frames.ROB, dest=frames.ABS
+    )
 
 
 def camera_ground_offset(world: SimWorld) -> Array:

@@ -119,7 +119,7 @@ def planar_alignment_oracle(
 # --- scalar mark experiment ------------------------------------------------------
 
 
-def scalar_pose_on_surface(world, x_mm: float, y_mm: float, yaw: float, surface: str) -> RigidTransform:
+def scalar_pose_on_surface(world, x_mm, y_mm, yaw, surface) -> RigidTransform:
     """Support pose of one placement: alternate plane fit and wheel-triangle
     repose until the contacts sit on the surface within 1e-12 mm."""
     surf = world.plate_surface_z if surface == "plate" else world.floor_surface_z
@@ -204,7 +204,9 @@ def scalar_run_experiment(world, noise, plan, result, *, seed=None) -> list[Mark
             ip, smr = scalar_mark_observation(
                 world, noise, float(xy[0]), float(xy[1]), yaw, mark_abs, rng
             )
-            h_abs_rob = RigidTransform(rotation_about_z(yaw), smr, source=frames.ROB, dest=frames.ABS)
+            h_abs_rob = RigidTransform(
+                rotation_about_z(yaw), smr, source=frames.ROB, dest=frames.ABS
+            )
             measurements.append(
                 MarkMeasurement(
                     direction=direction_for_yaw(yaw_deg),

@@ -302,7 +302,10 @@ class TestRowStacks:
     def test_compose_rotations(self):
         rng = np.random.default_rng(6)
         inner = make_transform(rng.normal(size=3), 0.7, rng.normal(size=3), "a", "b")
-        outer = [make_transform(rng.normal(size=3), float(rng.uniform(-3, 3)), np.zeros(3), "b", "c") for _ in range(30)]
+        outer = [
+            make_transform(rng.normal(size=3), float(rng.uniform(-3, 3)), np.zeros(3), "b", "c")
+            for _ in range(30)
+        ]
         # a product drifted past the renormalization trigger is renormalized per row
         drifted = np.array([h.rotation for h in outer]) @ inner.rotation
         drifted[3] = drifted[3] * (1.0 + 1e-10)

@@ -4,7 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from floorref.errors import DegenerateConfiguration, DegenerateMotion, MarkNotVisible, TargetNotVisible
+from floorref.errors import (
+    DegenerateConfiguration,
+    DegenerateMotion,
+    MarkNotVisible,
+    TargetNotVisible,
+)
 from floorref.experiment import measure_mark
 from floorref.geometry import apply, compose, invert, rotation_distance
 from floorref.pipeline import compute_rob_h_cam
@@ -136,10 +141,11 @@ class TestSupportPose:
         for i in range(24):
             one = support_poses(world, xy[i : i + 1], yaw[i : i + 1], surface)
             assert one.iterations[0] == poses.iterations[i]
-            h = pose_on_surface(world, RobotPlacement(float(xy[i, 0]), float(xy[i, 1]), float(yaw[i])), surface)
-            for rotation, translation in ((one.rotation[0], one.translation[0]), (h.rotation, h.translation)):
-                assert np.array_equal(rotation, poses.rotation[i])
-                assert np.array_equal(translation, poses.translation[i])
+            placement = RobotPlacement(float(xy[i, 0]), float(xy[i, 1]), float(yaw[i]))
+            h = pose_on_surface(world, placement, surface)
+            for r, t in ((one.rotation[0], one.translation[0]), (h.rotation, h.translation)):
+                assert np.array_equal(r, poses.rotation[i])
+                assert np.array_equal(t, poses.translation[i])
         if surface == "plate":
             assert len(set(poses.iterations.tolist())) > 1
 
