@@ -295,11 +295,13 @@ def support_poses(world: SimWorld, xy: Array, yaw_rad: Array, surface: str) -> S
     h = world.robot.smr_height_mm
 
     heading = np.ascontiguousarray(rz[:, :, 0])
-    rot2 = np.ascontiguousarray(rz[:, :2, :2])
-    contact_xy = wheels_xy @ np.swapaxes(rot2, 1, 2) + xy[:, None, :]
-    contact_z = np.asarray(surf(contact_xy[..., 0], contact_xy[..., 1]), dtype=np.float64)
-    ones = np.ones((n_rows, 3, 1))
-    up = np.ones(n_rows)
+    # rows (x, y, 1) of the three contacts, for the plane z = a x + b y + d
+    a_mat = np.ones((n_rows, 3, 3))
+    a_mat[..., :2] = wheels_xy @ np.swapaxes(np.ascontiguousarray(rz[:, :2, :2]), 1, 2)
+    a_mat[..., :2] += xy[:, None, :]
+    contact_z = np.asarray(surf(a_mat[..., 0], a_mat[..., 1]), dtype=np.float64)
+    origin = np.empty((n_rows, 3))
+    origin[:, :2] = xy
 
     rotation = np.full((n_rows, 3, 3), np.nan)
     translation = np.full((n_rows, 3), np.nan)
@@ -307,8 +309,6 @@ def support_poses(world: SimWorld, xy: Array, yaw_rad: Array, surface: str) -> S
     error: list[DegenerateConfiguration | None] = [None] * n_rows
     done = np.zeros(n_rows, dtype=bool)  # settled or failed
     for iteration in range(1, _SUPPORT_MAX_ITER + 1):
-        # plane z = a x + b y + d through the three contacts of each row
-        a_mat = np.concatenate([contact_xy, ones], axis=2)
         try:
             coeffs = np.linalg.solve(a_mat, contact_z[..., None])[..., 0]
         except np.linalg.LinAlgError:
@@ -323,26 +323,34 @@ def support_poses(world: SimWorld, xy: Array, yaw_rad: Array, surface: str) -> S
                         )
                         iterations[k] = iteration
                         done[k] = True
-        n = np.stack([-coeffs[:, 0], -coeffs[:, 1], up], axis=1)
-        n = n / np.sqrt(row_dots(n, n))[:, None]
+        frame = np.empty((n_rows, 3, 3))  # columns x_r, y_r, n
+        n = np.ones((n_rows, 3))
+        n[:, :2] = -coeffs[:, :2]
+        n /= np.sqrt(row_dots(n, n))[:, None]
         x_r = heading - row_dots(heading, n)[:, None] * n
-        x_r = x_r / np.sqrt(row_dots(x_r, x_r))[:, None]
-        # y_r = n x x_r, the products and differences of np.cross without its set-up cost
+        x_r /= np.sqrt(row_dots(x_r, x_r))[:, None]
+        # y_r = n x x_r, with the products and differences of np.cross
         (a0, a1, a2), (b0, b1, b2) = n.T, x_r.T
-        y_r = np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=1)
-        origin = np.stack([x0, y0, coeffs[:, 0] * x0 + coeffs[:, 1] * y0 + coeffs[:, 2]], axis=1)
+        frame[:, :, 0], frame[:, :, 2] = x_r, n
+        frame[:, 0, 1] = a1 * b2 - a2 * b1
+        frame[:, 1, 1] = a2 * b0 - a0 * b2
+        frame[:, 2, 1] = a0 * b1 - a1 * b0
+        y_r = frame[:, :, 1]
+        origin[:, 2] = coeffs[:, 0] * x0 + coeffs[:, 1] * y0 + coeffs[:, 2]
         contacts = origin[:, None, :] + wheel_x * x_r[:, None, :] + wheel_y * y_r[:, None, :]
         surf_z = np.asarray(surf(contacts[..., 0], contacts[..., 1]), dtype=np.float64)
         settled = ~done & (np.max(np.abs(surf_z - contacts[..., 2]), axis=1) < _SUPPORT_TOL_MM)
         if settled.any():
-            rotation[settled] = np.stack([x_r, y_r, n], axis=2)[settled]
+            rotation[settled] = frame[settled]
             translation[settled] = (origin + h * n)[settled]
             iterations[settled] = iteration
             done |= settled
             if done.all():
                 break
-        contact_xy = np.where(done[:, None, None], contact_xy, contacts[..., :2])
-        contact_z = np.where(done[:, None], contact_z, surf_z)
+        # settled rows keep their contacts and repeat their settled iteration
+        moving = ~done
+        a_mat[moving, :, :2] = contacts[moving, :, :2]
+        contact_z[moving] = surf_z[moving]
     for i in np.flatnonzero(~done):
         error[i] = DegenerateConfiguration(
             f"pose_on_surface: wheel contacts did not settle within {_SUPPORT_MAX_ITER} iterations"
