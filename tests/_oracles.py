@@ -1,7 +1,8 @@
 """Independent reference implementations, kept free of the implementation paths
 they check: enclosing circles by pair/triple enumeration, planar rigid alignment
 by angle grid search with golden-section refinement, and the scalar
-one-measurement-at-a-time mark experiment that the batched pass replaced."""
+one-measurement-at-a-time mark experiment that the batched pass replaced,
+built from the one-point library primitives."""
 
 from __future__ import annotations
 
