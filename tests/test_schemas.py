@@ -49,7 +49,6 @@ class TestCameraSchema:
         with pytest.raises(SchemaError):
             camera_from_dict(doc)
 
-
     @pytest.mark.parametrize("key", ["rows", "cols"])
     @pytest.mark.parametrize("value", [2.5, 2048.0, True, "2048"])
     def test_non_integer_size_rejected(self, world, key, value):
@@ -104,7 +103,6 @@ class TestSessionSchema:
         with pytest.raises(SchemaError):
             session_from_dict(doc)
         session_from_dict(doc, lenient=True)
-
 
     def test_duplicate_mark_id_rejected(self, noiseless_session):
         doc = session_to_dict(noiseless_session)

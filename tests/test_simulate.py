@@ -124,7 +124,6 @@ class TestSupportPose:
         heights = (h.translation - contacts) @ n
         assert np.max(np.abs(heights - world.robot.smr_height_mm)) < 1e-9
 
-
     @pytest.mark.parametrize("surface", ["plate", "floor"])
     def test_rows_equal_one_row_calls(self, surface):
         # bowed plate: rows on and off the plate settle after 1 to 3 iterations
