@@ -171,21 +171,15 @@ class CameraModel:
         xy = self.pixel_to_normalized_array(np.array([[p.row, p.col]]))[0]
         return float(xy[0]), float(xy[1])
 
-    def contains(self, p: ImagePoint, margin_px: float = 0.0) -> bool:
-        return (
-            margin_px <= p.row <= self.rows - 1 - margin_px
-            and margin_px <= p.col <= self.cols - 1 - margin_px
-        )
+    def contains(self, p: ImagePoint) -> bool:
+        """Whether an image point lies on the sensor: the one-row ``contains_points``."""
+        return bool(self.contains_points(np.array([[p.row, p.col]]))[0])
 
-    def contains_points(self, rowcol: Array, margin_px: float = 0.0) -> Array:
-        """``contains`` for each (row, col) pair of an (n, 2) array; NaN is outside."""
+    def contains_points(self, rowcol: Array) -> Array:
+        """Per (row, col) pair of an (n, 2) array, whether it lies on the
+        sensor, 0 <= row <= rows - 1 and 0 <= col <= cols - 1; NaN is outside."""
         row, col = np.asarray(rowcol, dtype=np.float64).T
-        return (
-            (margin_px <= row)
-            & (row <= self.rows - 1 - margin_px)
-            & (margin_px <= col)
-            & (col <= self.cols - 1 - margin_px)
-        )
+        return (0.0 <= row) & (row <= self.rows - 1) & (0.0 <= col) & (col <= self.cols - 1)
 
 
 def project_points(

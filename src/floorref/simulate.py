@@ -262,15 +262,13 @@ class SupportPoses(NamedTuple):
     """True robot poses for a stack of placements on one surface.
 
     ``rotation`` (n, 3, 3) and ``translation`` (n, 3) map robot to tracker
-    coordinates; ``iterations`` (n,) counts the plane fits of each row; and
-    ``error`` holds, per row, None or the ``DegenerateConfiguration`` the row
-    fails with (singular contact plane, or contacts not settled within 100
-    iterations). A failed row's pose is NaN.
+    coordinates, and ``error`` holds, per row, None or the
+    ``DegenerateConfiguration`` the row fails with (singular contact plane, or
+    contacts not settled within 100 iterations). A failed row's pose is NaN.
     """
 
     rotation: Array
     translation: Array
-    iterations: Array
     error: tuple[DegenerateConfiguration | None, ...]
 
 
@@ -305,10 +303,9 @@ def support_poses(world: SimWorld, xy: Array, yaw_rad: Array, surface: str) -> S
 
     rotation = np.full((n_rows, 3, 3), np.nan)
     translation = np.full((n_rows, 3), np.nan)
-    iterations = np.full(n_rows, _SUPPORT_MAX_ITER)
     error: list[DegenerateConfiguration | None] = [None] * n_rows
     done = np.zeros(n_rows, dtype=bool)  # settled or failed
-    for iteration in range(1, _SUPPORT_MAX_ITER + 1):
+    for _ in range(_SUPPORT_MAX_ITER):
         try:
             coeffs = np.linalg.solve(a_mat, contact_z[..., None])[..., 0]
         except np.linalg.LinAlgError:
@@ -321,7 +318,6 @@ def support_poses(world: SimWorld, xy: Array, yaw_rad: Array, surface: str) -> S
                         error[k] = DegenerateConfiguration(
                             f"pose_on_surface: contact plane singular: {e}"
                         )
-                        iterations[k] = iteration
                         done[k] = True
         frame = np.empty((n_rows, 3, 3))  # columns x_r, y_r, n
         n = np.ones((n_rows, 3))
@@ -343,7 +339,6 @@ def support_poses(world: SimWorld, xy: Array, yaw_rad: Array, surface: str) -> S
         if settled.any():
             rotation[settled] = frame[settled]
             translation[settled] = (origin + h * n)[settled]
-            iterations[settled] = iteration
             done |= settled
             if done.all():
                 break
@@ -355,7 +350,7 @@ def support_poses(world: SimWorld, xy: Array, yaw_rad: Array, surface: str) -> S
         error[i] = DegenerateConfiguration(
             f"pose_on_surface: wheel contacts did not settle within {_SUPPORT_MAX_ITER} iterations"
         )
-    return SupportPoses(rotation, translation, iterations, tuple(error))
+    return SupportPoses(rotation, translation, tuple(error))
 
 
 def pose_on_surface(world: SimWorld, placement: RobotPlacement, surface: str) -> RigidTransform:
@@ -449,12 +444,10 @@ def simulate_referencing_session(
     marks_abs = apply(h_abs_ref, marks_ref)
     h_cam_abs = invert(compose(poses[0], world.h_rob_cam_true))
     rc, in_front = project_points(world.camera, h_cam_abs, marks_abs)
+    visible = in_front & world.camera.contains_points(rc)
     observation: list[tuple[str, ImagePoint]] = []
     for i, mark_id in enumerate(mark_ids):
-        if not in_front[i]:
-            continue
-        ip = ImagePoint(rc[i, 0], rc[i, 1])
-        if not world.camera.contains(ip):
+        if not visible[i]:
             continue
         noisy = rc[i] + rng.normal(0.0, noise.image_sigma_px, size=2)
         observation.append((mark_id, ImagePoint(float(noisy[0]), float(noisy[1]))))
