@@ -131,7 +131,10 @@ class TestRunExperiment:
 
 class TestBatchedPass:
     """run_experiment against the one-measurement-at-a-time loop it replaced
-    (tests/_oracles.py): same draws, same labels, bit-identical positions."""
+    (tests/_oracles.py): same draws and labels, and positions within 1e-9 mm.
+    The rectification's (n, 3) @ (3, 3) ray product and its all-points
+    undistortion stop rule may round unlike the one-point form; on these
+    worlds the largest difference measured is 0 mm."""
 
     @pytest.mark.parametrize("inclination_deg", [0.0, 0.8])
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
@@ -149,9 +152,8 @@ class TestBatchedPass:
             assert [(m.direction, m.yaw_deg, m.trial) for m in batched] == [
                 (m.direction, m.yaw_deg, m.trial) for m in scalar
             ]
-            assert np.array_equal(
-                np.array([m.position for m in batched]), np.array([m.position for m in scalar])
-            )
+            delta = np.array([m.position for m in batched]) - [m.position for m in scalar]
+            assert np.max(np.abs(delta)) <= 1e-9
 
     def test_mark_pushed_out_of_view(self, world, noiseless_result):
         plan = ExperimentPlan(mark_xy_mm=(1500.0, 700.0), max_offset_mm=300.0)
