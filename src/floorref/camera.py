@@ -427,7 +427,6 @@ def _pose_from_homography(h: Array) -> tuple[Array, Array]:
 def estimate_plate_pose_from_image(
     model: CameraModel,
     observed: Sequence[tuple[ImagePoint, Sequence[float] | Array]],
-    ref_frame: str = frames.REF,
 ) -> PlateImageFit:
     """Pose of the plate frame in the camera from coplanar mark observations.
 
@@ -517,5 +516,5 @@ def estimate_plate_pose_from_image(
         )
 
     rms = math.sqrt(cost / len(observed))
-    transform = RigidTransform(r, t, source=ref_frame, dest=frames.CAM)
+    transform = RigidTransform(r, t, source=frames.REF, dest=frames.CAM)
     return PlateImageFit(transform, rms, iterations, stop)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import FloorRefError, InconsistentRuns, SchemaError
 from .experiment import cluster_metrics, run_experiment
-from .geometry import rotation_distance
+from .geometry import transform_gap
 from .pipeline import compute_rob_h_cam, reversal_average
 from .report import (
     report_to_dict,
@@ -110,21 +110,14 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     }
     if result.reversal_of is not None:
         a, b = result.reversal_of
-        residuals["reversal_delta_translation_mm"] = float(
-            np.linalg.norm(a.h_rob_cam.translation - b.h_rob_cam.translation)
-        )
-        residuals["reversal_delta_rotation_deg"] = math.degrees(
-            rotation_distance(a.h_rob_cam.rotation, b.h_rob_cam.rotation)
-        )
-    truth = session_ground_truth(doc)
+        dt, dr = transform_gap(a.h_rob_cam, b.h_rob_cam)
+        residuals["reversal_delta_translation_mm"] = dt
+        residuals["reversal_delta_rotation_deg"] = math.degrees(dr)
+    truth = session_ground_truth(doc, args.lenient)
     if truth is not None and "rob_H_cam" in truth:
-        true_h = truth["rob_H_cam"]
-        residuals["vs_truth_translation_mm"] = float(
-            np.linalg.norm(result.h_rob_cam.translation - true_h.translation)
-        )
-        residuals["vs_truth_rotation_deg"] = math.degrees(
-            rotation_distance(result.h_rob_cam.rotation, true_h.rotation)
-        )
+        dt, dr = transform_gap(result.h_rob_cam, truth["rob_H_cam"])
+        residuals["vs_truth_translation_mm"] = dt
+        residuals["vs_truth_rotation_deg"] = math.degrees(dr)
     print(residual_table(residuals))
 
     write_json(result_to_dict(result, prov=provenance(inputs, None)), args.out)

@@ -308,6 +308,15 @@ def invert(h: RigidTransform) -> RigidTransform:
     return RigidTransform(rt, -(rt @ h.translation), source=h.dest, dest=h.source)
 
 
+def transform_gap(a: RigidTransform, b: RigidTransform) -> tuple[float, float]:
+    """Distance between two transforms: translation gap (mm) and geodesic
+    rotation gap (rad)."""
+    return (
+        float(np.linalg.norm(a.translation - b.translation)),
+        rotation_distance(a.rotation, b.rotation),
+    )
+
+
 def apply(h: RigidTransform, p: Sequence[float] | Array, frame: str | None = None) -> Array:
     """Transform points into the destination frame.
 

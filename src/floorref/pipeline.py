@@ -37,7 +37,7 @@ from .geometry import (
     compose,
     invert,
     register_points,
-    rotation_distance,
+    transform_gap,
     triangle_area,
 )
 from .plate import NEST_IDS, ReferencingPlate, smr_points
@@ -294,11 +294,14 @@ def estimate_robot_pose(session: ReferencingSession, n: Sequence[float] | Array)
 @contextmanager
 def _stage(name: str) -> Iterator[None]:
     # Re-raise package errors with the pipeline stage name prefixed, keeping
-    # the concrete type for caller dispatch.
+    # the concrete type for caller dispatch; a numpy solver failure inside a
+    # stage is degenerate geometry.
     try:
         yield
     except FloorRefError as e:
         raise type(e)(f"{name}: {e}") from e
+    except np.linalg.LinAlgError as e:
+        raise DegenerateConfiguration(f"{name}: {e}") from e
 
 
 def compute_rob_h_cam(session: ReferencingSession) -> ReferencingResult:
@@ -350,8 +353,7 @@ def reversal_average(run_a: ReferencingResult, run_b: ReferencingResult) -> Refe
     """
     a = run_a.h_rob_cam
     b = run_b.h_rob_cam
-    dt = float(np.linalg.norm(a.translation - b.translation))
-    dr = rotation_distance(a.rotation, b.rotation)
+    dt, dr = transform_gap(a, b)
     if dt > REVERSAL_MAX_TRANSLATION_MM or dr > REVERSAL_MAX_ROTATION_RAD:
         raise InconsistentRuns(
             f"reversal runs differ by {dt:.3f} mm / {np.degrees(dr):.3f} deg "

@@ -71,8 +71,8 @@ class ReferencingPlate:
         object.__setattr__(self, "nests", nests)
         object.__setattr__(self, "extent_mm", tuple(float(v) for v in self.extent_mm))
 
-    def mark_array(self, ids: list[str] | None = None) -> tuple[list[str], Array]:
-        ids = list(self.marks.keys()) if ids is None else ids
+    def mark_array(self) -> tuple[list[str], Array]:
+        ids = list(self.marks.keys())
         return ids, np.array([self.marks[i] for i in ids])
 
 

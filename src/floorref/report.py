@@ -122,19 +122,22 @@ def read_measurements_csv(path: str | Path) -> list[MarkMeasurement]:
             rows = list(csv.reader(f))
     except OSError as e:
         raise SchemaError(f"cannot read measurement CSV {path}: {e}") from e
-    if not rows or rows[0] != ["direction", "yaw_deg", "x_mm", "y_mm", "z_mm", "trial"]:
+    header = ["direction", "yaw_deg", "x_mm", "y_mm", "z_mm", "trial"]
+    if not rows or rows[0] != header:
         raise SchemaError(f"{path}: expected header direction,yaw_deg,x_mm,y_mm,z_mm,trial")
     out = []
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != 6:
             raise SchemaError(f"{path}:{i}: expected 6 columns, got {len(row)}")
         try:
+            values = [float(v) for v in row[1:5]]
+            for name, text, v in zip(header[1:5], row[1:5], values):
+                if not math.isfinite(v):
+                    raise SchemaError(f"{path}:{i}: {name}: expected a finite number, got {text!r}")
+            yaw, x, y, z = values
             out.append(
                 MarkMeasurement(
-                    direction=row[0],
-                    yaw_deg=float(row[1]),
-                    position=np.array([float(row[2]), float(row[3]), float(row[4])]),
-                    trial=int(row[5]),
+                    direction=row[0], yaw_deg=yaw, position=np.array([x, y, z]), trial=int(row[5])
                 )
             )
         except ValueError as e:

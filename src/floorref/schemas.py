@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 
@@ -25,8 +25,8 @@ from .geometry import (
     compose,
     invert,
     quaternion_to_rotation,
-    rotation_distance,
     rotation_to_quaternion,
+    transform_gap,
 )
 from .pipeline import ReferencingResult, ReferencingSession, TrackerMeasurement
 from .plate import NEST_IDS, ReferencingPlate
@@ -88,35 +88,89 @@ def _check_keys(
             raise SchemaError(f"{where}: unknown keys {sorted(unknown)} (strict mode)")
 
 
-def _number(doc: Mapping[str, Any], where: str, key: str) -> float:
-    v = doc.get(key)
-    if not isinstance(v, _NUM) or isinstance(v, bool) or not math.isfinite(float(v)):
+def _path(where: str, key: str | int) -> str:
+    return f"{where}[{key}]" if isinstance(key, int) else f"{where}.{key}"
+
+
+# The readers below are the only places a document value becomes a Python
+# value. Each names the full field path in its SchemaError; bools are not
+# numbers and strings are never parsed.
+
+
+def _finite(v: Any) -> float | None:
+    if isinstance(v, _NUM) and not isinstance(v, bool):
+        try:
+            f = float(v)
+        except OverflowError:  # an integer beyond the float range
+            return None
+        if math.isfinite(f):
+            return f
+    return None
+
+
+def _number(doc: Mapping[str, Any], where: str, key: str, default: float | None = None) -> float:
+    v = doc.get(key, default)
+    f = _finite(v)
+    if f is None:
         raise SchemaError(f"{where}.{key}: expected a finite number, got {v!r}")
-    return float(v)
+    return f
 
 
-def _integer(doc: Mapping[str, Any], where: str, key: str) -> int:
-    v = doc.get(key)
+def _integer(doc: Mapping[str, Any], where: str, key: str, default: int | None = None) -> int:
+    v = doc.get(key, default)
     if not isinstance(v, int) or isinstance(v, bool):
         raise SchemaError(f"{where}.{key}: expected an integer, got {v!r}")
     return v
 
 
-def _matrix4(value: Any, where: str) -> np.ndarray:
-    try:
-        m = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as e:
-        raise SchemaError(f"{where}: expected a 4x4 matrix: {e}") from e
-    if m.shape != (4, 4) or not np.all(np.isfinite(m)):
-        raise SchemaError(f"{where}: expected a finite 4x4 matrix")
-    return m
+def _flag(doc: Mapping[str, Any], where: str, key: str) -> bool:
+    v = doc.get(key)
+    if not isinstance(v, bool):
+        raise SchemaError(f"{where}.{key}: expected true or false, got {v!r}")
+    return v
 
 
-def _transform(value: Any, where: str, source: str, dest: str) -> RigidTransform:
+def _array(doc: Any, where: str, key: str | int, n: int | None = None) -> list:
+    v = doc[key]
+    if not isinstance(v, list) or (n is not None and len(v) != n):
+        size = "" if n is None else f" of {n}"
+        raise SchemaError(f"{_path(where, key)}: expected an array{size}, got {v!r}")
+    return v
+
+
+def _numbers(doc: Any, where: str, key: str | int, n: int | None = None) -> tuple[float, ...]:
+    out = tuple(_finite(v) for v in _array(doc, where, key, n))
+    if None in out:
+        i = out.index(None)
+        v = doc[key][i]
+        raise SchemaError(f"{_path(where, key)}[{i}]: expected a finite number, got {v!r}")
+    return out
+
+
+def _objects(
+    doc: Mapping[str, Any],
+    where: str,
+    key: str,
+    required: set[str],
+    optional: set[str],
+    lenient: bool,
+) -> Iterator[tuple[str, Mapping[str, Any]]]:
+    """Yield (path, entry) for each object of an array, its keys checked."""
+    for i, entry in enumerate(_array(doc, where, key)):
+        w = f"{where}.{key}[{i}]"
+        _check_keys(entry, w, required, optional, lenient)
+        yield w, entry
+
+
+def _transform(doc: Any, where: str, key: str, source: str, dest: str) -> RigidTransform:
+    w = _path(where, key)
+    rows = _array(doc, where, key, 4)
     try:
-        return RigidTransform.from_matrix(_matrix4(value, where), source=source, dest=dest)
+        return RigidTransform.from_matrix(
+            np.array([_numbers(rows, w, i, 4) for i in range(4)]), source=source, dest=dest
+        )
     except ValueError as e:
-        raise SchemaError(f"{where}: {e}") from e
+        raise SchemaError(f"{w}: {e}") from e
 
 
 # --- camera ---------------------------------------------------------------
@@ -137,16 +191,8 @@ def camera_to_dict(model: CameraModel) -> dict:
 
 def camera_from_dict(doc: Mapping[str, Any], lenient: bool = False) -> CameraModel:
     where = "camera"
-    _check_keys(
-        doc,
-        where,
-        {"focal_mm", "sx_mm", "sy_mm", "cx_px", "cy_px", "k", "rows", "cols"},
-        set(),
-        lenient,
-    )
-    k = doc.get("k")
-    if not isinstance(k, list) or len(k) != 3:
-        raise SchemaError(f"{where}.k: expected an array of 3 coefficients")
+    keys = {"focal_mm", "sx_mm", "sy_mm", "cx_px", "cy_px", "k", "rows", "cols"}
+    _check_keys(doc, where, keys, set(), lenient)
     try:
         return CameraModel(
             focal_mm=_number(doc, where, "focal_mm"),
@@ -154,7 +200,7 @@ def camera_from_dict(doc: Mapping[str, Any], lenient: bool = False) -> CameraMod
             sy_mm=_number(doc, where, "sy_mm"),
             cx_px=_number(doc, where, "cx_px"),
             cy_px=_number(doc, where, "cy_px"),
-            k=tuple(float(v) for v in k),
+            k=_numbers(doc, where, "k", 3),
             rows=_integer(doc, where, "rows"),
             cols=_integer(doc, where, "cols"),
         )
@@ -181,30 +227,19 @@ def plate_from_dict(doc: Mapping[str, Any], lenient: bool = False) -> Referencin
     where = "plate"
     _check_keys(doc, where, {"marks", "nests", "delta_mm", "extent_mm"}, set(), lenient)
     marks = {}
-    if not isinstance(doc["marks"], list):
-        raise SchemaError(f"{where}.marks: expected an array")
-    for i, entry in enumerate(doc["marks"]):
-        _check_keys(entry, f"{where}.marks[{i}]", {"id", "x", "y"}, set(), lenient)
-        marks[str(entry["id"])] = np.array(
-            [_number(entry, f"{where}.marks[{i}]", "x"), _number(entry, f"{where}.marks[{i}]", "y"), 0.0]
-        )
-    nests_doc = doc["nests"]
-    _check_keys(nests_doc, f"{where}.nests", set(NEST_IDS), set(), lenient)
-    nests = {}
-    for nid in NEST_IDS:
-        v = nests_doc[nid]
-        if not isinstance(v, list) or len(v) != 3:
-            raise SchemaError(f"{where}.nests.{nid}: expected [x, y, z]")
-        nests[nid] = np.array([float(c) for c in v])
-    extent = doc["extent_mm"]
-    if not isinstance(extent, list) or len(extent) != 2:
-        raise SchemaError(f"{where}.extent_mm: expected [x, y]")
+    for w, entry in _objects(doc, where, "marks", {"id", "x", "y"}, set(), lenient):
+        mark_id = str(entry["id"])
+        if mark_id in marks:
+            raise SchemaError(f"{w}.id: duplicate mark id {mark_id!r}")
+        marks[mark_id] = np.array([_number(entry, w, "x"), _number(entry, w, "y"), 0.0])
+    _check_keys(doc["nests"], f"{where}.nests", set(NEST_IDS), set(), lenient)
+    nests = {nid: np.array(_numbers(doc["nests"], f"{where}.nests", nid, 3)) for nid in NEST_IDS}
     try:
         return ReferencingPlate(
             marks=marks,
             nests=nests,
             delta_mm=_number(doc, where, "delta_mm"),
-            extent_mm=(float(extent[0]), float(extent[1])),
+            extent_mm=_numbers(doc, where, "extent_mm", 2),
         )
     except ValueError as e:
         raise SchemaError(f"{where}: {e}") from e
@@ -247,68 +282,62 @@ def session_to_dict(
 
 def session_from_dict(doc: Mapping[str, Any], lenient: bool = False) -> ReferencingSession:
     where = "session"
-    _check_keys(
-        doc,
-        where,
-        {"camera", "plate", "tracker_measurements", "image_observation"},
-        {"ground_truth", "provenance"},
-        lenient,
-    )
+    required = {"camera", "plate", "tracker_measurements", "image_observation"}
+    _check_keys(doc, where, required, {"ground_truth", "provenance"}, lenient)
     camera = camera_from_dict(doc["camera"], lenient)
     plate = plate_from_dict(doc["plate"], lenient)
     tracker = []
-    if not isinstance(doc["tracker_measurements"], list):
-        raise SchemaError(f"{where}.tracker_measurements: expected an array")
-    for i, entry in enumerate(doc["tracker_measurements"]):
-        w = f"{where}.tracker_measurements[{i}]"
-        _check_keys(entry, w, {"id", "x", "y", "z"}, {"position_index"}, lenient)
+    entries = _objects(
+        doc, where, "tracker_measurements", {"id", "x", "y", "z"}, {"position_index"}, lenient
+    )
+    for w, entry in entries:
         idx = entry.get("position_index")
-        if idx is not None and not isinstance(idx, int):
-            raise SchemaError(f"{w}.position_index: expected an integer or null")
         tracker.append(
             TrackerMeasurement(
                 str(entry["id"]),
                 np.array([_number(entry, w, "x"), _number(entry, w, "y"), _number(entry, w, "z")]),
-                position_index=idx,
+                position_index=None if idx is None else _integer(entry, w, "position_index"),
             )
         )
-    observation = []
-    if not isinstance(doc["image_observation"], list):
-        raise SchemaError(f"{where}.image_observation: expected an array")
-    seen: set[str] = set()
-    for i, entry in enumerate(doc["image_observation"]):
-        w = f"{where}.image_observation[{i}]"
-        _check_keys(entry, w, {"mark_id", "row", "col"}, set(), lenient)
+    observation: dict[str, ImagePoint] = {}
+    entries = _objects(doc, where, "image_observation", {"mark_id", "row", "col"}, set(), lenient)
+    for w, entry in entries:
         mark_id = str(entry["mark_id"])
-        if mark_id in seen:
+        if mark_id in observation:
             raise SchemaError(f"{w}.mark_id: duplicate mark id {mark_id!r}")
-        seen.add(mark_id)
-        observation.append(
-            (mark_id, ImagePoint(_number(entry, w, "row"), _number(entry, w, "col")))
+        observation[mark_id] = ImagePoint(_number(entry, w, "row"), _number(entry, w, "col"))
+    points = list(observation.values())
+    rowcol = np.reshape([(p.row, p.col) for p in points], (-1, 2))
+    off = np.flatnonzero(~camera.contains_points(rowcol))
+    if off.size:
+        p = points[off[0]]
+        raise SchemaError(
+            f"{where}.image_observation[{off[0]}]: point (row {p.row}, col {p.col}) is off "
+            f"the {camera.rows}x{camera.cols} px sensor"
         )
     return ReferencingSession(
         camera=camera,
         plate=plate,
-        image_observation=tuple(observation),
+        image_observation=tuple(observation.items()),
         tracker=tuple(tracker),
     )
 
 
-def session_ground_truth(doc: Mapping[str, Any]) -> dict[str, RigidTransform] | None:
+def session_ground_truth(
+    doc: Mapping[str, Any], lenient: bool = False
+) -> dict[str, RigidTransform] | None:
     block = doc.get("ground_truth")
     if block is None:
         return None
+    where = "session.ground_truth"
     tags = {
         "rob_H_cam": (frames.CAM, frames.ROB),
         "abs_H_ref": (frames.REF, frames.ABS),
         "abs_H_rob_0": (frames.ROB, frames.ABS),
         "abs_H_rob_1": (frames.ROB, frames.ABS),
     }
-    out = {}
-    for name, value in block.items():
-        source, dest = tags.get(name, ("?", "?"))
-        out[name] = _transform(value, f"session.ground_truth.{name}", source, dest)
-    return out
+    _check_keys(block, where, set(), set(tags), lenient)
+    return {name: _transform(block, where, name, *tags[name]) for name in tags if name in block}
 
 
 # --- result ----------------------------------------------------------------
@@ -335,13 +364,10 @@ def result_to_dict(result: ReferencingResult, prov: Mapping[str, Any] | None = N
     }
     if result.reversal_of is not None:
         a, b = result.reversal_of
+        dt, dr = transform_gap(a.h_rob_cam, b.h_rob_cam)
         doc["reversal"] = {
-            "delta_translation_mm": float(
-                np.linalg.norm(a.h_rob_cam.translation - b.h_rob_cam.translation)
-            ),
-            "delta_rotation_deg": math.degrees(
-                rotation_distance(a.h_rob_cam.rotation, b.h_rob_cam.rotation)
-            ),
+            "delta_translation_mm": dt,
+            "delta_rotation_deg": math.degrees(dr),
             "run_residuals": [
                 {
                     "registration_rms_mm": r.registration_rms_mm,
@@ -359,13 +385,10 @@ def result_from_dict(
     doc: Mapping[str, Any], camera: CameraModel, lenient: bool = False
 ) -> ReferencingResult:
     where = "result"
-    _check_keys(
-        doc,
-        where,
-        {"units", "rob_H_cam", "rotation_quaternion_wxyz", "frames", "residuals", "intermediates"},
-        {"reversal", "provenance"},
-        lenient,
-    )
+    required = {
+        "units", "rob_H_cam", "rotation_quaternion_wxyz", "frames", "residuals", "intermediates"
+    }
+    _check_keys(doc, where, required, {"reversal", "provenance"}, lenient)
     if doc["units"] != "mm":
         raise SchemaError(f"{where}.units: expected 'mm', got {doc['units']!r}")
     frames_doc = doc["frames"]
@@ -375,23 +398,17 @@ def result_from_dict(
             f"{where}.frames: expected cam -> rob, got "
             f"{frames_doc['source']!r} -> {frames_doc['dest']!r}"
         )
-    h_rob_cam = _transform(doc["rob_H_cam"], f"{where}.rob_H_cam", frames.CAM, frames.ROB)
-    quat = np.asarray(doc["rotation_quaternion_wxyz"], dtype=np.float64)
-    if quat.shape != (4,):
-        raise SchemaError(f"{where}.rotation_quaternion_wxyz: expected 4 values")
-    if np.max(np.abs(quaternion_to_rotation(quat) - h_rob_cam.rotation)) > 1e-9:
-        raise SchemaError(f"{where}: matrix and quaternion disagree beyond 1e-9")
+    h_rob_cam = _transform(doc, where, "rob_H_cam", frames.CAM, frames.ROB)
+    quat = _numbers(doc, where, "rotation_quaternion_wxyz", 4)
+    if not any(quat) or np.max(np.abs(quaternion_to_rotation(quat) - h_rob_cam.rotation)) > 1e-9:
+        raise SchemaError(f"{where}.rotation_quaternion_wxyz: disagrees with rob_H_cam beyond 1e-9")
 
-    inter = doc["intermediates"]
-    _check_keys(
-        inter, f"{where}.intermediates", {"cam_H_ref", "abs_H_scn", "abs_H_rob", "scn_H_cam"}, set(), lenient
-    )
-    h_cam_ref = _transform(inter["cam_H_ref"], f"{where}.intermediates.cam_H_ref", frames.REF, frames.CAM)
-    h_abs_scn = _transform(inter["abs_H_scn"], f"{where}.intermediates.abs_H_scn", frames.SCN, frames.ABS)
-    h_abs_rob = _transform(inter["abs_H_rob"], f"{where}.intermediates.abs_H_rob", frames.ROB, frames.ABS)
-    h_scn_cam_stored = _transform(
-        inter["scn_H_cam"], f"{where}.intermediates.scn_H_cam", frames.CAM, frames.SCN
-    )
+    inter, w = doc["intermediates"], f"{where}.intermediates"
+    _check_keys(inter, w, {"cam_H_ref", "abs_H_scn", "abs_H_rob", "scn_H_cam"}, set(), lenient)
+    h_cam_ref = _transform(inter, w, "cam_H_ref", frames.REF, frames.CAM)
+    h_abs_scn = _transform(inter, w, "abs_H_scn", frames.SCN, frames.ABS)
+    h_abs_rob = _transform(inter, w, "abs_H_rob", frames.ROB, frames.ABS)
+    h_scn_cam_stored = _transform(inter, w, "scn_H_cam", frames.CAM, frames.SCN)
 
     scene = build_rectification_map(camera, h_cam_ref)
     if np.max(np.abs(scene.h_scn_cam.matrix - h_scn_cam_stored.matrix)) > 1e-9:
@@ -399,14 +416,9 @@ def result_from_dict(
             f"{where}: stored scn_H_cam does not match the camera model and cam_H_ref"
         )
 
-    residuals = doc["residuals"]
-    _check_keys(
-        residuals,
-        f"{where}.residuals",
-        {"registration_rms_mm", "reprojection_rms_px", "suspect"},
-        set(),
-        lenient,
-    )
+    residuals, w = doc["residuals"], f"{where}.residuals"
+    keys = {"registration_rms_mm", "reprojection_rms_px", "suspect"}
+    _check_keys(residuals, w, keys, set(), lenient)
     return ReferencingResult(
         h_rob_cam=h_rob_cam,
         h_rob_scn=compose(h_rob_cam, invert(scene.h_scn_cam)),
@@ -414,9 +426,9 @@ def result_from_dict(
         h_abs_scn=h_abs_scn,
         h_abs_rob=h_abs_rob,
         h_cam_ref=h_cam_ref,
-        registration_rms_mm=_number(residuals, f"{where}.residuals", "registration_rms_mm"),
-        reprojection_rms_px=_number(residuals, f"{where}.residuals", "reprojection_rms_px"),
-        suspect=bool(residuals["suspect"]),
+        registration_rms_mm=_number(residuals, w, "registration_rms_mm"),
+        reprojection_rms_px=_number(residuals, w, "reprojection_rms_px"),
+        suspect=_flag(residuals, w, "suspect"),
     )
 
 
@@ -461,7 +473,7 @@ def world_to_dict(world: SimWorld, noise: NoiseConfig, placements: tuple[RobotPl
     return doc
 
 
-def _placement_from_dict(doc: Mapping[str, Any], where: str, lenient: bool) -> RobotPlacement:
+def _planar_pose(doc: Mapping[str, Any], where: str, lenient: bool) -> RobotPlacement:
     _check_keys(doc, where, {"x_mm", "y_mm", "yaw_deg"}, set(), lenient)
     return RobotPlacement(
         _number(doc, where, "x_mm"),
@@ -474,60 +486,45 @@ def world_from_dict(
     doc: Mapping[str, Any], lenient: bool = False
 ) -> tuple[SimWorld, NoiseConfig, tuple[RobotPlacement, RobotPlacement] | None]:
     where = "world"
-    _check_keys(
-        doc,
-        where,
-        {"camera", "plate", "robot", "hand_eye", "plate_pose"},
-        {"floor", "noise", "seed", "placements"},
-        lenient,
-    )
+    required = {"camera", "plate", "robot", "hand_eye", "plate_pose"}
+    _check_keys(doc, where, required, {"floor", "noise", "seed", "placements"}, lenient)
     camera = camera_from_dict(doc["camera"], lenient)
     plate = plate_from_dict(doc["plate"], lenient)
 
-    robot_doc = doc["robot"]
-    _check_keys(robot_doc, f"{where}.robot", {"smr_height_mm", "wheel_contacts_xy_mm"}, set(), lenient)
-    contacts = robot_doc["wheel_contacts_xy_mm"]
-    if not isinstance(contacts, list) or len(contacts) != 3:
-        raise SchemaError(f"{where}.robot.wheel_contacts_xy_mm: expected 3 [x, y] pairs")
+    robot_doc, w = doc["robot"], f"{where}.robot"
+    _check_keys(robot_doc, w, {"smr_height_mm", "wheel_contacts_xy_mm"}, set(), lenient)
+    contacts = _array(robot_doc, w, "wheel_contacts_xy_mm", 3)
     try:
         robot = RobotModel(
-            smr_height_mm=_number(robot_doc, f"{where}.robot", "smr_height_mm"),
-            wheel_contacts_xy_mm=tuple((float(w[0]), float(w[1])) for w in contacts),
+            smr_height_mm=_number(robot_doc, w, "smr_height_mm"),
+            wheel_contacts_xy_mm=tuple(
+                _numbers(contacts, f"{w}.wheel_contacts_xy_mm", i, 2) for i in range(3)
+            ),
         )
-    except (ValueError, TypeError, IndexError) as e:
+    except ValueError as e:
         raise SchemaError(f"{where}.robot: {e}") from e
 
     hand_eye_doc = doc["hand_eye"]
     _check_keys(hand_eye_doc, f"{where}.hand_eye", {"matrix"}, set(), lenient)
-    hand_eye = _transform(hand_eye_doc["matrix"], f"{where}.hand_eye.matrix", frames.CAM, frames.ROB)
+    hand_eye = _transform(hand_eye_doc, f"{where}.hand_eye", "matrix", frames.CAM, frames.ROB)
 
-    pose_doc = doc["plate_pose"]
-    _check_keys(pose_doc, f"{where}.plate_pose", {"x_mm", "y_mm", "yaw_deg"}, set(), lenient)
+    plate_pose = _planar_pose(doc["plate_pose"], f"{where}.plate_pose", lenient)
 
-    floor_doc = doc.get("floor", {"inclination_deg": 0.0, "azimuth_deg": 0.0})
-    _check_keys(floor_doc, f"{where}.floor", set(), {"inclination_deg", "azimuth_deg"}, lenient)
+    floor_doc, wf = doc.get("floor", {}), f"{where}.floor"
+    _check_keys(floor_doc, wf, set(), {"inclination_deg", "azimuth_deg"}, lenient)
 
-    noise_doc = doc.get("noise", {})
-    _check_keys(
-        noise_doc,
-        f"{where}.noise",
-        set(),
-        {"tracker_sigma_mm", "image_sigma_px", "nest_offset_error_mm", "plate_amplitude_mm"},
-        lenient,
-    )
+    noise_doc, w = doc.get("noise", {}), f"{where}.noise"
+    keys = {"tracker_sigma_mm", "image_sigma_px", "nest_offset_error_mm", "plate_amplitude_mm"}
+    _check_keys(noise_doc, w, set(), keys, lenient)
     try:
         noise = NoiseConfig(
-            tracker_sigma_mm=float(noise_doc.get("tracker_sigma_mm", 0.035)),
-            image_sigma_px=float(noise_doc.get("image_sigma_px", 0.0)),
-            nest_offset_error_mm=float(noise_doc.get("nest_offset_error_mm", 0.0)),
-            plate_amplitude_mm=float(noise_doc.get("plate_amplitude_mm", 0.0)),
+            tracker_sigma_mm=_number(noise_doc, w, "tracker_sigma_mm", 0.035),
+            image_sigma_px=_number(noise_doc, w, "image_sigma_px", 0.0),
+            nest_offset_error_mm=_number(noise_doc, w, "nest_offset_error_mm", 0.0),
+            plate_amplitude_mm=_number(noise_doc, w, "plate_amplitude_mm", 0.0),
         )
     except ValueError as e:
-        raise SchemaError(f"{where}.noise: {e}") from e
-
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise SchemaError(f"{where}.seed: expected an integer")
+        raise SchemaError(f"{w}: {e}") from e
 
     try:
         world = SimWorld(
@@ -535,12 +532,12 @@ def world_from_dict(
             plate=plate,
             robot=robot,
             h_rob_cam_true=hand_eye,
-            plate_x_mm=_number(pose_doc, f"{where}.plate_pose", "x_mm"),
-            plate_y_mm=_number(pose_doc, f"{where}.plate_pose", "y_mm"),
-            plate_yaw_rad=math.radians(_number(pose_doc, f"{where}.plate_pose", "yaw_deg")),
-            floor_inclination_rad=math.radians(float(floor_doc.get("inclination_deg", 0.0))),
-            floor_azimuth_rad=math.radians(float(floor_doc.get("azimuth_deg", 0.0))),
-            seed=seed,
+            plate_x_mm=plate_pose.x_mm,
+            plate_y_mm=plate_pose.y_mm,
+            plate_yaw_rad=plate_pose.yaw_rad,
+            floor_inclination_rad=math.radians(_number(floor_doc, wf, "inclination_deg", 0.0)),
+            floor_azimuth_rad=math.radians(_number(floor_doc, wf, "azimuth_deg", 0.0)),
+            seed=_integer(doc, where, "seed", 0),
         )
     except ValueError as e:
         raise SchemaError(f"{where}: {e}") from e
@@ -550,8 +547,8 @@ def world_from_dict(
         pl_doc = doc["placements"]
         _check_keys(pl_doc, f"{where}.placements", {"position0", "position1"}, set(), lenient)
         placements = (
-            _placement_from_dict(pl_doc["position0"], f"{where}.placements.position0", lenient),
-            _placement_from_dict(pl_doc["position1"], f"{where}.placements.position1", lenient),
+            _planar_pose(pl_doc["position0"], f"{where}.placements.position0", lenient),
+            _planar_pose(pl_doc["position1"], f"{where}.placements.position1", lenient),
         )
     return world, noise, placements
 
@@ -571,22 +568,11 @@ def plan_to_dict(plan: ExperimentPlan) -> dict:
 
 def plan_from_dict(doc: Mapping[str, Any], lenient: bool = False) -> ExperimentPlan:
     where = "plan"
-    _check_keys(
-        doc,
-        where,
-        {"mark_xy_mm"},
-        {"yaw_deg_list", "repeats", "max_offset_mm", "yaw_jitter_deg"},
-        lenient,
-    )
-    mark = doc["mark_xy_mm"]
-    if not isinstance(mark, list) or len(mark) != 2:
-        raise SchemaError(f"{where}.mark_xy_mm: expected [x, y]")
-    kwargs: dict[str, Any] = {"mark_xy_mm": (float(mark[0]), float(mark[1]))}
+    optional = {"yaw_deg_list", "repeats", "max_offset_mm", "yaw_jitter_deg"}
+    _check_keys(doc, where, {"mark_xy_mm"}, optional, lenient)
+    kwargs: dict[str, Any] = {"mark_xy_mm": _numbers(doc, where, "mark_xy_mm", 2)}
     if "yaw_deg_list" in doc:
-        yaws = doc["yaw_deg_list"]
-        if not isinstance(yaws, list):
-            raise SchemaError(f"{where}.yaw_deg_list: expected an array")
-        kwargs["yaw_deg_list"] = tuple(float(v) for v in yaws)
+        kwargs["yaw_deg_list"] = _numbers(doc, where, "yaw_deg_list")
     if "repeats" in doc:
         kwargs["repeats"] = _integer(doc, where, "repeats")
     if "max_offset_mm" in doc:

@@ -55,6 +55,7 @@ STREAM_WORLD = 3
 
 _SUPPORT_TOL_MM = 1e-12
 _SUPPORT_MAX_ITER = 100
+_TRAVEL_MM = 220.0  # robot travel between the two placements of a session
 
 # camera-frame points pass through the identity pose unchanged into a projection
 _CAM_IDENTITY = RigidTransform.identity(frames.CAM)
@@ -444,13 +445,20 @@ def simulate_referencing_session(
     marks_abs = apply(h_abs_ref, marks_ref)
     h_cam_abs = invert(compose(poses[0], world.h_rob_cam_true))
     rc, in_front = project_points(world.camera, h_cam_abs, marks_abs)
+    # noise is drawn for each mark whose true point is on the sensor; a mark
+    # whose noisy point falls off it is not observed
     visible = in_front & world.camera.contains_points(rc)
-    observation: list[tuple[str, ImagePoint]] = []
-    for i, mark_id in enumerate(mark_ids):
-        if not visible[i]:
-            continue
-        noisy = rc[i] + rng.normal(0.0, noise.image_sigma_px, size=2)
-        observation.append((mark_id, ImagePoint(float(noisy[0]), float(noisy[1]))))
+    drawn = [
+        (mark_id, rc[i] + rng.normal(0.0, noise.image_sigma_px, size=2))
+        for i, mark_id in enumerate(mark_ids)
+        if visible[i]
+    ]
+    on_sensor = world.camera.contains_points(np.reshape([p for _, p in drawn], (-1, 2)))
+    observation = [
+        (mark_id, ImagePoint(float(p[0]), float(p[1])))
+        for (mark_id, p), keep in zip(drawn, on_sensor)
+        if keep
+    ]
     if len(observation) < 4:
         raise TargetNotVisible(
             f"simulate_referencing_session: only {len(observation)} of {len(mark_ids)} "
@@ -637,7 +645,7 @@ def target_center_ref(world: SimWorld) -> Array:
 
 
 def default_placements(
-    world: SimWorld, *, reverse: bool = False, travel_mm: float = 220.0
+    world: SimWorld, *, reverse: bool = False
 ) -> tuple[RobotPlacement, RobotPlacement]:
     """Placement pair covering the plate target at position 0, with the robot
     heading along the plate (reversed heading for instrument-reversal runs)."""
@@ -648,7 +656,7 @@ def default_placements(
     c, s = math.cos(yaw), math.sin(yaw)
     rot2 = np.array([[c, -s], [s, c]])
     xy0 = center_abs[:2] - rot2 @ g0
-    xy1 = xy0 + travel_mm * np.array([c, s])
+    xy1 = xy0 + _TRAVEL_MM * np.array([c, s])
     return (
         RobotPlacement(float(xy0[0]), float(xy0[1]), yaw),
         RobotPlacement(float(xy1[0]), float(xy1[1]), yaw),

@@ -122,6 +122,27 @@ class TestCalibrate:
         assert run("calibrate", bad, "--out", tmp_path / "r.json") == 2
         assert "camera.rows" in capsys.readouterr().err
 
+    def test_off_sensor_observation_exit_2(self, tmp_path, quiet_world, capsys):
+        session = tmp_path / "session.json"
+        run("simulate", quiet_world, "--out", session)
+        doc = read_json(session)
+        doc["image_observation"][4]["row"] = 20000.0  # the sensor has 2048 rows
+        bad = tmp_path / "bad.json"
+        write_json(doc, bad)
+        assert run("calibrate", bad, "--out", tmp_path / "r.json") == 2
+        assert "error: session.image_observation[4]:" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_solver_failure_exit_4_naming_stage(self, tmp_path, quiet_world, capsys):
+        session = tmp_path / "session.json"
+        run("simulate", quiet_world, "--out", session)
+        doc = read_json(session)
+        doc["camera"]["focal_mm"] = 1e308  # overflows the plate-pose fit's SVD
+        bad = tmp_path / "bad.json"
+        write_json(doc, bad)
+        assert run("calibrate", bad, "--out", tmp_path / "r.json") == 4
+        assert "error: estimate_plate_pose:" in capsys.readouterr().err
+
     def test_reversal_flow(self, tmp_path, capsys):
         session_a = tmp_path / "a.json"
         session_b = tmp_path / "b.json"
@@ -254,3 +275,22 @@ class TestMetrics:
         bad = tmp_path / "m.csv"
         bad.write_text("not,a,measurement,file\n")
         assert run("metrics", bad, "--out-dir", tmp_path / "out") == 2
+
+    @pytest.mark.parametrize(
+        "column, value", [("yaw_deg", "nan"), ("x_mm", "inf"), ("z_mm", "-inf")]
+    )
+    def test_non_finite_csv_value_exit_2(self, tmp_path, capsys, column, value):
+        good = tmp_path / "good.csv"
+        measurements = [
+            f"{direction},{yaw},{1000.0 + i},{900.0 - i},0.0,0"
+            for i, (direction, yaw) in enumerate([("up", 0.0), ("left", 90.0), ("down", 180.0)])
+        ]
+        good.write_text("direction,yaw_deg,x_mm,y_mm,z_mm,trial\n" + "\n".join(measurements) + "\n")
+        assert run("metrics", good, "--out-dir", tmp_path / "good_out") == 0
+        rows = [line.split(",") for line in good.read_text().splitlines()]
+        rows[3][rows[0].index(column)] = value
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(",".join(r) for r in rows) + "\n")
+        capsys.readouterr()
+        assert run("metrics", bad, "--out-dir", tmp_path / "out") == 2
+        assert f"bad.csv:4: {column}: expected a finite number" in capsys.readouterr().err

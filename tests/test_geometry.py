@@ -25,6 +25,7 @@ from floorref.geometry import (
     rotation_from_rotvec,
     rotation_to_quaternion,
     to_homogeneous,
+    transform_gap,
 )
 
 RZ90 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
@@ -237,6 +238,14 @@ class TestRotationDistance:
     def test_clamped_at_pi(self):
         r = rotation_about_z(math.pi)
         assert rotation_distance(np.eye(3), r) <= math.pi
+
+    def test_transform_gap(self):
+        a = make_transform([0.0, 0.0, 1.0], 0.3, [1.0, 2.0, 3.0])
+        b = make_transform([0.0, 0.0, 1.0], -0.2, [4.0, 6.0, 3.0])
+        dt, dr = transform_gap(a, b)
+        assert dt == 5.0
+        assert abs(dr - 0.5) < 1e-12
+        assert transform_gap(a, a) == (0.0, 0.0)
 
 
 class TestRotationHelpers:

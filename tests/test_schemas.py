@@ -1,8 +1,14 @@
+import copy
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from floorref.cli import main
 from floorref.errors import SchemaError
 from floorref.pipeline import compute_rob_h_cam
 from floorref.schemas import (
@@ -16,6 +22,7 @@ from floorref.schemas import (
     result_from_dict,
     result_to_dict,
     session_from_dict,
+    session_ground_truth,
     session_to_dict,
     world_from_dict,
     world_to_dict,
@@ -216,3 +223,134 @@ def test_read_json_rejects_non_object(tmp_path):
     path.write_text("{broken")
     with pytest.raises(SchemaError):
         read_json(path)
+
+
+# --- malformed fields --------------------------------------------------------
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.fixture(scope="module")
+def quick_start_docs(tmp_path_factory):
+    """The session, result, world and plan documents of the README quick start."""
+    d = tmp_path_factory.mktemp("quick_start")
+    world = str(CONFIGS / "world.json")
+    a, b, r = str(d / "a.json"), str(d / "b.json"), str(d / "r.json")
+    assert main(["simulate", world, "--seed", "7", "--out", a]) == 0
+    assert main(["simulate", world, "--seed", "8", "--reverse", "--out", b]) == 0
+    assert main(["calibrate", a, "--reversal", b, "--out", r]) == 0
+    return {
+        "session": read_json(a),
+        "result": read_json(r),
+        "world": read_json(world),
+        "plan": read_json(CONFIGS / "plan.json"),
+    }
+
+
+def _decode(kind, doc, docs):
+    if kind == "session":
+        session_from_dict(doc)
+        session_ground_truth(doc)
+    elif kind == "result":
+        result_from_dict(doc, camera_from_dict(docs["world"]["camera"]))
+    elif kind == "world":
+        world_from_dict(doc)
+    else:
+        plan_from_dict(doc)
+
+
+def _set(path, value):
+    def mutate(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+
+    return mutate
+
+
+def _repeat_plate_mark(doc):
+    doc["plate"]["marks"].append(dict(doc["plate"]["marks"][0]))
+
+
+def _unknown_truth_key(doc):
+    doc["ground_truth"]["rob_H_rob"] = doc["ground_truth"]["rob_H_cam"]
+
+
+# (document, mutation, field path the decoder's SchemaError must start with)
+MALFORMED = [
+    ("session", _set(["camera", "k", 1], "0.01"), "camera.k[1]"),
+    ("session", _set(["plate", "nests", "g", 2], True), "plate.nests.g[2]"),
+    ("session", _set(["plate", "extent_mm", 0], "600"), "plate.extent_mm[0]"),
+    (
+        "session",
+        _set(["tracker_measurements", 3, "position_index"], True),
+        "session.tracker_measurements[3].position_index",
+    ),
+    (
+        "world",
+        _set(["robot", "wheel_contacts_xy_mm", 1, 0], "100"),
+        "world.robot.wheel_contacts_xy_mm[1][0]",
+    ),
+    ("world", _set(["noise", "tracker_sigma_mm"], "0.035"), "world.noise.tracker_sigma_mm"),
+    ("world", _set(["noise", "image_sigma_px"], math.nan), "world.noise.image_sigma_px"),
+    ("world", _set(["noise", "nest_offset_error_mm"], True), "world.noise.nest_offset_error_mm"),
+    ("world", _set(["noise", "plate_amplitude_mm"], "0"), "world.noise.plate_amplitude_mm"),
+    ("world", _set(["floor", "inclination_deg"], math.inf), "world.floor.inclination_deg"),
+    ("world", _set(["floor", "azimuth_deg"], True), "world.floor.azimuth_deg"),
+    ("world", _set(["hand_eye", "matrix", 3, 3], True), "world.hand_eye.matrix[3][3]"),
+    ("result", _set(["residuals", "suspect"], "no"), "result.residuals.suspect"),
+    ("result", _set(["rotation_quaternion_wxyz", 0], "a"), "result.rotation_quaternion_wxyz[0]"),
+    ("plan", _set(["mark_xy_mm", 0], "a"), "plan.mark_xy_mm[0]"),
+    ("plan", _set(["yaw_deg_list", 2], "90"), "plan.yaw_deg_list[2]"),
+    ("plan", _set(["max_offset_mm"], 10**400), "plan.max_offset_mm"),  # beyond the float range
+    ("result", _set(["rotation_quaternion_wxyz"], [0, 0, 0, 0]), "result.rotation_quaternion_wxyz"),
+    ("session", _repeat_plate_mark, "plate.marks[25].id"),
+    ("session", _unknown_truth_key, "session.ground_truth"),
+    ("session", _set(["image_observation", 2, "row"], 20000.0), "session.image_observation[2]"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, mutate, field", MALFORMED, ids=[field for _, _, field in MALFORMED]
+)
+def test_malformed_field_names_its_path(quick_start_docs, kind, mutate, field):
+    doc = copy.deepcopy(quick_start_docs[kind])
+    _decode(kind, doc, quick_start_docs)  # the unmodified document decodes
+    mutate(doc)
+    with pytest.raises(SchemaError) as info:
+        _decode(kind, doc, quick_start_docs)
+    assert str(info.value).startswith(f"{field}:")
+
+
+def _leaves(value, path=()):
+    if isinstance(value, dict):
+        for key, v in value.items():
+            yield from _leaves(v, path + (key,))
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _leaves(v, path + (i,))
+    else:
+        yield path
+
+
+_JUNK = st.one_of(
+    st.text(max_size=6),
+    st.booleans(),
+    st.none(),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.lists(st.one_of(st.integers(), st.floats(), st.text(max_size=3), st.none()), max_size=5),
+)
+
+
+@pytest.mark.parametrize("kind", ["session", "result", "world", "plan"])
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_any_junk_leaf_decodes_or_raises_schema_error(quick_start_docs, kind, data):
+    doc = copy.deepcopy(quick_start_docs[kind])
+    path = data.draw(st.sampled_from(sorted(_leaves(doc), key=repr)))
+    _set(path, data.draw(_JUNK))(doc)
+    try:
+        _decode(kind, doc, quick_start_docs)
+    except SchemaError:
+        pass

@@ -14,7 +14,7 @@ from floorref.errors import (
 from floorref.experiment import measure_mark
 from floorref.geometry import apply, compose, invert, rotation_distance
 from floorref.pipeline import compute_rob_h_cam
-from floorref.schemas import session_to_dict
+from floorref.schemas import session_from_dict, session_to_dict
 from floorref.simulate import (
     GLASS_NOISE,
     NO_NOISE,
@@ -60,6 +60,14 @@ class TestSessionGeneration:
         p1 = RobotPlacement(5200.0, 5000.0, 0.0)
         with pytest.raises(TargetNotVisible, match="simulate_referencing_session"):
             simulate_referencing_session(world, NO_NOISE, p0, p1)
+
+    def test_noisy_points_off_the_sensor_are_not_observed(self, world):
+        p0, p1 = default_placements(world)
+        session = simulate_referencing_session(world, NoiseConfig(image_sigma_px=500.0), p0, p1)
+        assert 4 <= len(session.image_observation) < len(world.plate.marks)
+        rowcol = np.array([(ip.row, ip.col) for _, ip in session.image_observation])
+        assert world.camera.contains_points(rowcol).all()
+        session_from_dict(session_to_dict(session))  # the decoder accepts the session
 
     def test_coincident_placements_rejected(self, world):
         p = RobotPlacement(100.0, 100.0, 0.0)
