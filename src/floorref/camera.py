@@ -39,6 +39,8 @@ Array = NDArray[np.float64]
 _MIN_DEPTH_MM = 1e-9
 _MAX_INCIDENCE_DEG = 89.0
 _POSE_MAX_ITER = 100
+_POSE_LAMBDA0 = 1e-6
+_POSE_RESIDUAL_ULPS = 8.0
 _POSE_STEP_TOL = 1e-10
 _UNDISTORT_MAX_ITER = 50
 _UNDISTORT_RTOL = 4.0 * np.finfo(np.float64).eps
@@ -343,10 +345,12 @@ class PlateImageFit(NamedTuple):
     """Camera pose over the plate estimated from target-mark observations.
 
     ``iterations`` counts Levenberg-Marquardt iterations, the last one
-    included. ``stop`` says why the refinement ended: ``"step_tol"`` (a trial
-    step fell below the step tolerance) or ``"no_descent"`` (the damping
-    reached 1e12 while every trial step stayed above the tolerance and none
-    lowered the cost).
+    included; the damping starts at 1e-6. ``stop`` says why the refinement
+    ended: ``"step_tol"`` (the cost is flat to rounding: a trial step fell
+    below the step tolerance, or an accepted trial did not lower the cost) or
+    ``"no_descent"`` (the damping reached 1e12 while every trial step stayed
+    above the tolerance and raised the cost beyond its rounding error).
+    ``h_cam_ref`` carries the last accepted rotation, re-orthonormalised once.
     """
 
     h_cam_ref: RigidTransform
@@ -355,18 +359,18 @@ class PlateImageFit(NamedTuple):
     stop: str
 
 
-def _pose_jacobian(model: CameraModel, ref_pts: Array, r: Array, t: Array) -> Array:
-    """Jacobian of the pixel residual of plate points at pose (r, t), (2n, 6).
+def _pose_jacobian(model: CameraModel, q: Array, pc: Array) -> Array:
+    """Jacobian of the pixel residual of plate points p at pose (r, t), (2n, 6).
 
-    Columns are the pose update (dw, dt) applied as ``exp([dw]x) r`` and
-    ``t + dt``; rows follow the residual order [row0, col0, row1, col1, ...].
-    The chain is d pc = -[r p]x dw + dt, the perspective division
-    (x, y) = (X/Z, Y/Z), the radial factor f(r^2) = 1 + k1 r^2 + k2 r^4 + k3 r^6
+    ``q = p r^T`` and ``pc = q + t`` are the rotated and the camera-frame
+    points, as the residual computes them. Columns are the pose update
+    (dw, dt) applied as ``exp([dw]x) r`` and ``t + dt``; rows follow the
+    residual order [row0, col0, row1, col1, ...]. The chain is
+    d pc = -[q]x dw + dt, the perspective division (x, y) = (X/Z, Y/Z), the
+    radial factor f(r^2) = 1 + k1 r^2 + k2 r^4 + k3 r^6
     (d xd/dx = f + 2 x^2 f', d xd/dy = 2 x y f', f' = df/d(r^2)), and the
     pixel scale (row from yd, column from xd).
     """
-    q = ref_pts @ r.T
-    pc = q + t
     iz = 1.0 / pc[:, 2]
     x = pc[:, 0] * iz
     y = pc[:, 1] * iz
@@ -433,25 +437,42 @@ def estimate_plate_pose_from_image(
     Homography decomposition (Zhang 2000) provides the initial pose. A
     Levenberg-Marquardt iteration on the pixel reprojection error refines it,
     with Marquardt's diagonal scaling of the damping and the analytic Jacobian
-    of the projection (``_pose_jacobian``). A trial step is accepted when it
-    lowers the cost; trial poses that put a mark behind the camera are
-    rejected like steps that raise it. The fit stops when a trial step falls
-    below 1e-10 in every component, accepted or not: the cost is then flat to
-    rounding (``stop == "step_tol"``). It also stops when the damping reaches
-    1e12 with no trial step accepted (``stop == "no_descent"``). The cap is
-    100 iterations.
+    of the projection (``_pose_jacobian``). The damping starts at 1e-6: a
+    top-down plate view has a near-degenerate tilt/shift direction, along
+    which a larger start shrinks the first steps only a few times per
+    iteration. It falls 0.3x after an accepted step (to no less than 1e-12)
+    and rises 10x after a rejected one. A trial step is accepted when the
+    cost does not rise beyond its rounding error (each residual counted at
+    8 ulp of its pixel coordinate); trial poses that put a mark behind the
+    camera are rejected like steps that raise it. Each trial pose is
+    projected once, and the accepted projection also feeds the next
+    Jacobian. The trial rotation ``exp([dw]x) r`` stays orthonormal to
+    rounding; it is re-orthonormalised once, on the returned pose.
+
+    The fit stops with ``stop == "step_tol"`` when the cost is flat to
+    rounding: a trial step falls below 1e-10 in every component, accepted or
+    not, or an accepted trial does not lower the cost. It stops with
+    ``stop == "no_descent"`` when the damping reaches 1e12 with no trial step
+    accepted. The cap is 100 iterations.
 
     Raises:
+        ValueError: a reference mark that is not a finite 3-vector.
         DegenerateConfiguration: fewer than 4 marks, non-coplanar references,
             collinear layout, or an initial pose with marks behind the camera.
         NonConvergence: neither stop rule met within 100 iterations.
     """
-    if len(observed) < 4:
+    n = len(observed)
+    if n < 4:
         raise DegenerateConfiguration(
-            f"estimate_plate_pose_from_image: need at least 4 marks, got {len(observed)}"
+            f"estimate_plate_pose_from_image: need at least 4 marks, got {n}"
         )
     rc_obs = np.array([[ip.row, ip.col] for ip, _ in observed], dtype=np.float64)
-    ref_pts = np.array([as_point3(p) for _, p in observed], dtype=np.float64)
+    ref_pts = np.array([p for _, p in observed], dtype=np.float64)
+    if ref_pts.shape != (n, 3) or not np.all(np.isfinite(ref_pts)):
+        raise ValueError(
+            f"estimate_plate_pose_from_image: reference marks must be finite 3-vectors, "
+            f"got an array of shape {ref_pts.shape}"
+        )
     if np.max(np.abs(ref_pts[:, 2])) > 1e-9:
         raise DegenerateConfiguration(
             "estimate_plate_pose_from_image: reference marks must lie in the plate plane"
@@ -465,44 +486,57 @@ def estimate_plate_pose_from_image(
     h = _homography_dlt(ref_pts[:, :2], norm_xy)
     r, t = _pose_from_homography(h)
 
-    def residuals(rm: Array, tv: Array) -> Array:
-        pc = ref_pts @ rm.T + tv
+    def project(rm: Array, tv: Array) -> tuple[Array, Array, Array] | None:
+        # (residual, rotated points, camera-frame points), or None behind the camera
+        q = ref_pts @ rm.T
+        pc = q + tv
         z = pc[:, 2]
         if np.any(z <= _MIN_DEPTH_MM):
-            return None  # type: ignore[return-value]
+            return None
         rc = model.normalized_to_pixel_array(pc[:, :2] / z[:, None])
-        return (rc - rc_obs).ravel()
+        return (rc - rc_obs).ravel(), q, pc
 
-    res = residuals(r, t)
-    if res is None:
+    projection = project(r, t)
+    if projection is None:
         raise DegenerateConfiguration(
             "estimate_plate_pose_from_image: initial pose places marks behind the camera"
         )
+    res, q, pc = projection
     cost = float(res @ res)
-    lam = 1e-3
+    # rounding error of each residual: a few ulp of its pixel coordinate
+    res_err = _POSE_RESIDUAL_ULPS * np.finfo(np.float64).eps * np.abs(rc_obs).ravel()
+    lam = _POSE_LAMBDA0
     iterations = 0
 
     for iterations in range(1, _POSE_MAX_ITER + 1):
-        jac = _pose_jacobian(model, ref_pts, r, t)
+        jac = _pose_jacobian(model, q, pc)
         g = jac.T @ res
         a = jac.T @ jac
-        stop = "no_descent"  # unless a trial step descends or falls below tolerance
+        diag = np.diag(a)
+        cost_err = 2.0 * float(np.abs(res) @ res_err)  # rounding error of the cost
+        stop = "no_descent"  # unless a trial step is accepted or falls below tolerance
         while lam < 1e12:
             try:
-                step = np.linalg.solve(a + lam * np.diag(np.diag(a)) + 1e-12 * np.eye(6), -g)
+                step = np.linalg.solve(a + np.diag(lam * diag + 1e-12), -g)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
             small = float(np.max(np.abs(step))) < _POSE_STEP_TOL
-            r_new = nearest_rotation(rotation_from_rotvec(step[:3]) @ r)
+            r_new = rotation_from_rotvec(step[:3]) @ r
             t_new = t + step[3:]
-            res_new = residuals(r_new, t_new)
-            if res_new is not None and float(res_new @ res_new) < cost:
-                r, t, res = r_new, t_new, res_new
-                cost = float(res @ res)
-                lam = max(lam * 0.3, 1e-12)
-                stop = "step_tol" if small else ""
-                break
+            projection = project(r_new, t_new)
+            if projection is not None:
+                res_new = projection[0]
+                cost_new = float(res_new @ res_new)
+                if cost_new < cost + cost_err:
+                    # not above the cost beyond its rounding error: a pose no
+                    # worse, and the fit ends unless the cost fell
+                    descent = cost_new < cost
+                    r, t, cost = r_new, t_new, cost_new
+                    res, q, pc = projection
+                    lam = max(lam * 0.3, 1e-12)
+                    stop = "" if descent and not small else "step_tol"
+                    break
             if small:
                 # the cost is flat to rounding within the tolerance: converged
                 stop = "step_tol"
@@ -515,6 +549,6 @@ def estimate_plate_pose_from_image(
             f"estimate_plate_pose_from_image: no convergence in {_POSE_MAX_ITER} iterations"
         )
 
-    rms = math.sqrt(cost / len(observed))
-    transform = RigidTransform(r, t, source=frames.REF, dest=frames.CAM)
+    rms = math.sqrt(cost / n)
+    transform = RigidTransform(nearest_rotation(r), t, source=frames.REF, dest=frames.CAM)
     return PlateImageFit(transform, rms, iterations, stop)

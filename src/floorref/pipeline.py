@@ -294,13 +294,14 @@ def estimate_robot_pose(session: ReferencingSession, n: Sequence[float] | Array)
 @contextmanager
 def _stage(name: str) -> Iterator[None]:
     # Re-raise package errors with the pipeline stage name prefixed, keeping
-    # the concrete type for caller dispatch; a numpy solver failure inside a
-    # stage is degenerate geometry.
+    # the concrete type for caller dispatch; a numpy solver failure, overflow
+    # or invalid value inside a stage is degenerate geometry.
     try:
-        yield
+        with np.errstate(over="raise", invalid="raise"):
+            yield
     except FloorRefError as e:
         raise type(e)(f"{name}: {e}") from e
-    except np.linalg.LinAlgError as e:
+    except (np.linalg.LinAlgError, FloatingPointError) as e:
         raise DegenerateConfiguration(f"{name}: {e}") from e
 
 

@@ -130,6 +130,13 @@ def _flag(doc: Mapping[str, Any], where: str, key: str) -> bool:
     return v
 
 
+def _text(doc: Mapping[str, Any], where: str, key: str) -> str:
+    v = doc.get(key)
+    if not isinstance(v, str):
+        raise SchemaError(f"{where}.{key}: expected a string, got {v!r}")
+    return v
+
+
 def _array(doc: Any, where: str, key: str | int, n: int | None = None) -> list:
     v = doc[key]
     if not isinstance(v, list) or (n is not None and len(v) != n):
@@ -228,7 +235,7 @@ def plate_from_dict(doc: Mapping[str, Any], lenient: bool = False) -> Referencin
     _check_keys(doc, where, {"marks", "nests", "delta_mm", "extent_mm"}, set(), lenient)
     marks = {}
     for w, entry in _objects(doc, where, "marks", {"id", "x", "y"}, set(), lenient):
-        mark_id = str(entry["id"])
+        mark_id = _text(entry, w, "id")
         if mark_id in marks:
             raise SchemaError(f"{w}.id: duplicate mark id {mark_id!r}")
         marks[mark_id] = np.array([_number(entry, w, "x"), _number(entry, w, "y"), 0.0])
@@ -294,7 +301,7 @@ def session_from_dict(doc: Mapping[str, Any], lenient: bool = False) -> Referenc
         idx = entry.get("position_index")
         tracker.append(
             TrackerMeasurement(
-                str(entry["id"]),
+                _text(entry, w, "id"),
                 np.array([_number(entry, w, "x"), _number(entry, w, "y"), _number(entry, w, "z")]),
                 position_index=None if idx is None else _integer(entry, w, "position_index"),
             )
@@ -302,9 +309,11 @@ def session_from_dict(doc: Mapping[str, Any], lenient: bool = False) -> Referenc
     observation: dict[str, ImagePoint] = {}
     entries = _objects(doc, where, "image_observation", {"mark_id", "row", "col"}, set(), lenient)
     for w, entry in entries:
-        mark_id = str(entry["mark_id"])
+        mark_id = _text(entry, w, "mark_id")
         if mark_id in observation:
             raise SchemaError(f"{w}.mark_id: duplicate mark id {mark_id!r}")
+        if mark_id not in plate.marks:
+            raise SchemaError(f"{w}.mark_id: mark {mark_id!r} is not on the plate")
         observation[mark_id] = ImagePoint(_number(entry, w, "row"), _number(entry, w, "col"))
     points = list(observation.values())
     rowcol = np.reshape([(p.row, p.col) for p in points], (-1, 2))

@@ -7,6 +7,7 @@ built from the one-point library primitives."""
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 
@@ -19,54 +20,33 @@ from floorref.simulate import STREAM_EXPERIMENT, camera_ground_offset, rng_subst
 
 
 def brute_force_enclosing_circle(points: np.ndarray) -> tuple[np.ndarray, float]:
-    """Smallest enclosing circle by O(n^4) enumeration of all pair-diameter and
-    triple-circumscribed candidate circles."""
+    """Smallest enclosing circle by enumeration of all pair-diameter and
+    triple-circumscribed candidate circles, each checked against every point
+    (O(n^4) work, as arrays); a triple with |d| < 1e-14 has no circumcircle."""
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n = pts.shape[0]
     if n == 1:
         return pts[0].copy(), 0.0
 
-    centers = []
-    radii = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = (pts[i] + pts[j]) / 2.0
-            centers.append(c)
-            radii.append(max(np.linalg.norm(pts[i] - c), np.linalg.norm(pts[j] - c)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                c = _circumcenter(pts[i], pts[j], pts[k])
-                if c is None:
-                    continue
-                centers.append(c)
-                radii.append(
-                    max(
-                        np.linalg.norm(pts[i] - c),
-                        np.linalg.norm(pts[j] - c),
-                        np.linalg.norm(pts[k] - c),
-                    )
-                )
-    centers_arr = np.array(centers)
-    radii_arr = np.array(radii)
+    pairs = np.array(list(combinations(range(n), 2))).reshape(-1, 2)
+    triples = np.array(list(combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3)
+    a, b, c = pts[triples[:, 0]], pts[triples[:, 1]], pts[triples[:, 2]]
+    d = 2.0 * (a[:, 0] * (b[:, 1] - c[:, 1]) + b[:, 0] * (c[:, 1] - a[:, 1]) + c[:, 0] * (a[:, 1] - b[:, 1]))
+    keep = np.abs(d) >= 1e-14
+    triples, a, b, c, d = triples[keep], a[keep], b[keep], c[keep], d[keep]
+    aa, bb, cc = (np.sum(v * v, axis=1) for v in (a, b, c))
+    ux = (aa * (b[:, 1] - c[:, 1]) + bb * (c[:, 1] - a[:, 1]) + cc * (a[:, 1] - b[:, 1])) / d
+    uy = (aa * (c[:, 0] - b[:, 0]) + bb * (a[:, 0] - c[:, 0]) + cc * (b[:, 0] - a[:, 0])) / d
+
+    centers_arr = np.concatenate([(pts[pairs[:, 0]] + pts[pairs[:, 1]]) / 2.0, np.stack([ux, uy], axis=1)])
+    # the defining points of each candidate; a pair repeats its second point
+    members = np.concatenate([pairs[:, [0, 1, 1]], triples])
     dists = np.linalg.norm(pts[None, :, :] - centers_arr[:, None, :], axis=2)
+    radii_arr = np.max(np.take_along_axis(dists, members, axis=1), axis=1)
     contains = np.all(dists <= radii_arr[:, None] * (1.0 + 1e-12) + 1e-12, axis=1)
     valid = np.flatnonzero(contains)
     best = valid[np.argmin(radii_arr[valid])]
     return centers_arr[best].copy(), float(radii_arr[best])
-
-
-def _circumcenter(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray | None:
-    d = 2.0 * (a[0] * (b[1] - c[1]) + b[0] * (c[1] - a[1]) + c[0] * (a[1] - b[1]))
-    if abs(d) < 1e-14:
-        return None
-    ux = (
-        (a @ a) * (b[1] - c[1]) + (b @ b) * (c[1] - a[1]) + (c @ c) * (a[1] - b[1])
-    ) / d
-    uy = (
-        (a @ a) * (c[0] - b[0]) + (b @ b) * (a[0] - c[0]) + (c @ c) * (b[0] - a[0])
-    ) / d
-    return np.array([ux, uy])
 
 
 def planar_alignment_oracle(

@@ -132,12 +132,21 @@ class TestCalibrate:
         assert run("calibrate", bad, "--out", tmp_path / "r.json") == 2
         assert "error: session.image_observation[4]:" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_observed_mark_not_on_plate_exit_2(self, tmp_path, quiet_world, capsys):
+        session = tmp_path / "session.json"
+        run("simulate", quiet_world, "--out", session)
+        doc = read_json(session)
+        doc["image_observation"][4]["mark_id"] = "Z9"
+        bad = tmp_path / "bad.json"
+        write_json(doc, bad)
+        assert run("calibrate", bad, "--out", tmp_path / "r.json") == 2
+        assert "error: session.image_observation[4].mark_id:" in capsys.readouterr().err
+
     def test_solver_failure_exit_4_naming_stage(self, tmp_path, quiet_world, capsys):
         session = tmp_path / "session.json"
         run("simulate", quiet_world, "--out", session)
         doc = read_json(session)
-        doc["camera"]["focal_mm"] = 1e308  # overflows the plate-pose fit's SVD
+        doc["camera"]["focal_mm"] = 1e308  # overflows the plate-pose fit's projection
         bad = tmp_path / "bad.json"
         write_json(doc, bad)
         assert run("calibrate", bad, "--out", tmp_path / "r.json") == 4

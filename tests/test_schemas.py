@@ -308,6 +308,7 @@ MALFORMED = [
     ("session", _repeat_plate_mark, "plate.marks[25].id"),
     ("session", _unknown_truth_key, "session.ground_truth"),
     ("session", _set(["image_observation", 2, "row"], 20000.0), "session.image_observation[2]"),
+    ("session", _set(["image_observation", 3, "mark_id"], "Z9"), "session.image_observation[3].mark_id"),
 ]
 
 
@@ -320,6 +321,23 @@ def test_malformed_field_names_its_path(quick_start_docs, kind, mutate, field):
     mutate(doc)
     with pytest.raises(SchemaError) as info:
         _decode(kind, doc, quick_start_docs)
+    assert str(info.value).startswith(f"{field}:")
+
+
+ID_FIELDS = [
+    (["plate", "marks", 1, "id"], "plate.marks[1].id"),
+    (["tracker_measurements", 2, "id"], "session.tracker_measurements[2].id"),
+    (["image_observation", 3, "mark_id"], "session.image_observation[3].mark_id"),
+]
+
+
+@pytest.mark.parametrize("junk", [True, 0, ["r"]], ids=["true", "zero", "list"])
+@pytest.mark.parametrize("path, field", ID_FIELDS, ids=[field for _, field in ID_FIELDS])
+def test_non_string_id_names_its_path(quick_start_docs, path, field, junk):
+    doc = copy.deepcopy(quick_start_docs["session"])
+    _set(path, junk)(doc)
+    with pytest.raises(SchemaError, match=r"expected a string") as info:
+        session_from_dict(doc)
     assert str(info.value).startswith(f"{field}:")
 
 
