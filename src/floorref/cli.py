@@ -47,9 +47,8 @@ from .schemas import (
 )
 from .simulate import (
     default_placements,
-    ground_truth_poses,
     inject_wooden_plate,
-    simulate_referencing_session,
+    simulate_session_with_truth,
 )
 
 log = logging.getLogger(__name__)
@@ -76,10 +75,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         placement0, placement1 = default_placements(world, reverse=args.reverse)
     else:
         placement0, placement1 = placements
-    session = simulate_referencing_session(world, noise, placement0, placement1)
+    session, truth = simulate_session_with_truth(world, noise, placement0, placement1)
     doc = session_to_dict(
         session,
-        ground_truth=ground_truth_poses(world, placement0, placement1),
+        ground_truth=truth,
         prov=provenance({"world": args.world}, world.seed),
     )
     write_json(doc, args.out)

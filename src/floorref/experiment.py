@@ -44,6 +44,7 @@ DIRECTION_YAW_DEG = {
     "upright": -45.0,
 }
 DIRECTION_TOLERANCE_DEG = 10.0
+_DIRECTION_INDEX = {d: i for i, d in enumerate(DIRECTIONS)}
 
 
 def _wrap_deg(a: float) -> float:
@@ -165,7 +166,10 @@ def run_experiment(
 
     All repeats x directions go through one batched pass. The random numbers
     are drawn first, in per-measurement order from each repeat's substream
-    (yaw jitter, offset angle and radius, image noise, tracker noise). The
+    (yaw jitter, offset angle and radius, image noise, tracker noise) in three
+    calls: one standard normal, two uniforms and five standard normals. They
+    are scaled as ``Generator.uniform`` (low + (high - low) u) and
+    ``Generator.normal`` (loc + scale z) scale their draws. The
     geometry then runs on arrays: the placements, the floor support poses
     (``simulate.mark_views``), one projection, one rectification of the noisy
     image points and one robot-to-tracker transform. If measurements fail, the
@@ -189,21 +193,24 @@ def run_experiment(
     )
     yaws = plan.yaw_deg_list
     count = plan.repeats * len(yaws)
-    yaw_deg = np.empty(count)
-    offset = np.empty((count, 2))
-    image_noise = np.empty((count, 2))
-    tracker_noise = np.empty((count, 3))
+    jitter = np.empty(count)
+    uniform = np.empty((count, 2))
+    normal = np.empty((count, 5))
     k = 0
     for trial in range(plan.repeats):
         rng = rng_substream(base_seed, STREAM_EXPERIMENT, trial)
-        for yaw in yaws:
-            yaw_deg[k] = yaw + plan.yaw_jitter_deg * float(rng.standard_normal())
-            theta = rng.uniform(0.0, 2.0 * math.pi)
-            radius = plan.max_offset_mm * math.sqrt(rng.uniform())
-            offset[k] = radius * math.cos(theta), radius * math.sin(theta)
-            image_noise[k] = rng.normal(0.0, noise.image_sigma_px, size=2)
-            tracker_noise[k] = rng.normal(0.0, noise.tracker_sigma_mm, size=3)
+        for _ in yaws:
+            jitter[k] = rng.standard_normal()
+            uniform[k] = rng.random(2)
+            normal[k] = rng.standard_normal(5)
             k += 1
+    yaw_deg = np.tile(yaws, plan.repeats) + plan.yaw_jitter_deg * jitter
+    theta = 2.0 * math.pi * uniform[:, 0]
+    radius = plan.max_offset_mm * np.sqrt(uniform[:, 1])
+    # columns (cos, sin) of the offset angle, from math as in the one-angle form
+    offset = radius[:, None] * rotations_about_z(theta)[:, :2, 0]
+    image_noise = 0.0 + noise.image_sigma_px * normal[:, :2]
+    tracker_noise = 0.0 + noise.tracker_sigma_mm * normal[:, 2:]
 
     yaw_rad = np.radians(yaw_deg)
     xy = experiment_placements(world, mark_abs, yaw_rad, offset)
@@ -405,7 +412,7 @@ def _yaw_range(yaws_deg: Array) -> tuple[float, float]:
             float(np.mean(np.cos(np.radians(yaws_deg)))),
         )
     )
-    rel = np.array([_wrap_deg(y - mean) for y in yaws_deg])
+    rel = (yaws_deg - mean + 180.0) % 360.0 - 180.0  # _wrap_deg of each
     return float(mean + rel.min()), float(mean + rel.max())
 
 
@@ -442,19 +449,22 @@ def cluster_metrics(measurements: Sequence[MarkMeasurement]) -> ClusterReport:
     """
     if not measurements:
         raise EmptyCluster("cluster_metrics: no measurements")
-    order = [d for d in DIRECTIONS if any(m.direction == d for m in measurements)]
+    all_xy = np.array([m.position[:2] for m in measurements])
+    all_yaws = np.array([m.yaw_deg for m in measurements])
+    # members of each direction in input order, directions in canonical order
+    index = np.array([_DIRECTION_INDEX[m.direction] for m in measurements])
+    grouped = np.argsort(index, kind="stable")
+    bounds = np.searchsorted(index[grouped], np.arange(len(DIRECTIONS) + 1))
     stats = []
     means = []
-    for direction in order:
-        members = [m for m in measurements if m.direction == direction]
-        xy = np.array([m.position[:2] for m in members])
-        yaws = np.array([m.yaw_deg for m in members])
-        s = _stats(direction, xy, yaws)
+    for d, direction in enumerate(DIRECTIONS):
+        members = grouped[bounds[d] : bounds[d + 1]]
+        if members.size == 0:
+            continue
+        s = _stats(direction, all_xy[members], all_yaws[members])
         stats.append(s)
         means.append([s.mean_x_mm, s.mean_y_mm])
 
-    all_xy = np.array([m.position[:2] for m in measurements])
-    all_yaws = np.array([m.yaw_deg for m in measurements])
     overall = _stats("all", all_xy, all_yaws)
 
     means_arr = np.array(means)

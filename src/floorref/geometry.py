@@ -6,6 +6,17 @@ A transform with tags ``(source="a", dest="b")`` maps a-frame coordinates into
 b-frame coordinates. Points are millimeter 3-vectors; homogeneous points are
 4-vectors whose last component is exactly 1. All values are immutable: the
 wrapped arrays are marked read-only and every operation returns a new value.
+
+Validation
+----------
+A ``RigidTransform`` is checked where a rotation enters the library: the
+public constructor (and so ``from_matrix``, ``identity``, ``retagged`` and
+the schema decoders) requires finite entries, |R^T R - I|_F and |det R - 1|
+within 1e-9, and a finite 3-vector translation. ``compose`` and ``invert``
+build their results without these checks: a product of two such rotations is
+re-orthonormalised once its drift passes 1e-12, and a transpose of a rotation
+is a rotation, so the invariant holds without re-checking every internal
+product.
 """
 
 from __future__ import annotations
@@ -248,6 +259,19 @@ class RigidTransform:
     def __matmul__(self, other: RigidTransform) -> RigidTransform:
         return compose(self, other)
 
+    @classmethod
+    def _unchecked(cls, r: Array, t: Array, source: str, dest: str) -> RigidTransform:
+        # For rotations that hold the invariant by construction (products and
+        # transposes of checked ones): freezes the arrays in place, no checks, no copies.
+        r.setflags(write=False)
+        t.setflags(write=False)
+        h = object.__new__(cls)
+        object.__setattr__(h, "rotation", r)
+        object.__setattr__(h, "translation", t)
+        object.__setattr__(h, "source", source)
+        object.__setattr__(h, "dest", dest)
+        return h
+
     def __repr__(self) -> str:
         t = self.translation
         return (
@@ -274,7 +298,7 @@ def compose(h_bc: RigidTransform, h_ab: RigidTransform) -> RigidTransform:
     if np.linalg.norm(r.T @ r - np.eye(3)) > _RENORM_TRIGGER:
         r = nearest_rotation(r)
     t = h_bc.rotation @ h_ab.translation + h_bc.translation
-    return RigidTransform(r, t, source=h_ab.source, dest=h_bc.dest)
+    return RigidTransform._unchecked(r, t, h_ab.source, h_bc.dest)
 
 
 def row_dots(a: Array, b: Array) -> Array:
@@ -305,7 +329,7 @@ def compose_rotations(r_bc: Array, r_ab: Array) -> Array:
 def invert(h: RigidTransform) -> RigidTransform:
     """Analytic SE(3) inverse (R^T, -R^T t) with swapped frame tags."""
     rt = h.rotation.T
-    return RigidTransform(rt, -(rt @ h.translation), source=h.dest, dest=h.source)
+    return RigidTransform._unchecked(rt, -(rt @ h.translation), h.dest, h.source)
 
 
 def transform_gap(a: RigidTransform, b: RigidTransform) -> tuple[float, float]:

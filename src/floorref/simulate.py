@@ -12,6 +12,7 @@ of this simulator, not measured properties of any physical system.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
@@ -173,7 +174,7 @@ class SimWorld:
         if self.deformation_amplitude_mm < 0.0:
             raise ValueError("deformation amplitude must be non-negative")
 
-    @property
+    @functools.cached_property
     def h_abs_ref(self) -> RigidTransform:
         """True plate pose: plate lying flat on the floor, surface z up."""
         r = rotation_about_z(self.plate_yaw_rad) @ rotation_about_x(math.pi)
@@ -219,20 +220,10 @@ class SimWorld:
 
     # --- true geometry ------------------------------------------------------
 
-    def mark_z_offsets(self) -> dict[str, float]:
-        """Per-mark surface deviation of the (possibly deformed) plate, mm."""
-        out = {}
-        for mark_id, p in self.plate.marks.items():
-            out[mark_id] = float(np.asarray(self.surface_rise_pcs(p[0], p[1])))
-        return out
-
     def true_mark_points_ref(self) -> tuple[list[str], Array]:
         """Physical mark positions in plate coordinates (z into the plate)."""
         ids, pts = self.plate.mark_array()
-        pts = pts.copy()
-        rises = self.mark_z_offsets()
-        for i, mark_id in enumerate(ids):
-            pts[i, 2] = -rises[mark_id]
+        pts[:, 2] = -np.asarray(self.surface_rise_pcs(pts[:, 0], pts[:, 1]))
         return ids, pts
 
     def true_smr_points_ref(self, nest_offset_error_mm: float = 0.0) -> Array:
@@ -354,6 +345,15 @@ def support_poses(world: SimWorld, xy: Array, yaw_rad: Array, surface: str) -> S
     return SupportPoses(rotation, translation, tuple(error))
 
 
+def _support_pose(poses: SupportPoses, i: int) -> RigidTransform:
+    # row i of a support_poses result as a robot pose, or its error raised
+    if poses.error[i] is not None:
+        raise poses.error[i]
+    return RigidTransform(
+        poses.rotation[i], poses.translation[i], source=frames.ROB, dest=frames.ABS
+    )
+
+
 def pose_on_surface(world: SimWorld, placement: RobotPlacement, surface: str) -> RigidTransform:
     """True robot pose with all three wheels on the named surface
     ("plate" or "floor"): the one-row case of ``support_poses``.
@@ -365,11 +365,26 @@ def pose_on_surface(world: SimWorld, placement: RobotPlacement, surface: str) ->
     poses = support_poses(
         world, np.array([[placement.x_mm, placement.y_mm]]), [placement.yaw_rad], surface
     )
-    if poses.error[0] is not None:
-        raise poses.error[0]
-    return RigidTransform(
-        poses.rotation[0], poses.translation[0], source=frames.ROB, dest=frames.ABS
+    return _support_pose(poses, 0)
+
+
+def session_robot_poses(
+    world: SimWorld, placement0: RobotPlacement, placement1: RobotPlacement
+) -> tuple[RigidTransform, RigidTransform]:
+    """True robot poses at a session's two placements on the plate, from one
+    two-row ``support_poses`` call; each equals ``pose_on_surface``.
+
+    Raises:
+        DegenerateConfiguration: for the first placement, in order, without a
+            settled pose.
+    """
+    poses = support_poses(
+        world,
+        np.array([[placement0.x_mm, placement0.y_mm], [placement1.x_mm, placement1.y_mm]]),
+        [placement0.yaw_rad, placement1.yaw_rad],
+        "plate",
     )
+    return _support_pose(poses, 0), _support_pose(poses, 1)
 
 
 def camera_ground_offset(world: SimWorld) -> Array:
@@ -408,7 +423,26 @@ def simulate_referencing_session(
 
     Raises:
         DegenerateMotion: coincident placements.
+        DegenerateConfiguration: a placement without a settled support pose.
         TargetNotVisible: fewer than 4 target marks in the camera view.
+    """
+    return simulate_session_with_truth(world, noise, placement0, placement1, trial=trial)[0]
+
+
+def simulate_session_with_truth(
+    world: SimWorld,
+    noise: NoiseConfig,
+    placement0: RobotPlacement,
+    placement1: RobotPlacement,
+    *,
+    trial: int = 0,
+) -> tuple[ReferencingSession, dict[str, RigidTransform]]:
+    """``simulate_referencing_session`` together with its
+    ``ground_truth_poses``, solving each robot pose once.
+
+    Raises:
+        DegenerateMotion, DegenerateConfiguration, TargetNotVisible: as
+            ``simulate_referencing_session``.
     """
     dx = placement1.x_mm - placement0.x_mm
     dy = placement1.y_mm - placement0.y_mm
@@ -428,10 +462,8 @@ def simulate_referencing_session(
                 nest_id, smr_abs[i] + _tracker_noise(rng, noise.tracker_sigma_mm)
             )
         )
-    poses = []
-    for index, placement in enumerate((placement0, placement1)):
-        h_abs_rob = pose_on_surface(world, placement, "plate")
-        poses.append(h_abs_rob)
+    poses = session_robot_poses(world, placement0, placement1)
+    for index, h_abs_rob in enumerate(poses):
         tracker.append(
             TrackerMeasurement(
                 ROBOT_SMR_ID,
@@ -465,12 +497,13 @@ def simulate_referencing_session(
             f"target marks visible at placement 0"
         )
 
-    return ReferencingSession(
+    session = ReferencingSession(
         camera=world.camera,
         plate=world.plate,
         image_observation=tuple(observation),
         tracker=tuple(tracker),
     )
+    return session, _ground_truth(world, poses)
 
 
 class MarkViews(NamedTuple):
@@ -667,11 +700,17 @@ def ground_truth_poses(
     world: SimWorld, placement0: RobotPlacement, placement1: RobotPlacement
 ) -> dict[str, RigidTransform]:
     """True transforms for a session, for embedding as file provenance."""
+    return _ground_truth(world, session_robot_poses(world, placement0, placement1))
+
+
+def _ground_truth(
+    world: SimWorld, poses: tuple[RigidTransform, RigidTransform]
+) -> dict[str, RigidTransform]:
     return {
         "rob_H_cam": world.h_rob_cam_true,
         "abs_H_ref": world.h_abs_ref,
-        "abs_H_rob_0": pose_on_surface(world, placement0, "plate"),
-        "abs_H_rob_1": pose_on_surface(world, placement1, "plate"),
+        "abs_H_rob_0": poses[0],
+        "abs_H_rob_1": poses[1],
     }
 
 

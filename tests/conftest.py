@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import math
 
 import numpy as np
@@ -14,6 +15,28 @@ from floorref.simulate import (
     demo_world,
     simulate_referencing_session,
 )
+
+
+@pytest.fixture
+def call_counts(monkeypatch):
+    """Count calls through module attributes: ``counts = call_counts((module,
+    "name"), ...)`` wraps each attribute through monkeypatch and returns a
+    Counter, keyed by name, that the wrappers update. Only calls that look the
+    name up on that module are counted, as the package's own calls do."""
+    counts: collections.Counter[str] = collections.Counter()
+
+    def install(*targets):
+        for module, name in targets:
+            fn = getattr(module, name)
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        return counts
+
+    return install
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from floorref import frames
+from floorref import camera, frames
 from floorref.camera import (
     CameraModel,
     ImagePoint,
@@ -121,6 +121,23 @@ class TestProjection:
         with pytest.raises(ValueError):
             model(k=(-0.9, 0.0, 0.0))
 
+    def test_non_invertible_camera_raises_on_every_construction(self):
+        # the grid check is cached per parameter set, but a failure is not
+        for k in ((-0.9, 0.0, 0.0), (-0.9, 0.0, 0.0), (0.0, -5.0, 0.0), (-0.9, 0.0, 0.0)):
+            with pytest.raises(ValueError, match="distortion not invertible"):
+                model(k=k)
+
+    def test_grid_check_runs_once_per_parameter_set(self, call_counts):
+        camera._check_invertible.cache_clear()
+        counts = call_counts((camera, "undistort_radial"))
+        k = (-0.0311, 0.0007, 0.0)
+        first = model(k=k)
+        assert counts["undistort_radial"] == 1
+        assert model(k=k) == first
+        assert counts["undistort_radial"] == 1
+        model(k=(-0.0312, 0.0007, 0.0))
+        assert counts["undistort_radial"] == 2
+
     def test_invalid_intrinsics_rejected(self):
         with pytest.raises(ValueError):
             CameraModel(-1.0, 0.00345, 0.00345, 10, 10, (0, 0, 0), 100, 100)
@@ -185,6 +202,38 @@ class TestRectification:
                 [[0.0, 0.0], [0.0, m.cols - 1.0], [m.rows - 1.0, 0.0], [m.rows - 1.0, m.cols - 1.0]]
             )
             assert np.min(scene.map_image_points(corners)) >= -1e-9
+
+    def test_corner_check_agrees_with_map_image_points(self, monkeypatch):
+        # build_rectification_map checks the corners on the plane hits of its
+        # six probe rays (the last four are the corners) instead of mapping them anew
+        hits = []
+        plane_hits = camera._plane_hits
+
+        def recorded(h, dirs):
+            hits.append(plane_hits(h, dirs))
+            return hits[-1]
+
+        monkeypatch.setattr(camera, "_plane_hits", recorded)
+        rng = np.random.default_rng(12)
+        for k1 in (-0.08, -0.03, 0.0, 0.05):
+            m = model(k=(k1, 0.0005, 0.0))
+            corners = np.array(
+                [[0.0, 0.0], [0.0, m.cols - 1.0], [m.rows - 1.0, 0.0], [m.rows - 1.0, m.cols - 1.0]]
+            )
+            for _ in range(10):
+                tilt = rotation_about_axis(
+                    np.append(rng.normal(size=2), 0.0), rng.uniform(-0.3, 0.3)
+                )
+                h_ref_cam = RigidTransform(
+                    rotation_about_z(rng.uniform(-math.pi, math.pi)) @ tilt,
+                    np.array([rng.uniform(-50, 50), rng.uniform(-50, 50), -rng.uniform(100, 300)]),
+                    source=frames.CAM, dest=frames.REF,
+                )
+                hits.clear()
+                scene = build_rectification_map(m, invert(h_ref_cam))
+                assert len(hits) == 1 and hits[0].shape == (6, 3)
+                checked = apply(scene.h_scn_ref, hits[0][2:])[:, :2]
+                assert np.max(np.abs(checked - scene.map_image_points(corners))) < 1e-9
 
     def test_principal_point_maps_to_axis_plane_hit(self):
         m = model()

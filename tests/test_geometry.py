@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_transform, point_clouds, rigid_transforms
 from floorref.errors import DegenerateConfiguration, FrameMismatch, LengthMismatch
@@ -26,6 +27,7 @@ from floorref.geometry import (
     rotation_to_quaternion,
     to_homogeneous,
     transform_gap,
+    validate_rotation,
 )
 
 RZ90 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
@@ -291,6 +293,60 @@ class TestRotationHelpers:
         h = make_transform([0, 0, 1], 0.5, [1, 2, 3])
         with pytest.raises(ValueError):
             h.rotation[0, 0] = 2.0
+
+
+class TestWhereTransformsAreChecked:
+    """compose and invert skip the constructor's checks; their results still
+    hold the invariant, and the public entry points still check."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        rigid_transforms("a", "b"),
+        st.lists(st.tuples(rigid_transforms("a", "a"), st.booleans()), min_size=1, max_size=40),
+    )
+    def test_compose_invert_chains_keep_the_invariant(self, h, steps):
+        tags = ("a", "b")
+        for step, flip in steps:
+            h = compose(h, step) if h.source == "a" else compose(step, h)
+            if flip:
+                h = invert(h)
+                tags = tags[::-1]
+            validate_rotation(h.rotation)
+            assert np.all(np.isfinite(h.translation)) and h.translation.shape == (3,)
+            assert not h.rotation.flags.writeable and not h.translation.flags.writeable
+            assert (h.source, h.dest) == tags
+
+    def test_long_chain_results_are_read_only(self):
+        step = make_transform([0.3, -0.2, 0.93], 1e-3, [0.1, 0.0, -0.1], "a", "a")
+        h = RigidTransform.identity("a")
+        for _ in range(5000):
+            h = invert(compose(step, h))
+        validate_rotation(h.rotation)
+        for a in (h.rotation, h.translation):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+    @pytest.mark.parametrize(
+        "rotation, translation",
+        [
+            (np.eye(3) * 1.01, np.zeros(3)),
+            (np.eye(3) + 1e-6 * RZ90, np.zeros(3)),
+            (np.diag([1.0, 1.0, -1.0]), np.zeros(3)),
+            (-np.eye(3), np.zeros(3)),
+            (np.where(np.eye(3) == 1.0, np.nan, 0.0), np.zeros(3)),
+            (np.eye(3), np.array([0.0, np.inf, 0.0])),
+            (np.eye(3), np.array([np.nan, 0.0, 0.0])),
+        ],
+        ids=["scaled", "skewed", "reflection", "point_reflection", "nan_rotation", "inf_translation", "nan_translation"],
+    )
+    def test_entry_points_reject_bad_input(self, rotation, translation):
+        with pytest.raises(ValueError):
+            RigidTransform(rotation, translation, source="a", dest="b")
+        m = np.eye(4)
+        m[:3, :3] = rotation
+        m[:3, 3] = translation
+        with pytest.raises(ValueError):
+            RigidTransform.from_matrix(m, source="a", dest="b")
 
 
 class TestRowStacks:

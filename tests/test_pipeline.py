@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from floorref import frames
+from floorref import camera, frames, geometry, simulate
 from floorref.errors import (
     DegenerateConfiguration,
     DegenerateMotion,
@@ -33,7 +33,9 @@ from floorref.simulate import (
     GLASS_NOISE,
     NO_NOISE,
     default_placements,
+    demo_camera,
     demo_world,
+    inject_wooden_plate,
     random_world,
     simulate_referencing_session,
 )
@@ -339,3 +341,30 @@ class TestReversal:
         merged = reversal_average(noiseless_result, shifted)
         rebuilt = compose(merged.h_rob_cam, invert(merged.scene.h_scn_cam))
         assert np.array_equal(rebuilt.matrix, merged.h_rob_scn.matrix)
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_calibrate_op_call_counts(seed, call_counts):
+    # One reversal calibration, as the benchmark's calibrate op: each session
+    # solves its two robot poses in one support_poses call, each run
+    # undistorts twice (image fit and rectification probe), the demo camera's
+    # grid check is cached, and compose/invert do not re-validate rotations.
+    demo_camera()  # the grid check of this parameter set is cached from here on
+    counts = call_counts(
+        (simulate, "support_poses"),
+        (camera, "undistort_radial"),
+        (geometry, "validate_rotation"),
+    )
+    world = inject_wooden_plate(random_world(seed), 0.25)
+    runs = [
+        compute_rob_h_cam(
+            simulate_referencing_session(
+                world, GLASS_NOISE, *default_placements(world, reverse=trial == 2), trial=trial
+            )
+        )
+        for trial in (1, 2)
+    ]
+    reversal_average(*runs)
+    assert counts["support_poses"] == 2
+    assert counts["undistort_radial"] == 4
+    assert counts["validate_rotation"] <= 20

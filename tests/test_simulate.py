@@ -24,10 +24,14 @@ from floorref.simulate import (
     default_placements,
     demo_world,
     experiment_placement,
+    ground_truth_poses,
     inject_wooden_plate,
     pose_on_surface,
+    random_world,
+    session_robot_poses,
     simulate_mark_observation,
     simulate_referencing_session,
+    simulate_session_with_truth,
     support_poses,
 )
 
@@ -164,6 +168,46 @@ class TestSupportPose:
                 if not unsettled[i]:
                     assert np.array_equal(capped.rotation[i], poses.rotation[i])
                     assert np.array_equal(capped.translation[i], poses.translation[i])
+
+    @pytest.mark.parametrize("amplitude_mm", [0.0, 1.5], ids=["flat", "bowed"])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["ahead", "reversed"])
+    def test_session_poses_equal_one_row_poses(self, amplitude_mm, reverse):
+        world = inject_wooden_plate(random_world(11), amplitude_mm)
+        p0, p1 = default_placements(world, reverse=reverse)
+        poses = session_robot_poses(world, p0, p1)
+        truth = ground_truth_poses(world, p0, p1)
+        session, session_truth = simulate_session_with_truth(world, NO_NOISE, p0, p1)
+        assert set(session_truth) == set(truth)
+        for i, placement in enumerate((p0, p1)):
+            one = pose_on_surface(world, placement, "plate")
+            for h in (poses[i], truth[f"abs_H_rob_{i}"], session_truth[f"abs_H_rob_{i}"]):
+                assert np.array_equal(h.rotation, one.rotation)
+                assert np.array_equal(h.translation, one.translation)
+                assert (h.source, h.dest) == ("rob", "abs")
+            # no tracker noise: the session's robot smr is the pose translation
+            assert np.array_equal(session.robot_position(i), one.translation)
+        assert session_to_dict(session) == session_to_dict(
+            simulate_referencing_session(world, NO_NOISE, p0, p1)
+        )
+
+    def test_session_raises_for_the_first_unsettled_placement(self, world, monkeypatch):
+        p0, p1 = default_placements(world)
+        bad = RobotPlacement(float("nan"), 0.0, 0.0)
+        real = simulate.support_poses
+
+        def tagged(*args, **kwargs):
+            # label each row's error with its row, to tell which one is raised
+            out = real(*args, **kwargs)
+            labelled = tuple(
+                None if e is None else DegenerateConfiguration(f"row {i}: {e}")
+                for i, e in enumerate(out.error)
+            )
+            return out._replace(error=labelled)
+
+        monkeypatch.setattr(simulate, "support_poses", tagged)
+        for pair, row in (((bad, p1), 0), ((p0, bad), 1), ((bad, bad), 0)):
+            with pytest.raises(DegenerateConfiguration, match=f"^row {row}: "):
+                simulate_referencing_session(world, NO_NOISE, *pair)
 
     def test_failed_row_leaves_other_rows_alone(self, world):
         xy = np.array([[210.0, -270.0], [np.nan, 0.0], [400.0, -100.0]])
