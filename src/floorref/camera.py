@@ -11,7 +11,6 @@ from the plate toward the camera.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -128,7 +127,25 @@ class CameraModel:
         if len(self.k) != 3:
             raise ValueError("distortion needs exactly three coefficients")
         object.__setattr__(self, "k", tuple(float(v) for v in self.k))
-        _check_invertible(self)
+        self._check_invertible()
+
+    def _check_invertible(self) -> None:
+        # Construction invariant: undistortion must round-trip the forward
+        # distortion within 1e-6 px over the full sensor (checked on a grid).
+        rr = np.linspace(0.0, self.rows - 1.0, 11)
+        cc = np.linspace(0.0, self.cols - 1.0, 11)
+        grid = np.stack(np.meshgrid(rr, cc, indexing="ij"), axis=-1).reshape(-1, 2)
+        xy_d = self._pixel_to_distorted(grid[:, 0], grid[:, 1])
+        try:
+            xy_u = undistort_radial(xy_d, *self.k)
+        except NonConvergence as e:
+            raise ValueError(f"distortion not invertible over the sensor ({e})") from None
+        back = self.normalized_to_pixel_array(xy_u)
+        err = np.max(np.abs(back - grid))
+        if err > 1e-6:
+            raise ValueError(
+                f"distortion not invertible over the sensor (round-trip error {err:.3e} px)"
+            )
 
     def _pixel_to_distorted(self, row: Array, col: Array) -> Array:
         xd = (np.asarray(col, dtype=np.float64) - self.cx_px) * self.sx_mm / self.focal_mm
@@ -165,29 +182,6 @@ class CameraModel:
         sensor, 0 <= row <= rows - 1 and 0 <= col <= cols - 1; NaN is outside."""
         row, col = np.asarray(rowcol, dtype=np.float64).T
         return (0.0 <= row) & (row <= self.rows - 1) & (0.0 <= col) & (col <= self.cols - 1)
-
-
-@functools.lru_cache(maxsize=32)
-def _check_invertible(model: CameraModel) -> None:
-    """Construction invariant of ``CameraModel``: undistortion round-trips the
-    forward distortion within 1e-6 px over the full sensor (checked on an 11 x 11
-    grid). Cached per distinct parameter set; a failing check raises and is not
-    cached, so it raises again on every construction.
-    """
-    rr = np.linspace(0.0, model.rows - 1.0, 11)
-    cc = np.linspace(0.0, model.cols - 1.0, 11)
-    grid = np.stack(np.meshgrid(rr, cc, indexing="ij"), axis=-1).reshape(-1, 2)
-    xy_d = model._pixel_to_distorted(grid[:, 0], grid[:, 1])
-    try:
-        xy_u = undistort_radial(xy_d, *model.k)
-    except NonConvergence as e:
-        raise ValueError(f"distortion not invertible over the sensor ({e})") from None
-    back = model.normalized_to_pixel_array(xy_u)
-    err = np.max(np.abs(back - grid))
-    if err > 1e-6:
-        raise ValueError(
-            f"distortion not invertible over the sensor (round-trip error {err:.3e} px)"
-        )
 
 
 def project_points(

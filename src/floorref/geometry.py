@@ -13,10 +13,11 @@ A ``RigidTransform`` is checked where a rotation enters the library: the
 public constructor (and so ``from_matrix``, ``identity``, ``retagged`` and
 the schema decoders) requires finite entries, |R^T R - I|_F and |det R - 1|
 within 1e-9, and a finite 3-vector translation. ``compose`` and ``invert``
-build their results without these checks: a product of two such rotations is
-re-orthonormalised once its drift passes 1e-12, and a transpose of a rotation
-is a rotation, so the invariant holds without re-checking every internal
-product.
+build their results without the rotation check: a product of two such
+rotations is re-orthonormalised once its drift passes 1e-12, and a transpose
+of a rotation is a rotation, so the rotation invariant holds without
+re-checking every internal product. Their translations are still checked for
+finite entries (``ValueError``), since a product of finite values can overflow.
 """
 
 from __future__ import annotations
@@ -262,7 +263,10 @@ class RigidTransform:
     @classmethod
     def _unchecked(cls, r: Array, t: Array, source: str, dest: str) -> RigidTransform:
         # For rotations that hold the invariant by construction (products and
-        # transposes of checked ones): freezes the arrays in place, no checks, no copies.
+        # transposes of checked ones): no rotation check and no copies, the
+        # arrays are frozen in place. The translation is still checked, since
+        # finite inputs can overflow to inf in a product.
+        t = as_point3(t)
         r.setflags(write=False)
         t.setflags(write=False)
         h = object.__new__(cls)

@@ -368,25 +368,6 @@ def pose_on_surface(world: SimWorld, placement: RobotPlacement, surface: str) ->
     return _support_pose(poses, 0)
 
 
-def session_robot_poses(
-    world: SimWorld, placement0: RobotPlacement, placement1: RobotPlacement
-) -> tuple[RigidTransform, RigidTransform]:
-    """True robot poses at a session's two placements on the plate, from one
-    two-row ``support_poses`` call; each equals ``pose_on_surface``.
-
-    Raises:
-        DegenerateConfiguration: for the first placement, in order, without a
-            settled pose.
-    """
-    poses = support_poses(
-        world,
-        np.array([[placement0.x_mm, placement0.y_mm], [placement1.x_mm, placement1.y_mm]]),
-        [placement0.yaw_rad, placement1.yaw_rad],
-        "plate",
-    )
-    return _support_pose(poses, 0), _support_pose(poses, 1)
-
-
 def camera_ground_offset(world: SimWorld) -> Array:
     """Footprint center of the camera principal ray in the robot frame (xy, mm),
     for a robot standing on flat ground."""
@@ -437,8 +418,10 @@ def simulate_session_with_truth(
     *,
     trial: int = 0,
 ) -> tuple[ReferencingSession, dict[str, RigidTransform]]:
-    """``simulate_referencing_session`` together with its
-    ``ground_truth_poses``, solving each robot pose once.
+    """``simulate_referencing_session`` together with the session's true
+    transforms (``rob_H_cam``, ``abs_H_ref``, ``abs_H_rob_0``, ``abs_H_rob_1``),
+    for embedding as file provenance. Both robot poses come from one two-row
+    ``support_poses`` call; each equals ``pose_on_surface`` on the plate.
 
     Raises:
         DegenerateMotion, DegenerateConfiguration, TargetNotVisible: as
@@ -462,7 +445,13 @@ def simulate_session_with_truth(
                 nest_id, smr_abs[i] + _tracker_noise(rng, noise.tracker_sigma_mm)
             )
         )
-    poses = session_robot_poses(world, placement0, placement1)
+    both = support_poses(
+        world,
+        np.array([[placement0.x_mm, placement0.y_mm], [placement1.x_mm, placement1.y_mm]]),
+        [placement0.yaw_rad, placement1.yaw_rad],
+        "plate",
+    )
+    poses = (_support_pose(both, 0), _support_pose(both, 1))
     for index, h_abs_rob in enumerate(poses):
         tracker.append(
             TrackerMeasurement(
@@ -503,7 +492,13 @@ def simulate_session_with_truth(
         image_observation=tuple(observation),
         tracker=tuple(tracker),
     )
-    return session, _ground_truth(world, poses)
+    truth = {
+        "rob_H_cam": world.h_rob_cam_true,
+        "abs_H_ref": world.h_abs_ref,
+        "abs_H_rob_0": poses[0],
+        "abs_H_rob_1": poses[1],
+    }
+    return session, truth
 
 
 class MarkViews(NamedTuple):
@@ -694,24 +689,6 @@ def default_placements(
         RobotPlacement(float(xy0[0]), float(xy0[1]), yaw),
         RobotPlacement(float(xy1[0]), float(xy1[1]), yaw),
     )
-
-
-def ground_truth_poses(
-    world: SimWorld, placement0: RobotPlacement, placement1: RobotPlacement
-) -> dict[str, RigidTransform]:
-    """True transforms for a session, for embedding as file provenance."""
-    return _ground_truth(world, session_robot_poses(world, placement0, placement1))
-
-
-def _ground_truth(
-    world: SimWorld, poses: tuple[RigidTransform, RigidTransform]
-) -> dict[str, RigidTransform]:
-    return {
-        "rob_H_cam": world.h_rob_cam_true,
-        "abs_H_ref": world.h_abs_ref,
-        "abs_H_rob_0": poses[0],
-        "abs_H_rob_1": poses[1],
-    }
 
 
 def experiment_placements(

@@ -122,21 +122,9 @@ class TestProjection:
             model(k=(-0.9, 0.0, 0.0))
 
     def test_non_invertible_camera_raises_on_every_construction(self):
-        # the grid check is cached per parameter set, but a failure is not
         for k in ((-0.9, 0.0, 0.0), (-0.9, 0.0, 0.0), (0.0, -5.0, 0.0), (-0.9, 0.0, 0.0)):
             with pytest.raises(ValueError, match="distortion not invertible"):
                 model(k=k)
-
-    def test_grid_check_runs_once_per_parameter_set(self, call_counts):
-        camera._check_invertible.cache_clear()
-        counts = call_counts((camera, "undistort_radial"))
-        k = (-0.0311, 0.0007, 0.0)
-        first = model(k=k)
-        assert counts["undistort_radial"] == 1
-        assert model(k=k) == first
-        assert counts["undistort_radial"] == 1
-        model(k=(-0.0312, 0.0007, 0.0))
-        assert counts["undistort_radial"] == 2
 
     def test_invalid_intrinsics_rejected(self):
         with pytest.raises(ValueError):

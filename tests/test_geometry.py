@@ -348,6 +348,17 @@ class TestWhereTransformsAreChecked:
         with pytest.raises(ValueError):
             RigidTransform.from_matrix(m, source="a", dest="b")
 
+    def test_overflowed_translation_rejected(self):
+        # finite inputs whose product overflows: compose and invert raise as
+        # the constructor does instead of returning an inf translation
+        far = RigidTransform(rotation_about_z(math.pi / 4), [1.5e308, 1.5e308, 0.0], "a", "a")
+        shift = RigidTransform(np.eye(3), [1.5e308, 0.0, 0.0], "a", "a")
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="finite"):
+                invert(far)
+            with pytest.raises(ValueError, match="finite"):
+                compose(shift, shift)
+
 
 class TestRowStacks:
     """Stacked forms equal their one-row counterparts bit for bit."""

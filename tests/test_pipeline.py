@@ -33,7 +33,6 @@ from floorref.simulate import (
     GLASS_NOISE,
     NO_NOISE,
     default_placements,
-    demo_camera,
     demo_world,
     inject_wooden_plate,
     random_world,
@@ -346,10 +345,9 @@ class TestReversal:
 @pytest.mark.parametrize("seed", range(1, 6))
 def test_calibrate_op_call_counts(seed, call_counts):
     # One reversal calibration, as the benchmark's calibrate op: each session
-    # solves its two robot poses in one support_poses call, each run
-    # undistorts twice (image fit and rectification probe), the demo camera's
-    # grid check is cached, and compose/invert do not re-validate rotations.
-    demo_camera()  # the grid check of this parameter set is cached from here on
+    # solves its two robot poses in one support_poses call, the world's camera
+    # undistorts once for its grid check and each run twice (image fit and
+    # rectification probe), and compose/invert do not re-validate rotations.
     counts = call_counts(
         (simulate, "support_poses"),
         (camera, "undistort_radial"),
@@ -366,5 +364,5 @@ def test_calibrate_op_call_counts(seed, call_counts):
     ]
     reversal_average(*runs)
     assert counts["support_poses"] == 2
-    assert counts["undistort_radial"] == 4
+    assert counts["undistort_radial"] == 5
     assert counts["validate_rotation"] <= 20

@@ -24,11 +24,9 @@ from floorref.simulate import (
     default_placements,
     demo_world,
     experiment_placement,
-    ground_truth_poses,
     inject_wooden_plate,
     pose_on_surface,
     random_world,
-    session_robot_poses,
     simulate_mark_observation,
     simulate_referencing_session,
     simulate_session_with_truth,
@@ -174,16 +172,14 @@ class TestSupportPose:
     def test_session_poses_equal_one_row_poses(self, amplitude_mm, reverse):
         world = inject_wooden_plate(random_world(11), amplitude_mm)
         p0, p1 = default_placements(world, reverse=reverse)
-        poses = session_robot_poses(world, p0, p1)
-        truth = ground_truth_poses(world, p0, p1)
-        session, session_truth = simulate_session_with_truth(world, NO_NOISE, p0, p1)
-        assert set(session_truth) == set(truth)
+        session, truth = simulate_session_with_truth(world, NO_NOISE, p0, p1)
+        assert set(truth) == {"rob_H_cam", "abs_H_ref", "abs_H_rob_0", "abs_H_rob_1"}
         for i, placement in enumerate((p0, p1)):
             one = pose_on_surface(world, placement, "plate")
-            for h in (poses[i], truth[f"abs_H_rob_{i}"], session_truth[f"abs_H_rob_{i}"]):
-                assert np.array_equal(h.rotation, one.rotation)
-                assert np.array_equal(h.translation, one.translation)
-                assert (h.source, h.dest) == ("rob", "abs")
+            h = truth[f"abs_H_rob_{i}"]
+            assert np.array_equal(h.rotation, one.rotation)
+            assert np.array_equal(h.translation, one.translation)
+            assert (h.source, h.dest) == ("rob", "abs")
             # no tracker noise: the session's robot smr is the pose translation
             assert np.array_equal(session.robot_position(i), one.translation)
         assert session_to_dict(session) == session_to_dict(
@@ -325,10 +321,8 @@ def test_camera_ground_offset_is_principal_ray_hit(world):
 
 
 def test_ground_truth_poses_consistency(world):
-    from floorref.simulate import ground_truth_poses
-
     p0, p1 = default_placements(world)
-    truth = ground_truth_poses(world, p0, p1)
+    truth = simulate_session_with_truth(world, NO_NOISE, p0, p1)[1]
     h_abs_cam = compose(truth["abs_H_rob_0"], truth["rob_H_cam"])
     assert h_abs_cam.dest == "abs"
     assert np.array_equal(
