@@ -11,6 +11,7 @@ from the plate toward the camera.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -27,6 +28,7 @@ from .errors import (
 )
 from .geometry import (
     RigidTransform,
+    apply,
     as_point3,
     compose,
     invert,
@@ -118,39 +120,39 @@ class CameraModel:
     cols: int
 
     def __post_init__(self) -> None:
+        if len(self.k) != 3:
+            raise ValueError("distortion needs exactly three coefficients")
+        names = ("focal_mm", "sx_mm", "sy_mm", "cx_px", "cy_px", "k[0]", "k[1]", "k[2]")
+        values = (self.focal_mm, self.sx_mm, self.sy_mm, self.cx_px, self.cy_px, *self.k)
+        bad = [name for name, v in zip(names, values) if not math.isfinite(v)]
+        if bad:
+            raise ValueError(f"camera parameters must be finite: {', '.join(bad)}")
         if self.focal_mm <= 0.0:
             raise ValueError(f"focal length must be positive, got {self.focal_mm}")
         if self.sx_mm <= 0.0 or self.sy_mm <= 0.0:
             raise ValueError("pixel pitch must be positive")
         if self.rows < 2 or self.cols < 2:
             raise ValueError("image size must be at least 2x2 px")
-        if len(self.k) != 3:
-            raise ValueError("distortion needs exactly three coefficients")
         object.__setattr__(self, "k", tuple(float(v) for v in self.k))
         self._check_invertible()
 
     def _check_invertible(self) -> None:
         # Construction invariant: undistortion must round-trip the forward
         # distortion within 1e-6 px over the full sensor (checked on a grid).
+        # Finite but extreme parameters can overflow on the way: not invertible.
         rr = np.linspace(0.0, self.rows - 1.0, 11)
         cc = np.linspace(0.0, self.cols - 1.0, 11)
         grid = np.stack(np.meshgrid(rr, cc, indexing="ij"), axis=-1).reshape(-1, 2)
-        xy_d = self._pixel_to_distorted(grid[:, 0], grid[:, 1])
         try:
-            xy_u = undistort_radial(xy_d, *self.k)
-        except NonConvergence as e:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                back = self.normalized_to_pixel_array(self.pixel_to_normalized_array(grid))
+                err = np.max(np.abs(back - grid))
+        except (NonConvergence, FloatingPointError) as e:
             raise ValueError(f"distortion not invertible over the sensor ({e})") from None
-        back = self.normalized_to_pixel_array(xy_u)
-        err = np.max(np.abs(back - grid))
         if err > 1e-6:
             raise ValueError(
                 f"distortion not invertible over the sensor (round-trip error {err:.3e} px)"
             )
-
-    def _pixel_to_distorted(self, row: Array, col: Array) -> Array:
-        xd = (np.asarray(col, dtype=np.float64) - self.cx_px) * self.sx_mm / self.focal_mm
-        yd = (np.asarray(row, dtype=np.float64) - self.cy_px) * self.sy_mm / self.focal_mm
-        return np.stack([xd, yd], axis=-1)
 
     def normalized_to_pixel_array(self, xy: Array) -> Array:
         """Distort normalized coordinates and convert to (row, col) pairs, (n, 2)."""
@@ -159,23 +161,12 @@ class CameraModel:
         col = self.cx_px + d[:, 0] * self.focal_mm / self.sx_mm
         return np.stack([row, col], axis=-1)
 
-    def normalized_to_pixel(self, x: float, y: float) -> ImagePoint:
-        rc = self.normalized_to_pixel_array(np.array([[x, y]]))[0]
-        return ImagePoint(float(rc[0]), float(rc[1]))
-
     def pixel_to_normalized_array(self, rowcol: Array) -> Array:
         """Undistorted normalized coordinates for (row, col) pairs, (n, 2)."""
         rowcol = np.atleast_2d(np.asarray(rowcol, dtype=np.float64))
-        xy_d = self._pixel_to_distorted(rowcol[:, 0], rowcol[:, 1])
-        return undistort_radial(xy_d, *self.k)
-
-    def pixel_to_normalized(self, p: ImagePoint) -> tuple[float, float]:
-        xy = self.pixel_to_normalized_array(np.array([[p.row, p.col]]))[0]
-        return float(xy[0]), float(xy[1])
-
-    def contains(self, p: ImagePoint) -> bool:
-        """Whether an image point lies on the sensor: the one-row ``contains_points``."""
-        return bool(self.contains_points(np.array([[p.row, p.col]]))[0])
+        xd = (rowcol[:, 1] - self.cx_px) * self.sx_mm / self.focal_mm
+        yd = (rowcol[:, 0] - self.cy_px) * self.sy_mm / self.focal_mm
+        return undistort_radial(np.stack([xd, yd], axis=-1), *self.k)
 
     def contains_points(self, rowcol: Array) -> Array:
         """Per (row, col) pair of an (n, 2) array, whether it lies on the
@@ -221,15 +212,18 @@ def project(model: CameraModel, h_cam_world: RigidTransform, p: Sequence[float] 
 
 def back_project(model: CameraModel, p: ImagePoint) -> Array:
     """Unit ray direction in the camera frame through a pixel."""
-    x, y = model.pixel_to_normalized(p)
+    x, y = model.pixel_to_normalized_array([[p.row, p.col]])[0]
     d = np.array([x, y, 1.0])
     return d / np.linalg.norm(d)
 
 
-def _plane_hits(h_ref_cam: RigidTransform, dirs_cam: Array) -> Array:
-    """Intersect camera rays with the plate plane z=0, in plate coordinates."""
+def _plane_hits(model: CameraModel, h_ref_cam: RigidTransform, rowcol: Array) -> Array:
+    """Intersect the camera rays through (n, 2) (row, col) pixels with the
+    plate plane z=0, in plate coordinates, (n, 3)."""
+    xy_n = model.pixel_to_normalized_array(rowcol)
+    dirs = np.concatenate([xy_n, np.ones((xy_n.shape[0], 1))], axis=1)
     c = h_ref_cam.translation
-    d = np.atleast_2d(dirs_cam) @ h_ref_cam.rotation.T
+    d = dirs @ h_ref_cam.rotation.T
     dz = d[:, 2]
     bad = np.abs(dz) < 1e-12
     if np.any(bad):
@@ -244,28 +238,24 @@ def _plane_hits(h_ref_cam: RigidTransform, dirs_cam: Array) -> Array:
 class SceneFrame:
     """Rectified floor-plane frame tied to the camera.
 
-    Carries the camera-to-scene transform, the plate-to-scene transform used
-    to build it, and the rectification map from image pixels to metric scene
-    xy coordinates.
+    Stores the plate-viewing camera pose ``h_cam_ref`` and the plate-to-scene
+    transform ``h_scn_ref`` built from it. The camera-to-scene transform
+    ``h_scn_cam`` is derived from the two, and ``map_image_points`` is the
+    rectification map from image pixels to metric scene xy coordinates.
     """
 
     model: CameraModel
-    h_scn_cam: RigidTransform
     h_scn_ref: RigidTransform
     h_cam_ref: RigidTransform
 
+    @functools.cached_property
+    def h_scn_cam(self) -> RigidTransform:
+        return compose(self.h_scn_ref, invert(self.h_cam_ref))
+
     def map_image_points(self, rowcol: Array) -> Array:
         """Rectify (row, col) pairs into scene xy millimeters, (n, 2)."""
-        rowcol = np.atleast_2d(np.asarray(rowcol, dtype=np.float64))
-        xy_n = self.model.pixel_to_normalized_array(rowcol)
-        dirs = np.concatenate([xy_n, np.ones((xy_n.shape[0], 1))], axis=1)
-        hits_ref = _plane_hits(invert(self.h_cam_ref), dirs)
-        hits_scn = hits_ref @ self.h_scn_ref.rotation.T + self.h_scn_ref.translation
-        return hits_scn[:, :2]
-
-    def map_image_point(self, p: ImagePoint) -> Array:
-        """Rectify one image point into scene xy millimeters."""
-        return self.map_image_points(np.array([[p.row, p.col]]))[0]
+        hits_ref = _plane_hits(self.model, invert(self.h_cam_ref), rowcol)
+        return apply(self.h_scn_ref, hits_ref)[:, :2]
 
 
 def build_rectification_map(model: CameraModel, h_cam_ref: RigidTransform) -> SceneFrame:
@@ -305,9 +295,7 @@ def build_rectification_map(model: CameraModel, h_cam_ref: RigidTransform) -> Sc
             [model.rows - 1.0, model.cols - 1.0],
         ]
     )
-    xy_n = model.pixel_to_normalized_array(probe)
-    dirs = np.concatenate([xy_n, np.ones((xy_n.shape[0], 1))], axis=1)
-    hits = _plane_hits(h_ref_cam, dirs)
+    hits = _plane_hits(model, h_ref_cam, probe)
 
     e_z = np.array([0.0, 0.0, sigma])
     row_dir = hits[0] - hits[1]
@@ -334,8 +322,7 @@ def build_rectification_map(model: CameraModel, h_cam_ref: RigidTransform) -> Sc
         raise DegenerateViewingGeometry(
             "projected image corners escape the positive scene quadrant"
         )
-    h_scn_cam = compose(h_scn_ref, h_ref_cam)
-    return SceneFrame(model=model, h_scn_cam=h_scn_cam, h_scn_ref=h_scn_ref, h_cam_ref=h_cam_ref)
+    return SceneFrame(model=model, h_scn_ref=h_scn_ref, h_cam_ref=h_cam_ref)
 
 
 # --- planar pose estimation -------------------------------------------------

@@ -133,14 +133,10 @@ def measure_mark(
     Raises:
         OutOfBounds: image point outside the sensor.
     """
-    if not result.scene.model.contains(image_point):
+    rowcol = np.array([[image_point.row, image_point.col]])
+    if not result.scene.model.contains_points(rowcol)[0]:
         raise _off_sensor(image_point.row, image_point.col)
-    return _measure_marks(
-        result,
-        np.array([[image_point.row, image_point.col]]),
-        h_abs_rob.rotation[None],
-        h_abs_rob.translation[None],
-    )[0]
+    return _measure_marks(result, rowcol, h_abs_rob.rotation[None], h_abs_rob.translation[None])[0]
 
 
 def _off_sensor(row: float, col: float) -> OutOfBounds:

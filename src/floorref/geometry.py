@@ -1,23 +1,24 @@
-"""Exact SE(3)/SO(3) algebra, homogeneous points, and rigid point-set registration.
+"""Exact SE(3)/SO(3) algebra and rigid point-set registration.
 
 Conventions
 -----------
 A transform with tags ``(source="a", dest="b")`` maps a-frame coordinates into
-b-frame coordinates. Points are millimeter 3-vectors; homogeneous points are
-4-vectors whose last component is exactly 1. All values are immutable: the
-wrapped arrays are marked read-only and every operation returns a new value.
+b-frame coordinates. Points are millimeter 3-vectors, or (n, 3) stacks of
+them; ``apply`` takes nothing else. All values are immutable: the wrapped
+arrays are marked read-only and every operation returns a new value.
 
 Validation
 ----------
 A ``RigidTransform`` is checked where a rotation enters the library: the
-public constructor (and so ``from_matrix``, ``identity``, ``retagged`` and
-the schema decoders) requires finite entries, |R^T R - I|_F and |det R - 1|
-within 1e-9, and a finite 3-vector translation. ``compose`` and ``invert``
-build their results without the rotation check: a product of two such
-rotations is re-orthonormalised once its drift passes 1e-12, and a transpose
-of a rotation is a rotation, so the rotation invariant holds without
-re-checking every internal product. Their translations are still checked for
-finite entries (``ValueError``), since a product of finite values can overflow.
+public constructor (and so ``from_matrix``, ``identity`` and the schema
+decoders) requires rotation entries within 1 + 1e-9 in magnitude (so finite),
+|R^T R - I|_F and |det R - 1| within 1e-9, and a finite 3-vector translation.
+``compose`` and ``invert`` build their results without the rotation check: a
+product of two such rotations is re-orthonormalised once its drift passes
+1e-12, and a transpose of a rotation is a rotation, so the rotation invariant
+holds without re-checking every internal product. Their translations are still
+checked for finite entries (``ValueError``), since a product of finite values
+can overflow.
 """
 
 from __future__ import annotations
@@ -37,14 +38,6 @@ _RENORM_TRIGGER = 1e-12
 Array = NDArray[np.float64]
 
 
-def point3(x: float, y: float, z: float) -> Array:
-    """Build a finite 3D point (mm)."""
-    p = np.array([x, y, z], dtype=np.float64)
-    if not np.all(np.isfinite(p)):
-        raise ValueError(f"point components must be finite, got {p}")
-    return p
-
-
 def as_point3(p: Sequence[float] | Array) -> Array:
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (3,):
@@ -52,11 +45,6 @@ def as_point3(p: Sequence[float] | Array) -> Array:
     if not np.all(np.isfinite(p)):
         raise ValueError(f"point components must be finite, got {p}")
     return p
-
-
-def to_homogeneous(p: Sequence[float] | Array) -> Array:
-    """Append the unit homogeneous coordinate."""
-    return np.append(as_point3(p), 1.0)
 
 
 def triangle_area(a: Array, b: Array, c: Array) -> float:
@@ -71,8 +59,9 @@ def validate_rotation(r: Array, tol: float = ROTATION_TOL) -> None:
     """Check orthonormality (Frobenius) and det = +1 within tol."""
     if r.shape != (3, 3):
         raise ValueError(f"rotation must be 3x3, got {r.shape}")
-    if not np.all(np.isfinite(r)):
-        raise ValueError("rotation entries must be finite")
+    # bounded entries (NaN fails too) keep R^T R from overflowing
+    if not np.all(np.abs(r) <= 1.0 + tol):
+        raise ValueError("rotation entries must be finite and within [-1, 1]")
     err = np.linalg.norm(r.T @ r - np.eye(3))
     if err > tol:
         raise ValueError(f"matrix not orthonormal: |R^T R - I|_F = {err:.3e}")
@@ -253,13 +242,6 @@ class RigidTransform:
         m[:3, 3] = self.translation
         return m
 
-    def retagged(self, source: str, dest: str) -> RigidTransform:
-        """Same mapping, new frame tags (simulator-internal relabeling)."""
-        return RigidTransform(self.rotation, self.translation, source=source, dest=dest)
-
-    def __matmul__(self, other: RigidTransform) -> RigidTransform:
-        return compose(self, other)
-
     @classmethod
     def _unchecked(cls, r: Array, t: Array, source: str, dest: str) -> RigidTransform:
         # For rotations that hold the invariant by construction (products and
@@ -345,33 +327,15 @@ def transform_gap(a: RigidTransform, b: RigidTransform) -> tuple[float, float]:
     )
 
 
-def apply(h: RigidTransform, p: Sequence[float] | Array, frame: str | None = None) -> Array:
-    """Transform points into the destination frame.
-
-    Accepts a 3-vector, a 4-vector with unit homogeneous coordinate, or (N, 3)
-    and (N, 4) stacks thereof; the output matches the input shape and any
-    homogeneous coordinate is exactly 1. Passing ``frame`` asserts the points'
-    frame against the transform source.
-
-    Raises:
-        FrameMismatch: if ``frame`` is given and differs from ``h.source``.
-    """
-    if frame is not None and frame != h.source:
-        raise FrameMismatch(f"apply: point frame {frame!r} != transform source {h.source!r}")
+def apply(h: RigidTransform, p: Sequence[float] | Array) -> Array:
+    """Transform a 3-vector, or an (n, 3) stack of them, into the destination
+    frame; the output has the input's shape."""
     p = np.asarray(p, dtype=np.float64)
-    squeeze = p.ndim == 1
     pts = np.atleast_2d(p)
-    if pts.shape[1] == 4:
-        if np.max(np.abs(pts[:, 3] - 1.0)) > 1e-12:
-            raise ValueError("homogeneous points must have w == 1")
-        out = pts.copy()
-        out[:, :3] = pts[:, :3] @ h.rotation.T + h.translation
-        out[:, 3] = 1.0
-    elif pts.shape[1] == 3:
-        out = pts @ h.rotation.T + h.translation
-    else:
-        raise ValueError(f"points must be 3- or 4-vectors, got shape {p.shape}")
-    return out[0] if squeeze else out
+    if p.ndim > 2 or pts.shape[1] != 3:
+        raise ValueError(f"points must be 3-vectors, got shape {p.shape}")
+    out = pts @ h.rotation.T + h.translation
+    return out[0] if p.ndim == 1 else out
 
 
 # --- rigid point-set registration ------------------------------------------

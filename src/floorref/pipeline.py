@@ -12,6 +12,7 @@ attributable afterwards.
 
 from __future__ import annotations
 
+import functools
 import logging
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -125,7 +126,6 @@ class PlatePoseEstimate(NamedTuple):
     h_abs_scn: RigidTransform
     registration_rms_mm: float
     suspect: bool
-    h_cam_ref: RigidTransform
     reprojection_rms_px: float
     scene: SceneFrame
 
@@ -134,17 +134,18 @@ class PlatePoseEstimate(NamedTuple):
 class ReferencingResult:
     """Hand-eye calibration result with all chain intermediates and residuals.
 
-    ``h_rob_cam`` of a pipeline result is the exact composition of the stored
-    intermediates; averaged or externally loaded results keep ``h_rob_scn``
-    consistent with ``h_rob_cam`` through the stored scene frame instead.
+    ``h_rob_cam`` of a pipeline result (``from_chain``) is the exact
+    composition of the stored intermediates; an averaged or loaded result
+    stores its hand-eye as given. ``h_rob_scn`` (scene to robot) is derived
+    from ``h_rob_cam`` and ``scene`` either way, so a hand-eye swapped in with
+    ``dataclasses.replace`` carries its own. The camera pose over the plate is
+    ``scene.h_cam_ref``.
     """
 
     h_rob_cam: RigidTransform
-    h_rob_scn: RigidTransform
     scene: SceneFrame
     h_abs_scn: RigidTransform
     h_abs_rob: RigidTransform
-    h_cam_ref: RigidTransform
     registration_rms_mm: float
     reprojection_rms_px: float
     suspect: bool
@@ -160,26 +161,20 @@ class ReferencingResult:
         reprojection_rms_px: float,
         suspect: bool,
     ) -> "ReferencingResult":
-        h_rob_abs = invert(h_abs_rob)
-        h_rob_scn = compose(h_rob_abs, h_abs_scn)
-        h_rob_cam = compose(h_rob_scn, scene.h_scn_cam)
+        h_rob_cam = compose(compose(invert(h_abs_rob), h_abs_scn), scene.h_scn_cam)
         return cls(
             h_rob_cam=h_rob_cam,
-            h_rob_scn=h_rob_scn,
             scene=scene,
             h_abs_scn=h_abs_scn,
             h_abs_rob=h_abs_rob,
-            h_cam_ref=scene.h_cam_ref,
             registration_rms_mm=registration_rms_mm,
             reprojection_rms_px=reprojection_rms_px,
             suspect=suspect,
         )
 
-    def with_hand_eye(self, h_rob_cam: RigidTransform) -> "ReferencingResult":
-        """Same run with a replaced hand-eye; the scene chain is recomputed so
-        mark measurement stays consistent with the new transform."""
-        h_rob_scn = compose(h_rob_cam, invert(self.scene.h_scn_cam))
-        return replace(self, h_rob_cam=h_rob_cam, h_rob_scn=h_rob_scn)
+    @functools.cached_property
+    def h_rob_scn(self) -> RigidTransform:
+        return compose(self.h_rob_cam, invert(self.scene.h_scn_cam))
 
 
 def plate_normal(
@@ -252,7 +247,6 @@ def estimate_plate_pose(session: ReferencingSession) -> PlatePoseEstimate:
         h_abs_scn=registration.transform,
         registration_rms_mm=registration.rms_mm,
         suspect=suspect,
-        h_cam_ref=fit.h_cam_ref,
         reprojection_rms_px=fit.rms_px,
         scene=scene,
     )
@@ -367,9 +361,9 @@ def reversal_average(run_a: ReferencingResult, run_b: ReferencingResult) -> Refe
         source=a.source,
         dest=a.dest,
     )
-    merged = run_a.with_hand_eye(averaged)
     return replace(
-        merged,
+        run_a,
+        h_rob_cam=averaged,
         registration_rms_mm=max(run_a.registration_rms_mm, run_b.registration_rms_mm),
         reprojection_rms_px=max(run_a.reprojection_rms_px, run_b.reprojection_rms_px),
         suspect=run_a.suspect or run_b.suspect,

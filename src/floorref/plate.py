@@ -128,7 +128,7 @@ class TriangulatedNest(NamedTuple):
 
 
 def _ray(model: CameraModel, h_ref_cam: RigidTransform, ip: ImagePoint) -> tuple[Array, Array]:
-    x, y = model.pixel_to_normalized(ip)
+    x, y = model.pixel_to_normalized_array([[ip.row, ip.col]])[0]
     d = h_ref_cam.rotation @ np.array([x, y, 1.0])
     return h_ref_cam.translation, d / np.linalg.norm(d)
 

@@ -17,13 +17,11 @@ from typing import Any, Iterator, Mapping
 import numpy as np
 
 from . import frames
-from .camera import CameraModel, ImagePoint
-from .errors import SchemaError
+from .camera import CameraModel, ImagePoint, build_rectification_map
+from .errors import DegenerateViewingGeometry, SchemaError
 from .experiment import ExperimentPlan
 from .geometry import (
     RigidTransform,
-    compose,
-    invert,
     quaternion_to_rotation,
     rotation_to_quaternion,
     transform_gap,
@@ -31,7 +29,6 @@ from .geometry import (
 from .pipeline import ReferencingResult, ReferencingSession, TrackerMeasurement
 from .plate import NEST_IDS, ReferencingPlate
 from .simulate import NoiseConfig, RobotModel, RobotPlacement, SimWorld
-from .camera import build_rectification_map
 
 TOOL_NAME = "floorref"
 TOOL_VERSION = "0.1.0"
@@ -365,7 +362,7 @@ def result_to_dict(result: ReferencingResult, prov: Mapping[str, Any] | None = N
             "suspect": result.suspect,
         },
         "intermediates": {
-            "cam_H_ref": result.h_cam_ref.matrix.tolist(),
+            "cam_H_ref": result.scene.h_cam_ref.matrix.tolist(),
             "abs_H_scn": result.h_abs_scn.matrix.tolist(),
             "abs_H_rob": result.h_abs_rob.matrix.tolist(),
             "scn_H_cam": result.scene.h_scn_cam.matrix.tolist(),
@@ -419,7 +416,10 @@ def result_from_dict(
     h_abs_rob = _transform(inter, w, "abs_H_rob", frames.ROB, frames.ABS)
     h_scn_cam_stored = _transform(inter, w, "scn_H_cam", frames.CAM, frames.SCN)
 
-    scene = build_rectification_map(camera, h_cam_ref)
+    try:
+        scene = build_rectification_map(camera, h_cam_ref)
+    except DegenerateViewingGeometry as e:
+        raise SchemaError(f"{w}.cam_H_ref: {e}") from e
     if np.max(np.abs(scene.h_scn_cam.matrix - h_scn_cam_stored.matrix)) > 1e-9:
         raise SchemaError(
             f"{where}: stored scn_H_cam does not match the camera model and cam_H_ref"
@@ -430,11 +430,9 @@ def result_from_dict(
     _check_keys(residuals, w, keys, set(), lenient)
     return ReferencingResult(
         h_rob_cam=h_rob_cam,
-        h_rob_scn=compose(h_rob_cam, invert(scene.h_scn_cam)),
         scene=scene,
         h_abs_scn=h_abs_scn,
         h_abs_rob=h_abs_rob,
-        h_cam_ref=h_cam_ref,
         registration_rms_mm=_number(residuals, w, "registration_rms_mm"),
         reprojection_rms_px=_number(residuals, w, "reprojection_rms_px"),
         suspect=_flag(residuals, w, "suspect"),

@@ -141,8 +141,7 @@ def scalar_mark_observation(world, noise, x_mm, y_mm, yaw, mark_abs, rng):
     h_abs_rob = scalar_pose_on_surface(world, x_mm, y_mm, yaw, "floor")
     h_cam_abs = invert(compose(h_abs_rob, world.h_rob_cam_true))
     rc, in_front = project_points(world.camera, h_cam_abs, mark_abs)
-    ip_true = ImagePoint(float(rc[0, 0]), float(rc[0, 1])) if in_front[0] else None
-    if ip_true is None or not world.camera.contains(ip_true):
+    if not (in_front[0] and world.camera.contains_points(rc)[0]):
         raise MarkNotVisible("scalar_mark_observation: mark not visible")
     noisy = rc[0] + rng.normal(0.0, noise.image_sigma_px, size=2)
     smr = h_abs_rob.translation + rng.normal(0.0, noise.tracker_sigma_mm, size=3)
@@ -150,9 +149,10 @@ def scalar_mark_observation(world, noise, x_mm, y_mm, yaw, mark_abs, rng):
 
 
 def scalar_measure_mark(result, image_point, h_abs_rob) -> np.ndarray:
-    if not result.scene.model.contains(image_point):
+    rowcol = np.array([[image_point.row, image_point.col]])
+    if not result.scene.model.contains_points(rowcol)[0]:
         raise OutOfBounds("scalar_measure_mark: image point outside the sensor")
-    xy = result.scene.map_image_point(image_point)
+    xy = result.scene.map_image_points(rowcol)[0]
     p_rob = apply(result.h_rob_scn, np.array([xy[0], xy[1], 0.0]))
     return apply(h_abs_rob, p_rob)
 

@@ -6,6 +6,7 @@ Monte-Carlo criteria use fixed seeds, so every run is reproducible.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -178,7 +179,7 @@ def test_criterion_4_failure_signature():
         shift = RigidTransform(
             np.eye(3), np.array([1.0, 0.0, 0.0]), source=frames.CAM, dest=frames.CAM
         )
-        corrupted = flat_result.with_hand_eye(compose(flat_result.h_rob_cam, shift))
+        corrupted = replace(flat_result, h_rob_cam=compose(flat_result.h_rob_cam, shift))
         radius, spearman = _circular_signature(world, corrupted, PLAN)
         if radius > 3.0 * baseline and spearman == 1.0:
             results["corruption"] += 1

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,25 @@ class TestProjection:
             with pytest.raises(ValueError, match="distortion not invertible"):
                 model(k=k)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, None], ids=["nan", "inf", "extreme"])
+    @pytest.mark.parametrize("param", ["focal_mm", "sx_mm", "sy_mm", "cx_px", "cy_px", "k1", "k2", "k3"])
+    def test_non_finite_or_extreme_parameter_rejected(self, param, value):
+        # NaN and inf are named; a finite extreme overflows in the grid check.
+        # Either way a ValueError, with no numpy warning on the way.
+        match = "must be finite" if value is not None else "distortion not invertible"
+        if value is None:
+            value = 1e-300 if param == "focal_mm" else 1e300
+        args = dict(focal_mm=12.0, sx_mm=0.00345, sy_mm=0.00345, cx_px=1224.0, cy_px=1024.0)
+        k = [-0.03, 0.0005, 0.0]
+        if param in args:
+            args[param] = value
+        else:
+            k[int(param[1]) - 1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                CameraModel(**args, k=tuple(k), rows=2048, cols=2448)
+
     def test_invalid_intrinsics_rejected(self):
         with pytest.raises(ValueError):
             CameraModel(-1.0, 0.00345, 0.00345, 10, 10, (0, 0, 0), 100, 100)
@@ -167,10 +187,10 @@ class TestRectification:
         scale_row = height * m.sy_mm / m.focal_mm
         scale_col = height * m.sx_mm / m.focal_mm
 
-        origin = scene.map_image_point(ImagePoint(0.0, 0.0))
+        origin = scene.map_image_points([[0.0, 0.0]])[0]
         assert np.max(np.abs(origin)) < 1e-9  # corner (0,0) lands on the scene origin
         for row, col in ((0.0, 100.0), (512.0, 0.0), (1000.5, 2000.25), (2047.0, 2447.0)):
-            xy = scene.map_image_point(ImagePoint(row, col))
+            xy = scene.map_image_points([[row, col]])[0]
             assert abs(xy[0] - scale_row * row) < 1e-9
             assert abs(xy[1] - scale_col * col) < 1e-9
 
@@ -197,8 +217,8 @@ class TestRectification:
         hits = []
         plane_hits = camera._plane_hits
 
-        def recorded(h, dirs):
-            hits.append(plane_hits(h, dirs))
+        def recorded(model, h, rowcol):
+            hits.append(plane_hits(model, h, rowcol))
             return hits[-1]
 
         monkeypatch.setattr(camera, "_plane_hits", recorded)
@@ -237,7 +257,7 @@ class TestRectification:
         a = h_ref_cam.rotation @ np.array([0.0, 0.0, 1.0])
         hit_ref = c + (-c[2] / a[2]) * a
         expected = apply(scene.h_scn_ref, hit_ref)[:2]
-        got = scene.map_image_point(ImagePoint(m.cy_px, m.cx_px))
+        got = scene.map_image_points([[m.cy_px, m.cx_px]])[0]
         assert np.max(np.abs(got - expected)) < 1e-9
 
     def test_scene_z_antiparallel_to_plate_z(self):
@@ -249,8 +269,8 @@ class TestRectification:
     def test_scene_x_follows_image_rows(self):
         m = model(k=(0.0, 0.0, 0.0))
         scene = build_rectification_map(m, nadir_pose(150.0))
-        p0 = scene.map_image_point(ImagePoint(1000.0, 1224.0))
-        p1 = scene.map_image_point(ImagePoint(1001.0, 1224.0))
+        p0 = scene.map_image_points([[1000.0, 1224.0]])[0]
+        p1 = scene.map_image_points([[1001.0, 1224.0]])[0]
         d = (p1 - p0) / np.linalg.norm(p1 - p0)
         assert abs(math.atan2(d[1], d[0])) < 1e-6  # row direction is scene +x
 
@@ -287,7 +307,7 @@ class TestRectification:
         rng = np.random.default_rng(3)
         for _ in range(30):
             q = ImagePoint(rng.uniform(0, m.rows - 1), rng.uniform(0, m.cols - 1))
-            xy = scene.map_image_point(q)
+            xy = scene.map_image_points([[q.row, q.col]])[0]
             p_scn = np.array([xy[0], xy[1], 0.0])
             back = project(m, h_cam_scn, p_scn)
             assert abs(back.row - q.row) < 1e-4
@@ -543,7 +563,7 @@ class TestAnisotropicPixels:
         rng = np.random.default_rng(0)
         for _ in range(20):
             q = ImagePoint(rng.uniform(0, m.rows - 1), rng.uniform(0, m.cols - 1))
-            xy = scene.map_image_point(q)
+            xy = scene.map_image_points([[q.row, q.col]])[0]
             back = project(m, h_cam_scn, np.array([xy[0], xy[1], 0.0]))
             assert abs(back.row - q.row) < 1e-4
             assert abs(back.col - q.col) < 1e-4
@@ -562,7 +582,7 @@ def test_rectification_consistency_property(k1, height):
     scene = build_rectification_map(m, nadir_pose(height))
     h_cam_scn = invert(scene.h_scn_cam)
     for row, col in ((100.0, 200.0), (1024.0, 1224.0), (1900.0, 2300.0)):
-        xy = scene.map_image_point(ImagePoint(row, col))
+        xy = scene.map_image_points([[row, col]])[0]
         back = project(m, h_cam_scn, np.array([xy[0], xy[1], 0.0]))
         assert abs(back.row - row) < 1e-4
         assert abs(back.col - col) < 1e-4

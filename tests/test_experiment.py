@@ -63,13 +63,13 @@ class TestDirections:
 class TestMeasureMark:
     def test_identity_robot_pose_returns_robot_frame_point(self, noiseless_result):
         ip = ImagePoint(900.0, 1100.0)
-        identity = RigidTransform.identity(frames.ROB).retagged(frames.ROB, frames.ABS)
-        xy = noiseless_result.scene.map_image_point(ip)
+        identity = RigidTransform(np.eye(3), np.zeros(3), source=frames.ROB, dest=frames.ABS)
+        xy = noiseless_result.scene.map_image_points([[ip.row, ip.col]])[0]
         expected = apply(noiseless_result.h_rob_scn, np.array([xy[0], xy[1], 0.0]))
         assert np.array_equal(measure_mark(noiseless_result, ip, identity), expected)
 
     def test_out_of_bounds(self, noiseless_result):
-        identity = RigidTransform.identity(frames.ROB).retagged(frames.ROB, frames.ABS)
+        identity = RigidTransform(np.eye(3), np.zeros(3), source=frames.ROB, dest=frames.ABS)
         with pytest.raises(OutOfBounds):
             measure_mark(noiseless_result, ImagePoint(-5.0, 100.0), identity)
 
@@ -79,9 +79,7 @@ class TestMeasureMark:
         shift = RigidTransform(
             np.eye(3), np.array([1.0, 0.0, 0.0]), source=frames.CAM, dest=frames.CAM
         )
-        corrupted = noiseless_result.with_hand_eye(
-            compose(noiseless_result.h_rob_cam, shift)
-        )
+        corrupted = replace(noiseless_result, h_rob_cam=compose(noiseless_result.h_rob_cam, shift))
         plan = ExperimentPlan(mark_xy_mm=(1500.0, 700.0), repeats=1, yaw_jitter_deg=0.0)
         ms = run_experiment(world, NO_NOISE, plan, corrupted)
         mark = np.array([1500.0, 700.0])

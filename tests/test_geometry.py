@@ -25,7 +25,6 @@ from floorref.geometry import (
     row_dots,
     rotation_from_rotvec,
     rotation_to_quaternion,
-    to_homogeneous,
     transform_gap,
     validate_rotation,
 )
@@ -113,24 +112,6 @@ class TestApply:
         h = RigidTransform(RZ90, np.zeros(3), source="a", dest="b")
         out = apply(h, np.array([1.0, 0.0, 0.0]))
         assert np.allclose(out, [0.0, 1.0, 0.0], atol=1e-12)
-
-    def test_homogeneous_w_stays_one(self):
-        h = make_transform([1, 1, 0], 0.4, [5.0, 6.0, 7.0], "a", "b")
-        ph = to_homogeneous([1.0, 2.0, 3.0])
-        out = apply(h, ph)
-        assert out.shape == (4,)
-        assert out[3] == 1.0
-
-    def test_rejects_bad_homogeneous_coordinate(self):
-        h = RigidTransform.identity("a")
-        with pytest.raises(ValueError):
-            apply(h, np.array([1.0, 2.0, 3.0, 1.5]))
-
-    def test_frame_check(self):
-        h = make_transform([0, 0, 1], 0.1, [0, 0, 0], "a", "b")
-        apply(h, np.zeros(3), frame="a")
-        with pytest.raises(FrameMismatch):
-            apply(h, np.zeros(3), frame="b")
 
     def test_batch_shape(self):
         h = make_transform([0, 1, 0], 0.3, [1, 1, 1], "a", "b")

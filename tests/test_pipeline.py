@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from floorref import camera, frames, geometry, simulate
+from floorref.schemas import result_from_dict, result_to_dict
 from floorref.errors import (
     DegenerateConfiguration,
     DegenerateMotion,
@@ -286,13 +288,14 @@ class TestReversal:
 
     def test_translation_mean(self, noiseless_result):
         eps = np.array([0.4, -0.2, 0.1])
-        shifted = noiseless_result.with_hand_eye(
-            RigidTransform(
+        shifted = replace(
+            noiseless_result,
+            h_rob_cam=RigidTransform(
                 noiseless_result.h_rob_cam.rotation,
                 noiseless_result.h_rob_cam.translation + eps,
                 source=frames.CAM,
                 dest=frames.ROB,
-            )
+            ),
         )
         merged = reversal_average(noiseless_result, shifted)
         expected = noiseless_result.h_rob_cam.translation + eps / 2.0
@@ -303,43 +306,52 @@ class TestReversal:
         eps = math.radians(0.1)
 
         def spun(sign):
-            return noiseless_result.with_hand_eye(
-                RigidTransform(
+            return replace(
+                noiseless_result,
+                h_rob_cam=RigidTransform(
                     rotation_about_z(sign * eps) @ base.rotation,
                     base.translation,
                     source=frames.CAM,
                     dest=frames.ROB,
-                )
+                ),
             )
 
         merged = reversal_average(spun(+1), spun(-1))
         assert np.linalg.norm(merged.h_rob_cam.rotation - base.rotation) < 1e-10
 
     def test_inconsistent_runs_rejected(self, noiseless_result):
-        off = noiseless_result.with_hand_eye(
-            RigidTransform(
+        off = replace(
+            noiseless_result,
+            h_rob_cam=RigidTransform(
                 noiseless_result.h_rob_cam.rotation,
                 noiseless_result.h_rob_cam.translation + [3.0, 0.0, 0.0],
                 source=frames.CAM,
                 dest=frames.ROB,
-            )
+            ),
         )
         with pytest.raises(InconsistentRuns):
             reversal_average(noiseless_result, off)
 
     def test_averaged_result_keeps_chain_consistent(self, noiseless_result):
+        # one formula for h_rob_scn and one for h_scn_cam, whatever made the result
         eps = np.array([0.3, 0.3, -0.3])
-        shifted = noiseless_result.with_hand_eye(
-            RigidTransform(
+        shifted = replace(
+            noiseless_result,
+            h_rob_cam=RigidTransform(
                 noiseless_result.h_rob_cam.rotation,
                 noiseless_result.h_rob_cam.translation + eps,
                 source=frames.CAM,
                 dest=frames.ROB,
-            )
+            ),
         )
         merged = reversal_average(noiseless_result, shifted)
-        rebuilt = compose(merged.h_rob_cam, invert(merged.scene.h_scn_cam))
-        assert np.array_equal(rebuilt.matrix, merged.h_rob_scn.matrix)
+        loaded = result_from_dict(result_to_dict(noiseless_result), noiseless_result.scene.model)
+        for result in (noiseless_result, merged, loaded):
+            scene = result.scene
+            rebuilt = compose(result.h_rob_cam, invert(scene.h_scn_cam))
+            assert np.array_equal(rebuilt.matrix, result.h_rob_scn.matrix)
+            h_scn_cam = compose(scene.h_scn_ref, invert(scene.h_cam_ref))
+            assert np.array_equal(h_scn_cam.matrix, scene.h_scn_cam.matrix)
 
 
 @pytest.mark.parametrize("seed", range(1, 6))

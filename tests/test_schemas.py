@@ -305,6 +305,8 @@ MALFORMED = [
     ("plan", _set(["yaw_deg_list", 2], "90"), "plan.yaw_deg_list[2]"),
     ("plan", _set(["max_offset_mm"], 10**400), "plan.max_offset_mm"),  # beyond the float range
     ("result", _set(["rotation_quaternion_wxyz"], [0, 0, 0, 0]), "result.rotation_quaternion_wxyz"),
+    # a camera pose that cannot view the plate is a bad document, not bad geometry
+    ("result", _set(["intermediates", "cam_H_ref", 2, 3], -1e300), "result.intermediates.cam_H_ref"),
     ("session", _repeat_plate_mark, "plate.marks[25].id"),
     ("session", _unknown_truth_key, "session.ground_truth"),
     ("session", _set(["image_observation", 2, "row"], 20000.0), "session.image_observation[2]"),
