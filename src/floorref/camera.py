@@ -299,8 +299,9 @@ def build_rectification_map(model: CameraModel, h_cam_ref: RigidTransform) -> Sc
 
     e_z = np.array([0.0, 0.0, sigma])
     row_dir = hits[0] - hits[1]
-    n_row = np.linalg.norm(row_dir)
-    if n_row < 1e-12:
+    with np.errstate(over="ignore"):  # inf for a camera pose near the float range
+        n_row = np.linalg.norm(row_dir)
+    if not 1e-12 <= n_row < math.inf:
         raise DegenerateViewingGeometry("degenerate image row direction on the plate plane")
     e_x = row_dir / n_row
     e_y = np.cross(e_z, e_x)

@@ -9,6 +9,7 @@ cluster means. All distance metrics live in the tracker xy-plane.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -79,6 +80,17 @@ class MarkMeasurement:
         p = as_point3(self.position)
         p.setflags(write=False)
         object.__setattr__(self, "position", p)
+
+    @classmethod
+    def _unchecked(cls, direction: str, yaw_deg: float, position: Array, trial: int) -> MarkMeasurement:
+        # For records whose direction, yaw and (read-only) position have been
+        # checked as arrays, as run_experiment does: no per-record checks.
+        m = object.__new__(cls)
+        object.__setattr__(m, "direction", direction)
+        object.__setattr__(m, "yaw_deg", yaw_deg)
+        object.__setattr__(m, "position", position)
+        object.__setattr__(m, "trial", trial)
+        return m
 
 
 @dataclass(frozen=True)
@@ -172,12 +184,21 @@ def run_experiment(
     error of the first one in repeat-then-direction order is raised, as a
     one-at-a-time loop would.
 
+    The records are then checked once per array, as the ``MarkMeasurement``
+    constructor checks one record: each yaw within 10 degrees of its
+    direction's nominal yaw after wrapping, and each position finite. The
+    first failing record raises the constructor's error (its yaw before its
+    position), after any failure of the geometry pass. The records are built
+    without a second check and share one read-only position array.
+
     Raises:
         MarkNotVisible: plan geometry pushes the mark out of view.
         OutOfBounds: image noise pushes a mark image off the sensor.
         DegenerateConfiguration: no settled support pose on the floor.
         DegenerateViewingGeometry: an image point does not rectify onto the
             scene plane.
+        ValueError: yaw jitter pushes a yaw out of its direction's band, or a
+            position is not finite.
     """
     base_seed = world.seed if seed is None else seed
     mark_abs = np.array(
@@ -228,15 +249,23 @@ def run_experiment(
     if first < count:
         raise views.error[first] or _off_sensor(*rowcol[first])
 
+    # MarkMeasurement's checks, once per array
     directions = [direction_for_yaw(yaw) for yaw in yaws]
+    nominal = np.tile([DIRECTION_YAW_DEG[d] for d in directions], plan.repeats)
+    bad_yaw = np.abs((yaw_deg - nominal + 180.0) % 360.0 - 180.0) > DIRECTION_TOLERANCE_DEG
+    bad = bad_yaw | ~np.isfinite(positions).all(axis=1)
+    yaw_list = yaw_deg.tolist()
+    if bad.any():
+        k = int(np.argmax(bad))
+        if bad_yaw[k]:
+            raise ValueError(
+                f"yaw {yaw_list[k]:.2f} deg inconsistent with direction {directions[k % len(yaws)]!r}"
+            )
+        raise ValueError(f"point components must be finite, got {positions[k]}")
+    positions.setflags(write=False)
     return [
-        MarkMeasurement(
-            direction=directions[k % len(yaws)],
-            yaw_deg=yaw_actual,
-            position=positions[k],
-            trial=k // len(yaws),
-        )
-        for k, yaw_actual in enumerate(yaw_deg.tolist())
+        MarkMeasurement._unchecked(directions[k % len(yaws)], yaw_actual, positions[k], k // len(yaws))
+        for k, yaw_actual in enumerate(yaw_list)
     ]
 
 
@@ -248,16 +277,17 @@ _LCG_INC = 1442695040888963407
 _LCG_MASK = (1 << 64) - 1
 
 
-def _shuffled(points: Array) -> Array:
-    """Deterministic Fisher-Yates shuffle driven by a fixed 64-bit LCG."""
-    n = points.shape[0]
+@functools.lru_cache(maxsize=128)
+def _permutation(n: int) -> tuple[int, ...]:
+    """Deterministic Fisher-Yates permutation of range(n) driven by a fixed
+    64-bit LCG (cached per n: every n-point circle uses the same order)."""
     idx = list(range(n))
     state = 0x853C49E6748FEA9B
     for i in range(n - 1, 0, -1):
         state = (state * _LCG_MULT + _LCG_INC) & _LCG_MASK
         j = (state >> 16) % (i + 1)
         idx[i], idx[j] = idx[j], idx[i]
-    return points[idx]
+    return tuple(idx)
 
 
 def _dist(ax: float, ay: float, bx: float, by: float) -> float:
@@ -291,41 +321,49 @@ def _circle_three(
     return x, y, r
 
 
-def _inside(cx: float, cy: float, r: float, px: float, py: float) -> bool:
-    return _dist(px, py, cx, cy) <= r * (1.0 + 1e-14) + 1e-14
-
-
 def enclosing_circle(points: Array) -> tuple[float, float, float]:
     """Center x, center y and radius of the smallest circle containing all
     points of a non-empty (n, 2) float64 array.
 
     Randomized incremental construction (Welzl 1991, with one- and two-point
-    boundary passes); expected linear time, deterministic permutation.
+    boundary passes); expected linear time, deterministic permutation. A point
+    is inside a circle of radius r when its distance from the center is at
+    most r (1 + 1e-14) + 1e-14; that bound is computed once per circle.
 
     Raises:
         ValueError: points is not a non-empty (n, 2) array.
     """
     if points.ndim != 2 or points.shape[1] != 2 or points.shape[0] == 0:
         raise ValueError(f"enclosing_circle expects a non-empty (n, 2) array, got shape {points.shape}")
-    pts = _shuffled(points).tolist()  # Python floats: scalar arithmetic without numpy scalars
-    n = len(pts)
+    rows = points.tolist()  # Python floats: scalar arithmetic without numpy scalars
+    pts = [rows[i] for i in _permutation(len(rows))]
+    sqrt = math.sqrt
 
-    cx, cy, r = pts[0][0], pts[0][1], 0.0
-    for i in range(1, n):
-        px, py = pts[i]
-        if _inside(cx, cy, r, px, py):
+    cx, cy = pts[0]
+    r = 0.0
+    lim = r * (1.0 + 1e-14) + 1e-14
+    for i, (px, py) in enumerate(pts[1:], 1):
+        dx = px - cx
+        dy = py - cy
+        if sqrt(dx * dx + dy * dy) <= lim:
             continue
         # p_i lies on the boundary of the circle over pts[:i+1]
         cx, cy, r = px, py, 0.0
+        lim = r * (1.0 + 1e-14) + 1e-14
         for j in range(i):
             qx, qy = pts[j]
-            if _inside(cx, cy, r, qx, qy):
+            dx = qx - cx
+            dy = qy - cy
+            if sqrt(dx * dx + dy * dy) <= lim:
                 continue
             # p_i and p_j both lie on the boundary
             cx, cy, r = _circle_two(px, py, qx, qy)
+            lim = r * (1.0 + 1e-14) + 1e-14
             for k in range(j):
                 sx, sy = pts[k]
-                if _inside(cx, cy, r, sx, sy):
+                dx = sx - cx
+                dy = sy - cy
+                if sqrt(dx * dx + dy * dy) <= lim:
                     continue
                 c3 = _circle_three(px, py, qx, qy, sx, sy)
                 if c3 is None:
@@ -338,6 +376,7 @@ def enclosing_circle(points: Array) -> tuple[float, float, float]:
                     cx, cy, r = max(pairs, key=lambda c: c[2])
                 else:
                     cx, cy, r = c3
+                lim = r * (1.0 + 1e-14) + 1e-14
     return float(cx), float(cy), float(r)
 
 
@@ -400,34 +439,37 @@ class ClusterReport:
     mean_intercluster_l2_mm: float
 
 
-def _yaw_range(yaws_deg: Array) -> tuple[float, float]:
-    # range around the circular mean, robust to the +-180 wrap
-    mean = math.degrees(
-        math.atan2(
-            float(np.mean(np.sin(np.radians(yaws_deg)))),
-            float(np.mean(np.cos(np.radians(yaws_deg)))),
-        )
+def _cluster_stats(xy: Array, yaws_deg: Array) -> Array:
+    """Rows of (mean x, mean y, max and mean distance from the mean, yaw min,
+    yaw max) for k clusters of one size s: xy (k, s, 2), yaws (k, s) degrees.
+
+    Each reduction runs along one cluster's row, so every figure rounds as the
+    same reduction over that cluster alone does. The yaw range is taken around
+    the circular mean, robust to the +-180 wrap.
+    """
+    mean = xy.mean(axis=1)
+    dists = np.linalg.norm(xy - mean[:, None], axis=2)
+    rad = np.radians(yaws_deg)
+    sin_mean = np.sin(rad).mean(axis=1).tolist()
+    cos_mean = np.cos(rad).mean(axis=1).tolist()
+    # math.atan2: numpy's arctan2 can differ from it in the last place
+    yaw_mean = np.degrees([math.atan2(y, x) for y, x in zip(sin_mean, cos_mean)])
+    rel = (yaws_deg - yaw_mean[:, None] + 180.0) % 360.0 - 180.0  # _wrap_deg of each
+    return np.column_stack(
+        [mean, dists.max(axis=1), dists.mean(axis=1), yaw_mean + rel.min(axis=1), yaw_mean + rel.max(axis=1)]
     )
-    rel = (yaws_deg - mean + 180.0) % 360.0 - 180.0  # _wrap_deg of each
-    return float(mean + rel.min()), float(mean + rel.max())
 
 
-def _stats(direction: str, xy: Array, yaws: Array | None) -> DirectionStats:
-    mean = xy.mean(axis=0)
-    dists = np.linalg.norm(xy - mean, axis=1)
-    circle = min_enclosing_circle(xy)
-    if yaws is None:
-        yaw_min = yaw_max = None
-    else:
-        yaw_min, yaw_max = _yaw_range(yaws)
+def _direction_stats(direction: str, count: int, row: list[float], radius_mm: float) -> DirectionStats:
+    mean_x, mean_y, max_from, mean_from, yaw_min, yaw_max = row
     return DirectionStats(
         direction=direction,
-        count=xy.shape[0],
-        mean_x_mm=float(mean[0]),
-        mean_y_mm=float(mean[1]),
-        max_from_mean_mm=float(dists.max()),
-        mean_from_mean_mm=float(dists.mean()),
-        radius_mm=circle.radius_mm,
+        count=count,
+        mean_x_mm=mean_x,
+        mean_y_mm=mean_y,
+        max_from_mean_mm=max_from,
+        mean_from_mean_mm=mean_from,
+        radius_mm=radius_mm,
         yaw_min_deg=yaw_min,
         yaw_max_deg=yaw_max,
     )
@@ -437,8 +479,14 @@ def cluster_metrics(measurements: Sequence[MarkMeasurement]) -> ClusterReport:
     """Per-direction and overall cluster report over labeled measurements.
 
     Metrics use xy only; the approach-angle range is the min/max yaw per
-    cluster; the inter-cluster statistic is the mean L2 distance over all
-    unordered pairs of cluster means.
+    cluster around its circular mean; the inter-cluster statistic is the mean
+    L2 distance over all unordered pairs of cluster means.
+
+    The statistics of all clusters of one size are computed together, as
+    (k, size) arrays reduced along each cluster's row (one pass when every
+    direction has the same count), so each figure is the one a cluster alone
+    gives; the enclosing circle is one ``enclosing_circle`` call per cluster
+    and one for all points.
 
     Raises:
         EmptyCluster: no measurements.
@@ -451,28 +499,33 @@ def cluster_metrics(measurements: Sequence[MarkMeasurement]) -> ClusterReport:
     index = np.array([_DIRECTION_INDEX[m.direction] for m in measurements])
     grouped = np.argsort(index, kind="stable")
     bounds = np.searchsorted(index[grouped], np.arange(len(DIRECTIONS) + 1))
-    stats = []
-    means = []
-    for d, direction in enumerate(DIRECTIONS):
-        members = grouped[bounds[d] : bounds[d + 1]]
-        if members.size == 0:
-            continue
-        s = _stats(direction, all_xy[members], all_yaws[members])
-        stats.append(s)
-        means.append([s.mean_x_mm, s.mean_y_mm])
+    present = np.flatnonzero(np.diff(bounds))
+    counts = np.diff(bounds)[present]
+    table = np.empty((present.size, 6))
+    for size in sorted(set(counts.tolist())):
+        rows = np.flatnonzero(counts == size)
+        members = grouped[bounds[present[rows], None] + np.arange(size)]
+        table[rows] = _cluster_stats(all_xy[members], all_yaws[members])
 
-    overall = _stats("all", all_xy, all_yaws)
+    stats = tuple(
+        _direction_stats(
+            DIRECTIONS[d], count, row, enclosing_circle(all_xy[grouped[bounds[d] : bounds[d + 1]]])[2]
+        )
+        for d, count, row in zip(present.tolist(), counts.tolist(), table.tolist())
+    )
+    overall = _direction_stats(
+        "all",
+        len(measurements),
+        _cluster_stats(all_xy[None], all_yaws[None])[0].tolist(),
+        enclosing_circle(all_xy)[2],
+    )
 
-    means_arr = np.array(means)
-    if len(means) >= 2:
-        pair_dists = [
-            float(np.linalg.norm(means_arr[i] - means_arr[j]))
-            for i in range(len(means))
-            for j in range(i + 1, len(means))
-        ]
-        inter = float(np.mean(pair_dists))
+    if present.size >= 2:
+        i, j = np.triu_indices(present.size, 1)
+        d = table[i, :2] - table[j, :2]
+        # squared lengths as dot products, the form np.linalg.norm takes for
+        # one vector (an elementwise x*x + y*y can differ in the last place)
+        inter = float(np.mean(np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])))
     else:
         inter = 0.0
-    return ClusterReport(
-        directions=tuple(stats), overall=overall, mean_intercluster_l2_mm=inter
-    )
+    return ClusterReport(directions=stats, overall=overall, mean_intercluster_l2_mm=inter)

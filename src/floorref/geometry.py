@@ -48,8 +48,10 @@ def as_point3(p: Sequence[float] | Array) -> Array:
 
 
 def triangle_area(a: Array, b: Array, c: Array) -> float:
-    """Area of the triangle with 3D vertices a, b, c (mm^2)."""
-    return 0.5 * float(np.linalg.norm(np.cross(b - a, c - a)))
+    """Area of the triangle with 3D vertices a, b, c (mm^2); inf or nan, with no
+    warning, when vertices near the float range overflow it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.5 * float(np.linalg.norm(np.cross(b - a, c - a)))
 
 
 # --- rotations ------------------------------------------------------------
@@ -180,7 +182,11 @@ def quaternion_to_rotation(q: Sequence[float] | Array) -> Array:
     q = np.asarray(q, dtype=np.float64)
     if q.shape != (4,):
         raise ValueError(f"quaternion must be a 4-vector, got shape {q.shape}")
-    w, x, y, z = q / np.linalg.norm(q)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(q))
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"quaternion norm must be positive and finite, got {norm!r}")
+    w, x, y, z = q / norm
     return np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],

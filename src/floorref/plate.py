@@ -8,6 +8,7 @@ camera-facing side.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Mapping, NamedTuple
 
@@ -63,6 +64,8 @@ class ReferencingPlate:
         if self.delta_mm < 0.0:
             raise ValueError(f"nest offset must be non-negative, got {self.delta_mm}")
         area = triangle_area(nests["r"], nests["g"], nests["b"])
+        if not math.isfinite(area):
+            raise ValueError("nest triangle area overflows the float range")
         if area <= MIN_NEST_TRIANGLE_MM2:
             raise ValueError(
                 f"nest triangle area {area:.1f} mm^2 below {MIN_NEST_TRIANGLE_MM2} mm^2"

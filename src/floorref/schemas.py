@@ -49,9 +49,9 @@ def read_json(path: str | Path) -> dict:
 
 def write_json(doc: Mapping[str, Any], path: str | Path) -> None:
     # newline pinned so outputs stay byte-identical across platforms
+    text = json.dumps(doc, indent=2) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+        f.write(text)
 
 
 def file_sha256(path: str | Path) -> str:
@@ -406,7 +406,11 @@ def result_from_dict(
         )
     h_rob_cam = _transform(doc, where, "rob_H_cam", frames.CAM, frames.ROB)
     quat = _numbers(doc, where, "rotation_quaternion_wxyz", 4)
-    if not any(quat) or np.max(np.abs(quaternion_to_rotation(quat) - h_rob_cam.rotation)) > 1e-9:
+    try:
+        r_quat = quaternion_to_rotation(quat)
+    except ValueError as e:
+        raise SchemaError(f"{where}.rotation_quaternion_wxyz: {e}") from e
+    if np.max(np.abs(r_quat - h_rob_cam.rotation)) > 1e-9:
         raise SchemaError(f"{where}.rotation_quaternion_wxyz: disagrees with rob_H_cam beyond 1e-9")
 
     inter, w = doc["intermediates"], f"{where}.intermediates"

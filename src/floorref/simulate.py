@@ -128,6 +128,8 @@ class RobotModel:
             raise ValueError("robot model needs exactly three wheel contacts")
         a, b, c = (np.array([*w, 0.0], dtype=np.float64) for w in self.wheel_contacts_xy_mm)
         area = triangle_area(a, b, c)
+        if not math.isfinite(area):
+            raise ValueError("wheel contact triangle area overflows the float range")
         if area < 1e3:
             raise ValueError("wheel contacts are (near-)collinear")
         object.__setattr__(

@@ -1,8 +1,10 @@
 """Independent reference implementations, kept free of the implementation paths
 they check: enclosing circles by pair/triple enumeration, planar rigid alignment
-by angle grid search with golden-section refinement, and the scalar
+by angle grid search with golden-section refinement, the scalar
 one-measurement-at-a-time mark experiment that the batched pass replaced,
-built from the one-point library primitives."""
+built from the one-point library primitives, and the per-direction cluster
+statistics loop with its shuffled, call-per-point Welzl circle that the
+batched cluster metrics replaced."""
 
 from __future__ import annotations
 
@@ -14,7 +16,15 @@ import numpy as np
 from floorref import frames
 from floorref.camera import ImagePoint, project_points
 from floorref.errors import DegenerateConfiguration, MarkNotVisible, OutOfBounds
-from floorref.experiment import MarkMeasurement, direction_for_yaw
+from floorref.experiment import (
+    DIRECTIONS,
+    ClusterReport,
+    DirectionStats,
+    MarkMeasurement,
+    _circle_three,
+    _circle_two,
+    direction_for_yaw,
+)
 from floorref.geometry import RigidTransform, apply, compose, invert, rotation_about_z
 from floorref.simulate import STREAM_EXPERIMENT, camera_ground_offset, rng_substream
 
@@ -197,3 +207,108 @@ def scalar_run_experiment(world, noise, plan, result, *, seed=None) -> list[Mark
                 )
             )
     return measurements
+
+
+# --- per-direction cluster statistics ----------------------------------------
+
+
+def lcg_shuffled(points: np.ndarray) -> np.ndarray:
+    """Deterministic Fisher-Yates shuffle driven by a fixed 64-bit LCG."""
+    n = points.shape[0]
+    idx = list(range(n))
+    state = 0x853C49E6748FEA9B
+    for i in range(n - 1, 0, -1):
+        state = (state * 6364136223846793005 + 1442695040888963407) & ((1 << 64) - 1)
+        j = (state >> 16) % (i + 1)
+        idx[i], idx[j] = idx[j], idx[i]
+    return points[idx]
+
+
+def _inside(cx, cy, r, px, py) -> bool:
+    dx = px - cx
+    dy = py - cy
+    return math.sqrt(dx * dx + dy * dy) <= r * (1.0 + 1e-14) + 1e-14
+
+
+def reference_enclosing_circle(points: np.ndarray) -> tuple[float, float, float]:
+    """Welzl's circle over the LCG-shuffled points, one containment call per
+    point test (the circle constructors are the library's)."""
+    pts = lcg_shuffled(points).tolist()
+    cx, cy, r = pts[0][0], pts[0][1], 0.0
+    for i in range(1, len(pts)):
+        px, py = pts[i]
+        if _inside(cx, cy, r, px, py):
+            continue
+        cx, cy, r = px, py, 0.0
+        for j in range(i):
+            qx, qy = pts[j]
+            if _inside(cx, cy, r, qx, qy):
+                continue
+            cx, cy, r = _circle_two(px, py, qx, qy)
+            for k in range(j):
+                sx, sy = pts[k]
+                if _inside(cx, cy, r, sx, sy):
+                    continue
+                c3 = _circle_three(px, py, qx, qy, sx, sy)
+                if c3 is None:
+                    pairs = (
+                        _circle_two(px, py, qx, qy),
+                        _circle_two(px, py, sx, sy),
+                        _circle_two(qx, qy, sx, sy),
+                    )
+                    cx, cy, r = max(pairs, key=lambda c: c[2])
+                else:
+                    cx, cy, r = c3
+    return float(cx), float(cy), float(r)
+
+
+def _reference_stats(direction: str, xy: np.ndarray, yaws: np.ndarray) -> DirectionStats:
+    mean = xy.mean(axis=0)
+    dists = np.linalg.norm(xy - mean, axis=1)
+    yaw_mean = math.degrees(
+        math.atan2(
+            float(np.mean(np.sin(np.radians(yaws)))),
+            float(np.mean(np.cos(np.radians(yaws)))),
+        )
+    )
+    rel = (yaws - yaw_mean + 180.0) % 360.0 - 180.0
+    return DirectionStats(
+        direction=direction,
+        count=xy.shape[0],
+        mean_x_mm=float(mean[0]),
+        mean_y_mm=float(mean[1]),
+        max_from_mean_mm=float(dists.max()),
+        mean_from_mean_mm=float(dists.mean()),
+        radius_mm=reference_enclosing_circle(xy)[2],
+        yaw_min_deg=float(yaw_mean + rel.min()),
+        yaw_max_deg=float(yaw_mean + rel.max()),
+    )
+
+
+def reference_cluster_metrics(measurements) -> ClusterReport:
+    """Cluster report one direction at a time, each cluster's statistics from
+    its own (n, 2) array, and the inter-cluster distances one pair at a time."""
+    stats = []
+    for direction in DIRECTIONS:
+        members = [m for m in measurements if m.direction == direction]
+        if members:
+            stats.append(
+                _reference_stats(
+                    direction,
+                    np.array([m.position[:2] for m in members]),
+                    np.array([m.yaw_deg for m in members]),
+                )
+            )
+    overall = _reference_stats(
+        "all",
+        np.array([m.position[:2] for m in measurements]),
+        np.array([m.yaw_deg for m in measurements]),
+    )
+    means = np.array([[s.mean_x_mm, s.mean_y_mm] for s in stats])
+    pair_dists = [
+        float(np.linalg.norm(means[i] - means[j]))
+        for i in range(len(stats))
+        for j in range(i + 1, len(stats))
+    ]
+    inter = float(np.mean(pair_dists)) if pair_dists else 0.0
+    return ClusterReport(directions=tuple(stats), overall=overall, mean_intercluster_l2_mm=inter)

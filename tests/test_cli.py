@@ -239,6 +239,17 @@ class TestExperiment:
             == 2
         )
 
+    def test_yaw_past_direction_band_exit_2(self, tmp_path, quiet_world, capsys):
+        session = tmp_path / "session.json"
+        result = tmp_path / "result.json"
+        run("simulate", quiet_world, "--out", session)
+        run("calibrate", session, "--out", result)
+        plan = tmp_path / "plan.json"
+        write_json({"mark_xy_mm": [1200.0, 900.0], "yaw_jitter_deg": 30.0}, plan)
+        code = run("experiment", quiet_world, result, "--plan", plan, "--out-dir", tmp_path / "out")
+        assert code == 2
+        assert "inconsistent with direction" in capsys.readouterr().err
+
     def test_mark_out_of_view_exit_3(self, tmp_path, quiet_world, capsys):
         session = tmp_path / "session.json"
         result = tmp_path / "result.json"

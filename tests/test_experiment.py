@@ -6,8 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import brute_force_enclosing_circle, scalar_run_experiment
-from floorref import frames
+from _oracles import (
+    brute_force_enclosing_circle,
+    lcg_shuffled,
+    reference_cluster_metrics,
+    reference_enclosing_circle,
+    scalar_run_experiment,
+)
+from floorref import experiment, frames, simulate
 from floorref.camera import ImagePoint
 from floorref.errors import EmptyCluster, EmptyInput, MarkNotVisible, OutOfBounds
 from floorref.experiment import (
@@ -17,6 +23,7 @@ from floorref.experiment import (
     MarkMeasurement,
     cluster_metrics,
     direction_for_yaw,
+    enclosing_circle,
     fit_circle,
     measure_mark,
     min_enclosing_circle,
@@ -171,6 +178,76 @@ class TestBatchedPass:
                 run(world, off_sensor, plan, noiseless_result, seed=1)
 
 
+class TestRecordChecks:
+    """run_experiment checks its records as arrays; the error it raises is the
+    one the first failing MarkMeasurement would raise, after any visibility or
+    off-sensor failure of the batch."""
+
+    def _plan(self, **kwargs):
+        # yaw jitter of 8 deg pushes some approach yaws past the 10 deg band
+        return ExperimentPlan(mark_xy_mm=(1500.0, 700.0), repeats=2, yaw_jitter_deg=8.0, **kwargs)
+
+    def test_yaw_past_tolerance_names_first_offending_measurement(self, world, noiseless_result):
+        message = "yaw 103.00 deg inconsistent with direction 'left'"
+        for run in (run_experiment, scalar_run_experiment):
+            with pytest.raises(ValueError) as info:
+                run(world, NO_NOISE, self._plan(), noiseless_result, seed=3)
+            assert str(info.value) == message
+
+    def test_visibility_and_off_sensor_failures_come_first(self, world, noiseless_result):
+        # the one-at-a-time loop meets the bad yaw first; the batch reports
+        # the failure of its geometry pass first
+        off_sensor = NoiseConfig(tracker_sigma_mm=0.0, image_sigma_px=600.0)
+        for plan, noise, error in (
+            (self._plan(max_offset_mm=60.0), NO_NOISE, MarkNotVisible),
+            (self._plan(), off_sensor, OutOfBounds),
+        ):
+            with pytest.raises(error):
+                run_experiment(world, noise, plan, noiseless_result, seed=3)
+            with pytest.raises(ValueError, match="inconsistent with direction"):
+                scalar_run_experiment(world, noise, plan, noiseless_result, seed=3)
+
+    def test_non_finite_position_rejected(self, world, noiseless_result, monkeypatch):
+        measure = experiment._measure_marks
+
+        def corrupt(*args):
+            positions = measure(*args)
+            positions[3:, 1] = np.inf
+            return positions
+
+        monkeypatch.setattr(experiment, "_measure_marks", corrupt)
+        plan = ExperimentPlan(mark_xy_mm=(1500.0, 700.0), repeats=1)
+        with pytest.raises(ValueError, match=r"point components must be finite, got \[.* inf"):
+            run_experiment(world, NO_NOISE, plan, noiseless_result)
+
+    def test_records_match_checked_constructor(self, world, noiseless_result):
+        plan = ExperimentPlan(mark_xy_mm=(1500.0, 700.0), repeats=2)
+        for m in run_experiment(world, GLASS_NOISE, plan, noiseless_result, seed=4):
+            checked = MarkMeasurement(m.direction, m.yaw_deg, m.position, m.trial)
+            assert (m.direction, m.yaw_deg, m.trial) == (checked.direction, checked.yaw_deg, checked.trial)
+            assert type(m.yaw_deg) is float and type(m.trial) is int
+            assert m.position.shape == (3,) and m.position.dtype == np.float64
+            assert not m.position.flags.writeable
+            assert np.array_equal(m.position, checked.position)
+
+
+def test_experiment_op_call_counts(world, noiseless_result, call_counts):
+    counts = call_counts(
+        (experiment, "enclosing_circle"),
+        (experiment, "as_point3"),
+        (experiment, "rng_substream"),
+        (simulate, "rng_substream"),
+    )
+    plan = ExperimentPlan(mark_xy_mm=(1500.0, 700.0), repeats=5)
+    measurements = run_experiment(world, GLASS_NOISE, plan, noiseless_result, seed=9)
+    assert len(measurements) == 40
+    assert counts["as_point3"] == 0  # records are checked per array
+    assert counts["rng_substream"] == 5  # one substream per repeat
+    cluster_metrics(measurements)
+    # eight direction clusters and the overall one
+    assert counts == {"enclosing_circle": 9, "rng_substream": 5}
+
+
 class TestMinEnclosingCircle:
     def test_single_point(self):
         c = min_enclosing_circle([[3.0, 4.0]])
@@ -194,6 +271,28 @@ class TestMinEnclosingCircle:
             c = min_enclosing_circle(pts)
             _, r_bf = brute_force_enclosing_circle(pts)
             assert abs(c.radius_mm - r_bf) < 1e-9
+
+    def test_cached_permutation_is_the_lcg_shuffle(self):
+        for n in range(1, 65):
+            assert experiment._permutation(n) == tuple(lcg_shuffled(np.arange(n)).tolist())
+
+    def test_matches_reference_loop_exactly(self):
+        rng = np.random.default_rng(12)
+        for k in range(500):
+            n = int(rng.integers(1, 60))
+            if k % 5 == 4:  # spread near the containment tolerance
+                pts = rng.normal(size=(n, 2)) * 1e-14 + float(rng.choice([0.0, 0.1]))
+            elif k % 4 == 0:  # collinear
+                t = rng.normal(size=n)
+                pts = np.stack([t, 2.0 * t + 1.0], axis=1)
+            elif k % 4 == 1:  # repeated points on a grid
+                pts = np.round(rng.normal(size=(n, 2)), 1)
+            elif k % 4 == 2:  # cocircular, far from the origin
+                a = rng.uniform(0.0, 2.0 * math.pi, n)
+                pts = 3.0 * np.stack([np.cos(a), np.sin(a)], axis=1) + 1e3
+            else:
+                pts = rng.normal(size=(n, 2)) * 10.0 ** float(rng.integers(-3, 4))
+            assert enclosing_circle(pts) == reference_enclosing_circle(pts)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -295,3 +394,46 @@ class TestClusterMetrics:
             ms.append(_measurement(d, DIRECTION_YAW_DEG[d], 0.0, 0.0))
         report = cluster_metrics(ms)
         assert tuple(s.direction for s in report.directions) == DIRECTIONS
+
+
+class TestClusterMetricsReference:
+    """The batched statistics equal the per-direction loop they replaced
+    (tests/_oracles.py) exactly, on seeded experiments and on sub-lists that
+    give clusters of several sizes."""
+
+    @staticmethod
+    def _sublists(ms):
+        return [
+            ms,
+            ms[::-1],
+            ms[:13],
+            ms[::3],
+            [m for m in ms if m.direction == "up"],
+            [m for m in ms if m.direction in ("down", "left")],
+            ms[:1],
+        ]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("repeats", [5, 12])
+    def test_seeded_experiments(self, world, noiseless_result, seed, repeats):
+        plan = ExperimentPlan(mark_xy_mm=(1500.0, 700.0), repeats=repeats)
+        ms = run_experiment(world, GLASS_NOISE, plan, noiseless_result, seed=seed)
+        for sub in self._sublists(ms):
+            assert cluster_metrics(sub) == reference_cluster_metrics(sub)
+
+    def test_random_cluster_sizes(self):
+        rng = np.random.default_rng(21)
+        for k in range(60):
+            n = int(rng.integers(1, 90))
+            directions = rng.choice(DIRECTIONS, size=n)
+            scale = 10.0 ** float(rng.integers(-4, 4))
+            ms = [
+                _measurement(
+                    str(d),
+                    DIRECTION_YAW_DEG[str(d)] + float(rng.uniform(-10.0, 10.0)),
+                    *(rng.normal(size=2) * scale + 1000.0 * (k % 2)),
+                    trial=t,
+                )
+                for t, d in enumerate(directions)
+            ]
+            assert cluster_metrics(ms) == reference_cluster_metrics(ms)

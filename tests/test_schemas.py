@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -324,6 +325,73 @@ def test_malformed_field_names_its_path(quick_start_docs, kind, mutate, field):
     with pytest.raises(SchemaError) as info:
         _decode(kind, doc, quick_start_docs)
     assert str(info.value).startswith(f"{field}:")
+
+
+# numbers within the float range whose geometry overflows it
+EXTREME = [
+    ("session", ["plate", "nests", "r", 0], 1e300, "plate", "nest triangle area overflows"),
+    ("session", ["plate", "nests", "b", 2], -1e300, "plate", "nest triangle area overflows"),
+    ("world", ["plate", "nests", "g", 1], 1e300, "plate", "nest triangle area overflows"),
+    (
+        "world",
+        ["robot", "wheel_contacts_xy_mm", 1, 0],
+        -1e300,
+        "world.robot",
+        "wheel contact triangle area overflows",
+    ),
+    (
+        "world",
+        ["robot", "wheel_contacts_xy_mm", 2, 0],
+        1e300,
+        "world.robot",
+        "wheel contact triangle area overflows",
+    ),
+    ("result", ["rotation_quaternion_wxyz", 0], 1e300, "result.rotation_quaternion_wxyz", "norm"),
+    ("result", ["rotation_quaternion_wxyz", 3], -1e300, "result.rotation_quaternion_wxyz", "norm"),
+    ("result", ["intermediates", "cam_H_ref", 0, 3], 1e300, "result.intermediates.cam_H_ref", "row direction"),
+    ("result", ["intermediates", "cam_H_ref", 1, 3], 1e300, "result.intermediates.cam_H_ref", "row direction"),
+    ("result", ["intermediates", "cam_H_ref", 2, 3], 1e300, "result.intermediates.cam_H_ref", "row direction"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, path, value, field, reason",
+    EXTREME,
+    ids=[f"{kind}.{'.'.join(map(str, path))}={value:g}" for kind, path, value, _, _ in EXTREME],
+)
+def test_extreme_number_names_its_field_without_warning(quick_start_docs, kind, path, value, field, reason):
+    doc = copy.deepcopy(quick_start_docs[kind])
+    _set(path, value)(doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SchemaError, match=reason) as info:
+            _decode(kind, doc, quick_start_docs)
+    assert str(info.value).startswith(f"{field}:")
+
+
+def _numeric_leaves(doc):
+    for path in _leaves(doc):
+        v = doc
+        for key in path:
+            v = v[key]
+        if isinstance(v, (int, float)) and not isinstance(v, bool):
+            yield path
+
+
+@pytest.mark.parametrize("kind", ["session", "result", "world", "plan"])
+def test_every_extreme_number_decodes_or_raises_schema_error(quick_start_docs, kind):
+    # each numeric leaf set to +-1e300 or 1e-300 in turn: a decoded document
+    # or a SchemaError, never a numpy warning or another exception
+    for path in _numeric_leaves(quick_start_docs[kind]):
+        for value in (1e300, -1e300, 1e-300):
+            doc = copy.deepcopy(quick_start_docs[kind])
+            _set(path, value)(doc)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    _decode(kind, doc, quick_start_docs)
+                except SchemaError:
+                    pass
 
 
 ID_FIELDS = [
