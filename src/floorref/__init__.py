@@ -2,6 +2,8 @@
 laser tracker and a dual-modality referencing plate, plus the repeatability
 experiment and cluster metrics used to validate it."""
 
+__version__ = "0.1.0"
+
 from . import frames
 from .camera import (
     CameraModel,
@@ -10,7 +12,6 @@ from .camera import (
     back_project,
     build_rectification_map,
     estimate_plate_pose_from_image,
-    project,
 )
 from .errors import FloorRefError
 from .experiment import (
@@ -56,8 +57,6 @@ from .simulate import (
     simulate_referencing_session,
 )
 
-__version__ = "0.1.0"
-
 KERNEL_BACKEND = "python"
 
 __all__ = [
@@ -99,7 +98,6 @@ __all__ = [
     "min_enclosing_circle",
     "nest_to_smr",
     "plate_normal",
-    "project",
     "random_world",
     "register_points",
     "reversal_average",

@@ -20,16 +20,10 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import frames
-from .errors import (
-    BehindCamera,
-    DegenerateConfiguration,
-    DegenerateViewingGeometry,
-    NonConvergence,
-)
+from .errors import DegenerateConfiguration, DegenerateViewingGeometry, NonConvergence
 from .geometry import (
     RigidTransform,
     apply,
-    as_point3,
     compose,
     invert,
     nearest_rotation,
@@ -194,20 +188,6 @@ def project_points(
     if np.any(in_front):
         rc[in_front] = model.normalized_to_pixel_array(xy[in_front])
     return rc, in_front
-
-
-def project(model: CameraModel, h_cam_world: RigidTransform, p: Sequence[float] | Array) -> ImagePoint:
-    """Project one world point to distorted pixel coordinates.
-
-    Raises:
-        BehindCamera: non-positive optical-axis depth.
-    """
-    rc, in_front = project_points(model, h_cam_world, as_point3(p))
-    if not in_front[0]:
-        raise BehindCamera(
-            f"project: point at non-positive depth in frame {h_cam_world.dest!r}"
-        )
-    return ImagePoint(float(rc[0, 0]), float(rc[0, 1]))
 
 
 def back_project(model: CameraModel, p: ImagePoint) -> Array:
@@ -474,7 +454,7 @@ def estimate_plate_pose_from_image(
     h = _homography_dlt(ref_pts[:, :2], norm_xy)
     r, t = _pose_from_homography(h)
 
-    def project(rm: Array, tv: Array) -> tuple[Array, Array, Array] | None:
+    def reproject(rm: Array, tv: Array) -> tuple[Array, Array, Array] | None:
         # (residual, rotated points, camera-frame points), or None behind the camera
         q = ref_pts @ rm.T
         pc = q + tv
@@ -484,7 +464,7 @@ def estimate_plate_pose_from_image(
         rc = model.normalized_to_pixel_array(pc[:, :2] / z[:, None])
         return (rc - rc_obs).ravel(), q, pc
 
-    projection = project(r, t)
+    projection = reproject(r, t)
     if projection is None:
         raise DegenerateConfiguration(
             "estimate_plate_pose_from_image: initial pose places marks behind the camera"
@@ -512,7 +492,7 @@ def estimate_plate_pose_from_image(
             small = float(np.max(np.abs(step))) < _POSE_STEP_TOL
             r_new = rotation_from_rotvec(step[:3]) @ r
             t_new = t + step[3:]
-            projection = project(r_new, t_new)
+            projection = reproject(r_new, t_new)
             if projection is not None:
                 res_new = projection[0]
                 cost_new = float(res_new @ res_new)

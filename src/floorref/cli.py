@@ -45,11 +45,7 @@ from .schemas import (
     world_from_dict,
     write_json,
 )
-from .simulate import (
-    default_placements,
-    inject_wooden_plate,
-    simulate_session_with_truth,
-)
+from .simulate import default_placements, simulate_session_with_truth
 
 log = logging.getLogger(__name__)
 
@@ -64,8 +60,6 @@ def _load_world(args: argparse.Namespace):
     world, noise, placements = world_from_dict(read_json(args.world), args.lenient)
     if args.seed is not None:
         world = replace(world, seed=args.seed)
-    if noise.plate_amplitude_mm > 0.0:
-        world = inject_wooden_plate(world, noise.plate_amplitude_mm)
     return world, noise, placements
 
 
@@ -102,16 +96,15 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         result = reversal_average(result, result_b)
         inputs["session_reversal"] = args.reversal
 
+    out = result_to_dict(result, prov=provenance(inputs, None))
     residuals = {
         "reprojection_rms_px": result.reprojection_rms_px,
         "registration_rms_mm": result.registration_rms_mm,
         "suspect": result.suspect,
     }
-    if result.reversal_of is not None:
-        a, b = result.reversal_of
-        dt, dr = transform_gap(a.h_rob_cam, b.h_rob_cam)
-        residuals["reversal_delta_translation_mm"] = dt
-        residuals["reversal_delta_rotation_deg"] = math.degrees(dr)
+    if "reversal" in out:
+        residuals["reversal_delta_translation_mm"] = out["reversal"]["delta_translation_mm"]
+        residuals["reversal_delta_rotation_deg"] = out["reversal"]["delta_rotation_deg"]
     truth = session_ground_truth(doc, args.lenient)
     if truth is not None and "rob_H_cam" in truth:
         dt, dr = transform_gap(result.h_rob_cam, truth["rob_H_cam"])
@@ -119,7 +112,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         residuals["vs_truth_rotation_deg"] = math.degrees(dr)
     print(residual_table(residuals))
 
-    write_json(result_to_dict(result, prov=provenance(inputs, None)), args.out)
+    write_json(out, args.out)
     print(f"result written to {args.out}")
     return 0
 

@@ -34,10 +34,6 @@ class NonConvergence(FloorRefError):
     """Iterative solver exhausted its iteration budget."""
 
 
-class BehindCamera(FloorRefError):
-    """Projection requested for a point at non-positive optical depth."""
-
-
 class ParallelRays(FloorRefError):
     """Triangulation rays (near-)parallel; midpoint undefined."""
 

@@ -48,8 +48,9 @@ DIRECTION_TOLERANCE_DEG = 10.0
 _DIRECTION_INDEX = {d: i for i, d in enumerate(DIRECTIONS)}
 
 
-def _wrap_deg(a: float) -> float:
-    return float((a + 180.0) % 360.0 - 180.0)
+def _wrap_deg(a: float | Array) -> float | Array:
+    """Angle or angles in degrees wrapped to [-180, 180)."""
+    return (a + 180.0) % 360.0 - 180.0
 
 
 def direction_for_yaw(yaw_deg: float) -> str:
@@ -95,7 +96,12 @@ class MarkMeasurement:
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """Mark position, approach yaw list, repeats, and footprint offsets."""
+    """Mark position, approach yaw list, repeats, and footprint offsets.
+
+    Six standard deviations of yaw jitter must stay inside the 10 degree band
+    of each planned yaw's direction, so whether a plan runs does not depend on
+    the seed.
+    """
 
     mark_xy_mm: tuple[float, float]
     yaw_deg_list: tuple[float, ...] = tuple(DIRECTION_YAW_DEG[d] for d in DIRECTIONS)
@@ -109,7 +115,14 @@ class ExperimentPlan:
         if not self.yaw_deg_list:
             raise ValueError("yaw list must not be empty")
         for yaw in self.yaw_deg_list:
-            direction_for_yaw(yaw)  # raises for unmapped yaw
+            direction = direction_for_yaw(yaw)  # raises for unmapped yaw
+            margin = DIRECTION_TOLERANCE_DEG - abs(_wrap_deg(yaw - DIRECTION_YAW_DEG[direction]))
+            if 6.0 * self.yaw_jitter_deg > margin:
+                raise ValueError(
+                    f"yaw_jitter_deg {self.yaw_jitter_deg:g}: six times the jitter must fit in the "
+                    f"{margin:.2f} deg between yaw {yaw:g} deg and the edge of the "
+                    f"{DIRECTION_TOLERANCE_DEG:g} deg band of direction {direction!r}"
+                )
         if self.max_offset_mm < 0.0 or self.yaw_jitter_deg < 0.0:
             raise ValueError("offsets and jitter must be non-negative")
         object.__setattr__(self, "mark_xy_mm", tuple(float(v) for v in self.mark_xy_mm))
@@ -252,7 +265,7 @@ def run_experiment(
     # MarkMeasurement's checks, once per array
     directions = [direction_for_yaw(yaw) for yaw in yaws]
     nominal = np.tile([DIRECTION_YAW_DEG[d] for d in directions], plan.repeats)
-    bad_yaw = np.abs((yaw_deg - nominal + 180.0) % 360.0 - 180.0) > DIRECTION_TOLERANCE_DEG
+    bad_yaw = np.abs(_wrap_deg(yaw_deg - nominal)) > DIRECTION_TOLERANCE_DEG
     bad = bad_yaw | ~np.isfinite(positions).all(axis=1)
     yaw_list = yaw_deg.tolist()
     if bad.any():
@@ -454,7 +467,7 @@ def _cluster_stats(xy: Array, yaws_deg: Array) -> Array:
     cos_mean = np.cos(rad).mean(axis=1).tolist()
     # math.atan2: numpy's arctan2 can differ from it in the last place
     yaw_mean = np.degrees([math.atan2(y, x) for y, x in zip(sin_mean, cos_mean)])
-    rel = (yaws_deg - yaw_mean[:, None] + 180.0) % 360.0 - 180.0  # _wrap_deg of each
+    rel = _wrap_deg(yaws_deg - yaw_mean[:, None])
     return np.column_stack(
         [mean, dists.max(axis=1), dists.mean(axis=1), yaw_mean + rel.min(axis=1), yaw_mean + rel.max(axis=1)]
     )

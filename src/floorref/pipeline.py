@@ -41,7 +41,7 @@ from .geometry import (
     transform_gap,
     triangle_area,
 )
-from .plate import NEST_IDS, ReferencingPlate, smr_points
+from .plate import MIN_NEST_TRIANGLE_MM2, NEST_IDS, ReferencingPlate, smr_points
 
 log = logging.getLogger(__name__)
 
@@ -53,7 +53,6 @@ MIN_PROJECTED_DISPLACEMENT_MM = 10.0
 SUSPECT_REGISTRATION_RMS_MM = 0.5
 REVERSAL_MAX_TRANSLATION_MM = 2.0
 REVERSAL_MAX_ROTATION_RAD = np.radians(1.0)
-MIN_NORMAL_TRIANGLE_MM2 = 100.0
 
 
 @dataclass(frozen=True)
@@ -93,31 +92,21 @@ class ReferencingSession:
         object.__setattr__(self, "tracker", tuple(self.tracker))
 
     def nest_position(self, nest_id: str) -> Array:
-        hits = [m for m in self.tracker if m.point_id == nest_id]
-        if not hits:
-            raise MissingMeasurement(f"no tracker measurement for nest {nest_id!r}")
-        if len(hits) > 1:
-            raise MissingMeasurement(
-                f"expected exactly one tracker measurement for nest {nest_id!r}, got {len(hits)}"
-            )
-        return hits[0].position
+        return _only([m for m in self.tracker if m.point_id == nest_id], f"for nest {nest_id!r}")
 
     def nest_positions(self) -> Array:
         return np.array([self.nest_position(nid) for nid in NEST_IDS])
 
     def robot_position(self, index: int) -> Array:
-        hits = [
-            m
-            for m in self.tracker
-            if m.point_id == ROBOT_SMR_ID and m.position_index == index
-        ]
-        if not hits:
-            raise MissingMeasurement(f"robot smr at position {index} missing")
-        if len(hits) > 1:
-            raise MissingMeasurement(
-                f"expected exactly one robot smr measurement at position {index}, got {len(hits)}"
-            )
-        return hits[0].position
+        hits = [m for m in self.tracker if m.point_id == ROBOT_SMR_ID and m.position_index == index]
+        return _only(hits, f"of the robot smr at position {index}")
+
+
+def _only(hits: list[TrackerMeasurement], what: str) -> Array:
+    # the position of a tracker point that a session must hold exactly once
+    if len(hits) != 1:
+        raise MissingMeasurement(f"expected exactly one tracker measurement {what}, got {len(hits)}")
+    return hits[0].position
 
 
 class PlatePoseEstimate(NamedTuple):
@@ -310,10 +299,9 @@ def compute_rob_h_cam(session: ReferencingSession) -> ReferencingResult:
     with _stage("plate_normal"):
         p_abs = session.nest_positions()
         area = triangle_area(p_abs[0], p_abs[1], p_abs[2])
-        if area <= MIN_NORMAL_TRIANGLE_MM2:
+        if area <= MIN_NEST_TRIANGLE_MM2:
             raise DegenerateConfiguration(
-                f"nest triangle area {area:.2f} mm^2 at or below "
-                f"{MIN_NORMAL_TRIANGLE_MM2} mm^2"
+                f"nest triangle area {area:.2f} mm^2 at or below {MIN_NEST_TRIANGLE_MM2} mm^2"
             )
         # Optical axis in tracker coordinates, available once the plate pose
         # is known; keeps the sign rule independent of the tracker gauge.

@@ -15,7 +15,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 from numpy.typing import NDArray
 
-from .camera import CameraModel, ImagePoint
+from .camera import CameraModel, ImagePoint, back_project
 from .errors import DegenerateConfiguration, ExcessiveGap, ParallelRays, UnknownNest
 from .geometry import RigidTransform, as_point3, triangle_area
 
@@ -131,9 +131,7 @@ class TriangulatedNest(NamedTuple):
 
 
 def _ray(model: CameraModel, h_ref_cam: RigidTransform, ip: ImagePoint) -> tuple[Array, Array]:
-    x, y = model.pixel_to_normalized_array([[ip.row, ip.col]])[0]
-    d = h_ref_cam.rotation @ np.array([x, y, 1.0])
-    return h_ref_cam.translation, d / np.linalg.norm(d)
+    return h_ref_cam.translation, h_ref_cam.rotation @ back_project(model, ip)
 
 
 def triangulate_nest(

@@ -16,7 +16,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .errors import SchemaError
-from .experiment import ClusterReport, DirectionStats, MarkMeasurement
+from .experiment import DIRECTIONS, ClusterReport, DirectionStats, MarkMeasurement
 
 CSV_HEADER = (
     "Direction",
@@ -28,16 +28,12 @@ CSV_HEADER = (
     "Approach Angle Range [deg]",
 )
 
-_COLORS = {
-    "left": "#1f77b4",
-    "right": "#ff7f0e",
-    "up": "#2ca02c",
-    "down": "#d62728",
-    "upleft": "#9467bd",
-    "upright": "#8c564b",
-    "downleft": "#e377c2",
-    "downright": "#7f7f7f",
-}
+_COLORS = dict(
+    zip(
+        DIRECTIONS,
+        ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b", "#e377c2", "#7f7f7f"),
+    )
+)
 
 
 def _fmt9(v: float) -> str:

@@ -16,7 +16,7 @@ from typing import Any, Iterator, Mapping
 
 import numpy as np
 
-from . import frames
+from . import __version__, frames
 from .camera import CameraModel, ImagePoint, build_rectification_map
 from .errors import DegenerateViewingGeometry, SchemaError
 from .experiment import ExperimentPlan
@@ -31,7 +31,7 @@ from .plate import NEST_IDS, ReferencingPlate
 from .simulate import NoiseConfig, RobotModel, RobotPlacement, SimWorld
 
 TOOL_NAME = "floorref"
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = __version__
 
 _NUM = (int, float)
 
@@ -468,7 +468,7 @@ def world_to_dict(world: SimWorld, noise: NoiseConfig, placements: tuple[RobotPl
             "tracker_sigma_mm": noise.tracker_sigma_mm,
             "image_sigma_px": noise.image_sigma_px,
             "nest_offset_error_mm": noise.nest_offset_error_mm,
-            "plate_amplitude_mm": noise.plate_amplitude_mm,
+            "plate_amplitude_mm": world.deformation_amplitude_mm,
         },
         "seed": world.seed,
     }
@@ -496,6 +496,9 @@ def _planar_pose(doc: Mapping[str, Any], where: str, lenient: bool) -> RobotPlac
 def world_from_dict(
     doc: Mapping[str, Any], lenient: bool = False
 ) -> tuple[SimWorld, NoiseConfig, tuple[RobotPlacement, RobotPlacement] | None]:
+    """World, noise and optional placements of a world config. The config's
+    ``noise.plate_amplitude_mm`` is the world's plate bow
+    (``SimWorld.deformation_amplitude_mm``): the returned world is bowed."""
     where = "world"
     required = {"camera", "plate", "robot", "hand_eye", "plate_pose"}
     _check_keys(doc, where, required, {"floor", "noise", "seed", "placements"}, lenient)
@@ -532,10 +535,10 @@ def world_from_dict(
             tracker_sigma_mm=_number(noise_doc, w, "tracker_sigma_mm", 0.035),
             image_sigma_px=_number(noise_doc, w, "image_sigma_px", 0.0),
             nest_offset_error_mm=_number(noise_doc, w, "nest_offset_error_mm", 0.0),
-            plate_amplitude_mm=_number(noise_doc, w, "plate_amplitude_mm", 0.0),
         )
     except ValueError as e:
         raise SchemaError(f"{w}: {e}") from e
+    amplitude = _number(noise_doc, w, "plate_amplitude_mm", 0.0)
 
     try:
         world = SimWorld(
@@ -548,10 +551,13 @@ def world_from_dict(
             plate_yaw_rad=plate_pose.yaw_rad,
             floor_inclination_rad=math.radians(_number(floor_doc, wf, "inclination_deg", 0.0)),
             floor_azimuth_rad=math.radians(_number(floor_doc, wf, "azimuth_deg", 0.0)),
+            deformation_amplitude_mm=amplitude,
             seed=_integer(doc, where, "seed", 0),
         )
     except ValueError as e:
-        raise SchemaError(f"{where}: {e}") from e
+        # the hand-eye's frames are fixed by _transform: the world rejects
+        # only the plate amplitude
+        raise SchemaError(f"{w}.plate_amplitude_mm: {e}") from e
 
     placements = None
     if "placements" in doc:

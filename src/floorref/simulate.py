@@ -94,20 +94,18 @@ class NoiseConfig:
             laser tracker specified below 35 um)
         image_sigma_px: detection noise on image points
         nest_offset_error_mm: systematic error on the seated smr z-offset
-        plate_amplitude_mm: plate non-planarity amplitude wired to
-            inject_wooden_plate by the CLI
+
+    The plate non-planarity is a property of the world
+    (``SimWorld.deformation_amplitude_mm``), not of the noise.
     """
 
     tracker_sigma_mm: float = 0.035
     image_sigma_px: float = 0.0
     nest_offset_error_mm: float = 0.0
-    plate_amplitude_mm: float = 0.0
 
     def __post_init__(self) -> None:
         if self.tracker_sigma_mm < 0.0 or self.image_sigma_px < 0.0:
             raise ValueError("noise sigmas must be non-negative")
-        if self.plate_amplitude_mm < 0.0:
-            raise ValueError("plate amplitude must be non-negative")
 
 
 NO_NOISE = NoiseConfig(tracker_sigma_mm=0.0)
@@ -242,10 +240,9 @@ class SimWorld:
 
 def inject_wooden_plate(world: SimWorld, amplitude_mm: float) -> SimWorld:
     """World with a smooth quadratic plate deformation of the given peak
-    amplitude. The fault corrupts the observations; the true hand-eye is
-    untouched."""
-    if amplitude_mm < 0.0:
-        raise ValueError("deformation amplitude must be non-negative")
+    amplitude (``SimWorld`` rejects a negative one). The fault corrupts the
+    observations; the true hand-eye is untouched. A world config sets the same
+    amplitude through ``noise.plate_amplitude_mm``."""
     return replace(world, deformation_amplitude_mm=amplitude_mm)
 
 
@@ -669,18 +666,12 @@ def random_world(seed: int) -> SimWorld:
     )
 
 
-def target_center_ref(world: SimWorld) -> Array:
-    _, pts = world.plate.mark_array()
-    return pts.mean(axis=0)
-
-
 def default_placements(
     world: SimWorld, *, reverse: bool = False
 ) -> tuple[RobotPlacement, RobotPlacement]:
     """Placement pair covering the plate target at position 0, with the robot
     heading along the plate (reversed heading for instrument-reversal runs)."""
-    center = target_center_ref(world)
-    center_abs = apply(world.h_abs_ref, center)
+    center_abs = apply(world.h_abs_ref, world.plate.mark_array()[1].mean(axis=0))
     yaw = world.plate_yaw_rad + (math.pi if reverse else 0.0)
     g0 = camera_ground_offset(world)
     c, s = math.cos(yaw), math.sin(yaw)

@@ -15,16 +15,10 @@ from floorref.camera import (
     build_rectification_map,
     distort_radial,
     estimate_plate_pose_from_image,
-    project,
     project_points,
     undistort_radial,
 )
-from floorref.errors import (
-    BehindCamera,
-    DegenerateConfiguration,
-    DegenerateViewingGeometry,
-    NonConvergence,
-)
+from floorref.errors import DegenerateConfiguration, DegenerateViewingGeometry, NonConvergence
 from floorref.geometry import (
     RigidTransform,
     apply,
@@ -72,23 +66,16 @@ class TestProjection:
     def test_optical_axis_hits_principal_point(self):
         m = model()
         h = RigidTransform.identity(frames.CAM)
-        for depth in (10.0, 150.0, 4000.0):
-            ip = project(m, h, [0.0, 0.0, depth])
-            assert ip.row == m.cy_px
-            assert ip.col == m.cx_px
+        rc, _ = project_points(m, h, [[0.0, 0.0, depth] for depth in (10.0, 150.0, 4000.0)])
+        assert rc.tolist() == [[m.cy_px, m.cx_px]] * 3
 
     def test_pinhole_column_offset(self):
         m = model(k=(0.0, 0.0, 0.0))
         h = RigidTransform.identity(frames.CAM)
         x_mm, depth = 10.0, 150.0
-        ip = project(m, h, [x_mm, 0.0, depth])
-        assert abs(ip.col - (m.cx_px + m.focal_mm * x_mm / (depth * m.sx_mm))) < 1e-9
-        assert abs(ip.row - m.cy_px) < 1e-9
-
-    def test_behind_camera(self):
-        m = model()
-        with pytest.raises(BehindCamera):
-            project(m, RigidTransform.identity(frames.CAM), [0.0, 0.0, -5.0])
+        row, col = project_points(m, h, [x_mm, 0.0, depth])[0][0]
+        assert abs(col - (m.cx_px + m.focal_mm * x_mm / (depth * m.sx_mm))) < 1e-9
+        assert abs(row - m.cy_px) < 1e-9
 
     def test_project_points_masks_behind(self):
         m = model()
@@ -102,9 +89,11 @@ class TestProjection:
         m = model()
         h = RigidTransform.identity(frames.CAM)
         rng = np.random.default_rng(5)
-        for _ in range(50):
-            p = np.array([rng.uniform(-30, 30), rng.uniform(-25, 25), rng.uniform(80, 300)])
-            ray = back_project(m, project(m, h, p))
+        pts = rng.uniform([-30, -25, 80], [30, 25, 300], size=(50, 3))
+        rc, in_front = project_points(m, h, pts)
+        assert in_front.all()
+        for p, (row, col) in zip(pts, rc):
+            ray = back_project(m, ImagePoint(row, col))
             hit = ray * (p[2] / ray[2])  # intersect the point's own depth plane
             assert np.max(np.abs(hit - p)) < 1e-6
 
@@ -305,13 +294,11 @@ class TestRectification:
         scene = build_rectification_map(m, h_cam_ref)
         h_cam_scn = invert(scene.h_scn_cam)
         rng = np.random.default_rng(3)
-        for _ in range(30):
-            q = ImagePoint(rng.uniform(0, m.rows - 1), rng.uniform(0, m.cols - 1))
-            xy = scene.map_image_points([[q.row, q.col]])[0]
-            p_scn = np.array([xy[0], xy[1], 0.0])
-            back = project(m, h_cam_scn, p_scn)
-            assert abs(back.row - q.row) < 1e-4
-            assert abs(back.col - q.col) < 1e-4
+        q = rng.uniform(0, [m.rows - 1, m.cols - 1], size=(30, 2))
+        p_scn = np.column_stack([scene.map_image_points(q), np.zeros(30)])
+        back, in_front = project_points(m, h_cam_scn, p_scn)
+        assert in_front.all()
+        assert np.max(np.abs(back - q)) < 1e-4
 
     def test_camera_in_plane_rejected(self):
         m = model()
@@ -346,11 +333,11 @@ class TestRectification:
 
 def _synthetic_observation(m, h_cam_ref, marks, sigma_px=0.0, rng=None):
     obs = []
-    for p in marks:
-        ip = project(m, h_cam_ref, p)
+    rc, _ = project_points(m, h_cam_ref, np.array(marks))
+    for (row, col), p in zip(rc, marks):
         if sigma_px > 0.0:
-            ip = ImagePoint(ip.row + sigma_px * rng.standard_normal(), ip.col + sigma_px * rng.standard_normal())
-        obs.append((ip, p))
+            row, col = row + sigma_px * rng.standard_normal(), col + sigma_px * rng.standard_normal()
+        obs.append((ImagePoint(row, col), p))
     return obs
 
 
@@ -546,9 +533,9 @@ class TestAnisotropicPixels:
 
     def test_pinhole_axes(self):
         m = self.wide_model(k=(0.0, 0.0, 0.0))
-        ip = project(m, RigidTransform.identity(frames.CAM), [3.0, 4.0, 150.0])
-        assert abs(ip.col - (m.cx_px + m.focal_mm * 3.0 / (150.0 * m.sx_mm))) < 1e-9
-        assert abs(ip.row - (m.cy_px + m.focal_mm * 4.0 / (150.0 * m.sy_mm))) < 1e-9
+        row, col = project_points(m, RigidTransform.identity(frames.CAM), [3.0, 4.0, 150.0])[0][0]
+        assert abs(col - (m.cx_px + m.focal_mm * 3.0 / (150.0 * m.sx_mm))) < 1e-9
+        assert abs(row - (m.cy_px + m.focal_mm * 4.0 / (150.0 * m.sy_mm))) < 1e-9
 
     def test_rectification_and_pose_recovery(self):
         m = self.wide_model()
@@ -561,14 +548,14 @@ class TestAnisotropicPixels:
         scene = build_rectification_map(m, invert(h_ref_cam))
         h_cam_scn = invert(scene.h_scn_cam)
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            q = ImagePoint(rng.uniform(0, m.rows - 1), rng.uniform(0, m.cols - 1))
-            xy = scene.map_image_points([[q.row, q.col]])[0]
-            back = project(m, h_cam_scn, np.array([xy[0], xy[1], 0.0]))
-            assert abs(back.row - q.row) < 1e-4
-            assert abs(back.col - q.col) < 1e-4
+        q = rng.uniform(0, [m.rows - 1, m.cols - 1], size=(20, 2))
+        back, in_front = project_points(
+            m, h_cam_scn, np.column_stack([scene.map_image_points(q), np.zeros(20)])
+        )
+        assert in_front.all()
+        assert np.max(np.abs(back - q)) < 1e-4
         marks = [np.array([12.0 * (j - 2), 12.0 * (i - 2), 0.0]) for i in range(5) for j in range(5)]
-        obs = [(project(m, invert(h_ref_cam), p), p) for p in marks]
+        obs = _synthetic_observation(m, invert(h_ref_cam), marks)
         fit = estimate_plate_pose_from_image(m, obs)
         truth = invert(h_ref_cam)
         assert rotation_distance(fit.h_cam_ref.rotation, truth.rotation) < 1e-8
@@ -581,8 +568,7 @@ def test_rectification_consistency_property(k1, height):
     m = model(k=(k1, 0.0, 0.0))
     scene = build_rectification_map(m, nadir_pose(height))
     h_cam_scn = invert(scene.h_scn_cam)
-    for row, col in ((100.0, 200.0), (1024.0, 1224.0), (1900.0, 2300.0)):
-        xy = scene.map_image_points([[row, col]])[0]
-        back = project(m, h_cam_scn, np.array([xy[0], xy[1], 0.0]))
-        assert abs(back.row - row) < 1e-4
-        assert abs(back.col - col) < 1e-4
+    rc = np.array([(100.0, 200.0), (1024.0, 1224.0), (1900.0, 2300.0)])
+    back, in_front = project_points(m, h_cam_scn, np.column_stack([scene.map_image_points(rc), np.zeros(3)]))
+    assert in_front.all()
+    assert np.max(np.abs(back - rc)) < 1e-4

@@ -248,7 +248,7 @@ class TestExperiment:
         write_json({"mark_xy_mm": [1200.0, 900.0], "yaw_jitter_deg": 30.0}, plan)
         code = run("experiment", quiet_world, result, "--plan", plan, "--out-dir", tmp_path / "out")
         assert code == 2
-        assert "inconsistent with direction" in capsys.readouterr().err
+        assert "error: plan: yaw_jitter_deg 30: six times the jitter" in capsys.readouterr().err
 
     def test_mark_out_of_view_exit_3(self, tmp_path, quiet_world, capsys):
         session = tmp_path / "session.json"

@@ -133,6 +133,24 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             ExperimentPlan(mark_xy_mm=(0.0, 0.0), yaw_deg_list=(22.5,))
 
+    @pytest.mark.parametrize(
+        "yaws, jitter, ok",
+        [
+            ((0.0, 180.0), 10.0 / 6.0, True),
+            ((0.0, 180.0), 1.67, False),
+            ((-175.0, 4.0), 5.0 / 6.0, True),  # -175 wraps to 5 deg from 'down'
+            ((-175.0, 4.0), 0.84, False),
+            ((-170.0,), 0.0, True),
+        ],
+    )
+    def test_plan_jitter_must_stay_in_band(self, yaws, jitter, ok):
+        # six standard deviations of jitter stay inside every yaw's +-10 deg band
+        if ok:
+            ExperimentPlan(mark_xy_mm=(0.0, 0.0), yaw_deg_list=yaws, yaw_jitter_deg=jitter)
+        else:
+            with pytest.raises(ValueError, match=r"^yaw_jitter_deg "):
+                ExperimentPlan(mark_xy_mm=(0.0, 0.0), yaw_deg_list=yaws, yaw_jitter_deg=jitter)
+
 
 class TestBatchedPass:
     """run_experiment against the one-measurement-at-a-time loop it replaced
@@ -184,8 +202,11 @@ class TestRecordChecks:
     off-sensor failure of the batch."""
 
     def _plan(self, **kwargs):
-        # yaw jitter of 8 deg pushes some approach yaws past the 10 deg band
-        return ExperimentPlan(mark_xy_mm=(1500.0, 700.0), repeats=2, yaw_jitter_deg=8.0, **kwargs)
+        # yaw jitter of 8 deg pushes some approach yaws past the 10 deg band;
+        # a plan is built with it only past its constructor, which rejects it
+        plan = ExperimentPlan(mark_xy_mm=(1500.0, 700.0), repeats=2, **kwargs)
+        object.__setattr__(plan, "yaw_jitter_deg", 8.0)
+        return plan
 
     def test_yaw_past_tolerance_names_first_offending_measurement(self, world, noiseless_result):
         message = "yaw 103.00 deg inconsistent with direction 'left'"

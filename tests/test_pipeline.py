@@ -247,6 +247,31 @@ class TestFullChain:
         with pytest.raises(MissingMeasurement, match="estimate_robot_pose"):
             compute_rob_h_cam(bad)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda t: [m for m in t if m.point_id != "g"],
+                "estimate_plate_pose: expected exactly one tracker measurement for nest 'g', got 0",
+            ),
+            (
+                lambda t: t + [TrackerMeasurement("r", t[0].position + 1.0)],
+                "estimate_plate_pose: expected exactly one tracker measurement for nest 'r', got 2",
+            ),
+            (
+                lambda t: t + [TrackerMeasurement("robot_smr", t[-1].position + 1.0, 1)],
+                "estimate_robot_pose: expected exactly one tracker measurement of the robot smr "
+                "at position 1, got 2",
+            ),
+        ],
+        ids=["missing-nest", "two-nest-readings", "two-robot-readings"],
+    )
+    def test_tracker_point_must_be_held_once(self, noiseless_session, edit, message):
+        bad = replace(noiseless_session, tracker=edit(list(noiseless_session.tracker)))
+        with pytest.raises(MissingMeasurement) as info:
+            compute_rob_h_cam(bad)
+        assert str(info.value) == message
+
     def test_gauge_invariance(self, world):
         session = simulate_referencing_session(world, GLASS_NOISE, *default_placements(world))
         base = compute_rob_h_cam(session).h_rob_cam

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from floorref import frames
-from floorref.camera import CameraModel, ImagePoint, project
+from floorref.camera import CameraModel, ImagePoint, project_points
 from floorref.errors import DegenerateConfiguration, ExcessiveGap, ParallelRays, UnknownNest
 from floorref.geometry import RigidTransform, invert, rotation_about_y
 from floorref.plate import (
@@ -47,13 +47,11 @@ def _observe(m, poses, nests, sigma_px=0.0, rng=None):
     for nest_id, p in nests.items():
         pair = []
         for h_ref_cam in poses:
-            ip = project(m, invert(h_ref_cam), p)
+            row, col = project_points(m, invert(h_ref_cam), p)[0][0]
             if sigma_px > 0.0:
-                ip = ImagePoint(
-                    ip.row + sigma_px * rng.standard_normal(),
-                    ip.col + sigma_px * rng.standard_normal(),
-                )
-            pair.append(ip)
+                row += sigma_px * rng.standard_normal()
+                col += sigma_px * rng.standard_normal()
+            pair.append(ImagePoint(row, col))
         images[nest_id] = tuple(pair)
     return StereoObservation(poses[0], poses[1], images)
 

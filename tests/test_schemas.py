@@ -30,7 +30,12 @@ from floorref.schemas import (
     write_json,
 )
 from floorref.experiment import ExperimentPlan
-from floorref.simulate import GLASS_NOISE, default_placements
+from floorref.simulate import (
+    GLASS_NOISE,
+    default_placements,
+    inject_wooden_plate,
+    simulate_referencing_session,
+)
 
 
 class TestCameraSchema:
@@ -184,6 +189,26 @@ class TestWorldSchema:
         doc = world_to_dict(world, GLASS_NOISE)
         doc["hand_eye"]["matrix"][0][0] = 5.0
         with pytest.raises(SchemaError):
+            world_from_dict(doc)
+
+    def test_wooden_config_is_the_bowed_world(self):
+        # the config's plate bow goes onto the world: its sessions are those of
+        # the flat world bowed by inject_wooden_plate, and it encodes unchanged
+        doc = read_json(CONFIGS / "world_wooden.json")
+        world, noise, placements = world_from_dict(doc)
+        assert world.deformation_amplitude_mm == doc["noise"]["plate_amplitude_mm"] == 1.0
+        assert world_to_dict(world, noise, placements) == doc
+        flat, _, _ = world_from_dict({**doc, "noise": {**doc["noise"], "plate_amplitude_mm": 0.0}})
+        injected = inject_wooden_plate(flat, 1.0)
+        for reverse in (False, True):
+            pair = default_placements(world, reverse=reverse)
+            sessions = [simulate_referencing_session(w, noise, *pair) for w in (world, injected)]
+            assert session_to_dict(sessions[0]) == session_to_dict(sessions[1])
+
+    def test_negative_plate_amplitude_names_its_field(self, world):
+        doc = world_to_dict(world, GLASS_NOISE)
+        doc["noise"]["plate_amplitude_mm"] = -0.5
+        with pytest.raises(SchemaError, match=r"^world\.noise\.plate_amplitude_mm: .*non-negative"):
             world_from_dict(doc)
 
     def test_negative_noise_rejected(self, world):
@@ -442,3 +467,52 @@ def test_any_junk_leaf_decodes_or_raises_schema_error(quick_start_docs, kind, da
         _decode(kind, doc, quick_start_docs)
     except SchemaError:
         pass
+
+
+def _containers(value, path=()):
+    """Paths of every object and array of a document, the root included."""
+    if isinstance(value, (dict, list)):
+        yield path
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, v in items:
+            yield from _containers(v, path + (key,))
+
+
+def _keys(value):
+    if isinstance(value, dict):
+        yield from value
+    if isinstance(value, (dict, list)):
+        for v in value.values() if isinstance(value, dict) else value:
+            yield from _keys(v)
+
+
+@pytest.mark.parametrize("kind", ["session", "result", "world", "plan"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_structural_mutation_decodes_or_raises_schema_error(quick_start_docs, kind, data):
+    # a key deleted, a key added or an array resized anywhere in a document:
+    # a decoded document or a SchemaError, never another exception or a warning
+    doc = copy.deepcopy(quick_start_docs[kind])
+    node = doc
+    for key in data.draw(st.sampled_from(sorted(_containers(doc), key=repr))):
+        node = node[key]
+    if isinstance(node, dict):
+        if node and data.draw(st.booleans()):
+            del node[data.draw(st.sampled_from(sorted(node)))]
+        else:
+            # every key of the documents, and the one optional key they leave out
+            known = sorted({k for d in quick_start_docs.values() for k in _keys(d)} | {"placements"})
+            key = data.draw(st.one_of(st.sampled_from(known), st.text(max_size=6)))
+            node[key] = data.draw(
+                st.one_of(_JUNK, st.sampled_from([copy.deepcopy(v) for v in node.values()] or [{}]))
+            )
+    else:
+        size = data.draw(st.integers(0, len(node) + 3))
+        extra = [copy.deepcopy(node[-1]) if node else None for _ in range(size - len(node))]
+        node[:] = node[:size] + extra
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            _decode(kind, doc, quick_start_docs)
+        except SchemaError:
+            pass
