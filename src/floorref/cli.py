@@ -1,9 +1,13 @@
 """Command-line front end: simulate sessions, calibrate, run experiments,
 and compute metrics over measurement files.
 
-Exit codes: 0 success, 2 config/schema error, 3 infeasible geometry in
-simulation or experiment, 4 degenerate geometry in calibration, 5 reversal
-inconsistency. Diagnostic verbosity via the FLOORREF_LOG environment variable.
+Every JSON input is decoded strictly: an unknown key is a schema error that
+names it. Exit codes: 0 success, 2 usage or config/schema error (including
+a trial count below 1 and measurements whose metrics overflow), 3 infeasible
+geometry in simulation or experiment, 4 degenerate geometry in calibration,
+5 reversal inconsistency. A command that fails on its inputs writes no output
+file.
+Diagnostic verbosity via the FLOORREF_LOG environment variable.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ def _setup_logging() -> None:
 
 
 def _load_world(args: argparse.Namespace):
-    world, noise, placements = world_from_dict(read_json(args.world), args.lenient)
+    world, noise, placements = world_from_dict(read_json(args.world))
     if args.seed is not None:
         world = replace(world, seed=args.seed)
     return world, noise, placements
@@ -83,17 +87,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_calibrate(args: argparse.Namespace) -> int:
-    doc = read_json(args.session)
-    session = session_from_dict(doc, args.lenient)
-    result = compute_rob_h_cam(session)
-    inputs = {"session": args.session}
+def _read_session(path: str):
+    """A session file's session and its decoded ground truth (None if absent)."""
+    doc = read_json(path)
+    return session_from_dict(doc), session_ground_truth(doc)
 
-    if args.reversal is not None:
-        doc_b = read_json(args.reversal)
-        session_b = session_from_dict(doc_b, args.lenient)
-        result_b = compute_rob_h_cam(session_b)
-        result = reversal_average(result, result_b)
+
+def cmd_calibrate(args: argparse.Namespace) -> int:
+    # every input is decoded before the pipeline runs on any of them
+    session, truth = _read_session(args.session)
+    inputs = {"session": args.session}
+    if args.reversal is None:
+        result = compute_rob_h_cam(session)
+    else:
+        session_b, _ = _read_session(args.reversal)
+        result = reversal_average(compute_rob_h_cam(session), compute_rob_h_cam(session_b))
         inputs["session_reversal"] = args.reversal
 
     out = result_to_dict(result, prov=provenance(inputs, None))
@@ -105,7 +113,6 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     if "reversal" in out:
         residuals["reversal_delta_translation_mm"] = out["reversal"]["delta_translation_mm"]
         residuals["reversal_delta_rotation_deg"] = out["reversal"]["delta_rotation_deg"]
-    truth = session_ground_truth(doc, args.lenient)
     if truth is not None and "rob_H_cam" in truth:
         dt, dr = transform_gap(result.h_rob_cam, truth["rob_H_cam"])
         residuals["vs_truth_translation_mm"] = dt
@@ -121,13 +128,22 @@ def _derived_seed(base: int, trial: int) -> int:
     return int(np.random.SeedSequence(entropy=base, spawn_key=(17, trial)).generate_state(1)[0])
 
 
+def _write_reports(out_dir: Path, panels: list, reports: list, prov: dict) -> None:
+    """report.csv of the first run, report.json of every run and clusters.svg
+    with one panel per run, in out_dir (created if missing)."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_report_csv(reports[0], out_dir / "report.csv")
+    write_json(
+        {"trials": [report_to_dict(r) for r in reports], "provenance": prov},
+        out_dir / "report.json",
+    )
+    write_clusters_svg(panels, out_dir / "clusters.svg", desc=json.dumps(prov))
+
+
 def cmd_experiment(args: argparse.Namespace) -> int:
     world, noise, _ = _load_world(args)
-    result = result_from_dict(read_json(args.result), world.camera, args.lenient)
-    plan = plan_from_dict(read_json(args.plan), args.lenient)
-
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    result = result_from_dict(read_json(args.result), world.camera)
+    plan = plan_from_dict(read_json(args.plan))
 
     panels = []
     reports = []
@@ -142,13 +158,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     prov = provenance(
         {"world": args.world, "result": args.result, "plan": args.plan}, world.seed
     )
-    write_report_csv(reports[0], out_dir / "report.csv")
+    out_dir = Path(args.out_dir)
+    _write_reports(out_dir, panels, reports, prov)
     write_measurements_csv(panels[0][1], out_dir / "measurements.csv")
-    write_clusters_svg(panels, out_dir / "clusters.svg", desc=json.dumps(prov))
-    write_json(
-        {"trials": [report_to_dict(r) for r in reports], "provenance": prov},
-        out_dir / "report.json",
-    )
     print(f"reports written to {out_dir}")
     return 0
 
@@ -156,17 +168,20 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 def cmd_metrics(args: argparse.Namespace) -> int:
     measurements = read_measurements_csv(args.measurements)
     report = cluster_metrics(measurements)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     prov = provenance({"measurements": args.measurements}, None)
-    write_report_csv(report, out_dir / "report.csv")
-    write_json(
-        {"trials": [report_to_dict(report)], "provenance": prov},
-        out_dir / "report.json",
-    )
-    write_clusters_svg([("measurements", measurements)], out_dir / "clusters.svg", desc=json.dumps(prov))
+    _write_reports(Path(args.out_dir), [("measurements", measurements)], [report], prov)
     print(summary_line(report))
     return 0
+
+
+def _trial_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -182,14 +197,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output session JSON")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--reverse", action="store_true", help="reversed-heading placements")
-    p.add_argument("--lenient", action="store_true", help="tolerate unknown JSON keys")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("calibrate", help="run the referencing pipeline on a session")
     p.add_argument("session", help="session JSON")
     p.add_argument("--out", required=True, help="output result JSON")
     p.add_argument("--reversal", default=None, help="second session for instrument reversal")
-    p.add_argument("--lenient", action="store_true", help="tolerate unknown JSON keys")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("experiment", help="run the eight-direction mark experiment")
@@ -198,8 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", required=True, help="experiment plan JSON")
     p.add_argument("--out-dir", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--trials", type=int, default=1, help="number of seeded repetitions")
-    p.add_argument("--lenient", action="store_true", help="tolerate unknown JSON keys")
+    p.add_argument(
+        "--trials", type=_trial_count, default=1, help="number of seeded repetitions (at least 1)"
+    )
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("metrics", help="cluster metrics over an existing measurement CSV")

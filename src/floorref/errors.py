@@ -70,6 +70,10 @@ class EmptyCluster(FloorRefError):
     """Metric requested over an empty measurement set."""
 
 
+class MetricOverflow(FloorRefError):
+    """Cluster metric beyond the float range of its measurements."""
+
+
 class EmptyInput(FloorRefError):
     """Geometric primitive requested over an empty point set."""
 

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import EmptyCluster, EmptyInput, FloorRefError, OutOfBounds
+from .errors import EmptyCluster, EmptyInput, FloorRefError, MetricOverflow, OutOfBounds
 from .geometry import RigidTransform, as_point3, rotations_about_z
 from .pipeline import ReferencingResult
 from .camera import ImagePoint
@@ -503,6 +503,7 @@ def cluster_metrics(measurements: Sequence[MarkMeasurement]) -> ClusterReport:
 
     Raises:
         EmptyCluster: no measurements.
+        MetricOverflow: a figure is not finite (coordinates near the float range).
     """
     if not measurements:
         raise EmptyCluster("cluster_metrics: no measurements")
@@ -515,30 +516,33 @@ def cluster_metrics(measurements: Sequence[MarkMeasurement]) -> ClusterReport:
     present = np.flatnonzero(np.diff(bounds))
     counts = np.diff(bounds)[present]
     table = np.empty((present.size, 6))
-    for size in sorted(set(counts.tolist())):
-        rows = np.flatnonzero(counts == size)
-        members = grouped[bounds[present[rows], None] + np.arange(size)]
-        table[rows] = _cluster_stats(all_xy[members], all_yaws[members])
+    # coordinates near the float range overflow the sums: the figures turn
+    # inf or nan, with no warning, and are refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for size in sorted(set(counts.tolist())):
+            rows = np.flatnonzero(counts == size)
+            members = grouped[bounds[present[rows], None] + np.arange(size)]
+            table[rows] = _cluster_stats(all_xy[members], all_yaws[members])
+        overall_row = _cluster_stats(all_xy[None], all_yaws[None])[0].tolist()
+        if present.size >= 2:
+            i, j = np.triu_indices(present.size, 1)
+            d = table[i, :2] - table[j, :2]
+            # squared lengths as dot products, the form np.linalg.norm takes for
+            # one vector (an elementwise x*x + y*y can differ in the last place)
+            inter = float(np.mean(np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])))
+        else:
+            inter = 0.0
+    radii = [enclosing_circle(all_xy[grouped[bounds[d] : bounds[d + 1]]])[2] for d in present.tolist()]
+    overall_radius = enclosing_circle(all_xy)[2]
+    figures = [*overall_row, *radii, overall_radius, inter]
+    if not (np.isfinite(table).all() and all(map(math.isfinite, figures))):
+        raise MetricOverflow(
+            "cluster_metrics: measurement coordinates too large, a metric overflows the float range"
+        )
 
     stats = tuple(
-        _direction_stats(
-            DIRECTIONS[d], count, row, enclosing_circle(all_xy[grouped[bounds[d] : bounds[d + 1]]])[2]
-        )
-        for d, count, row in zip(present.tolist(), counts.tolist(), table.tolist())
+        _direction_stats(DIRECTIONS[d], count, row, radius)
+        for d, count, row, radius in zip(present.tolist(), counts.tolist(), table.tolist(), radii)
     )
-    overall = _direction_stats(
-        "all",
-        len(measurements),
-        _cluster_stats(all_xy[None], all_yaws[None])[0].tolist(),
-        enclosing_circle(all_xy)[2],
-    )
-
-    if present.size >= 2:
-        i, j = np.triu_indices(present.size, 1)
-        d = table[i, :2] - table[j, :2]
-        # squared lengths as dot products, the form np.linalg.norm takes for
-        # one vector (an elementwise x*x + y*y can differ in the last place)
-        inter = float(np.mean(np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])))
-    else:
-        inter = 0.0
+    overall = _direction_stats("all", len(measurements), overall_row, overall_radius)
     return ClusterReport(directions=stats, overall=overall, mean_intercluster_l2_mm=inter)

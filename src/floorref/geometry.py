@@ -57,18 +57,18 @@ def triangle_area(a: Array, b: Array, c: Array) -> float:
 # --- rotations ------------------------------------------------------------
 
 
-def validate_rotation(r: Array, tol: float = ROTATION_TOL) -> None:
-    """Check orthonormality (Frobenius) and det = +1 within tol."""
+def validate_rotation(r: Array) -> None:
+    """Check orthonormality (Frobenius) and det = +1 within ROTATION_TOL."""
     if r.shape != (3, 3):
         raise ValueError(f"rotation must be 3x3, got {r.shape}")
     # bounded entries (NaN fails too) keep R^T R from overflowing
-    if not np.all(np.abs(r) <= 1.0 + tol):
+    if not np.all(np.abs(r) <= 1.0 + ROTATION_TOL):
         raise ValueError("rotation entries must be finite and within [-1, 1]")
     err = np.linalg.norm(r.T @ r - np.eye(3))
-    if err > tol:
+    if err > ROTATION_TOL:
         raise ValueError(f"matrix not orthonormal: |R^T R - I|_F = {err:.3e}")
     det = np.linalg.det(r)
-    if abs(det - 1.0) > tol:
+    if abs(det - 1.0) > ROTATION_TOL:
         raise ValueError(f"matrix not a proper rotation: det = {det!r}")
 
 

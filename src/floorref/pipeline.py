@@ -170,17 +170,17 @@ def plate_normal(
     p_r: Sequence[float] | Array,
     p_g: Sequence[float] | Array,
     p_b: Sequence[float] | Array,
-    camera_axis: Sequence[float] | Array | None = None,
+    camera_axis: Sequence[float] | Array,
 ) -> Array:
     """Unit normal of the plate surface from the three tracker points, directed
-    upward.
+    against the camera's viewing direction.
 
     The raw cross product (P_b - P_r) x (P_g - P_r) depends on the nest
-    configuration, so its sign is corrected: against the viewing direction when
-    the camera axis (in tracker coordinates) is supplied, otherwise to positive
-    world z for a floor-mounted plate. The applied rule is logged. Callers own
-    the 100 mm^2 minimum-area guard (the pipeline enforces it on the tracker
-    points); this function rejects only truly collinear configurations.
+    configuration, so its sign is corrected: the returned normal has a
+    non-positive dot product with the camera's optical axis (in tracker
+    coordinates). Callers own the 100 mm^2 minimum-area guard (the pipeline
+    enforces it on the tracker points); this function rejects only truly
+    collinear configurations.
 
     Raises:
         DegenerateConfiguration: collinear points.
@@ -193,17 +193,9 @@ def plate_normal(
     if np.linalg.norm(raw) <= 1e-12 * scale * scale:
         raise DegenerateConfiguration("plate_normal: nest points are collinear")
     n = raw / np.linalg.norm(raw)
-    if camera_axis is not None:
-        axis = as_point3(camera_axis)
-        flipped = float(n @ axis) > 0.0
-        rule = f"camera-axis rule (n . axis = {float(n @ axis):+.3e})"
-    else:
-        flipped = n[2] < 0.0
-        rule = f"floor-mounted rule (n_z = {n[2]:+.3e})"
-    if flipped:
-        n = -n
-    log.debug("plate_normal: %s, flipped=%s", rule, flipped)
-    return n
+    dot = float(n @ as_point3(camera_axis))
+    log.debug("plate_normal: n . camera axis = %+.3e, flipped=%s", dot, dot > 0.0)
+    return -n if dot > 0.0 else n
 
 
 def estimate_plate_pose(session: ReferencingSession) -> PlatePoseEstimate:

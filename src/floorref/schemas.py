@@ -1,9 +1,9 @@
 """JSON document schemas: sessions, results, world configs, and plans.
 
-Strict by default: unknown keys are rejected so typos fail loudly; lenient
-mode tolerates them for forward compatibility. Pose matrices serialize at full
-float precision (they must round-trip exactly); human-facing reports round to
-nine decimals elsewhere.
+Every decoder rejects a missing or unknown key with a SchemaError that names
+the object's field path and the key, so a typo fails loudly. Pose matrices
+serialize at full float precision (they must round-trip exactly);
+human-facing reports round to nine decimals elsewhere.
 """
 
 from __future__ import annotations
@@ -71,18 +71,15 @@ def provenance(inputs: Mapping[str, str | Path], seed: int | None) -> dict:
     }
 
 
-def _check_keys(
-    doc: Mapping[str, Any], where: str, required: set[str], optional: set[str], lenient: bool
-) -> None:
+def _check_keys(doc: Mapping[str, Any], where: str, required: set[str], optional: set[str]) -> None:
     if not isinstance(doc, Mapping):
         raise SchemaError(f"{where}: expected an object")
     missing = required - set(doc)
     if missing:
         raise SchemaError(f"{where}: missing keys {sorted(missing)}")
-    if not lenient:
-        unknown = set(doc) - required - optional
-        if unknown:
-            raise SchemaError(f"{where}: unknown keys {sorted(unknown)} (strict mode)")
+    unknown = set(doc) - required - optional
+    if unknown:
+        raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
 
 
 def _path(where: str, key: str | int) -> str:
@@ -152,17 +149,12 @@ def _numbers(doc: Any, where: str, key: str | int, n: int | None = None) -> tupl
 
 
 def _objects(
-    doc: Mapping[str, Any],
-    where: str,
-    key: str,
-    required: set[str],
-    optional: set[str],
-    lenient: bool,
+    doc: Mapping[str, Any], where: str, key: str, required: set[str], optional: set[str]
 ) -> Iterator[tuple[str, Mapping[str, Any]]]:
     """Yield (path, entry) for each object of an array, its keys checked."""
     for i, entry in enumerate(_array(doc, where, key)):
         w = f"{where}.{key}[{i}]"
-        _check_keys(entry, w, required, optional, lenient)
+        _check_keys(entry, w, required, optional)
         yield w, entry
 
 
@@ -193,10 +185,10 @@ def camera_to_dict(model: CameraModel) -> dict:
     }
 
 
-def camera_from_dict(doc: Mapping[str, Any], lenient: bool = False) -> CameraModel:
+def camera_from_dict(doc: Mapping[str, Any]) -> CameraModel:
     where = "camera"
     keys = {"focal_mm", "sx_mm", "sy_mm", "cx_px", "cy_px", "k", "rows", "cols"}
-    _check_keys(doc, where, keys, set(), lenient)
+    _check_keys(doc, where, keys, set())
     try:
         return CameraModel(
             focal_mm=_number(doc, where, "focal_mm"),
@@ -227,16 +219,16 @@ def plate_to_dict(plate: ReferencingPlate) -> dict:
     }
 
 
-def plate_from_dict(doc: Mapping[str, Any], lenient: bool = False) -> ReferencingPlate:
+def plate_from_dict(doc: Mapping[str, Any]) -> ReferencingPlate:
     where = "plate"
-    _check_keys(doc, where, {"marks", "nests", "delta_mm", "extent_mm"}, set(), lenient)
+    _check_keys(doc, where, {"marks", "nests", "delta_mm", "extent_mm"}, set())
     marks = {}
-    for w, entry in _objects(doc, where, "marks", {"id", "x", "y"}, set(), lenient):
+    for w, entry in _objects(doc, where, "marks", {"id", "x", "y"}, set()):
         mark_id = _text(entry, w, "id")
         if mark_id in marks:
             raise SchemaError(f"{w}.id: duplicate mark id {mark_id!r}")
         marks[mark_id] = np.array([_number(entry, w, "x"), _number(entry, w, "y"), 0.0])
-    _check_keys(doc["nests"], f"{where}.nests", set(NEST_IDS), set(), lenient)
+    _check_keys(doc["nests"], f"{where}.nests", set(NEST_IDS), set())
     nests = {nid: np.array(_numbers(doc["nests"], f"{where}.nests", nid, 3)) for nid in NEST_IDS}
     try:
         return ReferencingPlate(
@@ -284,17 +276,15 @@ def session_to_dict(
     return doc
 
 
-def session_from_dict(doc: Mapping[str, Any], lenient: bool = False) -> ReferencingSession:
+def session_from_dict(doc: Mapping[str, Any]) -> ReferencingSession:
     where = "session"
     required = {"camera", "plate", "tracker_measurements", "image_observation"}
-    _check_keys(doc, where, required, {"ground_truth", "provenance"}, lenient)
-    camera = camera_from_dict(doc["camera"], lenient)
-    plate = plate_from_dict(doc["plate"], lenient)
+    _check_keys(doc, where, required, {"ground_truth", "provenance"})
+    camera = camera_from_dict(doc["camera"])
+    plate = plate_from_dict(doc["plate"])
     tracker = []
-    entries = _objects(
-        doc, where, "tracker_measurements", {"id", "x", "y", "z"}, {"position_index"}, lenient
-    )
-    for w, entry in entries:
+    keys = {"id", "x", "y", "z"}
+    for w, entry in _objects(doc, where, "tracker_measurements", keys, {"position_index"}):
         idx = entry.get("position_index")
         tracker.append(
             TrackerMeasurement(
@@ -304,7 +294,7 @@ def session_from_dict(doc: Mapping[str, Any], lenient: bool = False) -> Referenc
             )
         )
     observation: dict[str, ImagePoint] = {}
-    entries = _objects(doc, where, "image_observation", {"mark_id", "row", "col"}, set(), lenient)
+    entries = _objects(doc, where, "image_observation", {"mark_id", "row", "col"}, set())
     for w, entry in entries:
         mark_id = _text(entry, w, "mark_id")
         if mark_id in observation:
@@ -329,9 +319,7 @@ def session_from_dict(doc: Mapping[str, Any], lenient: bool = False) -> Referenc
     )
 
 
-def session_ground_truth(
-    doc: Mapping[str, Any], lenient: bool = False
-) -> dict[str, RigidTransform] | None:
+def session_ground_truth(doc: Mapping[str, Any]) -> dict[str, RigidTransform] | None:
     block = doc.get("ground_truth")
     if block is None:
         return None
@@ -342,7 +330,7 @@ def session_ground_truth(
         "abs_H_rob_0": (frames.ROB, frames.ABS),
         "abs_H_rob_1": (frames.ROB, frames.ABS),
     }
-    _check_keys(block, where, set(), set(tags), lenient)
+    _check_keys(block, where, set(), set(tags))
     return {name: _transform(block, where, name, *tags[name]) for name in tags if name in block}
 
 
@@ -387,18 +375,16 @@ def result_to_dict(result: ReferencingResult, prov: Mapping[str, Any] | None = N
     return doc
 
 
-def result_from_dict(
-    doc: Mapping[str, Any], camera: CameraModel, lenient: bool = False
-) -> ReferencingResult:
+def result_from_dict(doc: Mapping[str, Any], camera: CameraModel) -> ReferencingResult:
     where = "result"
     required = {
         "units", "rob_H_cam", "rotation_quaternion_wxyz", "frames", "residuals", "intermediates"
     }
-    _check_keys(doc, where, required, {"reversal", "provenance"}, lenient)
+    _check_keys(doc, where, required, {"reversal", "provenance"})
     if doc["units"] != "mm":
         raise SchemaError(f"{where}.units: expected 'mm', got {doc['units']!r}")
     frames_doc = doc["frames"]
-    _check_keys(frames_doc, f"{where}.frames", {"source", "dest"}, set(), lenient)
+    _check_keys(frames_doc, f"{where}.frames", {"source", "dest"}, set())
     if frames_doc["source"] != frames.CAM or frames_doc["dest"] != frames.ROB:
         raise SchemaError(
             f"{where}.frames: expected cam -> rob, got "
@@ -414,7 +400,7 @@ def result_from_dict(
         raise SchemaError(f"{where}.rotation_quaternion_wxyz: disagrees with rob_H_cam beyond 1e-9")
 
     inter, w = doc["intermediates"], f"{where}.intermediates"
-    _check_keys(inter, w, {"cam_H_ref", "abs_H_scn", "abs_H_rob", "scn_H_cam"}, set(), lenient)
+    _check_keys(inter, w, {"cam_H_ref", "abs_H_scn", "abs_H_rob", "scn_H_cam"}, set())
     h_cam_ref = _transform(inter, w, "cam_H_ref", frames.REF, frames.CAM)
     h_abs_scn = _transform(inter, w, "abs_H_scn", frames.SCN, frames.ABS)
     h_abs_rob = _transform(inter, w, "abs_H_rob", frames.ROB, frames.ABS)
@@ -431,7 +417,7 @@ def result_from_dict(
 
     residuals, w = doc["residuals"], f"{where}.residuals"
     keys = {"registration_rms_mm", "reprojection_rms_px", "suspect"}
-    _check_keys(residuals, w, keys, set(), lenient)
+    _check_keys(residuals, w, keys, set())
     return ReferencingResult(
         h_rob_cam=h_rob_cam,
         scene=scene,
@@ -484,8 +470,8 @@ def world_to_dict(world: SimWorld, noise: NoiseConfig, placements: tuple[RobotPl
     return doc
 
 
-def _planar_pose(doc: Mapping[str, Any], where: str, lenient: bool) -> RobotPlacement:
-    _check_keys(doc, where, {"x_mm", "y_mm", "yaw_deg"}, set(), lenient)
+def _planar_pose(doc: Mapping[str, Any], where: str) -> RobotPlacement:
+    _check_keys(doc, where, {"x_mm", "y_mm", "yaw_deg"}, set())
     return RobotPlacement(
         _number(doc, where, "x_mm"),
         _number(doc, where, "y_mm"),
@@ -494,19 +480,19 @@ def _planar_pose(doc: Mapping[str, Any], where: str, lenient: bool) -> RobotPlac
 
 
 def world_from_dict(
-    doc: Mapping[str, Any], lenient: bool = False
+    doc: Mapping[str, Any]
 ) -> tuple[SimWorld, NoiseConfig, tuple[RobotPlacement, RobotPlacement] | None]:
     """World, noise and optional placements of a world config. The config's
     ``noise.plate_amplitude_mm`` is the world's plate bow
     (``SimWorld.deformation_amplitude_mm``): the returned world is bowed."""
     where = "world"
     required = {"camera", "plate", "robot", "hand_eye", "plate_pose"}
-    _check_keys(doc, where, required, {"floor", "noise", "seed", "placements"}, lenient)
-    camera = camera_from_dict(doc["camera"], lenient)
-    plate = plate_from_dict(doc["plate"], lenient)
+    _check_keys(doc, where, required, {"floor", "noise", "seed", "placements"})
+    camera = camera_from_dict(doc["camera"])
+    plate = plate_from_dict(doc["plate"])
 
     robot_doc, w = doc["robot"], f"{where}.robot"
-    _check_keys(robot_doc, w, {"smr_height_mm", "wheel_contacts_xy_mm"}, set(), lenient)
+    _check_keys(robot_doc, w, {"smr_height_mm", "wheel_contacts_xy_mm"}, set())
     contacts = _array(robot_doc, w, "wheel_contacts_xy_mm", 3)
     try:
         robot = RobotModel(
@@ -519,17 +505,17 @@ def world_from_dict(
         raise SchemaError(f"{where}.robot: {e}") from e
 
     hand_eye_doc = doc["hand_eye"]
-    _check_keys(hand_eye_doc, f"{where}.hand_eye", {"matrix"}, set(), lenient)
+    _check_keys(hand_eye_doc, f"{where}.hand_eye", {"matrix"}, set())
     hand_eye = _transform(hand_eye_doc, f"{where}.hand_eye", "matrix", frames.CAM, frames.ROB)
 
-    plate_pose = _planar_pose(doc["plate_pose"], f"{where}.plate_pose", lenient)
+    plate_pose = _planar_pose(doc["plate_pose"], f"{where}.plate_pose")
 
     floor_doc, wf = doc.get("floor", {}), f"{where}.floor"
-    _check_keys(floor_doc, wf, set(), {"inclination_deg", "azimuth_deg"}, lenient)
+    _check_keys(floor_doc, wf, set(), {"inclination_deg", "azimuth_deg"})
 
     noise_doc, w = doc.get("noise", {}), f"{where}.noise"
     keys = {"tracker_sigma_mm", "image_sigma_px", "nest_offset_error_mm", "plate_amplitude_mm"}
-    _check_keys(noise_doc, w, set(), keys, lenient)
+    _check_keys(noise_doc, w, set(), keys)
     try:
         noise = NoiseConfig(
             tracker_sigma_mm=_number(noise_doc, w, "tracker_sigma_mm", 0.035),
@@ -562,10 +548,10 @@ def world_from_dict(
     placements = None
     if "placements" in doc:
         pl_doc = doc["placements"]
-        _check_keys(pl_doc, f"{where}.placements", {"position0", "position1"}, set(), lenient)
+        _check_keys(pl_doc, f"{where}.placements", {"position0", "position1"}, set())
         placements = (
-            _planar_pose(pl_doc["position0"], f"{where}.placements.position0", lenient),
-            _planar_pose(pl_doc["position1"], f"{where}.placements.position1", lenient),
+            _planar_pose(pl_doc["position0"], f"{where}.placements.position0"),
+            _planar_pose(pl_doc["position1"], f"{where}.placements.position1"),
         )
     return world, noise, placements
 
@@ -583,10 +569,10 @@ def plan_to_dict(plan: ExperimentPlan) -> dict:
     }
 
 
-def plan_from_dict(doc: Mapping[str, Any], lenient: bool = False) -> ExperimentPlan:
+def plan_from_dict(doc: Mapping[str, Any]) -> ExperimentPlan:
     where = "plan"
     optional = {"yaw_deg_list", "repeats", "max_offset_mm", "yaw_jitter_deg"}
-    _check_keys(doc, where, {"mark_xy_mm"}, optional, lenient)
+    _check_keys(doc, where, {"mark_xy_mm"}, optional)
     kwargs: dict[str, Any] = {"mark_xy_mm": _numbers(doc, where, "mark_xy_mm", 2)}
     if "yaw_deg_list" in doc:
         kwargs["yaw_deg_list"] = _numbers(doc, where, "yaw_deg_list")

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from floorref import cli
 from floorref.cli import main
 from floorref.experiment import fit_circle
 from floorref.geometry import rotation_distance
@@ -50,14 +51,14 @@ class TestSimulate:
         assert run("simulate", world, "--out", tmp_path / "s.json") == 3
         assert "simulate_referencing_session" in capsys.readouterr().err
 
-    def test_config_error_exits_2(self, tmp_path):
+    def test_config_error_exits_2(self, tmp_path, capsys):
         doc = read_json(CONFIGS / "world.json")
         doc["unexpected"] = True
         world = tmp_path / "world.json"
         write_json(doc, world)
         assert run("simulate", world, "--out", tmp_path / "s.json") == 2
-        # lenient mode tolerates the unknown key
-        assert run("simulate", world, "--out", tmp_path / "s.json", "--lenient") == 0
+        assert "error: world: unknown keys ['unexpected']" in capsys.readouterr().err
+        assert not (tmp_path / "s.json").exists()
 
     def test_demo_config_calibrates_accurately(self, tmp_path):
         session = tmp_path / "session.json"
@@ -260,6 +261,7 @@ class TestExperiment:
         code = run("experiment", quiet_world, result, "--plan", plan, "--out-dir", tmp_path / "out")
         assert code == 3
         assert "mark not visible" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_trials_make_multiple_panels(self, tmp_path, quiet_world):
         session = tmp_path / "session.json"
@@ -314,3 +316,152 @@ class TestMetrics:
         capsys.readouterr()
         assert run("metrics", bad, "--out-dir", tmp_path / "out") == 2
         assert f"bad.csv:4: {column}: expected a finite number" in capsys.readouterr().err
+
+
+# --- exit-code table -----------------------------------------------------------
+
+WORLD = CONFIGS / "world.json"
+PLAN = CONFIGS / "plan.json"
+DIRECTION_YAWS = [("up", 0.0), ("left", 90.0), ("down", 180.0), ("right", -90.0)]
+
+
+@pytest.fixture(scope="module")
+def calibrated(tmp_path_factory):
+    """Sessions a (seed 5) and b (seed 6, reversed) of the demo world and the
+    calibration result of a."""
+    d = tmp_path_factory.mktemp("calibrated")
+    assert run("simulate", WORLD, "--out", d / "a.json", "--seed", 5) == 0
+    assert run("simulate", WORLD, "--out", d / "b.json", "--seed", 6, "--reverse") == 0
+    assert run("calibrate", d / "a.json", "--out", d / "result.json") == 0
+    return d
+
+
+def _edited(src, dst, edit):
+    doc = read_json(src)
+    edit(doc)
+    write_json(doc, dst)
+    return dst
+
+
+def _junk_truth(doc):
+    doc["ground_truth"]["rob_H_cam"] = "junk"
+
+
+def _huge_csv(path):
+    # finite, so the CSV reader takes it, but the cluster statistics overflow
+    rows = [
+        f"{direction},{yaw},{sign * 1e308},900.0,0.0,0"
+        for sign, (direction, yaw) in zip((1, -1, 1, -1), DIRECTION_YAWS)
+    ]
+    path.write_text("direction,yaw_deg,x_mm,y_mm,z_mm,trial\n" + "\n".join(rows) + "\n")
+    return path
+
+
+def _experiment(result, plan, *extra):
+    return ("experiment", WORLD, result, "--plan", plan, "--out-dir", "OUT", *extra)
+
+
+def _calibrate(a, b):
+    return ("calibrate", a, "--reversal", b, "--out", "OUT")
+
+
+# the option that once let unknown JSON keys through; every command refuses it
+REMOVED_FLAG = "--lenient"
+TRUTH_MESSAGE = "error: session.ground_truth.rob_H_cam: expected an array of 4, got 'junk'"
+
+# case: (argv over the calibrated directory c and a scratch directory t, text
+# that stderr must hold). "OUT" stands for the output path: it must not exist
+# after the failed command.
+EXIT_2_CASES = {
+    "trials-zero": (
+        lambda c, t: _experiment(c / "result.json", PLAN, "--trials", 0),
+        "argument --trials: must be at least 1, got 0",
+    ),
+    "trials-negative": (
+        lambda c, t: _experiment(c / "result.json", PLAN, "--trials", -2),
+        "argument --trials: must be at least 1, got -2",
+    ),
+    "reversal-ground-truth": (
+        lambda c, t: _calibrate(c / "a.json", _edited(c / "b.json", t / "b.json", _junk_truth)),
+        TRUTH_MESSAGE,
+    ),
+    "session-ground-truth": (
+        lambda c, t: _calibrate(_edited(c / "a.json", t / "a.json", _junk_truth), c / "b.json"),
+        TRUTH_MESSAGE,
+    ),
+    "metrics-overflow": (
+        lambda c, t: ("metrics", _huge_csv(t / "m.csv"), "--out-dir", "OUT"),
+        "error: cluster_metrics: measurement coordinates too large, a metric overflows",
+    ),
+    "unknown-world-key": (
+        lambda c, t: (
+            "simulate",
+            _edited(WORLD, t / "w.json", lambda d: d["plate_pose"].update(roll_deg=0.0)),
+            "--out",
+            "OUT",
+        ),
+        "error: world.plate_pose: unknown keys ['roll_deg']",
+    ),
+    "unknown-session-key": (
+        lambda c, t: (
+            "calibrate",
+            _edited(c / "a.json", t / "a.json", lambda d: d["tracker_measurements"][2].update(q=1)),
+            "--out",
+            "OUT",
+        ),
+        "error: session.tracker_measurements[2]: unknown keys ['q']",
+    ),
+    "unknown-result-key": (
+        lambda c, t: _experiment(
+            _edited(c / "result.json", t / "r.json", lambda d: d["residuals"].update(note="x")), PLAN
+        ),
+        "error: result.residuals: unknown keys ['note']",
+    ),
+    "unknown-plan-key": (
+        lambda c, t: _experiment(
+            c / "result.json", _edited(PLAN, t / "p.json", lambda d: d.update(repeat=5))
+        ),
+        "error: plan: unknown keys ['repeat']",
+    ),
+    "removed-flag-simulate": (
+        lambda c, t: ("simulate", WORLD, "--out", "OUT", REMOVED_FLAG),
+        f"unrecognized arguments: {REMOVED_FLAG}",
+    ),
+    "removed-flag-calibrate": (
+        lambda c, t: ("calibrate", c / "a.json", "--out", "OUT", REMOVED_FLAG),
+        f"unrecognized arguments: {REMOVED_FLAG}",
+    ),
+    "removed-flag-experiment": (
+        lambda c, t: _experiment(c / "result.json", PLAN, REMOVED_FLAG),
+        f"unrecognized arguments: {REMOVED_FLAG}",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_2_CASES))
+def test_exit_2_table(case, calibrated, tmp_path, capsys):
+    build, message = EXIT_2_CASES[case]
+    out = tmp_path / "out"
+    argv = [out if a == "OUT" else a for a in build(calibrated, tmp_path)]
+    capsys.readouterr()
+    try:
+        code = run(*argv)
+    except SystemExit as e:  # argparse rejects the command line
+        code = e.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["a", "b"])
+def test_ground_truth_decoded_before_the_pipeline(bad, calibrated, tmp_path, call_counts):
+    counts = call_counts((cli, "compute_rob_h_cam"))
+    a, b = (
+        _edited(calibrated / f"{s}.json", tmp_path / f"{s}.json", _junk_truth) if s == bad
+        else calibrated / f"{s}.json"
+        for s in "ab"
+    )
+    assert run("calibrate", a, "--reversal", b, "--out", tmp_path / "r.json") == 2
+    assert counts["compute_rob_h_cam"] == 0

@@ -42,33 +42,38 @@ from floorref.simulate import (
 )
 
 
+DOWN = [0.0, 0.0, -1.0]
+
+
 class TestPlateNormal:
     def test_hand_case_with_floor_rule(self):
-        # raw cross product (P_b - P_r) x (P_g - P_r) = (0, 0, -1), flipped up
-        n = plate_normal([0, 0, 0], [1, 0, 0], [0, 1, 0])
+        # raw cross product (P_b - P_r) x (P_g - P_r) = (0, 0, -1); a camera
+        # looking down at the floor sees it flipped up
+        n = plate_normal([0, 0, 0], [1, 0, 0], [0, 1, 0], DOWN)
         assert np.allclose(n, [0.0, 0.0, 1.0], atol=1e-15)
 
     def test_translation_invariance(self):
         p = [np.array([0.0, 0.0, 0.0]), np.array([30.0, 1.0, 0.5]), np.array([4.0, 25.0, -0.2])]
-        base = plate_normal(*p)
+        base = plate_normal(*p, DOWN)
         shift = np.array([123.4, -56.7, 89.0])
-        moved = plate_normal(*(q + shift for q in p))
+        moved = plate_normal(*(q + shift for q in p), DOWN)
         assert np.max(np.abs(base - moved)) < 1e-12
 
     def test_unit_norm(self):
-        n = plate_normal([0, 0, 0], [400, 3, 1], [7, 350, 2])
+        n = plate_normal([0, 0, 0], [400, 3, 1], [7, 350, 2], DOWN)
         assert abs(np.linalg.norm(n) - 1.0) < 1e-12
 
     def test_collinear_rejected(self):
         with pytest.raises(DegenerateConfiguration):
-            plate_normal([0, 0, 0], [10, 0, 0], [20, 0, 0])
+            plate_normal([0, 0, 0], [10, 0, 0], [20, 0, 0], DOWN)
 
     def test_camera_axis_rule(self):
-        # a camera looking down (-z axis direction) must see the normal oppose it
-        n = plate_normal([0, 0, 0], [1, 0, 0], [0, 1, 0], camera_axis=[0.0, 0.0, -1.0])
-        assert np.allclose(n, [0.0, 0.0, 1.0])
+        # raw cross product (P_b - P_r) x (P_g - P_r) = (0, 0, -1): a camera
+        # looking down (-z axis direction) sees it flipped to oppose its view
+        n = plate_normal([0, 0, 0], [1, 0, 0], [0, 1, 0], camera_axis=DOWN)
+        assert np.allclose(n, [0.0, 0.0, 1.0], atol=1e-15)
         n = plate_normal([0, 0, 0], [1, 0, 0], [0, 1, 0], camera_axis=[0.0, 0.0, 1.0])
-        assert np.allclose(n, [0.0, 0.0, -1.0])
+        assert np.allclose(n, [0.0, 0.0, -1.0], atol=1e-15)
 
 
 def session_with_tracker(tracker):
