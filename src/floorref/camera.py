@@ -25,8 +25,10 @@ from .geometry import (
     RigidTransform,
     apply,
     compose,
+    cross3,
     invert,
     nearest_rotation,
+    norm,
     rotation_from_rotvec,
 )
 
@@ -45,7 +47,7 @@ _UNDISTORT_RTOL = 4.0 * np.finfo(np.float64).eps
 def distort_radial(xy: Array, k1: float, k2: float, k3: float) -> Array:
     """Forward radial distortion of normalized image coordinates, shape (n, 2)."""
     xy = np.asarray(xy, dtype=np.float64)
-    r2 = np.sum(xy * xy, axis=1)
+    r2 = (xy * xy).sum(axis=1)
     factor = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
     return xy * factor[:, None]
 
@@ -63,14 +65,14 @@ def undistort_radial(xy: Array, k1: float, k2: float, k3: float) -> Array:
             distortion does not contract there.
     """
     xy = np.asarray(xy, dtype=np.float64)
-    rd = np.sqrt(np.sum(xy * xy, axis=1))
+    rd = np.sqrt((xy * xy).sum(axis=1))
     tol = _UNDISTORT_RTOL * rd
     ru = rd
     for _ in range(_UNDISTORT_MAX_ITER):
         ru_prev = ru
         r2 = ru * ru
         ru = rd / (1.0 + r2 * (k1 + r2 * (k2 + r2 * k3)))
-        if np.all(np.abs(ru - ru_prev) <= tol):
+        if (np.abs(ru - ru_prev) <= tol).all():
             break
     else:
         raise NonConvergence(
@@ -140,7 +142,7 @@ class CameraModel:
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 back = self.normalized_to_pixel_array(self.pixel_to_normalized_array(grid))
-                err = np.max(np.abs(back - grid))
+                err = np.abs(back - grid).max()
         except (NonConvergence, FloatingPointError) as e:
             raise ValueError(f"distortion not invertible over the sensor ({e})") from None
         if err > 1e-6:
@@ -151,16 +153,18 @@ class CameraModel:
     def normalized_to_pixel_array(self, xy: Array) -> Array:
         """Distort normalized coordinates and convert to (row, col) pairs, (n, 2)."""
         d = distort_radial(np.atleast_2d(xy), *self.k)
-        row = self.cy_px + d[:, 1] * self.focal_mm / self.sy_mm
-        col = self.cx_px + d[:, 0] * self.focal_mm / self.sx_mm
-        return np.stack([row, col], axis=-1)
+        rc = np.empty((d.shape[0], 2))
+        rc[:, 0] = self.cy_px + d[:, 1] * self.focal_mm / self.sy_mm
+        rc[:, 1] = self.cx_px + d[:, 0] * self.focal_mm / self.sx_mm
+        return rc
 
     def pixel_to_normalized_array(self, rowcol: Array) -> Array:
         """Undistorted normalized coordinates for (row, col) pairs, (n, 2)."""
         rowcol = np.atleast_2d(np.asarray(rowcol, dtype=np.float64))
-        xd = (rowcol[:, 1] - self.cx_px) * self.sx_mm / self.focal_mm
-        yd = (rowcol[:, 0] - self.cy_px) * self.sy_mm / self.focal_mm
-        return undistort_radial(np.stack([xd, yd], axis=-1), *self.k)
+        xy = np.empty((rowcol.shape[0], 2))
+        xy[:, 0] = (rowcol[:, 1] - self.cx_px) * self.sx_mm / self.focal_mm
+        xy[:, 1] = (rowcol[:, 0] - self.cy_px) * self.sy_mm / self.focal_mm
+        return undistort_radial(xy, *self.k)
 
     def contains_points(self, rowcol: Array) -> Array:
         """Per (row, col) pair of an (n, 2) array, whether it lies on the
@@ -185,7 +189,7 @@ def project_points(
         xy = pc[:, :2] / z[:, None]
     xy[~in_front] = np.nan
     rc = np.full((pts.shape[0], 2), np.nan)
-    if np.any(in_front):
+    if in_front.any():
         rc[in_front] = model.normalized_to_pixel_array(xy[in_front])
     return rc, in_front
 
@@ -194,7 +198,7 @@ def back_project(model: CameraModel, p: ImagePoint) -> Array:
     """Unit ray direction in the camera frame through a pixel."""
     x, y = model.pixel_to_normalized_array([[p.row, p.col]])[0]
     d = np.array([x, y, 1.0])
-    return d / np.linalg.norm(d)
+    return d / norm(d)
 
 
 def _plane_hits(model: CameraModel, h_ref_cam: RigidTransform, rowcol: Array) -> Array:
@@ -206,10 +210,10 @@ def _plane_hits(model: CameraModel, h_ref_cam: RigidTransform, rowcol: Array) ->
     d = dirs @ h_ref_cam.rotation.T
     dz = d[:, 2]
     bad = np.abs(dz) < 1e-12
-    if np.any(bad):
+    if bad.any():
         raise DegenerateViewingGeometry("rectification ray parallel to the plate plane")
     s = -c[2] / dz
-    if np.any(s <= 0.0):
+    if (s <= 0.0).any():
         raise DegenerateViewingGeometry("rectification ray leaves the plate plane behind")
     return c + s[:, None] * d
 
@@ -256,7 +260,7 @@ def build_rectification_map(model: CameraModel, h_cam_ref: RigidTransform) -> Sc
     if abs(c[2]) < 1e-6:
         raise DegenerateViewingGeometry("camera center lies in the plate plane")
     sigma = 1.0 if c[2] > 0.0 else -1.0
-    axis = h_ref_cam.rotation @ np.array([0.0, 0.0, 1.0])
+    axis = h_ref_cam.rotation[:, 2]  # the optical axis (0, 0, 1) in plate coordinates
     if axis[2] * sigma >= 0.0:
         raise DegenerateViewingGeometry("optical axis points away from the plate plane")
     if abs(axis[2]) < math.cos(math.radians(_MAX_INCIDENCE_DEG)):
@@ -280,18 +284,18 @@ def build_rectification_map(model: CameraModel, h_cam_ref: RigidTransform) -> Sc
     e_z = np.array([0.0, 0.0, sigma])
     row_dir = hits[0] - hits[1]
     with np.errstate(over="ignore"):  # inf for a camera pose near the float range
-        n_row = np.linalg.norm(row_dir)
+        n_row = norm(row_dir)
     if not 1e-12 <= n_row < math.inf:
         raise DegenerateViewingGeometry("degenerate image row direction on the plate plane")
     e_x = row_dir / n_row
-    e_y = np.cross(e_z, e_x)
+    e_y = cross3(e_z, e_x)
 
     corners = hits[2:]
     u = corners @ e_x
     v = corners @ e_y
     origin = u.min() * e_x + v.min() * e_y
 
-    r_ref_scn = np.column_stack([e_x, e_y, e_z])
+    r_ref_scn = np.array([e_x, e_y, e_z]).T  # columns e_x, e_y, e_z
     h_ref_scn = RigidTransform(
         nearest_rotation(r_ref_scn), origin, source=frames.SCN, dest=h_cam_ref.source
     )
@@ -299,7 +303,7 @@ def build_rectification_map(model: CameraModel, h_cam_ref: RigidTransform) -> Sc
     # the corners' plane hits in the scene frame: what map_image_points gives
     # for the corner pixels, without undistorting them a second time
     corner_scn = corners @ h_scn_ref.rotation.T + h_scn_ref.translation
-    if np.min(corner_scn[:, :2]) < -1e-9:
+    if corner_scn[:, :2].min() < -1e-9:
         raise DegenerateViewingGeometry(
             "projected image corners escape the positive scene quadrant"
         )
@@ -363,7 +367,9 @@ def _pose_jacobian(model: CameraModel, q: Array, pc: Array) -> Array:
 def _homography_dlt(plane_xy: Array, norm_xy: Array) -> Array:
     def normalizer(pts: Array) -> Array:
         mean = pts.mean(axis=0)
-        scale = math.sqrt(2.0) / max(np.mean(np.linalg.norm(pts - mean, axis=1)), 1e-12)
+        d = pts - mean
+        # the mean distance from the centroid, rounded as np.linalg.norm(d, axis=1) rounds
+        scale = math.sqrt(2.0) / max(np.sqrt((d * d).sum(axis=1)).mean(), 1e-12)
         t = np.array(
             [[scale, 0.0, -scale * mean[0]], [0.0, scale, -scale * mean[1]], [0.0, 0.0, 1.0]]
         )
@@ -388,11 +394,11 @@ def _homography_dlt(plane_xy: Array, norm_xy: Array) -> Array:
 
 def _pose_from_homography(h: Array) -> tuple[Array, Array]:
     h1, h2, h3 = h[:, 0], h[:, 1], h[:, 2]
-    lam = 2.0 / (np.linalg.norm(h1) + np.linalg.norm(h2))
+    lam = 2.0 / (norm(h1) + norm(h2))
     r1, r2, t = lam * h1, lam * h2, lam * h3
     if t[2] < 0.0:
         r1, r2, t = -r1, -r2, -t
-    r = nearest_rotation(np.column_stack([r1, r2, np.cross(r1, r2)]))
+    r = nearest_rotation(np.array([r1, r2, cross3(r1, r2)]).T)
     return r, t
 
 
@@ -436,12 +442,12 @@ def estimate_plate_pose_from_image(
         )
     rc_obs = np.array([[ip.row, ip.col] for ip, _ in observed], dtype=np.float64)
     ref_pts = np.array([p for _, p in observed], dtype=np.float64)
-    if ref_pts.shape != (n, 3) or not np.all(np.isfinite(ref_pts)):
+    if ref_pts.shape != (n, 3) or not np.isfinite(ref_pts).all():
         raise ValueError(
             f"estimate_plate_pose_from_image: reference marks must be finite 3-vectors, "
             f"got an array of shape {ref_pts.shape}"
         )
-    if np.max(np.abs(ref_pts[:, 2])) > 1e-9:
+    if np.abs(ref_pts[:, 2]).max() > 1e-9:
         raise DegenerateConfiguration(
             "estimate_plate_pose_from_image: reference marks must lie in the plate plane"
         )
@@ -459,7 +465,7 @@ def estimate_plate_pose_from_image(
         q = ref_pts @ rm.T
         pc = q + tv
         z = pc[:, 2]
-        if np.any(z <= _MIN_DEPTH_MM):
+        if (z <= _MIN_DEPTH_MM).any():
             return None
         rc = model.normalized_to_pixel_array(pc[:, :2] / z[:, None])
         return (rc - rc_obs).ravel(), q, pc
@@ -489,7 +495,7 @@ def estimate_plate_pose_from_image(
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            small = float(np.max(np.abs(step))) < _POSE_STEP_TOL
+            small = float(np.abs(step).max()) < _POSE_STEP_TOL
             r_new = rotation_from_rotvec(step[:3]) @ r
             t_new = t + step[3:]
             projection = reproject(r_new, t_new)

@@ -6,7 +6,7 @@ names it. Exit codes: 0 success, 2 usage or config/schema error (including
 a trial count below 1 and measurements whose metrics overflow), 3 infeasible
 geometry in simulation or experiment, 4 degenerate geometry in calibration,
 5 reversal inconsistency. A command that fails on its inputs writes no output
-file.
+file; an output path that cannot be written exits 2 as well.
 Diagnostic verbosity via the FLOORREF_LOG environment variable.
 """
 
@@ -244,6 +244,11 @@ def main(argv: list[str] | None = None) -> int:
         return _exit_code(args.command, e)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except OSError as e:
+        # inputs are read through read_json and read_measurements_csv, which
+        # report unreadable files as schema errors: what is left is an output
+        print(f"error: cannot write {e.filename}: {e.strerror or e}", file=sys.stderr)
         return 2
 
 

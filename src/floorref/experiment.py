@@ -343,6 +343,11 @@ def enclosing_circle(points: Array) -> tuple[float, float, float]:
     is inside a circle of radius r when its distance from the center is at
     most r (1 + 1e-14) + 1e-14; that bound is computed once per circle.
 
+    Squared distances overflow beyond about 1.3e154: when the radius comes out
+    infinite or NaN for finite points, the construction is redone on the
+    points scaled by an exact power of two into [-1, 1] and its circle scaled
+    back, so a representable radius is returned as a finite one.
+
     Raises:
         ValueError: points is not a non-empty (n, 2) array.
     """
@@ -390,6 +395,12 @@ def enclosing_circle(points: Array) -> tuple[float, float, float]:
                 else:
                     cx, cy, r = c3
                 lim = r * (1.0 + 1e-14) + 1e-14
+    if not math.isfinite(r) and np.isfinite(points).all():
+        e = math.frexp(float(np.abs(points).max()))[1]
+        cx, cy, r = enclosing_circle(np.ldexp(points, -e))
+        # two exact factors: 2.0 ** e alone overflows for e = 1024
+        f1, f2 = 2.0 ** (e // 2), 2.0 ** (e - e // 2)
+        return cx * f1 * f2, cy * f1 * f2, r * f1 * f2
     return float(cx), float(cy), float(r)
 
 

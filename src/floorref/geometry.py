@@ -37,12 +37,32 @@ _RENORM_TRIGGER = 1e-12
 
 Array = NDArray[np.float64]
 
+_EYE3 = np.eye(3)
+_EYE3.setflags(write=False)
+_YZX = np.array([1, 2, 0])
+_ZXY = np.array([2, 0, 1])
+
+
+def cross3(a: Array, b: Array) -> Array:
+    """Cross product of two float64 3-vectors, equal to ``np.cross(a, b)``: the
+    same products and differences (a1 b2 - a2 b1, ...), as array operations,
+    so overflow and invalid values reach ``np.errstate`` as they do there."""
+    return a[_YZX] * b[_ZXY] - a[_ZXY] * b[_YZX]
+
+
+def norm(v: Array) -> np.float64:
+    """Euclidean (for a matrix, Frobenius) norm of a float64 array, equal to
+    ``np.linalg.norm(v)``: the square root of the dot product of the
+    flattened array with itself, as numpy evaluates it."""
+    x = v.ravel(order="K")
+    return np.sqrt(x.dot(x))
+
 
 def as_point3(p: Sequence[float] | Array) -> Array:
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
+    if not all(map(math.isfinite, p.tolist())):
         raise ValueError(f"point components must be finite, got {p}")
     return p
 
@@ -51,7 +71,7 @@ def triangle_area(a: Array, b: Array, c: Array) -> float:
     """Area of the triangle with 3D vertices a, b, c (mm^2); inf or nan, with no
     warning, when vertices near the float range overflow it."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return 0.5 * float(np.linalg.norm(np.cross(b - a, c - a)))
+        return 0.5 * float(norm(cross3(b - a, c - a)))
 
 
 # --- rotations ------------------------------------------------------------
@@ -62,9 +82,9 @@ def validate_rotation(r: Array) -> None:
     if r.shape != (3, 3):
         raise ValueError(f"rotation must be 3x3, got {r.shape}")
     # bounded entries (NaN fails too) keep R^T R from overflowing
-    if not np.all(np.abs(r) <= 1.0 + ROTATION_TOL):
+    if not (np.abs(r) <= 1.0 + ROTATION_TOL).all():
         raise ValueError("rotation entries must be finite and within [-1, 1]")
-    err = np.linalg.norm(r.T @ r - np.eye(3))
+    err = norm(r.T @ r - _EYE3)
     if err > ROTATION_TOL:
         raise ValueError(f"matrix not orthonormal: |R^T R - I|_F = {err:.3e}")
     det = np.linalg.det(r)
@@ -120,19 +140,19 @@ def rotation_from_rotvec(w: Sequence[float] | Array) -> Array:
     division by the angle.
     """
     w = np.asarray(w, dtype=np.float64)
-    angle = float(np.linalg.norm(w))
+    angle = float(norm(w))
     if angle < 1e-12:
         k = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
-        return np.eye(3) + k + 0.5 * (k @ k)
+        return _EYE3 + k + 0.5 * (k @ k)
     a = w / angle
     k = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
-    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+    return _EYE3 + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
 
 
 def rotation_about_axis(axis: Sequence[float] | Array, angle_rad: float) -> Array:
     """Rotation by angle_rad about an arbitrary axis (Rodrigues form)."""
     a = as_point3(axis)
-    n = np.linalg.norm(a)
+    n = norm(a)
     if n < 1e-15:
         raise ValueError("rotation axis must be nonzero")
     return rotation_from_rotvec(a * (angle_rad / n))
@@ -175,7 +195,7 @@ def rotation_to_quaternion(r: Array) -> Array:
         q[1 + k] = (r[k, i] + r[i, k]) / s
     if q[0] < 0.0:
         q = -q
-    return q / np.linalg.norm(q)
+    return q / norm(q)
 
 
 def quaternion_to_rotation(q: Sequence[float] | Array) -> Array:
@@ -183,10 +203,10 @@ def quaternion_to_rotation(q: Sequence[float] | Array) -> Array:
     if q.shape != (4,):
         raise ValueError(f"quaternion must be a 4-vector, got shape {q.shape}")
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(q))
-    if not 0.0 < norm < math.inf:
-        raise ValueError(f"quaternion norm must be positive and finite, got {norm!r}")
-    w, x, y, z = q / norm
+        length = float(norm(q))
+    if not 0.0 < length < math.inf:
+        raise ValueError(f"quaternion norm must be positive and finite, got {length!r}")
+    w, x, y, z = q / length
     return np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
@@ -230,7 +250,7 @@ class RigidTransform:
 
     @classmethod
     def identity(cls, frame: str) -> RigidTransform:
-        return cls(np.eye(3), np.zeros(3), source=frame, dest=frame)
+        return cls(_EYE3, np.zeros(3), source=frame, dest=frame)
 
     @classmethod
     def from_matrix(cls, m: Array, source: str, dest: str) -> RigidTransform:
@@ -287,7 +307,7 @@ def compose(h_bc: RigidTransform, h_ab: RigidTransform) -> RigidTransform:
             f"{h_bc.source}->{h_bc.dest})"
         )
     r = h_bc.rotation @ h_ab.rotation
-    if np.linalg.norm(r.T @ r - np.eye(3)) > _RENORM_TRIGGER:
+    if norm(r.T @ r - _EYE3) > _RENORM_TRIGGER:
         r = nearest_rotation(r)
     t = h_bc.rotation @ h_ab.translation + h_bc.translation
     return RigidTransform._unchecked(r, t, h_ab.source, h_bc.dest)
@@ -311,7 +331,7 @@ def compose_rotations(r_bc: Array, r_ab: Array) -> Array:
     nearest rotation. Rows with non-finite entries pass through unchanged.
     """
     r = np.asarray(r_bc, dtype=np.float64) @ np.asarray(r_ab, dtype=np.float64)
-    off = (np.swapaxes(r, 1, 2) @ r - np.eye(3)).reshape(-1, 9)
+    off = (np.swapaxes(r, 1, 2) @ r - _EYE3).reshape(-1, 9)
     drift = np.sqrt(row_dots(off, off))
     for i in np.flatnonzero(drift > _RENORM_TRIGGER):
         r[i] = nearest_rotation(r[i])
@@ -328,7 +348,7 @@ def transform_gap(a: RigidTransform, b: RigidTransform) -> tuple[float, float]:
     """Distance between two transforms: translation gap (mm) and geodesic
     rotation gap (rad)."""
     return (
-        float(np.linalg.norm(a.translation - b.translation)),
+        float(norm(a.translation - b.translation)),
         rotation_distance(a.rotation, b.rotation),
     )
 
@@ -412,7 +432,7 @@ def register_points(
 
     transform = RigidTransform(r, t, source=source_frame, dest=target_frame)
     residuals = dst - (src @ r.T + t)
-    rms = float(np.sqrt(np.mean(np.sum(residuals**2, axis=1))))
+    rms = math.sqrt((residuals**2).sum(axis=1).mean())
     return Registration(transform, rms)
 
 

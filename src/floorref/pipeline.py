@@ -36,7 +36,9 @@ from .geometry import (
     as_point3,
     chordal_mean,
     compose,
+    cross3,
     invert,
+    norm,
     register_points,
     transform_gap,
     triangle_area,
@@ -188,11 +190,12 @@ def plate_normal(
     p_r = as_point3(p_r)
     p_g = as_point3(p_g)
     p_b = as_point3(p_b)
-    raw = np.cross(p_b - p_r, p_g - p_r)
-    scale = max(np.linalg.norm(p_b - p_r), np.linalg.norm(p_g - p_r), 1e-30)
-    if np.linalg.norm(raw) <= 1e-12 * scale * scale:
+    raw = cross3(p_b - p_r, p_g - p_r)
+    scale = max(norm(p_b - p_r), norm(p_g - p_r), 1e-30)
+    raw_norm = norm(raw)
+    if raw_norm <= 1e-12 * scale * scale:
         raise DegenerateConfiguration("plate_normal: nest points are collinear")
-    n = raw / np.linalg.norm(raw)
+    n = raw / raw_norm
     dot = float(n @ as_point3(camera_axis))
     log.debug("plate_normal: n . camera axis = %+.3e, flipped=%s", dot, dot > 0.0)
     return -n if dot > 0.0 else n
@@ -248,20 +251,20 @@ def estimate_robot_pose(session: ReferencingSession, n: Sequence[float] | Array)
     p0 = session.robot_position(0)
     p1 = session.robot_position(1)
     v = p1 - p0
-    dist = float(np.linalg.norm(v))
+    dist = float(norm(v))
     if dist <= MIN_DISPLACEMENT_MM:
         raise DegenerateMotion(
             f"robot displacement {dist:.1f} mm at or below {MIN_DISPLACEMENT_MM} mm"
         )
     v_perp = v - float(v @ n) * n
-    norm_perp = float(np.linalg.norm(v_perp))
+    norm_perp = float(norm(v_perp))
     if norm_perp <= MIN_PROJECTED_DISPLACEMENT_MM:
         raise DegenerateMotion(
             f"in-plane robot displacement {norm_perp:.1f} mm at or below "
             f"{MIN_PROJECTED_DISPLACEMENT_MM} mm (motion parallel to the plate normal)"
         )
     v_perp = v_perp / norm_perp
-    c = np.cross(n, v_perp)
+    c = cross3(n, v_perp)
     r = np.column_stack([v_perp, c, n])
     return RigidTransform(r, p0, source=frames.ROB, dest=frames.ABS)
 
@@ -319,8 +322,12 @@ def reversal_average(run_a: ReferencingResult, run_b: ReferencingResult) -> Refe
     """Instrument-reversal average of two runs of the same rig.
 
     Translations are averaged componentwise and rotations through the chordal
-    mean; heading-symmetric systematic errors cancel. Both source runs are
-    retained on the result and the residual fields carry the worse of the two.
+    mean; errors that flip with the heading cancel. A plate bow's translation
+    error does; its rotation bias does not: the bow rolls the robot between
+    its two placements, and the yaw error this gives (about -6.1 mrad per mm
+    of bow) is the same in both runs, so it stays in the average. Both source
+    runs are retained on the result and the residual fields carry the worse
+    of the two.
 
     Raises:
         InconsistentRuns: the two hand-eye estimates differ by more than 2 mm

@@ -17,7 +17,7 @@ from numpy.typing import NDArray
 
 from .camera import CameraModel, ImagePoint, back_project
 from .errors import DegenerateConfiguration, ExcessiveGap, ParallelRays, UnknownNest
-from .geometry import RigidTransform, as_point3, triangle_area
+from .geometry import RigidTransform, as_point3, norm, triangle_area
 
 Array = NDArray[np.float64]
 
@@ -44,13 +44,7 @@ class ReferencingPlate:
     extent_mm: tuple[float, float]
 
     def __post_init__(self) -> None:
-        marks = {}
-        for mark_id, p in self.marks.items():
-            p = as_point3(p)
-            if p[2] != 0.0:
-                raise ValueError(f"mark {mark_id!r} must lie on the plate surface (z=0)")
-            p.setflags(write=False)
-            marks[str(mark_id)] = p
+        marks = _checked_marks(self.marks)
         nests = {}
         for nest_id in NEST_IDS:
             if nest_id not in self.nests:
@@ -77,6 +71,30 @@ class ReferencingPlate:
     def mark_array(self) -> tuple[list[str], Array]:
         ids = list(self.marks.keys())
         return ids, np.array([self.marks[i] for i in ids])
+
+
+def _checked_marks(marks: Mapping[str, Array]) -> dict[str, Array]:
+    """Marks as read-only finite 3-vectors on the plate surface, keyed by str id.
+
+    All marks are checked as one stacked array; only when that check fails
+    does the per-mark loop run, to raise the error of the first bad mark.
+    """
+    ids = [str(mark_id) for mark_id in marks]
+    try:
+        stack = np.array(list(marks.values()), dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        stack = np.empty(0)  # ragged or not numeric: the loop names the mark
+    if stack.shape == (len(ids), 3) and np.isfinite(stack).all() and (stack[:, 2] == 0.0).all():
+        stack.setflags(write=False)
+        return dict(zip(ids, stack))
+    checked = {}
+    for mark_id, p in marks.items():
+        p = as_point3(p)
+        if p[2] != 0.0:
+            raise ValueError(f"mark {mark_id!r} must lie on the plate surface (z=0)")
+        p.setflags(write=False)
+        checked[str(mark_id)] = p
+    return checked
 
 
 def nest_to_smr(plate: ReferencingPlate, nest_id: str) -> Array:
@@ -110,9 +128,7 @@ class StereoObservation:
     nest_images: Mapping[str, tuple[ImagePoint, ImagePoint]]
 
     def __post_init__(self) -> None:
-        baseline = float(
-            np.linalg.norm(self.h_ref_cam0.translation - self.h_ref_cam1.translation)
-        )
+        baseline = float(norm(self.h_ref_cam0.translation - self.h_ref_cam1.translation))
         if baseline <= MIN_BASELINE_MM:
             raise ValueError(
                 f"stereo baseline {baseline:.2f} mm below {MIN_BASELINE_MM} mm"
@@ -168,7 +184,7 @@ def triangulate_nest(
         )
     p0 = o0 + s * d0
     p1 = o1 + t * d1
-    gap = float(np.linalg.norm(p0 - p1))
+    gap = float(norm(p0 - p1))
     if gap > MAX_RAY_GAP_MM:
         raise ExcessiveGap(
             f"triangulate_nest: nest {nest_id!r} ray gap {gap:.3f} mm exceeds "

@@ -35,6 +35,7 @@ from .geometry import (
     compose,
     compose_rotations,
     invert,
+    norm,
     rotation_about_axis,
     rotation_about_x,
     rotation_about_y,
@@ -326,7 +327,7 @@ def support_poses(world: SimWorld, xy: Array, yaw_rad: Array, surface: str) -> S
         origin[:, 2] = coeffs[:, 0] * x0 + coeffs[:, 1] * y0 + coeffs[:, 2]
         contacts = origin[:, None, :] + wheel_x * x_r[:, None, :] + wheel_y * y_r[:, None, :]
         surf_z = np.asarray(surf(contacts[..., 0], contacts[..., 1]), dtype=np.float64)
-        settled = ~done & (np.max(np.abs(surf_z - contacts[..., 2]), axis=1) < _SUPPORT_TOL_MM)
+        settled = ~done & (np.abs(surf_z - contacts[..., 2]).max(axis=1) < _SUPPORT_TOL_MM)
         if settled.any():
             rotation[settled] = frame[settled]
             translation[settled] = (origin + h * n)[settled]
@@ -434,16 +435,15 @@ def simulate_session_with_truth(
     rng = rng_substream(world.seed, STREAM_SESSION, trial)
     h_abs_ref = world.h_abs_ref
 
-    # tracker: seated smrs in canonical nest order, then robot positions 0 and 1
+    # tracker: seated smrs in canonical nest order, then robot positions 0 and
+    # 1; their noise in one draw (the same stream as one draw per point)
+    tracker_noise = rng.normal(0.0, noise.tracker_sigma_mm, size=(len(NEST_IDS) + 2, 3))
     smr_ref = world.true_smr_points_ref(noise.nest_offset_error_mm)
     smr_abs = apply(h_abs_ref, smr_ref)
-    tracker: list[TrackerMeasurement] = []
-    for i, nest_id in enumerate(NEST_IDS):
-        tracker.append(
-            TrackerMeasurement(
-                nest_id, smr_abs[i] + _tracker_noise(rng, noise.tracker_sigma_mm)
-            )
-        )
+    tracker = [
+        TrackerMeasurement(nest_id, smr_abs[i] + tracker_noise[i])
+        for i, nest_id in enumerate(NEST_IDS)
+    ]
     both = support_poses(
         world,
         np.array([[placement0.x_mm, placement0.y_mm], [placement1.x_mm, placement1.y_mm]]),
@@ -455,7 +455,7 @@ def simulate_session_with_truth(
         tracker.append(
             TrackerMeasurement(
                 ROBOT_SMR_ID,
-                h_abs_rob.translation + _tracker_noise(rng, noise.tracker_sigma_mm),
+                h_abs_rob.translation + tracker_noise[len(NEST_IDS) + index],
                 position_index=index,
             )
         )
@@ -465,18 +465,15 @@ def simulate_session_with_truth(
     marks_abs = apply(h_abs_ref, marks_ref)
     h_cam_abs = invert(compose(poses[0], world.h_rob_cam_true))
     rc, in_front = project_points(world.camera, h_cam_abs, marks_abs)
-    # noise is drawn for each mark whose true point is on the sensor; a mark
-    # whose noisy point falls off it is not observed
-    visible = in_front & world.camera.contains_points(rc)
-    drawn = [
-        (mark_id, rc[i] + rng.normal(0.0, noise.image_sigma_px, size=2))
-        for i, mark_id in enumerate(mark_ids)
-        if visible[i]
-    ]
-    on_sensor = world.camera.contains_points(np.reshape([p for _, p in drawn], (-1, 2)))
+    # noise is drawn for each mark whose true point is on the sensor, in mark
+    # order and in one call (the same stream as one draw per mark); a mark
+    # whose noisy point falls off the sensor is not observed
+    visible = np.flatnonzero(in_front & world.camera.contains_points(rc))
+    noisy = rc[visible] + rng.normal(0.0, noise.image_sigma_px, size=(visible.size, 2))
+    on_sensor = world.camera.contains_points(noisy)
     observation = [
-        (mark_id, ImagePoint(float(p[0]), float(p[1])))
-        for (mark_id, p), keep in zip(drawn, on_sensor)
+        (mark_ids[i], ImagePoint(row, col))
+        for i, (row, col), keep in zip(visible.tolist(), noisy.tolist(), on_sensor.tolist())
         if keep
     ]
     if len(observation) < 4:
@@ -648,7 +645,7 @@ def random_world(seed: int) -> SimWorld:
     rng = rng_substream(seed, STREAM_WORLD)
     tilt_axis = rng.normal(size=3)
     tilt_axis[2] = 0.0
-    tilt_axis /= np.linalg.norm(tilt_axis)
+    tilt_axis /= norm(tilt_axis)
     tilt = rotation_about_axis(tilt_axis, rng.uniform(-0.025, 0.025))
     spin = rotation_about_z(rng.uniform(-math.pi, math.pi))
     r = rotation_about_x(math.pi) @ spin @ tilt

@@ -455,6 +455,39 @@ def test_exit_2_table(case, calibrated, tmp_path, capsys):
     assert not out.exists()
 
 
+def _small_csv(path):
+    rows = [f"{direction},{yaw},{1000.0 + i},900.0,0.0,0" for i, (direction, yaw) in enumerate(DIRECTION_YAWS)]
+    path.write_text("direction,yaw_deg,x_mm,y_mm,z_mm,trial\n" + "\n".join(rows) + "\n")
+    return path
+
+
+# case: (argv over the calibrated directory c and a scratch directory t, the
+# output path that cannot be written, the reason stderr gives)
+UNWRITABLE_CASES = {
+    "calibrate-out-in-missing-directory": (
+        lambda c, t: ("calibrate", c / "a.json", "--out", t / "missing" / "r.json"),
+        lambda t: t / "missing" / "r.json",
+        "No such file or directory",
+    ),
+    "metrics-out-dir-is-a-file": (
+        lambda c, t: ("metrics", _small_csv(t / "m.csv"), "--out-dir", t / "m.csv"),
+        lambda t: t / "m.csv",
+        "File exists",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE_CASES))
+def test_unwritable_output_exit_2(case, calibrated, tmp_path, capsys):
+    build, path, reason = UNWRITABLE_CASES[case]
+    argv = build(calibrated, tmp_path)
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write {path(tmp_path)}: {reason}" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("bad", ["a", "b"])
 def test_ground_truth_decoded_before_the_pipeline(bad, calibrated, tmp_path, call_counts):
     counts = call_counts((cli, "compute_rob_h_cam"))

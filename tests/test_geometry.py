@@ -13,8 +13,10 @@ from floorref.geometry import (
     chordal_mean,
     compose,
     compose_rotations,
+    cross3,
     invert,
     nearest_rotation,
+    norm,
     quaternion_to_rotation,
     register_points,
     rotation_about_axis,
@@ -371,3 +373,71 @@ class TestRowStacks:
         stack = compose_rotations(np.array([h.rotation for h in outer]), inner.rotation)
         for h, r in zip(outer, stack):
             assert np.array_equal(r, compose(h, inner).rotation)
+
+
+# finite floats: moderate ones, where the order of the sums shows in the last
+# bit, the whole range, and extra weight near 1e+-300, where products
+# overflow or underflow
+_FINITE = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(1e299, 1e301),
+    st.floats(-1e301, -1e299),
+    st.floats(1e-301, 1e-299),
+    st.floats(-1e-299, -1e-301),
+)
+_VECTORS = st.lists(_FINITE, min_size=3, max_size=3).map(np.array)
+_MATRICES = st.lists(_FINITE, min_size=9, max_size=9).map(lambda v: np.reshape(v, (3, 3)))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def _overflows(f, *args):
+    """Whether f raises FloatingPointError under np.errstate(over="raise")."""
+    try:
+        with np.errstate(over="raise"):
+            f(*args)
+    except FloatingPointError:
+        return True
+    return False
+
+
+class TestVectorHelpers:
+    """cross3 and norm are np.cross and np.linalg.norm bit for bit, and raise
+    on overflow as they do (a pipeline stage turns that into exit 4)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_VECTORS, _VECTORS)
+    def test_cross3_is_np_cross(self, a, b):
+        with np.errstate(all="ignore"):
+            assert _bits(cross3(a, b)) == _bits(np.cross(a, b))
+        assert _overflows(cross3, a, b) == _overflows(np.cross, a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_VECTORS, _MATRICES, _MATRICES.map(np.transpose)))
+    def test_norm_is_np_linalg_norm(self, v):
+        with np.errstate(all="ignore"):
+            assert _bits(norm(v)) == _bits(np.linalg.norm(v))
+        assert _overflows(norm, v) == _overflows(np.linalg.norm, v)
+
+    def test_equal_on_moderate_values(self):
+        # moderate values round differently under another summation order
+        rng = np.random.default_rng(11)
+        a, b = rng.uniform(-10.0, 10.0, size=(2, 2000, 3))
+        m = rng.uniform(-1.0, 1.0, size=(2000, 3, 3))
+        for x, y in zip(a, b):
+            assert _bits(cross3(x, y)) == _bits(np.cross(x, y))
+            assert _bits(norm(x)) == _bits(np.linalg.norm(x))
+        for r in m:
+            assert _bits(norm(r)) == _bits(np.linalg.norm(r))
+            assert _bits(norm(r.T)) == _bits(np.linalg.norm(r.T))
+
+    def test_overflow_raises_under_errstate(self):
+        big = np.array([1e200, -1e200, 3e200])
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                cross3(big, big[::-1])
+            with pytest.raises(FloatingPointError):
+                norm(big)

@@ -1,0 +1,50 @@
+"""Per-call numpy wrappers stay out of the package: 3-vector cross products and
+norms go through ``geometry.cross3`` and ``geometry.norm``, and reductions use
+the array methods (``x.all()``, ``x.any()``), read from each module's source."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "floorref"
+MODULES = sorted(p.stem for p in SRC.glob("*.py"))
+FORBIDDEN = {"np.cross", "np.all", "np.any"}
+NORM = "np.linalg.norm"
+
+
+def _dotted(node: ast.expr) -> str:
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def _wrapper_calls(source: str) -> list[str]:
+    """Each forbidden call in a module's source, as "name:line"; a vector norm
+    is allowed along an ``axis=``, where there is no single-vector form."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = _dotted(node.func).replace("numpy.", "np.", 1)
+        if name in FORBIDDEN or (name == NORM and not any(k.arg == "axis" for k in node.keywords)):
+            found.append(f"{name}:{node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_per_call_numpy_wrappers(module):
+    assert _wrapper_calls((SRC / f"{module}.py").read_text(encoding="utf-8")) == []
+
+
+def test_reader_sees_every_form():
+    source = (
+        "np.cross(a, b)\nnumpy.all(x)\nnp.any(x > 0)\nnp.linalg.norm(v)\n"
+        "np.linalg.norm(m, axis=1)\nx.all()\ncross3(a, b)\n"
+    )
+    assert _wrapper_calls(source) == ["np.cross:1", "np.all:2", "np.any:3", "np.linalg.norm:4"]
+    assert len(MODULES) >= 12

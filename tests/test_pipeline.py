@@ -384,6 +384,42 @@ class TestReversal:
             assert np.array_equal(h_scn_cam.matrix, scene.h_scn_cam.matrix)
 
 
+def _yaw_error_rad(h_rob_cam, truth):
+    # yaw of the error transform est * true^-1, in the robot frame
+    e = h_rob_cam.rotation @ truth.rotation.T
+    return math.atan2(e[1, 0], e[0, 0])
+
+
+def test_bow_yaw_bias_is_left_in_place_by_reversal():
+    """A bowed plate rolls the robot between its two placements, so the
+    reflector displacement leans off the heading. The yaw error this gives is
+    linear in the bow (about -6.1 mrad per mm), negative on every world, and
+    the same in each run as in their reversal average: reversal cancels the
+    translation error, not this rotation."""
+    bows_mm = (0.125, 0.25, 0.5)
+    for seed in range(1000, 1040):
+        world = random_world(seed)
+        per_mm = []
+        for bow in bows_mm:
+            bowed = inject_wooden_plate(world, bow)
+            runs = [
+                compute_rob_h_cam(
+                    simulate_referencing_session(
+                        bowed, NO_NOISE, *default_placements(bowed, reverse=reverse)
+                    )
+                )
+                for reverse in (False, True)
+            ]
+            truth = bowed.h_rob_cam_true
+            yaw = _yaw_error_rad(reversal_average(*runs).h_rob_cam, truth)
+            for run in runs:
+                assert _yaw_error_rad(run.h_rob_cam, truth) == pytest.approx(yaw, rel=0.01)
+            per_mm.append(1e3 * yaw / bow)
+        assert max(per_mm) < 0.0
+        assert per_mm == pytest.approx([per_mm[0]] * len(bows_mm), rel=0.01)
+        assert per_mm[0] == pytest.approx(-6.1, abs=0.1)
+
+
 @pytest.mark.parametrize("seed", range(1, 6))
 def test_calibrate_op_call_counts(seed, call_counts):
     # One reversal calibration, as the benchmark's calibrate op: each session

@@ -102,6 +102,37 @@ class TestPlateType:
                 extent_mm=(600.0, 400.0),
             )
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"b": [1.0, 2.0, 0.5], "c": [np.nan, 0.0, 0.0]}, "mark 'b' must lie on the plate surface"),
+            ({"b": [np.inf, 0.0, 0.0], "c": [1.0, 2.0, 0.5]}, r"point components must be finite, got \[inf"),
+            ({"b": [1.0, 2.0], "c": [1.0, 2.0, 0.5]}, r"expected a 3-vector, got shape \(2,\)"),
+            ({"b": "xyz", "c": [1.0, 2.0, 0.5]}, "could not convert string to float"),
+        ],
+    )
+    def test_first_bad_mark_names_the_error(self, bad, message):
+        # the marks are checked as one array; the error is that of the first bad mark
+        with pytest.raises(ValueError, match=message):
+            ReferencingPlate(
+                marks={"a": [0.0, 1.0, 0.0], **bad},
+                nests=make_plate().nests,
+                delta_mm=1.0,
+                extent_mm=(600.0, 400.0),
+            )
+
+    def test_marks_are_read_only_float_vectors(self):
+        plate = ReferencingPlate(
+            marks={"a": [0, 1, 0], 7: np.array([2.5, -1.0, 0.0])},
+            nests=make_plate().nests,
+            delta_mm=1.0,
+            extent_mm=(600.0, 400.0),
+        )
+        assert list(plate.marks) == ["a", "7"]
+        for p in plate.marks.values():
+            assert p.dtype == np.float64 and p.shape == (3,) and not p.flags.writeable
+        assert np.array_equal(plate.mark_array()[1], [[0.0, 1.0, 0.0], [2.5, -1.0, 0.0]])
+
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):
             make_plate(delta=-0.5)
