@@ -13,6 +13,7 @@ Diagnostic verbosity via the FLOORREF_LOG environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -184,7 +185,10 @@ def _trial_count(text: str) -> int:
     return n
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parse_args returns a fresh
+    namespace on every call, so nothing carries over between calls."""
     parser = argparse.ArgumentParser(
         prog="floorref",
         description="Referencing toolkit: laser-tracker plus nadir-camera hand-eye calibration",
@@ -197,13 +201,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output session JSON")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--reverse", action="store_true", help="reversed-heading placements")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("calibrate", help="run the referencing pipeline on a session")
     p.add_argument("session", help="session JSON")
     p.add_argument("--out", required=True, help="output result JSON")
     p.add_argument("--reversal", default=None, help="second session for instrument reversal")
-    p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("experiment", help="run the eight-direction mark experiment")
     p.add_argument("world", help="world config JSON")
@@ -214,12 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--trials", type=_trial_count, default=1, help="number of seeded repetitions (at least 1)"
     )
-    p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("metrics", help="cluster metrics over an existing measurement CSV")
     p.add_argument("measurements", help="measurement CSV")
     p.add_argument("--out-dir", required=True, help="output directory")
-    p.set_defaults(func=cmd_metrics)
 
     return parser
 
@@ -237,8 +237,15 @@ def _exit_code(command: str, exc: FloorRefError) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     _setup_logging()
+    # looked up at call time, so a replaced module attribute is the one run
+    commands = {
+        "simulate": cmd_simulate,
+        "calibrate": cmd_calibrate,
+        "experiment": cmd_experiment,
+        "metrics": cmd_metrics,
+    }
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except FloorRefError as e:
         print(f"error: {e}", file=sys.stderr)
         return _exit_code(args.command, e)

@@ -470,9 +470,20 @@ def _cluster_stats(xy: Array, yaws_deg: Array) -> Array:
     Each reduction runs along one cluster's row, so every figure rounds as the
     same reduction over that cluster alone does. The yaw range is taken around
     the circular mean, robust to the +-180 wrap.
+
+    The distances square the coordinates, which overflows beyond about
+    1.3e154: a cluster of finite points whose distances come out infinite or
+    NaN has them redone on its points scaled by an exact power of two into
+    [-1, 1], then scaled back, as ``enclosing_circle`` does.
     """
     mean = xy.mean(axis=1)
     dists = np.linalg.norm(xy - mean[:, None], axis=2)
+    if not np.isfinite(dists).all():
+        redo = ~np.isfinite(dists).all(axis=1) & np.isfinite(xy).all(axis=(1, 2))
+        e = np.frexp(np.abs(xy[redo]).max(axis=(1, 2)))[1]
+        scaled = np.ldexp(xy[redo], -e[:, None, None])
+        d = np.linalg.norm(scaled - scaled.mean(axis=1)[:, None], axis=2)
+        dists[redo] = np.ldexp(d, e[:, None])
     rad = np.radians(yaws_deg)
     sin_mean = np.sin(rad).mean(axis=1).tolist()
     cos_mean = np.cos(rad).mean(axis=1).tolist()
@@ -482,6 +493,13 @@ def _cluster_stats(xy: Array, yaws_deg: Array) -> Array:
     return np.column_stack(
         [mean, dists.max(axis=1), dists.mean(axis=1), yaw_mean + rel.min(axis=1), yaw_mean + rel.max(axis=1)]
     )
+
+
+def _mean_length(d: Array) -> float:
+    """Mean length of the rows of an (m, 2) array."""
+    # squared lengths as dot products, the form np.linalg.norm takes for one
+    # vector (an elementwise x*x + y*y can differ in the last place)
+    return float(np.mean(np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])))
 
 
 def _direction_stats(direction: str, count: int, row: list[float], radius_mm: float) -> DirectionStats:
@@ -538,9 +556,11 @@ def cluster_metrics(measurements: Sequence[MarkMeasurement]) -> ClusterReport:
         if present.size >= 2:
             i, j = np.triu_indices(present.size, 1)
             d = table[i, :2] - table[j, :2]
-            # squared lengths as dot products, the form np.linalg.norm takes for
-            # one vector (an elementwise x*x + y*y can differ in the last place)
-            inter = float(np.mean(np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])))
+            inter = _mean_length(d)
+            if not math.isfinite(inter) and np.isfinite(d).all():
+                # squares overflow: the same on d scaled into [-1, 1] by 2**-e
+                e = int(np.frexp(np.abs(d).max())[1])
+                inter = float(np.ldexp(_mean_length(np.ldexp(d, -e)), e))
         else:
             inter = 0.0
     radii = [enclosing_circle(all_xy[grouped[bounds[d] : bounds[d + 1]]])[2] for d in present.tolist()]

@@ -257,7 +257,10 @@ class RigidTransform:
         m = np.asarray(m, dtype=np.float64)
         if m.shape != (4, 4):
             raise ValueError(f"homogeneous matrix must be 4x4, got {m.shape}")
-        if not np.allclose(m[3], [0.0, 0.0, 0.0, 1.0], atol=1e-12):
+        # the test np.allclose(m[3], (0, 0, 0, 1), atol=1e-12) makes, written
+        # out: |a - b| <= atol + rtol |b| with its default rtol 1e-5; NaN fails
+        a, b, c, d = m[3].tolist()
+        if not (abs(a) <= 1e-12 and abs(b) <= 1e-12 and abs(c) <= 1e-12 and abs(d - 1.0) <= 1e-12 + 1e-5):
             raise ValueError(f"last row must be (0, 0, 0, 1), got {m[3]}")
         return cls(m[:3, :3], m[:3, 3], source=source, dest=dest)
 

@@ -92,6 +92,8 @@ def _path(where: str, key: str | int) -> str:
 
 
 def _finite(v: Any) -> float | None:
+    if type(v) is float:  # what JSON decoding gives for most numbers
+        return v if math.isfinite(v) else None
     if isinstance(v, _NUM) and not isinstance(v, bool):
         try:
             f = float(v)

@@ -35,3 +35,18 @@ def test_probe_and_worker_names_exist():
     assert callable(camera.pixel_to_normalized_array)
     assert callable(floorref.experiment.min_enclosing_circle)
     assert isinstance(floorref.KERNEL_BACKEND, str)
+
+
+def test_tracer_sees_cli_commands_after_an_untraced_call(tmp_path):
+    # the benchmark runs a warm-up op before it installs the tracer: commands
+    # must be looked up when main() runs, not bound when the parser was built
+    tracing = _load("tracing")
+    world = Path(__file__).resolve().parents[1] / "configs" / "world.json"
+    assert floorref.cli.main(["simulate", str(world), "--out", str(tmp_path / "a.json")]) == 0
+    tracer = tracing.Tracer()
+    tracer.install(floorref)
+    try:
+        assert floorref.cli.main(["simulate", str(world), "--out", str(tmp_path / "b.json")]) == 0
+    finally:
+        tracer.uninstall()
+    assert "cli.simulate" in {span[0] for span in tracer.spans}

@@ -318,6 +318,35 @@ class TestMetrics:
         assert f"bad.csv:4: {column}: expected a finite number" in capsys.readouterr().err
 
 
+class TestRepeatedCalls:
+    """main() may be called again in one process: the parser is built once and
+    nothing else carries over from one call to the next."""
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_options_do_not_leak_into_the_next_call(self, tmp_path):
+        first, other, again = (tmp_path / f"{name}.json" for name in ("first", "other", "again"))
+        assert run("simulate", CONFIGS / "world.json", "--out", first) == 0
+        assert run("simulate", CONFIGS / "world.json", "--out", other, "--seed", 5, "--reverse") == 0
+        assert run("simulate", CONFIGS / "world.json", "--out", again) == 0
+        assert other.read_bytes() != first.read_bytes()
+        assert again.read_bytes() == first.read_bytes()
+
+    def test_command_looked_up_at_call_time(self, tmp_path, monkeypatch):
+        assert run("simulate", CONFIGS / "world.json", "--out", tmp_path / "s.json") == 0
+        seen = []
+
+        def replacement(args):
+            seen.append(args.out)
+            return 7
+
+        monkeypatch.setattr(cli, "cmd_simulate", replacement)
+        assert run("simulate", CONFIGS / "world.json", "--out", tmp_path / "t.json") == 7
+        assert seen == [str(tmp_path / "t.json")]
+        assert not (tmp_path / "t.json").exists()
+
+
 # --- exit-code table -----------------------------------------------------------
 
 WORLD = CONFIGS / "world.json"

@@ -31,6 +31,7 @@ from floorref.experiment import (
 )
 from floorref.geometry import RigidTransform, apply, compose
 from floorref.pipeline import compute_rob_h_cam
+from floorref.report import read_measurements_csv
 from floorref.simulate import (
     GLASS_NOISE,
     NO_NOISE,
@@ -408,6 +409,34 @@ class TestClusterMetrics:
             assert stats.radius_mm >= stats.max_from_mean_mm / 2.0 - 1e-12
             assert stats.radius_mm <= stats.max_from_mean_mm + 1e-12
         assert report.overall.count == len(ms)
+
+    def test_far_beyond_the_square_root_of_the_float_range(self, tmp_path):
+        # squared distances overflow from about 1.3e154; every figure of these
+        # clusters is representable, so none comes out infinite
+        path = tmp_path / "m.csv"
+        path.write_text(
+            "direction,yaw_deg,x_mm,y_mm,z_mm,trial\n"
+            "up,0.0,1e200,900.0,0.0,0\nup,0.0,3e200,900.0,0.0,0\n"
+            "down,180.0,-1e200,900.0,0.0,0\ndown,180.0,-3e200,900.0,0.0,0\n"
+        )
+        report = cluster_metrics(read_measurements_csv(path))
+        up, down = report.directions
+        for stats, x in ((up, 2e200), (down, -2e200), (report.overall, 0.0)):
+            assert (stats.mean_x_mm, stats.mean_y_mm) == (x, 900.0)
+        for stats in (up, down):
+            assert stats.max_from_mean_mm == stats.mean_from_mean_mm == pytest.approx(1e200)
+            assert stats.radius_mm == pytest.approx(1e200)
+        assert report.overall.max_from_mean_mm == pytest.approx(3e200)
+        assert report.overall.mean_from_mean_mm == pytest.approx(2e200)
+        assert report.overall.radius_mm == pytest.approx(3e200)
+        assert report.mean_intercluster_l2_mm == pytest.approx(4e200)
+        # the same figures as the clusters scaled down, up to the exact scale
+        ms = read_measurements_csv(path)
+        small = cluster_metrics([replace(m, position=m.position * 2.0**-600) for m in ms])
+        for a, b in zip(report.directions + (report.overall,), small.directions + (small.overall,)):
+            assert a.max_from_mean_mm == b.max_from_mean_mm * 2.0**600
+            assert a.mean_from_mean_mm == b.mean_from_mean_mm * 2.0**600
+        assert report.mean_intercluster_l2_mm == small.mean_intercluster_l2_mm * 2.0**600
 
     def test_direction_order_matches_table_layout(self):
         ms = []

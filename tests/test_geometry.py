@@ -342,6 +342,25 @@ class TestWhereTransformsAreChecked:
             with pytest.raises(ValueError, match="finite"):
                 compose(shift, shift)
 
+    def test_last_row_check_decides_as_allclose(self):
+        # from_matrix writes out np.allclose(m[3], (0, 0, 0, 1), atol=1e-12):
+        # every value at both tolerance edges, their neighbours and the
+        # non-finite and extreme values, in each position of the last row
+        edges = [1e-12, 1.0 + (1e-12 + 1e-5), 1.0 - (1e-12 + 1e-5)]
+        near = [np.nextafter(e, s) for e in edges for s in (-np.inf, np.inf)]
+        values = [0.0, -0.0, 1.0, np.nan, np.inf, -np.inf, 1e300, -1e300]
+        values += [s * v for v in edges + near for s in (1.0, -1.0)]
+        for j in range(4):
+            for v in values:
+                m = np.eye(4)
+                m[3, j] = v
+                if np.allclose(m[3], [0.0, 0.0, 0.0, 1.0], atol=1e-12):
+                    RigidTransform.from_matrix(m, source="a", dest="b")
+                    continue
+                with pytest.raises(ValueError) as e:
+                    RigidTransform.from_matrix(m, source="a", dest="b")
+                assert str(e.value) == f"last row must be (0, 0, 0, 1), got {m[3]}", (j, v)
+
 
 class TestRowStacks:
     """Stacked forms equal their one-row counterparts bit for bit."""

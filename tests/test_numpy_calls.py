@@ -1,6 +1,7 @@
 """Per-call numpy wrappers stay out of the package: 3-vector cross products and
-norms go through ``geometry.cross3`` and ``geometry.norm``, and reductions use
-the array methods (``x.all()``, ``x.any()``), read from each module's source."""
+norms go through ``geometry.cross3`` and ``geometry.norm``, reductions use
+the array methods (``x.all()``, ``x.any()``) and tolerance tests are written
+out as comparisons, read from each module's source."""
 
 import ast
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "floorref"
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
-FORBIDDEN = {"np.cross", "np.all", "np.any"}
+FORBIDDEN = {"np.cross", "np.all", "np.any", "np.allclose", "np.isclose"}
 NORM = "np.linalg.norm"
 
 
@@ -45,6 +46,9 @@ def test_reader_sees_every_form():
     source = (
         "np.cross(a, b)\nnumpy.all(x)\nnp.any(x > 0)\nnp.linalg.norm(v)\n"
         "np.linalg.norm(m, axis=1)\nx.all()\ncross3(a, b)\n"
+        "np.allclose(a, b, atol=1e-12)\nnumpy.isclose(a, b)\n"
     )
-    assert _wrapper_calls(source) == ["np.cross:1", "np.all:2", "np.any:3", "np.linalg.norm:4"]
+    assert _wrapper_calls(source) == [
+        "np.cross:1", "np.all:2", "np.any:3", "np.linalg.norm:4", "np.allclose:8", "np.isclose:9",
+    ]
     assert len(MODULES) >= 12
