@@ -173,22 +173,19 @@ class CameraModel:
         return (0.0 <= row) & (row <= self.rows - 1) & (0.0 <= col) & (col <= self.cols - 1)
 
 
-def project_points(
-    model: CameraModel, h_cam_world: RigidTransform, pts: Array
-) -> tuple[Array, Array]:
-    """Project world points; returns ((n, 2) row/col array, in-front mask).
+def project_points(model: CameraModel, pts_cam: Array) -> tuple[Array, Array]:
+    """Project camera-frame points; returns ((n, 2) row/col array, in-front mask).
 
     Points behind the camera get non-finite coordinates and a False mask entry
     so simulator visibility checks can proceed without raising.
     """
-    pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-    pc = pts @ h_cam_world.rotation.T + h_cam_world.translation
+    pc = np.atleast_2d(np.asarray(pts_cam, dtype=np.float64))
     z = pc[:, 2]
     in_front = z > _MIN_DEPTH_MM
     with np.errstate(divide="ignore", invalid="ignore"):
         xy = pc[:, :2] / z[:, None]
     xy[~in_front] = np.nan
-    rc = np.full((pts.shape[0], 2), np.nan)
+    rc = np.full((pc.shape[0], 2), np.nan)
     if in_front.any():
         rc[in_front] = model.normalized_to_pixel_array(xy[in_front])
     return rc, in_front
@@ -395,9 +392,8 @@ def _homography_dlt(plane_xy: Array, norm_xy: Array) -> Array:
 def _pose_from_homography(h: Array) -> tuple[Array, Array]:
     h1, h2, h3 = h[:, 0], h[:, 1], h[:, 2]
     lam = 2.0 / (norm(h1) + norm(h2))
+    # h[2, 2] = 1 (see _homography_dlt), so t[2] = lam > 0: the plate is in front
     r1, r2, t = lam * h1, lam * h2, lam * h3
-    if t[2] < 0.0:
-        r1, r2, t = -r1, -r2, -t
     r = nearest_rotation(np.array([r1, r2, cross3(r1, r2)]).T)
     return r, t
 

@@ -74,7 +74,7 @@ class MarkMeasurement:
         if self.direction not in DIRECTION_YAW_DEG:
             raise ValueError(f"unknown direction {self.direction!r}")
         nominal = DIRECTION_YAW_DEG[self.direction]
-        if abs(_wrap_deg(self.yaw_deg - nominal)) > DIRECTION_TOLERANCE_DEG:
+        if not abs(_wrap_deg(self.yaw_deg - nominal)) <= DIRECTION_TOLERANCE_DEG:  # NaN fails
             raise ValueError(
                 f"yaw {self.yaw_deg:.2f} deg inconsistent with direction {self.direction!r}"
             )
@@ -117,14 +117,18 @@ class ExperimentPlan:
         for yaw in self.yaw_deg_list:
             direction = direction_for_yaw(yaw)  # raises for unmapped yaw
             margin = DIRECTION_TOLERANCE_DEG - abs(_wrap_deg(yaw - DIRECTION_YAW_DEG[direction]))
-            if 6.0 * self.yaw_jitter_deg > margin:
+            if not 6.0 * self.yaw_jitter_deg <= margin:  # NaN fails
                 raise ValueError(
                     f"yaw_jitter_deg {self.yaw_jitter_deg:g}: six times the jitter must fit in the "
                     f"{margin:.2f} deg between yaw {yaw:g} deg and the edge of the "
                     f"{DIRECTION_TOLERANCE_DEG:g} deg band of direction {direction!r}"
                 )
-        if self.max_offset_mm < 0.0 or self.yaw_jitter_deg < 0.0:
-            raise ValueError("offsets and jitter must be non-negative")
+        if not 0.0 <= self.max_offset_mm < math.inf:
+            raise ValueError(f"max_offset_mm must be finite and non-negative, got {self.max_offset_mm}")
+        if self.yaw_jitter_deg < 0.0:
+            raise ValueError(f"yaw_jitter_deg must be non-negative, got {self.yaw_jitter_deg}")
+        if not all(map(math.isfinite, self.mark_xy_mm)):
+            raise ValueError(f"mark_xy_mm must be finite, got {self.mark_xy_mm}")
         object.__setattr__(self, "mark_xy_mm", tuple(float(v) for v in self.mark_xy_mm))
         object.__setattr__(self, "yaw_deg_list", tuple(float(v) for v in self.yaw_deg_list))
 
@@ -265,7 +269,7 @@ def run_experiment(
     # MarkMeasurement's checks, once per array
     directions = [direction_for_yaw(yaw) for yaw in yaws]
     nominal = np.tile([DIRECTION_YAW_DEG[d] for d in directions], plan.repeats)
-    bad_yaw = np.abs(_wrap_deg(yaw_deg - nominal)) > DIRECTION_TOLERANCE_DEG
+    bad_yaw = ~(np.abs(_wrap_deg(yaw_deg - nominal)) <= DIRECTION_TOLERANCE_DEG)
     bad = bad_yaw | ~np.isfinite(positions).all(axis=1)
     yaw_list = yaw_deg.tolist()
     if bad.any():
@@ -446,8 +450,8 @@ class DirectionStats:
     max_from_mean_mm: float
     mean_from_mean_mm: float
     radius_mm: float
-    yaw_min_deg: float | None
-    yaw_max_deg: float | None
+    yaw_min_deg: float
+    yaw_max_deg: float
 
     @property
     def diameter_mm(self) -> float:
@@ -472,9 +476,11 @@ def _cluster_stats(xy: Array, yaws_deg: Array) -> Array:
     the circular mean, robust to the +-180 wrap.
 
     The distances square the coordinates, which overflows beyond about
-    1.3e154: a cluster of finite points whose distances come out infinite or
-    NaN has them redone on its points scaled by an exact power of two into
-    [-1, 1], then scaled back, as ``enclosing_circle`` does.
+    1.3e154, and the mean sums them, which can overflow near the float range:
+    a cluster of finite points whose distances come out infinite or NaN (as a
+    non-finite mean makes them) has them, and a non-finite mean, redone on its
+    points scaled by an exact power of two into [-1, 1], then scaled back, as
+    ``enclosing_circle`` does.
     """
     mean = xy.mean(axis=1)
     dists = np.linalg.norm(xy - mean[:, None], axis=2)
@@ -482,8 +488,10 @@ def _cluster_stats(xy: Array, yaws_deg: Array) -> Array:
         redo = ~np.isfinite(dists).all(axis=1) & np.isfinite(xy).all(axis=(1, 2))
         e = np.frexp(np.abs(xy[redo]).max(axis=(1, 2)))[1]
         scaled = np.ldexp(xy[redo], -e[:, None, None])
-        d = np.linalg.norm(scaled - scaled.mean(axis=1)[:, None], axis=2)
-        dists[redo] = np.ldexp(d, e[:, None])
+        m = scaled.mean(axis=1)
+        dists[redo] = np.ldexp(np.linalg.norm(scaled - m[:, None], axis=2), e[:, None])
+        # a finite mean keeps its value: the scaling can flush tiny points to zero
+        mean[redo] = np.where(np.isfinite(mean[redo]), mean[redo], np.ldexp(m, e[:, None]))
     rad = np.radians(yaws_deg)
     sin_mean = np.sin(rad).mean(axis=1).tolist()
     cos_mean = np.cos(rad).mean(axis=1).tolist()

@@ -426,9 +426,7 @@ def register_points(
     dst_mean = dst.mean(axis=0)
     h = (src - src_mean).T @ (dst - dst_mean)
     u, _, vt = np.linalg.svd(h)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    if d == 0.0:
-        d = 1.0
+    d = np.sign(np.linalg.det(vt.T @ u.T))  # +-1 for an orthogonal product
     r = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
     r = nearest_rotation(r)
     t = dst_mean - r @ src_mean

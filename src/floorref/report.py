@@ -27,6 +27,7 @@ CSV_HEADER = (
     "Cluster Radius [mm]",
     "Approach Angle Range [deg]",
 )
+MEASUREMENT_COLUMNS = ("direction", "yaw_deg", "x_mm", "y_mm", "z_mm", "trial")
 
 _COLORS = dict(
     zip(
@@ -41,8 +42,6 @@ def _fmt9(v: float) -> str:
 
 
 def _angle_range(stats: DirectionStats) -> str:
-    if stats.yaw_min_deg is None or stats.yaw_max_deg is None:
-        return ""
     return f"[{stats.yaw_min_deg:.2f}, {stats.yaw_max_deg:.2f}]"
 
 
@@ -98,7 +97,7 @@ def report_to_dict(report: ClusterReport) -> dict:
 def write_measurements_csv(measurements: Sequence[MarkMeasurement], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["direction", "yaw_deg", "x_mm", "y_mm", "z_mm", "trial"])
+        writer.writerow(MEASUREMENT_COLUMNS)
         for m in measurements:
             writer.writerow(
                 [
@@ -118,16 +117,15 @@ def read_measurements_csv(path: str | Path) -> list[MarkMeasurement]:
             rows = list(csv.reader(f))
     except OSError as e:
         raise SchemaError(f"cannot read measurement CSV {path}: {e}") from e
-    header = ["direction", "yaw_deg", "x_mm", "y_mm", "z_mm", "trial"]
-    if not rows or rows[0] != header:
-        raise SchemaError(f"{path}: expected header direction,yaw_deg,x_mm,y_mm,z_mm,trial")
+    if not rows or tuple(rows[0]) != MEASUREMENT_COLUMNS:
+        raise SchemaError(f"{path}: expected header {','.join(MEASUREMENT_COLUMNS)}")
     out = []
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != 6:
             raise SchemaError(f"{path}:{i}: expected 6 columns, got {len(row)}")
         try:
             values = [float(v) for v in row[1:5]]
-            for name, text, v in zip(header[1:5], row[1:5], values):
+            for name, text, v in zip(MEASUREMENT_COLUMNS[1:5], row[1:5], values):
                 if not math.isfinite(v):
                     raise SchemaError(f"{path}:{i}: {name}: expected a finite number, got {text!r}")
             yaw, x, y, z = values
@@ -145,11 +143,9 @@ def read_measurements_csv(path: str | Path) -> list[MarkMeasurement]:
 
 
 def _nice_step(span_mm: float) -> float:
-    if span_mm <= 0.0:
-        return 1.0
     raw = span_mm / 4.0
     power = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 5.0, 10.0):
+    for mult in (1.0, 2.0, 5.0):
         if raw <= mult * power:
             return mult * power
     return 10.0 * power
@@ -195,7 +191,7 @@ def _panel_svg(
     )
     for m in measurements:
         px, py = to_px(m.position[:2] - center)
-        color = _COLORS.get(m.direction, "#000")
+        color = _COLORS[m.direction]
         parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="3" fill="{color}" fill-opacity="0.8"/>')
     return parts
 

@@ -516,14 +516,11 @@ def world_from_dict(
     _check_keys(floor_doc, wf, set(), {"inclination_deg", "azimuth_deg"})
 
     noise_doc, w = doc.get("noise", {}), f"{where}.noise"
-    keys = {"tracker_sigma_mm", "image_sigma_px", "nest_offset_error_mm", "plate_amplitude_mm"}
-    _check_keys(noise_doc, w, set(), keys)
+    sigmas = ("tracker_sigma_mm", "image_sigma_px", "nest_offset_error_mm")
+    _check_keys(noise_doc, w, set(), {*sigmas, "plate_amplitude_mm"})
     try:
-        noise = NoiseConfig(
-            tracker_sigma_mm=_number(noise_doc, w, "tracker_sigma_mm", 0.035),
-            image_sigma_px=_number(noise_doc, w, "image_sigma_px", 0.0),
-            nest_offset_error_mm=_number(noise_doc, w, "nest_offset_error_mm", 0.0),
-        )
+        # an absent key takes NoiseConfig's default
+        noise = NoiseConfig(**{k: _number(noise_doc, w, k) for k in sigmas if k in noise_doc})
     except ValueError as e:
         raise SchemaError(f"{w}: {e}") from e
     amplitude = _number(noise_doc, w, "plate_amplitude_mm", 0.0)
@@ -573,17 +570,16 @@ def plan_to_dict(plan: ExperimentPlan) -> dict:
 
 def plan_from_dict(doc: Mapping[str, Any]) -> ExperimentPlan:
     where = "plan"
-    optional = {"yaw_deg_list", "repeats", "max_offset_mm", "yaw_jitter_deg"}
-    _check_keys(doc, where, {"mark_xy_mm"}, optional)
+    # reader of each optional key; an absent key takes ExperimentPlan's default
+    optional = {
+        "yaw_deg_list": _numbers,
+        "repeats": _integer,
+        "max_offset_mm": _number,
+        "yaw_jitter_deg": _number,
+    }
+    _check_keys(doc, where, {"mark_xy_mm"}, set(optional))
     kwargs: dict[str, Any] = {"mark_xy_mm": _numbers(doc, where, "mark_xy_mm", 2)}
-    if "yaw_deg_list" in doc:
-        kwargs["yaw_deg_list"] = _numbers(doc, where, "yaw_deg_list")
-    if "repeats" in doc:
-        kwargs["repeats"] = _integer(doc, where, "repeats")
-    if "max_offset_mm" in doc:
-        kwargs["max_offset_mm"] = _number(doc, where, "max_offset_mm")
-    if "yaw_jitter_deg" in doc:
-        kwargs["yaw_jitter_deg"] = _number(doc, where, "yaw_jitter_deg")
+    kwargs.update((key, read(doc, where, key)) for key, read in optional.items() if key in doc)
     try:
         return ExperimentPlan(**kwargs)
     except ValueError as e:

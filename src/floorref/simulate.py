@@ -34,6 +34,7 @@ from .geometry import (
     apply,
     compose,
     compose_rotations,
+    cross3,
     invert,
     norm,
     rotation_about_axis,
@@ -58,9 +59,6 @@ STREAM_WORLD = 3
 _SUPPORT_TOL_MM = 1e-12
 _SUPPORT_MAX_ITER = 100
 _TRAVEL_MM = 220.0  # robot travel between the two placements of a session
-
-# camera-frame points pass through the identity pose unchanged into a projection
-_CAM_IDENTITY = RigidTransform.identity(frames.CAM)
 
 # saddle-shaped non-planarity over normalized plate coordinates; scaled so the
 # configured amplitude is the peak |z| deviation over the plate
@@ -227,7 +225,7 @@ class SimWorld:
         pts[:, 2] = -np.asarray(self.surface_rise_pcs(pts[:, 0], pts[:, 1]))
         return ids, pts
 
-    def true_smr_points_ref(self, nest_offset_error_mm: float = 0.0) -> Array:
+    def true_smr_points_ref(self, nest_offset_error_mm: float) -> Array:
         """Physical seated-smr centers in plate coordinates, all three nests."""
         pts = []
         for nest_id in NEST_IDS:
@@ -311,19 +309,13 @@ def support_poses(world: SimWorld, xy: Array, yaw_rad: Array, surface: str) -> S
                             f"pose_on_surface: contact plane singular: {e}"
                         )
                         done[k] = True
-        frame = np.empty((n_rows, 3, 3))  # columns x_r, y_r, n
         n = np.ones((n_rows, 3))
         n[:, :2] = -coeffs[:, :2]
         n /= np.sqrt(row_dots(n, n))[:, None]
         x_r = heading - row_dots(heading, n)[:, None] * n
         x_r /= np.sqrt(row_dots(x_r, x_r))[:, None]
-        # y_r = n x x_r, with the products and differences of np.cross
-        (a0, a1, a2), (b0, b1, b2) = n.T, x_r.T
-        frame[:, :, 0], frame[:, :, 2] = x_r, n
-        frame[:, 0, 1] = a1 * b2 - a2 * b1
-        frame[:, 1, 1] = a2 * b0 - a0 * b2
-        frame[:, 2, 1] = a0 * b1 - a1 * b0
-        y_r = frame[:, :, 1]
+        y_r = cross3(n.T, x_r.T).T
+        frame = np.stack([x_r, y_r, n], axis=2)  # columns x_r, y_r, n
         origin[:, 2] = coeffs[:, 0] * x0 + coeffs[:, 1] * y0 + coeffs[:, 2]
         contacts = origin[:, None, :] + wheel_x * x_r[:, None, :] + wheel_y * y_r[:, None, :]
         surf_z = np.asarray(surf(contacts[..., 0], contacts[..., 1]), dtype=np.float64)
@@ -381,10 +373,6 @@ def camera_ground_offset(world: SimWorld) -> Array:
 
 
 # --- observation generation ---------------------------------------------------
-
-
-def _tracker_noise(rng: np.random.Generator, sigma: float) -> Array:
-    return rng.normal(0.0, sigma, size=3)
 
 
 def simulate_referencing_session(
@@ -464,7 +452,7 @@ def simulate_session_with_truth(
     mark_ids, marks_ref = world.true_mark_points_ref()
     marks_abs = apply(h_abs_ref, marks_ref)
     h_cam_abs = invert(compose(poses[0], world.h_rob_cam_true))
-    rc, in_front = project_points(world.camera, h_cam_abs, marks_abs)
+    rc, in_front = project_points(world.camera, apply(h_cam_abs, marks_abs))
     # noise is drawn for each mark whose true point is on the sensor, in mark
     # order and in one call (the same stream as one draw per mark); a mark
     # whose noisy point falls off the sensor is not observed
@@ -529,7 +517,7 @@ def mark_views(world: SimWorld, xy: Array, yaw_rad: Array, mark_abs: Array) -> M
     t_cam_abs = -(np.swapaxes(r_abs_cam, 1, 2) @ t_abs_cam[..., None])[..., 0]
     mark = np.asarray(mark_abs, dtype=np.float64).reshape(1, 1, 3)
     p_cam = (mark @ r_abs_cam)[:, 0] + t_cam_abs
-    rc, in_front = project_points(world.camera, _CAM_IDENTITY, p_cam)
+    rc, in_front = project_points(world.camera, p_cam)
     visible = in_front & world.camera.contains_points(rc)
     error: list[FloorRefError | None] = list(support.error)
     for i in np.flatnonzero(~visible):
@@ -548,7 +536,6 @@ def simulate_mark_observation(
     mark_abs: Array,
     *,
     trial: int = 0,
-    rng: np.random.Generator | None = None,
 ) -> tuple[ImagePoint, TrackerMeasurement]:
     """Image point of a floor mark plus the robot smr tracker reading at a
     placement on the experiment floor (a one-row ``mark_views`` plus noise).
@@ -557,8 +544,7 @@ def simulate_mark_observation(
         MarkNotVisible: mark outside the camera view at this placement.
         DegenerateConfiguration: no settled support pose.
     """
-    if rng is None:
-        rng = rng_substream(world.seed, STREAM_MARK, trial)
+    rng = rng_substream(world.seed, STREAM_MARK, trial)
     views = mark_views(
         world, np.array([[placement.x_mm, placement.y_mm]]), [placement.yaw_rad], mark_abs
     )
@@ -567,7 +553,7 @@ def simulate_mark_observation(
     noisy = views.rowcol[0] + rng.normal(0.0, noise.image_sigma_px, size=2)
     smr = TrackerMeasurement(
         ROBOT_SMR_ID,
-        views.smr_abs[0] + _tracker_noise(rng, noise.tracker_sigma_mm),
+        views.smr_abs[0] + rng.normal(0.0, noise.tracker_sigma_mm, size=3),
         position_index=0,
     )
     return ImagePoint(float(noisy[0]), float(noisy[1])), smr

@@ -150,7 +150,7 @@ def scalar_mark_observation(world, noise, x_mm, y_mm, yaw, mark_abs, rng):
     """True-pose image point plus noise and the noisy robot smr reading."""
     h_abs_rob = scalar_pose_on_surface(world, x_mm, y_mm, yaw, "floor")
     h_cam_abs = invert(compose(h_abs_rob, world.h_rob_cam_true))
-    rc, in_front = project_points(world.camera, h_cam_abs, mark_abs)
+    rc, in_front = project_points(world.camera, apply(h_cam_abs, mark_abs))
     if not (in_front[0] and world.camera.contains_points(rc)[0]):
         raise MarkNotVisible("scalar_mark_observation: mark not visible")
     noisy = rc[0] + rng.normal(0.0, noise.image_sigma_px, size=2)

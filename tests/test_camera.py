@@ -65,32 +65,27 @@ def nadir_pose(height_mm: float, x: float = 0.0, y: float = 0.0) -> RigidTransfo
 class TestProjection:
     def test_optical_axis_hits_principal_point(self):
         m = model()
-        h = RigidTransform.identity(frames.CAM)
-        rc, _ = project_points(m, h, [[0.0, 0.0, depth] for depth in (10.0, 150.0, 4000.0)])
+        rc, _ = project_points(m, [[0.0, 0.0, depth] for depth in (10.0, 150.0, 4000.0)])
         assert rc.tolist() == [[m.cy_px, m.cx_px]] * 3
 
     def test_pinhole_column_offset(self):
         m = model(k=(0.0, 0.0, 0.0))
-        h = RigidTransform.identity(frames.CAM)
         x_mm, depth = 10.0, 150.0
-        row, col = project_points(m, h, [x_mm, 0.0, depth])[0][0]
+        row, col = project_points(m, [x_mm, 0.0, depth])[0][0]
         assert abs(col - (m.cx_px + m.focal_mm * x_mm / (depth * m.sx_mm))) < 1e-9
         assert abs(row - m.cy_px) < 1e-9
 
     def test_project_points_masks_behind(self):
         m = model()
-        rc, ok = project_points(
-            m, RigidTransform.identity(frames.CAM), np.array([[0, 0, 100.0], [0, 0, -100.0]])
-        )
+        rc, ok = project_points(m, np.array([[0, 0, 100.0], [0, 0, -100.0]]))
         assert ok.tolist() == [True, False]
         assert np.all(np.isfinite(rc[0])) and np.all(np.isnan(rc[1]))
 
     def test_back_project_round_trip_on_plane(self):
         m = model()
-        h = RigidTransform.identity(frames.CAM)
         rng = np.random.default_rng(5)
         pts = rng.uniform([-30, -25, 80], [30, 25, 300], size=(50, 3))
-        rc, in_front = project_points(m, h, pts)
+        rc, in_front = project_points(m, pts)
         assert in_front.all()
         for p, (row, col) in zip(pts, rc):
             ray = back_project(m, ImagePoint(row, col))
@@ -296,7 +291,7 @@ class TestRectification:
         rng = np.random.default_rng(3)
         q = rng.uniform(0, [m.rows - 1, m.cols - 1], size=(30, 2))
         p_scn = np.column_stack([scene.map_image_points(q), np.zeros(30)])
-        back, in_front = project_points(m, h_cam_scn, p_scn)
+        back, in_front = project_points(m, apply(h_cam_scn, p_scn))
         assert in_front.all()
         assert np.max(np.abs(back - q)) < 1e-4
 
@@ -333,7 +328,7 @@ class TestRectification:
 
 def _synthetic_observation(m, h_cam_ref, marks, sigma_px=0.0, rng=None):
     obs = []
-    rc, _ = project_points(m, h_cam_ref, np.array(marks))
+    rc, _ = project_points(m, apply(h_cam_ref, np.array(marks)))
     for (row, col), p in zip(rc, marks):
         if sigma_px > 0.0:
             row, col = row + sigma_px * rng.standard_normal(), col + sigma_px * rng.standard_normal()
@@ -347,6 +342,25 @@ def _grid_marks(n=5, pitch=12.0, cx=0.0, cy=0.0):
         for j in range(n):
             out.append(np.array([cx + pitch * (j - n // 2), cy + pitch * (i - n // 2), 0.0]))
     return out
+
+
+def _stress_view(seed):
+    """(camera, observations) of the 5 x 5 mark grid seen by the demo camera
+    from 150 to 600 mm, tilted up to 0.4 rad, under up to 1 px of image
+    noise; marks whose noisy point is off the sensor are dropped."""
+    m = demo_camera()
+    rng = np.random.default_rng(seed)
+    height = rng.uniform(150.0, 600.0)
+    tilt = rng.uniform(0.0, 0.4)
+    axis = np.append(rng.normal(size=2), 0.0)
+    r = rotation_about_z(rng.uniform(-math.pi, math.pi)) @ rotation_about_axis(axis, tilt)
+    h_ref_cam = RigidTransform(r, np.array([*rng.uniform(-40.0, 40.0, 2), -height]), frames.CAM, frames.REF)
+    sigma_px = rng.uniform(0.0, 1.0)
+    marks = np.array(_grid_marks())
+    rc, in_front = project_points(m, apply(invert(h_ref_cam), marks))
+    noisy = rc + sigma_px * rng.standard_normal(rc.shape)
+    keep = in_front & m.contains_points(noisy)
+    return m, [(ImagePoint(*rowcol), p) for rowcol, p, k in zip(noisy.tolist(), marks, keep) if k]
 
 
 def _session_observations(world):
@@ -450,6 +464,23 @@ class TestPlatePoseFromImage:
                 worst = max(worst, float(np.max(np.abs(fit.h_cam_ref.translation - t))))
         assert worst <= 1e-7
 
+    def test_rejected_trial_raises_the_damping(self, monkeypatch):
+        # on this stress view some trial steps raise the cost: each is
+        # rejected, the damping grows tenfold, and the fit still ends with
+        # the cost flat to rounding; every iteration ends at its first
+        # accepted trial, so more trials than iterations means rejections
+        trials = []
+
+        def counted(w):
+            trials.append(w)
+            return rotation_from_rotvec(w)
+
+        monkeypatch.setattr(camera, "rotation_from_rotvec", counted)
+        m, obs = _stress_view(804)
+        fit = estimate_plate_pose_from_image(m, obs)
+        assert fit.stop == "step_tol"
+        assert len(trials) > fit.iterations
+
     def test_three_points_rejected(self):
         m = model()
         marks = _grid_marks()[:3]
@@ -533,7 +564,7 @@ class TestAnisotropicPixels:
 
     def test_pinhole_axes(self):
         m = self.wide_model(k=(0.0, 0.0, 0.0))
-        row, col = project_points(m, RigidTransform.identity(frames.CAM), [3.0, 4.0, 150.0])[0][0]
+        row, col = project_points(m, [3.0, 4.0, 150.0])[0][0]
         assert abs(col - (m.cx_px + m.focal_mm * 3.0 / (150.0 * m.sx_mm))) < 1e-9
         assert abs(row - (m.cy_px + m.focal_mm * 4.0 / (150.0 * m.sy_mm))) < 1e-9
 
@@ -550,7 +581,7 @@ class TestAnisotropicPixels:
         rng = np.random.default_rng(0)
         q = rng.uniform(0, [m.rows - 1, m.cols - 1], size=(20, 2))
         back, in_front = project_points(
-            m, h_cam_scn, np.column_stack([scene.map_image_points(q), np.zeros(20)])
+            m, apply(h_cam_scn, np.column_stack([scene.map_image_points(q), np.zeros(20)]))
         )
         assert in_front.all()
         assert np.max(np.abs(back - q)) < 1e-4
@@ -569,6 +600,6 @@ def test_rectification_consistency_property(k1, height):
     scene = build_rectification_map(m, nadir_pose(height))
     h_cam_scn = invert(scene.h_scn_cam)
     rc = np.array([(100.0, 200.0), (1024.0, 1224.0), (1900.0, 2300.0)])
-    back, in_front = project_points(m, h_cam_scn, np.column_stack([scene.map_image_points(rc), np.zeros(3)]))
+    back, in_front = project_points(m, apply(h_cam_scn, np.column_stack([scene.map_image_points(rc), np.zeros(3)])))
     assert in_front.all()
     assert np.max(np.abs(back - rc)) < 1e-4

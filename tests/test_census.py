@@ -1,15 +1,19 @@
-"""Census of the settable surface: the options of each CLI subcommand and the
-parameters of each public decoder.
+"""Census of the settable surface: the options of each CLI subcommand, the
+parameters of each public decoder, and every parameter with a default of a
+public function, method or class constructor.
 
-Adding an option or a decoder parameter means adding it here too, so every new
-setting shows up in review next to a reason for it.
+Adding an option, a decoder parameter or a default means adding it here too,
+so every new setting shows up in review next to a reason for it.
 """
 
 import argparse
+import importlib
 import inspect
+import pkgutil
 
 import pytest
 
+import floorref
 from floorref import schemas
 from floorref.cli import build_parser
 
@@ -29,6 +33,68 @@ DECODERS = {
     "world_from_dict": ["doc"],
     "plan_from_dict": ["doc"],
 }
+
+
+DEFAULTS = {
+    "cli.main": {"argv": None},
+    "experiment.ExperimentPlan": {
+        "yaw_deg_list": (90.0, -90.0, 0.0, 180.0, 45.0, -45.0, 135.0, -135.0),
+        "repeats": 5,
+        "max_offset_mm": 12.0,
+        "yaw_jitter_deg": 0.15,
+    },
+    "experiment.run_experiment": {"seed": None},
+    "geometry.register_points": {"source_frame": "src", "target_frame": "dst"},
+    "pipeline.TrackerMeasurement": {"position_index": None},
+    "pipeline.ReferencingResult": {"reversal_of": None},
+    "report.write_clusters_svg": {"desc": None},
+    "schemas.session_to_dict": {"ground_truth": None, "prov": None},
+    "schemas.result_to_dict": {"prov": None},
+    "schemas.world_to_dict": {"placements": None},
+    "simulate.NoiseConfig": {"tracker_sigma_mm": 0.035, "image_sigma_px": 0.0, "nest_offset_error_mm": 0.0},
+    # none for SimWorld.true_smr_points_ref: its caller passes the configured nest offset
+    "simulate.SimWorld": {
+        "floor_inclination_rad": 0.0,
+        "floor_azimuth_rad": 0.0,
+        "deformation_amplitude_mm": 0.0,
+        "seed": 0,
+    },
+    "simulate.simulate_referencing_session": {"trial": 0},
+    "simulate.simulate_session_with_truth": {"trial": 0},
+    # no rng: a mark observation draws from its own substream
+    "simulate.simulate_mark_observation": {"trial": 0},
+    "simulate.demo_world": {"seed": 0},
+    "simulate.default_placements": {"reverse": False},
+}
+
+
+def _public_callables():
+    """(module.name[.method], callable) for every public function and class
+    defined in a floorref module, and every public method of such a class.
+    Exception classes are left out: each takes one message."""
+    for info in pkgutil.iter_modules(floorref.__path__):
+        module = importlib.import_module(f"floorref.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{info.name}.{name}", obj
+            elif inspect.isclass(obj) and not issubclass(obj, BaseException):
+                yield f"{info.name}.{name}", obj
+                for attr, member in vars(obj).items():
+                    fn = member.__func__ if isinstance(member, (classmethod, staticmethod)) else member
+                    if not attr.startswith("_") and inspect.isfunction(fn):
+                        yield f"{info.name}.{name}.{attr}", getattr(obj, attr)
+
+
+def test_default_census():
+    found = {}
+    for name, fn in _public_callables():
+        params = inspect.signature(fn).parameters.values()
+        defaults = {p.name: p.default for p in params if p.default is not inspect.Parameter.empty}
+        if defaults:
+            found[name] = defaults
+    assert found == DEFAULTS
 
 
 def _options(parser: argparse.ArgumentParser) -> set[str]:

@@ -14,8 +14,14 @@ from _oracles import (
     scalar_run_experiment,
 )
 from floorref import experiment, frames, simulate
-from floorref.camera import ImagePoint
-from floorref.errors import EmptyCluster, EmptyInput, MarkNotVisible, OutOfBounds
+from floorref.camera import ImagePoint, SceneFrame
+from floorref.errors import (
+    DegenerateViewingGeometry,
+    EmptyCluster,
+    EmptyInput,
+    MarkNotVisible,
+    OutOfBounds,
+)
 from floorref.experiment import (
     DIRECTION_YAW_DEG,
     DIRECTIONS,
@@ -66,6 +72,11 @@ class TestDirections:
             MarkMeasurement("up", 30.0, np.zeros(3), 0)
         m = MarkMeasurement("down", -179.0, np.zeros(3), 0)  # wraps across +-180
         assert m.direction == "down"
+
+    @pytest.mark.parametrize("yaw", [math.nan, math.inf, -math.inf])
+    def test_non_finite_yaw_rejected(self, yaw):
+        with pytest.raises(ValueError, match=rf"^yaw {yaw} deg inconsistent with direction 'up'"):
+            MarkMeasurement("up", yaw, np.zeros(3), 0)
 
 
 class TestMeasureMark:
@@ -135,6 +146,23 @@ class TestRunExperiment:
             ExperimentPlan(mark_xy_mm=(0.0, 0.0), yaw_deg_list=(22.5,))
 
     @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"yaw_jitter_deg": math.nan}, "yaw_jitter_deg"),
+            ({"max_offset_mm": math.nan}, "max_offset_mm"),
+            ({"max_offset_mm": math.inf}, "max_offset_mm"),
+            ({"max_offset_mm": -1.0}, "max_offset_mm"),
+            ({"yaw_jitter_deg": -0.1}, "yaw_jitter_deg"),
+            ({"mark_xy_mm": (math.nan, 0.0)}, "mark_xy_mm"),
+            ({"mark_xy_mm": (0.0, math.inf)}, "mark_xy_mm"),
+        ],
+        ids=["nan-jitter", "nan-offset", "inf-offset", "negative-offset", "negative-jitter", "nan-mark", "inf-mark"],
+    )
+    def test_plan_refuses_non_finite_or_negative_values(self, kwargs, field):
+        with pytest.raises(ValueError, match=rf"^{field} "):
+            ExperimentPlan(**{"mark_xy_mm": (0.0, 0.0), **kwargs})
+
+    @pytest.mark.parametrize(
         "yaws, jitter, ok",
         [
             ((0.0, 180.0), 10.0 / 6.0, True),
@@ -184,6 +212,28 @@ class TestBatchedPass:
         with pytest.raises(MarkNotVisible):
             run_experiment(world, NO_NOISE, plan, noiseless_result)
 
+    def test_rectification_failure_of_the_first_failing_row_is_raised(
+        self, world, noiseless_result, monkeypatch
+    ):
+        # two rows fail to rectify, each with its own error: the batch fails,
+        # and the error raised is the earlier row's, as a one-at-a-time loop
+        rectify = SceneFrame.map_image_points
+        batch = []
+
+        def failing(scene, rowcol):
+            if not batch:
+                batch.append(np.array(rowcol))
+            for k, error in ((5, OutOfBounds), (2, DegenerateViewingGeometry)):
+                if any((row == batch[0][k]).all() for row in rowcol):
+                    raise error(f"row {k}")
+            return rectify(scene, rowcol)
+
+        monkeypatch.setattr(SceneFrame, "map_image_points", failing)
+        plan = ExperimentPlan(mark_xy_mm=(1500.0, 700.0), repeats=1)
+        with pytest.raises(DegenerateViewingGeometry, match="^row 2$"):
+            run_experiment(world, NO_NOISE, plan, noiseless_result)
+        assert len(batch[0]) == len(plan.yaw_deg_list)
+
     def test_first_failing_measurement_decides_the_error(self, world, noiseless_result):
         plan = ExperimentPlan(mark_xy_mm=(1500.0, 700.0), repeats=1, max_offset_mm=60.0)
         off_sensor = NoiseConfig(tracker_sigma_mm=0.0, image_sigma_px=1e5)
@@ -228,6 +278,20 @@ class TestRecordChecks:
                 run_experiment(world, noise, plan, noiseless_result, seed=3)
             with pytest.raises(ValueError, match="inconsistent with direction"):
                 scalar_run_experiment(world, noise, plan, noiseless_result, seed=3)
+
+    def test_nan_yaw_rejected(self, world, noiseless_result, monkeypatch):
+        # a NaN jitter (set past the plan's constructor, which rejects it)
+        # makes every yaw NaN; the geometry pass runs on yaw 0 here, so the
+        # record check decides
+        for name in ("experiment_placements", "mark_views"):
+            real = getattr(experiment, name)
+            monkeypatch.setattr(
+                experiment, name, lambda w, mark, yaw, *rest, real=real: real(w, mark, np.nan_to_num(yaw), *rest)
+            )
+        plan = self._plan()
+        object.__setattr__(plan, "yaw_jitter_deg", math.nan)
+        with pytest.raises(ValueError, match="^yaw nan deg inconsistent with direction 'left'$"):
+            run_experiment(world, NO_NOISE, plan, noiseless_result, seed=3)
 
     def test_non_finite_position_rejected(self, world, noiseless_result, monkeypatch):
         measure = experiment._measure_marks
@@ -437,6 +501,22 @@ class TestClusterMetrics:
             assert a.max_from_mean_mm == b.max_from_mean_mm * 2.0**600
             assert a.mean_from_mean_mm == b.mean_from_mean_mm * 2.0**600
         assert report.mean_intercluster_l2_mm == small.mean_intercluster_l2_mm * 2.0**600
+
+    def test_mean_near_the_float_range(self):
+        # the sum of a cluster's coordinates overflows; the mean, the
+        # distances and the radius are representable
+        ms = [_measurement("up", 0.0, 1.7e308, 900.0), _measurement("up", 0.5, 1.6e308, 900.0)]
+        report = cluster_metrics(ms)
+        for stats in report.directions + (report.overall,):
+            assert stats.mean_x_mm == pytest.approx(1.65e308)
+            assert stats.mean_y_mm == 900.0
+            assert stats.max_from_mean_mm == pytest.approx(5e306)
+            assert stats.mean_from_mean_mm == pytest.approx(5e306)
+            assert stats.radius_mm == pytest.approx(5e306)
+        # the same figures as the cluster scaled down, up to the exact scale
+        small = cluster_metrics([replace(m, position=m.position * 2.0**-600) for m in ms])
+        assert report.overall.mean_x_mm == small.overall.mean_x_mm * 2.0**600
+        assert report.overall.max_from_mean_mm == small.overall.max_from_mean_mm * 2.0**600
 
     def test_direction_order_matches_table_layout(self):
         ms = []

@@ -81,6 +81,18 @@ class TestCompose:
         r = h.rotation
         assert np.linalg.norm(r.T @ r - np.eye(3)) < 1e-9
 
+    def test_drifted_product_is_reorthonormalised(self):
+        # a rotation 1e-10 off orthonormal passes the constructor; its square
+        # drifts past the 1e-12 trigger and comes back orthonormal to rounding
+        r = rotation_about_z(0.3)
+        r[0, 0] += 1e-10
+        h = RigidTransform(r, np.zeros(3), source="a", dest="a")
+        raw = r @ r
+        assert np.linalg.norm(raw.T @ raw - np.eye(3)) > 1e-10
+        product = compose(h, h).rotation
+        assert np.linalg.norm(product.T @ product - np.eye(3)) < 1e-14
+        assert np.array_equal(product, nearest_rotation(raw))
+
 
 class TestInvert:
     def test_identity(self):
@@ -243,6 +255,13 @@ class TestRotationHelpers:
         m = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(ValueError):
             RigidTransform(m, np.zeros(3), source="a", dest="b")
+
+    def test_nearest_rotation_of_a_reflection_is_proper(self):
+        # det -1: the polar factor is a reflection; flipping the axis of the
+        # smallest singular value gives the nearest rotation, here the identity
+        r = nearest_rotation(np.diag([3.0, 2.0, -1.0]))
+        assert np.linalg.det(r) == pytest.approx(1.0)
+        assert np.allclose(r, np.eye(3), atol=1e-15)
 
     @settings(max_examples=50, deadline=None)
     @given(rigid_transforms())

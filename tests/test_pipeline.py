@@ -185,6 +185,23 @@ class TestPlatePoseEstimate:
         with pytest.raises(DegenerateConfiguration):
             compute_rob_h_cam(bad)
 
+    def test_small_nest_triangle_rejected(self, noiseless_session):
+        # three nest readings 12 x 10 mm apart: registration accepts them,
+        # the plate-normal stage refuses their 60 mm^2 triangle
+        p = noiseless_session.nest_position("r")
+        offsets = {"r": [0.0, 0.0, 0.0], "g": [12.0, 0.0, 0.0], "b": [0.0, 10.0, 0.0]}
+        tracker = tuple(
+            TrackerMeasurement(m.point_id, p + offsets[m.point_id]) if m.point_id in offsets else m
+            for m in noiseless_session.tracker
+        )
+        bad = replace(noiseless_session, tracker=tracker)
+        estimate_plate_pose(bad)
+        with pytest.raises(
+            DegenerateConfiguration,
+            match=r"^plate_normal: nest triangle area 60\.00 mm\^2 at or below 100\.0 mm\^2$",
+        ):
+            compute_rob_h_cam(bad)
+
     def test_suspect_flag_on_inconsistent_plate(self, noiseless_session):
         # an in-plane shift of one nest distorts the measured triangle shape,
         # which rigid registration cannot absorb

@@ -4,7 +4,7 @@ import pytest
 from floorref import frames
 from floorref.camera import CameraModel, ImagePoint, project_points
 from floorref.errors import DegenerateConfiguration, ExcessiveGap, ParallelRays, UnknownNest
-from floorref.geometry import RigidTransform, invert, rotation_about_y
+from floorref.geometry import RigidTransform, apply, invert, rotation_about_y
 from floorref.plate import (
     ReferencingPlate,
     StereoObservation,
@@ -47,7 +47,7 @@ def _observe(m, poses, nests, sigma_px=0.0, rng=None):
     for nest_id, p in nests.items():
         pair = []
         for h_ref_cam in poses:
-            row, col = project_points(m, invert(h_ref_cam), p)[0][0]
+            row, col = project_points(m, apply(invert(h_ref_cam), p))[0][0]
             if sigma_px > 0.0:
                 row += sigma_px * rng.standard_normal()
                 col += sigma_px * rng.standard_normal()

@@ -219,6 +219,22 @@ class TestSupportPose:
         with pytest.raises(DegenerateConfiguration):
             pose_on_surface(world, RobotPlacement(float("nan"), 0.0, 0.0), "plate")
 
+    def test_singular_contact_plane_fails_its_row_alone(self, world):
+        # contacts at x = 1e20 mm make the (x, y, 1) plane system singular in
+        # floating point (1e17 still settles); the other rows settle
+        xy = np.array([[210.0, -270.0], [1e20, 0.0], [400.0, -100.0]])
+        yaw = np.array([0.3, 0.0, -1.2])
+        poses = support_poses(world, xy, yaw, "floor")
+        assert poses.error[0] is None and poses.error[2] is None
+        assert "contact plane singular" in str(poses.error[1])
+        assert np.all(np.isnan(poses.rotation[1]))
+        for i in (0, 2):
+            h = pose_on_surface(world, RobotPlacement(xy[i, 0], xy[i, 1], yaw[i]), "floor")
+            assert np.array_equal(h.rotation, poses.rotation[i])
+            assert np.array_equal(h.translation, poses.translation[i])
+        with pytest.raises(DegenerateConfiguration, match="contact plane singular"):
+            pose_on_surface(world, RobotPlacement(1e20, 0.0, 0.0), "floor")
+
 
 class TestMarkObservation:
     def test_mark_under_principal_ray_hits_principal_point(self, world):
