@@ -34,6 +34,7 @@ from .errors import DegenerateConfiguration, FrameMismatch, LengthMismatch
 
 ROTATION_TOL = 1e-9
 _RENORM_TRIGGER = 1e-12
+_DET_MARGIN = 1e-12  # far above the closed form's gap to LAPACK's determinant
 
 Array = NDArray[np.float64]
 
@@ -77,6 +78,24 @@ def triangle_area(a: Array, b: Array, c: Array) -> float:
 # --- rotations ------------------------------------------------------------
 
 
+def det3(r: Array) -> float:
+    """Determinant of a (3, 3) float64 matrix whose entries are at most about 1
+    in magnitude (a rotation, a reflection or a near one). The test
+    |det - 1| > ROTATION_TOL and the sign come out as with ``np.linalg.det``.
+
+    The cofactor expansion along the first row, on Python floats, is within a
+    few ulp of LAPACK's LU value on such a matrix. It is returned where it
+    passes that test by more than 1e-12, as for every proper rotation; nearer
+    the bound, or beyond it (a reflection), ``np.linalg.det``'s value is
+    returned, so a failed check reports LAPACK's value.
+    """
+    (a, b, c), (d, e, f), (g, h, i) = r.tolist()
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if abs(det - 1.0) > ROTATION_TOL - _DET_MARGIN:
+        return np.linalg.det(r)
+    return det
+
+
 def validate_rotation(r: Array) -> None:
     """Check orthonormality (Frobenius) and det = +1 within ROTATION_TOL."""
     if r.shape != (3, 3):
@@ -87,7 +106,7 @@ def validate_rotation(r: Array) -> None:
     err = norm(r.T @ r - _EYE3)
     if err > ROTATION_TOL:
         raise ValueError(f"matrix not orthonormal: |R^T R - I|_F = {err:.3e}")
-    det = np.linalg.det(r)
+    det = det3(r)
     if abs(det - 1.0) > ROTATION_TOL:
         raise ValueError(f"matrix not a proper rotation: det = {det!r}")
 
@@ -96,7 +115,7 @@ def nearest_rotation(m: Array) -> Array:
     """Nearest SO(3) element in the Frobenius sense (SVD polar factor)."""
     u, _, vt = np.linalg.svd(np.asarray(m, dtype=np.float64))
     r = u @ vt
-    if np.linalg.det(r) < 0.0:
+    if det3(r) < 0.0:
         u = u.copy()
         u[:, 2] *= -1.0
         r = u @ vt
@@ -426,7 +445,7 @@ def register_points(
     dst_mean = dst.mean(axis=0)
     h = (src - src_mean).T @ (dst - dst_mean)
     u, _, vt = np.linalg.svd(h)
-    d = np.sign(np.linalg.det(vt.T @ u.T))  # +-1 for an orthogonal product
+    d = -1.0 if det3(vt.T @ u.T) < 0.0 else 1.0  # +-1 for an orthogonal product
     r = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
     r = nearest_rotation(r)
     t = dst_mean - r @ src_mean

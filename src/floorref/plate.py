@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -30,6 +31,9 @@ MIN_NEST_TRIANGLE_MM2 = 100.0
 @dataclass(frozen=True)
 class ReferencingPlate:
     """Dual-modality referencing plate: camera target marks plus reflector nests.
+
+    A plate is immutable: ``marks`` and ``nests`` are read-only mappings of
+    read-only arrays, so one plate can be shared by every world that uses it.
 
     Attributes:
         marks: mark id -> (x, y, 0) position on the plate surface, mm
@@ -64,8 +68,8 @@ class ReferencingPlate:
             raise ValueError(
                 f"nest triangle area {area:.1f} mm^2 below {MIN_NEST_TRIANGLE_MM2} mm^2"
             )
-        object.__setattr__(self, "marks", marks)
-        object.__setattr__(self, "nests", nests)
+        object.__setattr__(self, "marks", MappingProxyType(marks))
+        object.__setattr__(self, "nests", MappingProxyType(nests))
         object.__setattr__(self, "extent_mm", tuple(float(v) for v in self.extent_mm))
 
     def mark_array(self) -> tuple[list[str], Array]:

@@ -560,8 +560,11 @@ def simulate_mark_observation(
 
 
 # --- demo rig ------------------------------------------------------------------
+# Each part is built and checked once per process, on first use; the values
+# are immutable, so every world shares them.
 
 
+@functools.cache
 def demo_camera() -> CameraModel:
     return CameraModel(
         focal_mm=12.0,
@@ -575,6 +578,7 @@ def demo_camera() -> CameraModel:
     )
 
 
+@functools.cache
 def demo_plate() -> ReferencingPlate:
     marks = {}
     for i in range(5):
@@ -594,6 +598,7 @@ def demo_plate() -> ReferencingPlate:
     )
 
 
+@functools.cache
 def demo_robot() -> RobotModel:
     return RobotModel(
         smr_height_mm=400.0,

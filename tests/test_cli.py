@@ -178,6 +178,24 @@ class TestCalibrate:
         write_json(doc, session_b)
         assert run("calibrate", session_a, "--out", tmp_path / "r.json", "--reversal", session_b) == 5
 
+    def test_wooden_config_reversal_exit_5_single_session_runs(self, tmp_path, capsys):
+        # the README's wooden-plate commands: the 1 mm bow puts the reversal
+        # runs 3.165 mm apart (limit 2 mm); one session still calibrates
+        wooden = CONFIGS / "world_wooden.json"
+        session_a, session_b = tmp_path / "session_a.json", tmp_path / "session_b.json"
+        result = tmp_path / "result.json"
+        assert run("simulate", wooden, "--seed", 7, "--out", session_a) == 0
+        assert run("simulate", wooden, "--seed", 8, "--reverse", "--out", session_b) == 0
+        capsys.readouterr()
+        assert run("calibrate", session_a, "--reversal", session_b, "--out", result) == 5
+        assert "error: reversal runs differ by 3.165 mm" in capsys.readouterr().err
+        assert not result.exists()
+        assert run("calibrate", session_a, "--out", result) == 0
+        out = tmp_path / "out"
+        assert run("experiment", wooden, result, "--plan", CONFIGS / "plan.json", "--out-dir", out) == 0
+        overall = read_json(out / "report.json")["trials"][0]["overall"]
+        assert overall["diameter_mm"] == pytest.approx(3.72, abs=0.005)
+
 
 class TestExperiment:
     def test_full_run_outputs(self, tmp_path, quiet_world, capsys):

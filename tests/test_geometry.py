@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ from hypothesis import strategies as st
 from conftest import make_transform, point_clouds, rigid_transforms
 from floorref.errors import DegenerateConfiguration, FrameMismatch, LengthMismatch
 from floorref.geometry import (
+    ROTATION_TOL,
     RigidTransform,
     apply,
     chordal_mean,
     compose,
     compose_rotations,
     cross3,
+    det3,
     invert,
     nearest_rotation,
     norm,
@@ -479,3 +482,55 @@ class TestVectorHelpers:
                 cross3(big, big[::-1])
             with pytest.raises(FloatingPointError):
                 norm(big)
+
+
+def _fails(det):
+    return abs(det - 1.0) > ROTATION_TOL
+
+
+class TestDeterminant:
+    """det3 decides |det - 1| > ROTATION_TOL and gives the sign as
+    np.linalg.det does, and where the test fails its value, which a failed
+    rotation check reports, is np.linalg.det's."""
+
+    def test_rotations_and_reflections(self):
+        rng = np.random.default_rng(17)
+        flip = np.diag([1.0, 1.0, -1.0])
+        for _ in range(300):
+            r = rotation_from_rotvec(rng.normal(size=3))
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))  # det +1 or -1
+            for m in (r, r @ flip, q, q.T):
+                det, lapack = det3(m), np.linalg.det(m)
+                assert _fails(det) == _fails(lapack)
+                assert (det < 0.0) == (lapack < 0.0)
+                if _fails(lapack):
+                    assert repr(det) == repr(lapack)
+            m = r @ flip
+            message = f"matrix not a proper rotation: det = {np.linalg.det(m)!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                validate_rotation(m)
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_scaled_rotations_straddling_the_bound(self, side, monkeypatch):
+        # s^3 det(R) steps across 1 +- ROTATION_TOL by a few ulp per step, so
+        # the closed form lies within 1e-12 of the bound and LAPACK decides
+        lapack = np.linalg.det
+        fallbacks = []
+        monkeypatch.setattr(np.linalg, "det", lambda m: fallbacks.append(m) or lapack(m))
+        rng = np.random.default_rng(23)
+        outcomes = set()
+        for _ in range(20):
+            r = rotation_from_rotvec(rng.normal(size=3))
+            s = (1.0 + side * ROTATION_TOL) ** (1.0 / 3.0)
+            for _ in range(8):
+                s = np.nextafter(s, 0.0)
+            for _ in range(17):
+                m = r * s
+                det, ref = det3(m), lapack(m)
+                assert _fails(det) == _fails(ref)
+                if _fails(ref):
+                    assert repr(det) == repr(ref)
+                outcomes.add(_fails(ref))
+                s = np.nextafter(s, 2.0)
+        assert outcomes == {True, False}
+        assert len(fallbacks) == 20 * 17

@@ -1,7 +1,8 @@
 """Per-call numpy wrappers stay out of the package: 3-vector cross products and
 norms go through ``geometry.cross3`` and ``geometry.norm``, reductions use
-the array methods (``x.all()``, ``x.any()``) and tolerance tests are written
-out as comparisons, read from each module's source."""
+the array methods (``x.all()``, ``x.any()``), tolerance tests are written
+out as comparisons and 3x3 determinants go through ``geometry.det3``, whose
+fallback is the one LAPACK determinant; read from each module's source."""
 
 import ast
 from pathlib import Path
@@ -12,6 +13,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "floorref"
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
 FORBIDDEN = {"np.cross", "np.all", "np.any", "np.allclose", "np.isclose"}
 NORM = "np.linalg.norm"
+DET = "np.linalg.det"
 
 
 def _dotted(node: ast.expr) -> str:
@@ -37,6 +39,29 @@ def _wrapper_calls(source: str) -> list[str]:
     return found
 
 
+def _det_uses(source: str) -> list[str]:
+    """Each use of ``np.linalg.det`` in a module's source, called or not, as
+    "function:line" with the innermost enclosing function ("" at module level)."""
+    found = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and _dotted(child).replace("numpy.", "np.", 1) == DET:
+                found.append(f"{function}:{child.lineno}")
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_lapack_determinant_only_in_det3():
+    uses = {m: _det_uses((SRC / f"{m}.py").read_text(encoding="utf-8")) for m in MODULES}
+    assert {m: {u.split(":")[0] for u in found} for m, found in uses.items() if found} == {
+        "geometry": {"det3"}
+    }
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_no_per_call_numpy_wrappers(module):
     assert _wrapper_calls((SRC / f"{module}.py").read_text(encoding="utf-8")) == []
@@ -51,4 +76,10 @@ def test_reader_sees_every_form():
     assert _wrapper_calls(source) == [
         "np.cross:1", "np.all:2", "np.any:3", "np.linalg.norm:4", "np.allclose:8", "np.isclose:9",
     ]
+    assert _det_uses(
+        "np.linalg.det(a)\n"
+        "def det3(r):\n    return numpy.linalg.det(r)\n"
+        "def f(r):\n    lu = np.linalg.det\n    def g():\n        return np.linalg.det(r)\n"
+        "    return det3(r) + lu(r)\n"
+    ) == [":1", "det3:3", "f:5", "g:7"]
     assert len(MODULES) >= 12

@@ -440,15 +440,18 @@ def test_bow_yaw_bias_is_left_in_place_by_reversal():
 @pytest.mark.parametrize("seed", range(1, 6))
 def test_calibrate_op_call_counts(seed, call_counts):
     # One reversal calibration, as the benchmark's calibrate op: each session
-    # solves its two robot poses in one support_poses call, the world's camera
-    # undistorts once for its grid check and each run twice (image fit and
-    # rectification probe), and compose/invert do not re-validate rotations.
+    # solves its two robot poses in one support_poses call, each run undistorts
+    # twice (image fit and rectification probe), compose/invert do not
+    # re-validate rotations, and every determinant is the closed form. The
+    # world is built first: its camera is the shared demo camera, whose grid
+    # check runs once per process, so counting it would depend on test order.
+    world = inject_wooden_plate(random_world(seed), 0.25)
     counts = call_counts(
         (simulate, "support_poses"),
         (camera, "undistort_radial"),
         (geometry, "validate_rotation"),
+        (np.linalg, "det"),
     )
-    world = inject_wooden_plate(random_world(seed), 0.25)
     runs = [
         compute_rob_h_cam(
             simulate_referencing_session(
@@ -459,5 +462,6 @@ def test_calibrate_op_call_counts(seed, call_counts):
     ]
     reversal_average(*runs)
     assert counts["support_poses"] == 2
-    assert counts["undistort_radial"] == 5
+    assert counts["undistort_radial"] == 4
     assert counts["validate_rotation"] <= 20
+    assert counts["det"] == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -48,6 +49,25 @@ class TestDeterminism:
         a = simulate_referencing_session(world, GLASS_NOISE, p0, p1, trial=0)
         b = simulate_referencing_session(world, GLASS_NOISE, p0, p1, trial=1)
         assert session_to_dict(a) != session_to_dict(b)
+
+
+def test_demo_rig_is_shared_and_immutable():
+    a, b = random_world(1), random_world(2)
+    assert a.camera is b.camera and a.plate is b.plate and a.robot is b.robot
+    assert demo_world().plate is a.plate
+    plate = a.plate
+    with pytest.raises(TypeError):
+        plate.marks["m00"] = np.zeros(3)
+    with pytest.raises(TypeError):
+        plate.nests["r"] = np.zeros(3)
+    with pytest.raises(TypeError):
+        del plate.marks["m00"]
+    for p in (*plate.marks.values(), *plate.nests.values()):
+        with pytest.raises(ValueError):
+            p[0] = 0.0
+    for part, field in ((a.camera, "focal_mm"), (plate, "delta_mm"), (a.robot, "smr_height_mm")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(part, field, 1.0)
 
 
 class TestSessionGeneration:
