@@ -9,7 +9,6 @@ from .camera import (
     CameraModel,
     ImagePoint,
     SceneFrame,
-    back_project,
     build_rectification_map,
     estimate_plate_pose_from_image,
 )
@@ -42,7 +41,7 @@ from .pipeline import (
     plate_normal,
     reversal_average,
 )
-from .plate import ReferencingPlate, StereoObservation, measure_plate, nest_to_smr, triangulate_nest
+from .plate import ReferencingPlate, nest_to_smr
 from .simulate import (
     GLASS_NOISE,
     NoiseConfig,
@@ -76,10 +75,8 @@ __all__ = [
     "RobotPlacement",
     "SceneFrame",
     "SimWorld",
-    "StereoObservation",
     "TrackerMeasurement",
     "apply",
-    "back_project",
     "build_rectification_map",
     "cluster_metrics",
     "compose",
@@ -94,7 +91,6 @@ __all__ = [
     "inject_wooden_plate",
     "invert",
     "measure_mark",
-    "measure_plate",
     "min_enclosing_circle",
     "nest_to_smr",
     "plate_normal",
@@ -105,5 +101,4 @@ __all__ = [
     "run_experiment",
     "simulate_mark_observation",
     "simulate_referencing_session",
-    "triangulate_nest",
 ]

@@ -191,13 +191,6 @@ def project_points(model: CameraModel, pts_cam: Array) -> tuple[Array, Array]:
     return rc, in_front
 
 
-def back_project(model: CameraModel, p: ImagePoint) -> Array:
-    """Unit ray direction in the camera frame through a pixel."""
-    x, y = model.pixel_to_normalized_array([[p.row, p.col]])[0]
-    d = np.array([x, y, 1.0])
-    return d / norm(d)
-
-
 def _plane_hits(model: CameraModel, h_ref_cam: RigidTransform, rowcol: Array) -> Array:
     """Intersect the camera rays through (n, 2) (row, col) pixels with the
     plate plane z=0, in plate coordinates, (n, 3)."""
@@ -215,7 +208,7 @@ def _plane_hits(model: CameraModel, h_ref_cam: RigidTransform, rowcol: Array) ->
     return c + s[:, None] * d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SceneFrame:
     """Rectified floor-plane frame tied to the camera.
 

@@ -34,16 +34,8 @@ class NonConvergence(FloorRefError):
     """Iterative solver exhausted its iteration budget."""
 
 
-class ParallelRays(FloorRefError):
-    """Triangulation rays (near-)parallel; midpoint undefined."""
-
-
-class ExcessiveGap(FloorRefError):
-    """Triangulation ray gap above threshold; likely miscorrespondence."""
-
-
 class UnknownNest(FloorRefError):
-    """Nest identifier not present on the plate or in the observation."""
+    """Nest identifier not present on the plate."""
 
 
 class MissingMeasurement(FloorRefError):

@@ -61,7 +61,7 @@ def direction_for_yaw(yaw_deg: float) -> str:
     raise ValueError(f"yaw {yaw_deg:.2f} deg is not within 10 deg of any direction")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarkMeasurement:
     """One recovered mark position with its approach direction."""
 

@@ -57,7 +57,7 @@ REVERSAL_MAX_TRANSLATION_MM = 2.0
 REVERSAL_MAX_ROTATION_RAD = np.radians(1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrackerMeasurement:
     """One laser-tracker point: a nest smr or the robot smr at a position index."""
 
@@ -71,7 +71,7 @@ class TrackerMeasurement:
         object.__setattr__(self, "position", p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReferencingSession:
     """The full observation bundle of one referencing run.
 
@@ -121,7 +121,7 @@ class PlatePoseEstimate(NamedTuple):
     scene: SceneFrame
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReferencingResult:
     """Hand-eye calibration result with all chain intermediates and residuals.
 

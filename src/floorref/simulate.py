@@ -151,7 +151,7 @@ class RobotPlacement:
     yaw_rad: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimWorld:
     """Synthetic rig: true hand-eye, true plate pose, robot, faults, seed."""
 

@@ -11,7 +11,6 @@ from floorref.camera import (
     CameraModel,
     ImagePoint,
     _pose_jacobian,
-    back_project,
     build_rectification_map,
     distort_radial,
     estimate_plate_pose_from_image,
@@ -81,16 +80,16 @@ class TestProjection:
         assert ok.tolist() == [True, False]
         assert np.all(np.isfinite(rc[0])) and np.all(np.isnan(rc[1]))
 
-    def test_back_project_round_trip_on_plane(self):
+    def test_pixel_ray_round_trip_on_plane(self):
         m = model()
         rng = np.random.default_rng(5)
         pts = rng.uniform([-30, -25, 80], [30, 25, 300], size=(50, 3))
         rc, in_front = project_points(m, pts)
         assert in_front.all()
-        for p, (row, col) in zip(pts, rc):
-            ray = back_project(m, ImagePoint(row, col))
-            hit = ray * (p[2] / ray[2])  # intersect the point's own depth plane
-            assert np.max(np.abs(hit - p)) < 1e-6
+        xy = m.pixel_to_normalized_array(rc)
+        # the pixel ray (x, y, 1) meets the point's own depth plane at z * (x, y, 1)
+        hits = np.column_stack([xy, np.ones(len(xy))]) * pts[:, 2:]
+        assert np.max(np.abs(hits - pts)) < 1e-6
 
     def test_distortion_round_trip_full_sensor(self):
         for k in ((-0.03, 0.0005, 0.0), (0.08, -0.002, 1e-4), (0.1, 0.0, 0.0)):

@@ -11,7 +11,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "floorref"
 CORE = ("geometry", "camera", "plate", "pipeline", "frames", "errors")
 OUTER = {"simulate", "experiment", "schemas", "report", "cli"}
 # run_experiment, which drives the simulator, still lives in experiment;
-# ROADMAP open item 2 moves it out and empties this set
+# ROADMAP open item 4 moves it out and empties this set
 KNOWN_SIMULATOR_IMPORTS = {("experiment", "simulate")}
 
 
