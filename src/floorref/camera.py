@@ -36,7 +36,7 @@ Array = NDArray[np.float64]
 
 _MIN_DEPTH_MM = 1e-9
 _MAX_INCIDENCE_DEG = 89.0
-_POSE_MAX_ITER = 100
+_POSE_MAX_ITER = 500
 _POSE_LAMBDA0 = 1e-6
 _POSE_RESIDUAL_ULPS = 8.0
 _POSE_STEP_TOL = 1e-10
@@ -44,12 +44,15 @@ _UNDISTORT_MAX_ITER = 50
 _UNDISTORT_RTOL = 4.0 * np.finfo(np.float64).eps
 
 
+def _radial_factor(r2: Array, k1: float, k2: float, k3: float) -> Array:
+    """The distortion's scale f(r^2) = 1 + k1 r^2 + k2 r^4 + k3 r^6 per squared radius."""
+    return 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
+
+
 def distort_radial(xy: Array, k1: float, k2: float, k3: float) -> Array:
     """Forward radial distortion of normalized image coordinates, shape (n, 2)."""
     xy = np.asarray(xy, dtype=np.float64)
-    r2 = (xy * xy).sum(axis=1)
-    factor = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
-    return xy * factor[:, None]
+    return xy * _radial_factor((xy * xy).sum(axis=1), k1, k2, k3)[:, None]
 
 
 def undistort_radial(xy: Array, k1: float, k2: float, k3: float) -> Array:
@@ -70,8 +73,7 @@ def undistort_radial(xy: Array, k1: float, k2: float, k3: float) -> Array:
     ru = rd
     for _ in range(_UNDISTORT_MAX_ITER):
         ru_prev = ru
-        r2 = ru * ru
-        ru = rd / (1.0 + r2 * (k1 + r2 * (k2 + r2 * k3)))
+        ru = rd / _radial_factor(ru * ru, k1, k2, k3)
         if (np.abs(ru - ru_prev) <= tol).all():
             break
     else:
@@ -191,11 +193,35 @@ def project_points(model: CameraModel, pts_cam: Array) -> tuple[Array, Array]:
     return rc, in_front
 
 
-def _plane_hits(model: CameraModel, h_ref_cam: RigidTransform, rowcol: Array) -> Array:
-    """Intersect the camera rays through (n, 2) (row, col) pixels with the
-    plate plane z=0, in plate coordinates, (n, 3)."""
+def _pixel_rays(model: CameraModel, rowcol: Array) -> Array:
+    """Camera-frame ray directions (x, y, 1) through (n, 2) (row, col) pixels, (n, 3)."""
     xy_n = model.pixel_to_normalized_array(rowcol)
-    dirs = np.concatenate([xy_n, np.ones((xy_n.shape[0], 1))], axis=1)
+    return np.concatenate([xy_n, np.ones((xy_n.shape[0], 1))], axis=1)
+
+
+@functools.lru_cache(maxsize=16)
+def _probe_rays(model: CameraModel) -> Array:
+    """The read-only rays of the six pixels that fix a scene frame, (6, 3):
+    the image center plus and minus half a row, then the four corners."""
+    rc_center = np.array([(model.rows - 1) / 2.0, (model.cols - 1) / 2.0])
+    probe = np.array(
+        [
+            rc_center + [0.5, 0.0],
+            rc_center - [0.5, 0.0],
+            [0.0, 0.0],
+            [0.0, model.cols - 1.0],
+            [model.rows - 1.0, 0.0],
+            [model.rows - 1.0, model.cols - 1.0],
+        ]
+    )
+    rays = _pixel_rays(model, probe)
+    rays.setflags(write=False)
+    return rays
+
+
+def _ray_hits(h_ref_cam: RigidTransform, dirs: Array) -> Array:
+    """Intersect (n, 3) camera-frame rays with the plate plane z=0, in plate
+    coordinates, (n, 3)."""
     c = h_ref_cam.translation
     d = dirs @ h_ref_cam.rotation.T
     dz = d[:, 2]
@@ -228,7 +254,7 @@ class SceneFrame:
 
     def map_image_points(self, rowcol: Array) -> Array:
         """Rectify (row, col) pairs into scene xy millimeters, (n, 2)."""
-        hits_ref = _plane_hits(self.model, invert(self.h_cam_ref), rowcol)
+        hits_ref = _ray_hits(invert(self.h_cam_ref), _pixel_rays(self.model, rowcol))
         return apply(self.h_scn_ref, hits_ref)[:, :2]
 
 
@@ -240,6 +266,9 @@ def build_rectification_map(model: CameraModel, h_cam_ref: RigidTransform) -> Sc
     camera, y completes the right-handed basis (the projected column
     direction), and the origin is the componentwise minimum of the projected
     image corners, which places the whole footprint in the positive quadrant.
+    The rays of these six probe pixels depend on the camera alone: they are
+    undistorted once per camera value and kept, so building a map for an
+    already-seen camera undistorts nothing.
 
     Raises:
         DegenerateViewingGeometry: camera center in the plate plane, incidence
@@ -258,18 +287,7 @@ def build_rectification_map(model: CameraModel, h_cam_ref: RigidTransform) -> Sc
             f"incidence angle beyond {_MAX_INCIDENCE_DEG} degrees"
         )
 
-    rc_center = np.array([(model.rows - 1) / 2.0, (model.cols - 1) / 2.0])
-    probe = np.array(
-        [
-            rc_center + [0.5, 0.0],
-            rc_center - [0.5, 0.0],
-            [0.0, 0.0],
-            [0.0, model.cols - 1.0],
-            [model.rows - 1.0, 0.0],
-            [model.rows - 1.0, model.cols - 1.0],
-        ]
-    )
-    hits = _plane_hits(model, h_ref_cam, probe)
+    hits = _ray_hits(h_ref_cam, _probe_rays(model))
 
     e_z = np.array([0.0, 0.0, sigma])
     row_dir = hits[0] - hits[1]
@@ -321,64 +339,105 @@ class PlateImageFit(NamedTuple):
     stop: str
 
 
-def _pose_jacobian(model: CameraModel, q: Array, pc: Array) -> Array:
-    """Jacobian of the pixel residual of plate points p at pose (r, t), (2n, 6).
+class _PlateProjection(NamedTuple):
+    """Plate points projected at one pose, with the terms of the projection
+    that the pose Jacobian reuses: the rotated points ``q = p r^T``, the
+    depths ``z`` and the undistorted normalized coordinates ``xy``."""
 
-    ``q = p r^T`` and ``pc = q + t`` are the rotated and the camera-frame
-    points, as the residual computes them. Columns are the pose update
-    (dw, dt) applied as ``exp([dw]x) r`` and ``t + dt``; rows follow the
-    residual order [row0, col0, row1, col1, ...]. The chain is
-    d pc = -[q]x dw + dt, the perspective division (x, y) = (X/Z, Y/Z), the
-    radial factor f(r^2) = 1 + k1 r^2 + k2 r^4 + k3 r^6
-    (d xd/dx = f + 2 x^2 f', d xd/dy = 2 x y f', f' = df/d(r^2)), and the
-    pixel scale (row from yd, column from xd).
+    rc: Array
+    q: Array
+    z: Array
+    xy: Array
+
+
+def _project_plate(
+    model: CameraModel, ref_pts: Array, r: Array, t: Array
+) -> _PlateProjection | None:
+    """Project (n, 3) plate points at the pose (r, t); None when a point is
+    not in front of the camera."""
+    q = ref_pts @ r.T
+    pc = q + t
+    z = pc[:, 2]
+    if (z <= _MIN_DEPTH_MM).any():
+        return None
+    xy = pc[:, :2] / z[:, None]
+    return _PlateProjection(model.normalized_to_pixel_array(xy), q, z, xy)
+
+
+# d pc / d(dw, dt) = [-[q]x, I] is q @ _SKEW + _EYE, each (3, 6) block flattened row by row
+_SKEW = np.zeros((3, 3, 6))
+_SKEW[2, 0, 1] = _SKEW[0, 1, 2] = _SKEW[1, 2, 0] = 1.0
+_SKEW[1, 0, 2] = _SKEW[2, 1, 0] = _SKEW[0, 2, 1] = -1.0
+_SKEW = _SKEW.reshape(3, 18)
+_EYE = np.hstack([np.zeros((3, 3)), np.eye(3)])
+_SWAP = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])  # e_i: the row follows y, the column x
+
+
+def _pose_jacobian(model: CameraModel, p: _PlateProjection) -> Array:
+    """Jacobian of the pixel residual at the pose of the projection ``p``, (2n, 6).
+
+    Columns are the pose update (dw, dt) applied as ``exp([dw]x) r`` and
+    ``t + dt``; rows follow the residual order [row0, col0, row1, col1, ...].
+    Each point's (2, 6) block is one stacked product ``m c``. Here
+    ``c = [-[q]x, I]`` is d pc / d(dw, dt), and the (2, 3) block m chains the
+    perspective division ``[I, -(x, y)] / z``, the (2, 2) distortion Jacobian
+    ``f I + 2 f' (x, y) (x, y)^T`` with ``f' = df/d(r^2)``, and the pixel
+    scale (row from yd, column from xd). Multiplied out, row i of m is
+    ``s_i (c_i (2 f' x, 2 f' y, -(f + 2 f' r^2)) + f e_i) / z``, where ``s_i``
+    is the axis's pixel scale, ``c_i`` the coordinate it follows (y for the
+    row, x for the column) and ``e_i`` the unit vector of that coordinate.
     """
-    iz = 1.0 / pc[:, 2]
-    x = pc[:, 0] * iz
-    y = pc[:, 1] * iz
-    qx, qy, qz = q.T
-    zero = np.zeros_like(x)
-    one = np.ones_like(x)
-    # d(x, y)/d(dw, dt), (6, n) each: a row a of the division Jacobian gives q x a for dw
-    dx = np.array([-x * qy, qz + x * qx, -qy, one, zero, -x]) * iz
-    dy = np.array([-y * qy - qz, y * qx, qx, zero, one, -y]) * iz
-
     k1, k2, k3 = model.k
-    r2 = x * x + y * y
-    f = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
-    fp2 = 2.0 * (k1 + r2 * (2.0 * k2 + 3.0 * r2 * k3))  # 2 f'
-    cross = x * y * fp2
-    jac = np.empty((x.size, 2, 6))
-    jac[:, 0] = ((model.focal_mm / model.sy_mm) * (cross * dx + (f + y * y * fp2) * dy)).T
-    jac[:, 1] = ((model.focal_mm / model.sx_mm) * ((f + x * x * fp2) * dx + cross * dy)).T
-    return jac.reshape(-1, 6)
+    n = p.z.shape[0]
+    scale = model.focal_mm / np.array([model.sy_mm, model.sx_mm])
+    iz = 1.0 / p.z
+    r2 = (p.xy * p.xy).sum(axis=1)
+    f_z = _radial_factor(r2, k1, k2, k3) * iz
+    fp2_z = (2.0 * k1 + r2 * (4.0 * k2 + 6.0 * k3 * r2)) * iz  # 2 f' / z
+    w = np.empty((n, 3))
+    w[:, :2] = fp2_z[:, None] * p.xy
+    w[:, 2] = -(fp2_z * r2 + f_z)
+    m = (p.xy[:, ::-1] * scale)[:, :, None] * w[:, None, :] + f_z[:, None, None] * (
+        scale[:, None] * _SWAP
+    )
+    c = (p.q @ _SKEW).reshape(n, 3, 6) + _EYE
+    return (m @ c).reshape(-1, 6)
 
 
 def _homography_dlt(plane_xy: Array, norm_xy: Array) -> Array:
-    def normalizer(pts: Array) -> Array:
-        mean = pts.mean(axis=0)
-        d = pts - mean
-        # the mean distance from the centroid, rounded as np.linalg.norm(d, axis=1) rounds
-        scale = math.sqrt(2.0) / max(np.sqrt((d * d).sum(axis=1)).mean(), 1e-12)
-        t = np.array(
-            [[scale, 0.0, -scale * mean[0]], [0.0, scale, -scale * mean[1]], [0.0, 0.0, 1.0]]
-        )
-        return t
+    """The plate-to-image homography h, h[2, 2] = 1, by the normalised direct
+    linear transform (Hartley 1997): the plate and the image points are
+    moved to their centroids and scaled to a mean distance of sqrt(2) in one
+    pass over the (n, 4) array of both, the 2n x 9 system is built from the
+    normalised coordinates, and its null vector is mapped back through the
+    plate similarity and the closed-form inverse of the image similarity."""
+    pts = np.concatenate([plane_xy, norm_xy], axis=1)
+    mean = pts.mean(axis=0)
+    d = pts - mean
+    d2 = d * d
+    # each set's mean distance from its centroid, rounded as np.linalg.norm(., axis=1) rounds
+    dist = np.sqrt(d2[:, 0::2] + d2[:, 1::2]).mean(axis=0)
+    scale = math.sqrt(2.0) / np.maximum(dist, 1e-12)
+    u = d * scale.repeat(2)
+    pln, img = u[:, :2], u[:, 2:]
 
-    t_pln = normalizer(plane_xy)
-    t_img = normalizer(norm_xy)
-    pln = np.concatenate([plane_xy, np.ones((plane_xy.shape[0], 1))], axis=1) @ t_pln.T
-    img = np.concatenate([norm_xy, np.ones((norm_xy.shape[0], 1))], axis=1) @ t_img.T
-
-    n = pln.shape[0]
-    a = np.zeros((2 * n, 9))
-    a[0::2, 0:3] = pln
-    a[0::2, 6:9] = -img[:, [0]] * pln
-    a[1::2, 3:6] = pln
-    a[1::2, 6:9] = -img[:, [1]] * pln
-    _, _, vt = np.linalg.svd(a)
-    h = vt[-1].reshape(3, 3)
-    h = np.linalg.inv(t_img) @ h @ t_pln
+    a = np.zeros((u.shape[0], 2, 9))
+    a[:, 0, 0:2] = pln
+    a[:, 0, 2] = 1.0
+    a[:, 1, 3:5] = pln
+    a[:, 1, 5] = 1.0
+    a[:, :, 6:8] = -img[:, :, None] * pln[:, None, :]
+    a[:, :, 8] = -img
+    # the full SVD: four marks give an 8 x 9 system, whose null vector is the ninth row of vt
+    _, _, vt = np.linalg.svd(a.reshape(-1, 9))
+    s_pln, s_img = scale
+    t_pln = np.array(
+        [[s_pln, 0.0, -s_pln * mean[0]], [0.0, s_pln, -s_pln * mean[1]], [0.0, 0.0, 1.0]]
+    )
+    t_img_inv = np.array(
+        [[1.0 / s_img, 0.0, mean[2]], [0.0, 1.0 / s_img, mean[3]], [0.0, 0.0, 1.0]]
+    )
+    h = t_img_inv @ vt[-1].reshape(3, 3) @ t_pln
     return h / h[2, 2]
 
 
@@ -408,21 +467,24 @@ def estimate_plate_pose_from_image(
     cost does not rise beyond its rounding error (each residual counted at
     8 ulp of its pixel coordinate); trial poses that put a mark behind the
     camera are rejected like steps that raise it. Each trial pose is
-    projected once, and the accepted projection also feeds the next
-    Jacobian. The trial rotation ``exp([dw]x) r`` stays orthonormal to
-    rounding; it is re-orthonormalised once, on the returned pose.
+    projected once (``_project_plate``): that one projection gives the
+    residual and, once the trial is accepted, the terms of the next Jacobian,
+    so each iteration forms one Jacobian and projects no pose twice. The
+    trial rotation ``exp([dw]x) r`` stays orthonormal to rounding; it is
+    re-orthonormalised once, on the returned pose.
 
     The fit stops with ``stop == "step_tol"`` when the cost is flat to
     rounding: a trial step falls below 1e-10 in every component, accepted or
     not, or an accepted trial does not lower the cost. It stops with
     ``stop == "no_descent"`` when the damping reaches 1e12 with no trial step
-    accepted. The cap is 100 iterations.
+    accepted. The cap is 500 iterations: a poor homography start on a view
+    with few marks can take a few hundred iterations of slow descent.
 
     Raises:
         ValueError: a reference mark that is not a finite 3-vector.
         DegenerateConfiguration: fewer than 4 marks, non-coplanar references,
             collinear layout, or an initial pose with marks behind the camera.
-        NonConvergence: neither stop rule met within 100 iterations.
+        NonConvergence: neither stop rule met within 500 iterations.
     """
     n = len(observed)
     if n < 4:
@@ -449,22 +511,12 @@ def estimate_plate_pose_from_image(
     h = _homography_dlt(ref_pts[:, :2], norm_xy)
     r, t = _pose_from_homography(h)
 
-    def reproject(rm: Array, tv: Array) -> tuple[Array, Array, Array] | None:
-        # (residual, rotated points, camera-frame points), or None behind the camera
-        q = ref_pts @ rm.T
-        pc = q + tv
-        z = pc[:, 2]
-        if (z <= _MIN_DEPTH_MM).any():
-            return None
-        rc = model.normalized_to_pixel_array(pc[:, :2] / z[:, None])
-        return (rc - rc_obs).ravel(), q, pc
-
-    projection = reproject(r, t)
+    projection = _project_plate(model, ref_pts, r, t)
     if projection is None:
         raise DegenerateConfiguration(
             "estimate_plate_pose_from_image: initial pose places marks behind the camera"
         )
-    res, q, pc = projection
+    res = (projection.rc - rc_obs).ravel()
     cost = float(res @ res)
     # rounding error of each residual: a few ulp of its pixel coordinate
     res_err = _POSE_RESIDUAL_ULPS * np.finfo(np.float64).eps * np.abs(rc_obs).ravel()
@@ -472,7 +524,7 @@ def estimate_plate_pose_from_image(
     iterations = 0
 
     for iterations in range(1, _POSE_MAX_ITER + 1):
-        jac = _pose_jacobian(model, q, pc)
+        jac = _pose_jacobian(model, projection)
         g = jac.T @ res
         a = jac.T @ jac
         diag = np.diag(a)
@@ -487,16 +539,15 @@ def estimate_plate_pose_from_image(
             small = float(np.abs(step).max()) < _POSE_STEP_TOL
             r_new = rotation_from_rotvec(step[:3]) @ r
             t_new = t + step[3:]
-            projection = reproject(r_new, t_new)
-            if projection is not None:
-                res_new = projection[0]
+            trial = _project_plate(model, ref_pts, r_new, t_new)
+            if trial is not None:
+                res_new = (trial.rc - rc_obs).ravel()
                 cost_new = float(res_new @ res_new)
                 if cost_new < cost + cost_err:
                     # not above the cost beyond its rounding error: a pose no
                     # worse, and the fit ends unless the cost fell
                     descent = cost_new < cost
-                    r, t, cost = r_new, t_new, cost_new
-                    res, q, pc = projection
+                    r, t, cost, res, projection = r_new, t_new, cost_new, res_new, trial
                     lam = max(lam * 0.3, 1e-12)
                     stop = "" if descent and not small else "step_tol"
                     break

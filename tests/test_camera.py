@@ -11,6 +11,7 @@ from floorref.camera import (
     CameraModel,
     ImagePoint,
     _pose_jacobian,
+    _project_plate,
     build_rectification_map,
     distort_radial,
     estimate_plate_pose_from_image,
@@ -198,13 +199,13 @@ class TestRectification:
         # build_rectification_map checks the corners on the plane hits of its
         # six probe rays (the last four are the corners) instead of mapping them anew
         hits = []
-        plane_hits = camera._plane_hits
+        ray_hits = camera._ray_hits
 
-        def recorded(model, h, rowcol):
-            hits.append(plane_hits(model, h, rowcol))
+        def recorded(h, dirs):
+            hits.append(ray_hits(h, dirs))
             return hits[-1]
 
-        monkeypatch.setattr(camera, "_plane_hits", recorded)
+        monkeypatch.setattr(camera, "_ray_hits", recorded)
         rng = np.random.default_rng(12)
         for k1 in (-0.08, -0.03, 0.0, 0.05):
             m = model(k=(k1, 0.0005, 0.0))
@@ -225,6 +226,16 @@ class TestRectification:
                 assert len(hits) == 1 and hits[0].shape == (6, 3)
                 checked = apply(scene.h_scn_ref, hits[0][2:])[:, :2]
                 assert np.max(np.abs(checked - scene.map_image_points(corners))) < 1e-9
+
+    def test_probe_rays_undistorted_once_per_camera(self, call_counts):
+        # equal cameras share the six probe rays: the second map undistorts nothing
+        cams = [model(k=(-0.0304, 0.0005, 0.0)) for _ in range(2)]
+        camera._probe_rays.cache_clear()
+        counts = call_counts((camera, "undistort_radial"))
+        scenes = [build_rectification_map(m, nadir_pose(150.0)) for m in cams]
+        assert counts["undistort_radial"] == 1
+        assert not camera._probe_rays(cams[1]).flags.writeable
+        assert np.array_equal(scenes[0].h_scn_ref.matrix, scenes[1].h_scn_ref.matrix)
 
     def test_principal_point_maps_to_axis_plane_hit(self):
         m = model()
@@ -393,6 +404,21 @@ class TestPlatePoseFromImage:
             assert fit.rms_px < 1e-8
             assert fit.stop == "step_tol"
 
+    def test_four_marks_suffice(self):
+        # four marks give an 8 x 9 homography system: its null vector is the
+        # ninth right singular vector, which only the full SVD returns
+        m = model()
+        marks = [_grid_marks()[i] for i in (0, 4, 20, 24)]
+        h_ref_cam = RigidTransform(
+            rotation_about_z(0.4) @ rotation_about_x(0.05), np.array([6.0, -4.0, -160.0]),
+            source=frames.CAM, dest=frames.REF,
+        )
+        h_cam_ref = invert(h_ref_cam)
+        fit = estimate_plate_pose_from_image(m, _synthetic_observation(m, h_cam_ref, marks))
+        assert rotation_distance(fit.h_cam_ref.rotation, h_cam_ref.rotation) < 1e-8
+        assert np.max(np.abs(fit.h_cam_ref.translation - h_cam_ref.translation)) < 1e-6
+        assert fit.iterations <= 10
+
     def test_noise_monte_carlo_translation_error(self):
         m = model()
         rng = np.random.default_rng(123)
@@ -456,12 +482,36 @@ class TestPlatePoseFromImage:
                 rc_obs = np.array([[ip.row, ip.col] for ip, _ in obs])
                 r, t = fit.h_cam_ref.rotation, fit.h_cam_ref.translation
                 for _ in range(30):
-                    q = ref_pts @ r.T
                     res = _pixel_residual(camera, ref_pts, r, t) - rc_obs.ravel()
-                    step = np.linalg.lstsq(_pose_jacobian(camera, q, q + t), -res, rcond=None)[0]
+                    jac = _pose_jacobian(camera, _project_plate(camera, ref_pts, r, t))
+                    step = np.linalg.lstsq(jac, -res, rcond=None)[0]
                     r, t = rotation_from_rotvec(step[:3]) @ r, t + step[3:]
                 worst = max(worst, float(np.max(np.abs(fit.h_cam_ref.translation - t))))
         assert worst <= 1e-7
+
+    @pytest.mark.parametrize("seed", [143, 468])
+    def test_slow_stress_view_ends_below_the_cap(self, seed):
+        # a poor homography start: a slow descent, then the cost is flat to rounding
+        m, obs = _stress_view(seed)
+        fit = estimate_plate_pose_from_image(m, obs)
+        assert fit.stop == "step_tol"
+        assert fit.iterations <= camera._POSE_MAX_ITER
+
+    def test_non_convergence_raised_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(camera, "_POSE_MAX_ITER", 2)
+        m, obs = _stress_view(143)
+        with pytest.raises(NonConvergence, match="no convergence in 2 iterations"):
+            estimate_plate_pose_from_image(m, obs)
+
+    def test_one_jacobian_per_iteration(self, call_counts):
+        # each accepted projection feeds the next iteration's one Jacobian;
+        # stress view 804 also rejects trials, which form none
+        cases = [_stress_view(804), *_session_observations(random_world(3))]
+        counts = call_counts((camera, "_pose_jacobian"))
+        for m, obs in cases:
+            before = counts["_pose_jacobian"]
+            fit = estimate_plate_pose_from_image(m, obs)
+            assert counts["_pose_jacobian"] - before == fit.iterations
 
     def test_rejected_trial_raises_the_damping(self, monkeypatch):
         # on this stress view some trial steps raise the cost: each is
@@ -540,8 +590,9 @@ class TestPoseJacobian:
             )
             h_cam_ref = invert(h_ref_cam)
             r, t = h_cam_ref.rotation, h_cam_ref.translation
-            q = marks @ r.T
-            jac = _pose_jacobian(m, q, q + t)
+            projection = _project_plate(m, marks, r, t)
+            assert np.array_equal(projection.rc.ravel(), _pixel_residual(m, marks, r, t))
+            jac = _pose_jacobian(m, projection)
             assert jac.shape == (2 * len(marks), 6)
             for i in range(6):
                 d = np.zeros(6)

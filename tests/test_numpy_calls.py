@@ -1,8 +1,10 @@
 """Per-call numpy wrappers stay out of the package: 3-vector cross products and
 norms go through ``geometry.cross3`` and ``geometry.norm``, reductions use
 the array methods (``x.all()``, ``x.any()``), tolerance tests are written
-out as comparisons and 3x3 determinants go through ``geometry.det3``, whose
-fallback is the one LAPACK determinant; read from each module's source."""
+out as comparisons, small inverses are written in closed form (a linear
+system goes to ``np.linalg.solve``) and 3x3 determinants go through
+``geometry.det3``, whose fallback is the one LAPACK determinant; read from
+each module's source."""
 
 import ast
 from pathlib import Path
@@ -11,7 +13,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "floorref"
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
-FORBIDDEN = {"np.cross", "np.all", "np.any", "np.allclose", "np.isclose"}
+FORBIDDEN = {"np.cross", "np.all", "np.any", "np.allclose", "np.isclose", "np.linalg.inv"}
 NORM = "np.linalg.norm"
 DET = "np.linalg.det"
 
@@ -71,10 +73,12 @@ def test_reader_sees_every_form():
     source = (
         "np.cross(a, b)\nnumpy.all(x)\nnp.any(x > 0)\nnp.linalg.norm(v)\n"
         "np.linalg.norm(m, axis=1)\nx.all()\ncross3(a, b)\n"
-        "np.allclose(a, b, atol=1e-12)\nnumpy.isclose(a, b)\n"
+        "np.allclose(a, b, atol=1e-12)\nnumpy.isclose(a, b)\nnp.linalg.inv(t)\n"
+        "numpy.linalg.inv(t) @ h\nnp.linalg.solve(a, b)\n"
     )
     assert _wrapper_calls(source) == [
         "np.cross:1", "np.all:2", "np.any:3", "np.linalg.norm:4", "np.allclose:8", "np.isclose:9",
+        "np.linalg.inv:10", "np.linalg.inv:11",
     ]
     assert _det_uses(
         "np.linalg.det(a)\n"
