@@ -135,22 +135,32 @@ class CameraModel:
         self._check_invertible()
 
     def _check_invertible(self) -> None:
-        # Construction invariant: undistortion must round-trip the forward
-        # distortion within 1e-6 px over the full sensor (checked on a grid).
-        # Finite but extreme parameters can overflow on the way: not invertible.
-        rr = np.linspace(0.0, self.rows - 1.0, 11)
-        cc = np.linspace(0.0, self.cols - 1.0, 11)
-        grid = np.stack(np.meshgrid(rr, cc, indexing="ij"), axis=-1).reshape(-1, 2)
+        """Construction invariant: undistortion must round-trip the forward
+        distortion within 1e-6 px over the sensor, checked on an 11 x 11 grid;
+        finite but extreme parameters can overflow on the way: not invertible.
+        The same undistortion gives the read-only rays ``_probe_rays`` (6, 3)
+        of ``build_rectification_map``: the image center plus and minus half
+        a row, then the four corners (grid points 0, 10, 110 and 120).
+        """
+        r, c = (self.rows - 1) / 2.0, (self.cols - 1) / 2.0
+        pixels = np.empty((123, 2))  # the grid row by row, then the two center pixels
+        pixels[:121, 0] = np.linspace(0.0, self.rows - 1.0, 11).repeat(11)
+        pixels[:121, 1] = np.tile(np.linspace(0.0, self.cols - 1.0, 11), 11)
+        pixels[121:] = [[r + 0.5, c], [r - 0.5, c]]
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                back = self.normalized_to_pixel_array(self.pixel_to_normalized_array(grid))
-                err = np.abs(back - grid).max()
+                xy = self.pixel_to_normalized_array(pixels)
+                err = np.abs(self.normalized_to_pixel_array(xy[:121]) - pixels[:121]).max()
         except (NonConvergence, FloatingPointError) as e:
             raise ValueError(f"distortion not invertible over the sensor ({e})") from None
         if err > 1e-6:
             raise ValueError(
                 f"distortion not invertible over the sensor (round-trip error {err:.3e} px)"
             )
+        rays = np.ones((6, 3))
+        rays[:, :2] = xy[[121, 122, 0, 10, 110, 120]]
+        rays.setflags(write=False)
+        object.__setattr__(self, "_probe_rays", rays)
 
     def normalized_to_pixel_array(self, xy: Array) -> Array:
         """Distort normalized coordinates and convert to (row, col) pairs, (n, 2)."""
@@ -193,32 +203,6 @@ def project_points(model: CameraModel, pts_cam: Array) -> tuple[Array, Array]:
     return rc, in_front
 
 
-def _pixel_rays(model: CameraModel, rowcol: Array) -> Array:
-    """Camera-frame ray directions (x, y, 1) through (n, 2) (row, col) pixels, (n, 3)."""
-    xy_n = model.pixel_to_normalized_array(rowcol)
-    return np.concatenate([xy_n, np.ones((xy_n.shape[0], 1))], axis=1)
-
-
-@functools.lru_cache(maxsize=16)
-def _probe_rays(model: CameraModel) -> Array:
-    """The read-only rays of the six pixels that fix a scene frame, (6, 3):
-    the image center plus and minus half a row, then the four corners."""
-    rc_center = np.array([(model.rows - 1) / 2.0, (model.cols - 1) / 2.0])
-    probe = np.array(
-        [
-            rc_center + [0.5, 0.0],
-            rc_center - [0.5, 0.0],
-            [0.0, 0.0],
-            [0.0, model.cols - 1.0],
-            [model.rows - 1.0, 0.0],
-            [model.rows - 1.0, model.cols - 1.0],
-        ]
-    )
-    rays = _pixel_rays(model, probe)
-    rays.setflags(write=False)
-    return rays
-
-
 def _ray_hits(h_ref_cam: RigidTransform, dirs: Array) -> Array:
     """Intersect (n, 3) camera-frame rays with the plate plane z=0, in plate
     coordinates, (n, 3)."""
@@ -254,7 +238,9 @@ class SceneFrame:
 
     def map_image_points(self, rowcol: Array) -> Array:
         """Rectify (row, col) pairs into scene xy millimeters, (n, 2)."""
-        hits_ref = _ray_hits(invert(self.h_cam_ref), _pixel_rays(self.model, rowcol))
+        xy_n = self.model.pixel_to_normalized_array(rowcol)
+        rays = np.concatenate([xy_n, np.ones((xy_n.shape[0], 1))], axis=1)
+        hits_ref = _ray_hits(invert(self.h_cam_ref), rays)
         return apply(self.h_scn_ref, hits_ref)[:, :2]
 
 
@@ -266,9 +252,9 @@ def build_rectification_map(model: CameraModel, h_cam_ref: RigidTransform) -> Sc
     camera, y completes the right-handed basis (the projected column
     direction), and the origin is the componentwise minimum of the projected
     image corners, which places the whole footprint in the positive quadrant.
-    The rays of these six probe pixels depend on the camera alone: they are
-    undistorted once per camera value and kept, so building a map for an
-    already-seen camera undistorts nothing.
+    The rays of these six probe pixels depend on the camera alone: the camera
+    undistorts them once, when it is built (``CameraModel._check_invertible``),
+    so building a map undistorts nothing.
 
     Raises:
         DegenerateViewingGeometry: camera center in the plate plane, incidence
@@ -287,7 +273,7 @@ def build_rectification_map(model: CameraModel, h_cam_ref: RigidTransform) -> Sc
             f"incidence angle beyond {_MAX_INCIDENCE_DEG} degrees"
         )
 
-    hits = _ray_hits(h_ref_cam, _probe_rays(model))
+    hits = _ray_hits(h_ref_cam, model._probe_rays)
 
     e_z = np.array([0.0, 0.0, sigma])
     row_dir = hits[0] - hits[1]
@@ -310,7 +296,7 @@ def build_rectification_map(model: CameraModel, h_cam_ref: RigidTransform) -> Sc
     h_scn_ref = invert(h_ref_scn)
     # the corners' plane hits in the scene frame: what map_image_points gives
     # for the corner pixels, without undistorting them a second time
-    corner_scn = corners @ h_scn_ref.rotation.T + h_scn_ref.translation
+    corner_scn = apply(h_scn_ref, corners)
     if corner_scn[:, :2].min() < -1e-9:
         raise DegenerateViewingGeometry(
             "projected image corners escape the positive scene quadrant"

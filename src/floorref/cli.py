@@ -175,13 +175,14 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trial_count(text: str) -> int:
+def _integer_at_least(low: int, text: str) -> int:
+    """An option's integer value, refused through argparse below ``low``."""
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    if n < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
     return n
 
 
@@ -195,11 +196,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"floorref {TOOL_VERSION}")
     sub = parser.add_subparsers(dest="command", required=True)
+    seed = functools.partial(_integer_at_least, 0)
+    trials = functools.partial(_integer_at_least, 1)
 
     p = sub.add_parser("simulate", help="generate a synthetic referencing session")
     p.add_argument("world", help="world config JSON")
     p.add_argument("--out", required=True, help="output session JSON")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p.add_argument("--seed", type=seed, default=None, help="override the config seed")
     p.add_argument("--reverse", action="store_true", help="reversed-heading placements")
 
     p = sub.add_parser("calibrate", help="run the referencing pipeline on a session")
@@ -212,9 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("result", help="calibration result JSON")
     p.add_argument("--plan", required=True, help="experiment plan JSON")
     p.add_argument("--out-dir", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p.add_argument("--seed", type=seed, default=None, help="override the config seed")
     p.add_argument(
-        "--trials", type=_trial_count, default=1, help="number of seeded repetitions (at least 1)"
+        "--trials", type=trials, default=1, help="number of seeded repetitions (at least 1)"
     )
 
     p = sub.add_parser("metrics", help="cluster metrics over an existing measurement CSV")

@@ -34,7 +34,6 @@ from .errors import DegenerateConfiguration, FrameMismatch, LengthMismatch
 
 ROTATION_TOL = 1e-9
 _RENORM_TRIGGER = 1e-12
-_DET_MARGIN = 1e-12  # far above the closed form's gap to LAPACK's determinant
 
 Array = NDArray[np.float64]
 
@@ -79,21 +78,17 @@ def triangle_area(a: Array, b: Array, c: Array) -> float:
 
 
 def det3(r: Array) -> float:
-    """Determinant of a (3, 3) float64 matrix whose entries are at most about 1
-    in magnitude (a rotation, a reflection or a near one). The test
-    |det - 1| > ROTATION_TOL and the sign come out as with ``np.linalg.det``.
+    """Determinant of a (3, 3) float64 matrix by the cofactor expansion along
+    the first row, on Python floats.
 
-    The cofactor expansion along the first row, on Python floats, is within a
-    few ulp of LAPACK's LU value on such a matrix. It is returned where it
-    passes that test by more than 1e-12, as for every proper rotation; nearer
-    the bound, or beyond it (a reflection), ``np.linalg.det``'s value is
-    returned, so a failed check reports LAPACK's value.
+    On a matrix whose entries are at most about 1 in magnitude (a rotation, a
+    reflection or a near one) it is within a few ulp of ``np.linalg.det``, so
+    its sign and the test |det - 1| > ROTATION_TOL come out as with LAPACK's
+    value: a matrix with |R^T R - I|_F <= ROTATION_TOL and det > 0 has
+    |det - 1| <= (sqrt(3) / 2) ROTATION_TOL, far inside the bound.
     """
     (a, b, c), (d, e, f), (g, h, i) = r.tolist()
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    if abs(det - 1.0) > ROTATION_TOL - _DET_MARGIN:
-        return np.linalg.det(r)
-    return det
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def validate_rotation(r: Array) -> None:

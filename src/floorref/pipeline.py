@@ -143,25 +143,9 @@ class ReferencingResult:
     reversal_of: tuple["ReferencingResult", "ReferencingResult"] | None = None
 
     @classmethod
-    def from_chain(
-        cls,
-        scene: SceneFrame,
-        h_abs_scn: RigidTransform,
-        h_abs_rob: RigidTransform,
-        registration_rms_mm: float,
-        reprojection_rms_px: float,
-        suspect: bool,
-    ) -> "ReferencingResult":
-        h_rob_cam = compose(compose(invert(h_abs_rob), h_abs_scn), scene.h_scn_cam)
-        return cls(
-            h_rob_cam=h_rob_cam,
-            scene=scene,
-            h_abs_scn=h_abs_scn,
-            h_abs_rob=h_abs_rob,
-            registration_rms_mm=registration_rms_mm,
-            reprojection_rms_px=reprojection_rms_px,
-            suspect=suspect,
-        )
+    def from_chain(cls, plate: PlatePoseEstimate, h_abs_rob: RigidTransform) -> "ReferencingResult":
+        h_rob_cam = compose(compose(invert(h_abs_rob), plate.h_abs_scn), plate.scene.h_scn_cam)
+        return cls(h_rob_cam=h_rob_cam, h_abs_rob=h_abs_rob, **plate._asdict())
 
     @functools.cached_property
     def h_rob_scn(self) -> RigidTransform:
@@ -308,14 +292,7 @@ def compute_rob_h_cam(session: ReferencingSession) -> ReferencingResult:
         h_abs_rob = estimate_robot_pose(session, n)
 
     with _stage("compose"):
-        return ReferencingResult.from_chain(
-            scene=plate_est.scene,
-            h_abs_scn=plate_est.h_abs_scn,
-            h_abs_rob=h_abs_rob,
-            registration_rms_mm=plate_est.registration_rms_mm,
-            reprojection_rms_px=plate_est.reprojection_rms_px,
-            suspect=plate_est.suspect,
-        )
+        return ReferencingResult.from_chain(plate_est, h_abs_rob)
 
 
 def reversal_average(run_a: ReferencingResult, run_b: ReferencingResult) -> ReferencingResult:

@@ -524,6 +524,9 @@ def world_from_dict(
     except ValueError as e:
         raise SchemaError(f"{w}: {e}") from e
     amplitude = _number(noise_doc, w, "plate_amplitude_mm", 0.0)
+    seed = _integer(doc, where, "seed", 0)
+    if seed < 0:
+        raise SchemaError(f"{where}.seed: expected a non-negative integer, got {seed}")
 
     try:
         world = SimWorld(
@@ -537,7 +540,7 @@ def world_from_dict(
             floor_inclination_rad=math.radians(_number(floor_doc, wf, "inclination_deg", 0.0)),
             floor_azimuth_rad=math.radians(_number(floor_doc, wf, "azimuth_deg", 0.0)),
             deformation_amplitude_mm=amplitude,
-            seed=_integer(doc, where, "seed", 0),
+            seed=seed,
         )
     except ValueError as e:
         # the hand-eye's frames are fixed by _transform: the world rejects

@@ -182,15 +182,6 @@ class SimWorld:
 
     # --- surfaces -----------------------------------------------------------
 
-    def _plate_uv(self, x: Array, y: Array) -> tuple[Array, Array]:
-        c, s = math.cos(-self.plate_yaw_rad), math.sin(-self.plate_yaw_rad)
-        dx = np.asarray(x, dtype=np.float64) - self.plate_x_mm
-        dy = np.asarray(y, dtype=np.float64) - self.plate_y_mm
-        px = c * dx - s * dy
-        py = -(s * dx + c * dy)  # plate frame is mirrored about its x-axis
-        ex, ey = self.plate.extent_mm
-        return (px - ex / 2.0) / (ex / 2.0), (py - ey / 2.0) / (ey / 2.0)
-
     def surface_rise_pcs(self, px: Array | float, py: Array | float) -> Array | float:
         """Upward plate-surface deviation (mm) at plate coordinates."""
         if self.deformation_amplitude_mm == 0.0:
@@ -201,13 +192,18 @@ class SimWorld:
         return self.deformation_amplitude_mm * _deform_shape(u, v) / _DEFORM_PEAK
 
     def plate_surface_z(self, x: Array | float, y: Array | float) -> Array | float:
-        """World height of the plate top surface (flush with the floor plane)."""
+        """World height of the plate top surface (flush with the floor plane):
+        the plate's rise where (x, y) lies on its extent, 0 off it."""
         if self.deformation_amplitude_mm == 0.0:
             return np.zeros_like(np.asarray(x, dtype=np.float64)) + 0.0
-        u, v = self._plate_uv(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
-        inside = (np.abs(u) <= 1.0) & (np.abs(v) <= 1.0)
-        rise = self.deformation_amplitude_mm * _deform_shape(u, v) / _DEFORM_PEAK
-        return np.where(inside, rise, 0.0)
+        c, s = math.cos(-self.plate_yaw_rad), math.sin(-self.plate_yaw_rad)
+        dx = np.asarray(x, dtype=np.float64) - self.plate_x_mm
+        dy = np.asarray(y, dtype=np.float64) - self.plate_y_mm
+        px = c * dx - s * dy
+        py = -(s * dx + c * dy)  # plate frame is mirrored about its x-axis
+        ex, ey = self.plate.extent_mm
+        inside = (0.0 <= px) & (px <= ex) & (0.0 <= py) & (py <= ey)
+        return np.where(inside, self.surface_rise_pcs(px, py), 0.0)
 
     def floor_surface_z(self, x: Array | float, y: Array | float) -> Array | float:
         """World height of the experiment floor (possibly inclined)."""

@@ -227,15 +227,23 @@ class TestRectification:
                 checked = apply(scene.h_scn_ref, hits[0][2:])[:, :2]
                 assert np.max(np.abs(checked - scene.map_image_points(corners))) < 1e-9
 
-    def test_probe_rays_undistorted_once_per_camera(self, call_counts):
-        # equal cameras share the six probe rays: the second map undistorts nothing
-        cams = [model(k=(-0.0304, 0.0005, 0.0)) for _ in range(2)]
-        camera._probe_rays.cache_clear()
+    def test_rectification_map_undistorts_nothing(self, call_counts):
+        # a camera undistorts its six probe pixels in its construction check:
+        # a map, even for a newly built camera, undistorts nothing
         counts = call_counts((camera, "undistort_radial"))
-        scenes = [build_rectification_map(m, nadir_pose(150.0)) for m in cams]
+        m = model(k=(-0.0304, 0.0005, 0.0))
         assert counts["undistort_radial"] == 1
-        assert not camera._probe_rays(cams[1]).flags.writeable
-        assert np.array_equal(scenes[0].h_scn_ref.matrix, scenes[1].h_scn_ref.matrix)
+        build_rectification_map(m, nadir_pose(150.0))
+        assert counts["undistort_radial"] == 1
+        rays = m._probe_rays
+        assert not rays.flags.writeable
+        with pytest.raises(ValueError):
+            rays[0, 0] = 0.0
+        center = np.array([(m.rows - 1) / 2.0, (m.cols - 1) / 2.0])
+        probe = [center + [0.5, 0.0], center - [0.5, 0.0], [0.0, 0.0], [0.0, m.cols - 1.0],
+                 [m.rows - 1.0, 0.0], [m.rows - 1.0, m.cols - 1.0]]
+        assert np.array_equal(rays[:, 2], np.ones(6))
+        assert np.max(np.abs(rays[:, :2] - m.pixel_to_normalized_array(probe))) < 1e-15
 
     def test_principal_point_maps_to_axis_plane_hit(self):
         m = model()

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from floorref import cli
+from floorref import camera, cli
 from floorref.cli import main
 from floorref.experiment import fit_circle
 from floorref.geometry import rotation_distance
@@ -428,6 +428,20 @@ EXIT_2_CASES = {
         lambda c, t: _experiment(c / "result.json", PLAN, "--trials", -2),
         "argument --trials: must be at least 1, got -2",
     ),
+    "seed-negative-simulate": (
+        lambda c, t: ("simulate", WORLD, "--out", "OUT", "--seed", -1),
+        "argument --seed: must be at least 0, got -1",
+    ),
+    "seed-negative-experiment": (
+        lambda c, t: _experiment(c / "result.json", PLAN, "--seed", -3),
+        "argument --seed: must be at least 0, got -3",
+    ),
+    "seed-negative-world": (
+        lambda c, t: (
+            "simulate", _edited(WORLD, t / "w.json", lambda d: d.update(seed=-5)), "--out", "OUT"
+        ),
+        "error: world.seed: expected a non-negative integer, got -5",
+    ),
     "reversal-ground-truth": (
         lambda c, t: _calibrate(c / "a.json", _edited(c / "b.json", t / "b.json", _junk_truth)),
         TRUTH_MESSAGE,
@@ -545,3 +559,25 @@ def test_ground_truth_decoded_before_the_pipeline(bad, calibrated, tmp_path, cal
     )
     assert run("calibrate", a, "--reversal", b, "--out", tmp_path / "r.json") == 2
     assert counts["compute_rob_h_cam"] == 0
+
+
+def _unseen_camera(doc):
+    doc["camera"]["k"][2] = 1.25e-7
+
+
+def test_undistortions_per_command(calibrated, tmp_path, call_counts):
+    # A camera undistorts its fixed sensor pixels once, in its construction
+    # check, and a rectification map undistorts nothing: a reversal
+    # calibration undistorts 4 times (two session cameras, two image fits), a
+    # two-trial experiment on its result 3 times (the world's camera, one mark
+    # rectification per trial). The camera is one no other test builds, so no
+    # per-process cache could hold its rays.
+    sources = (calibrated / "a.json", calibrated / "b.json", WORLD)
+    a, b, world = (_edited(p, tmp_path / p.name, _unseen_camera) for p in sources)
+    counts = call_counts((camera, "undistort_radial"))
+    assert run("calibrate", a, "--reversal", b, "--out", tmp_path / "r.json") == 0
+    assert counts["undistort_radial"] == 4
+    counts.clear()
+    experiment = ("experiment", world, tmp_path / "r.json", "--plan", PLAN)
+    assert run(*experiment, "--out-dir", tmp_path / "out", "--trials", 2) == 0
+    assert counts["undistort_radial"] == 3

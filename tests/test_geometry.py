@@ -489,9 +489,8 @@ def _fails(det):
 
 
 class TestDeterminant:
-    """det3 decides |det - 1| > ROTATION_TOL and gives the sign as
-    np.linalg.det does, and where the test fails its value, which a failed
-    rotation check reports, is np.linalg.det's."""
+    """det3 is the closed form: it decides |det - 1| > ROTATION_TOL and gives
+    the sign as np.linalg.det does, and a failed rotation check reports it."""
 
     def test_rotations_and_reflections(self):
         rng = np.random.default_rng(17)
@@ -501,22 +500,20 @@ class TestDeterminant:
             q, _ = np.linalg.qr(rng.normal(size=(3, 3)))  # det +1 or -1
             for m in (r, r @ flip, q, q.T):
                 det, lapack = det3(m), np.linalg.det(m)
+                assert type(det) is float
                 assert _fails(det) == _fails(lapack)
                 assert (det < 0.0) == (lapack < 0.0)
-                if _fails(lapack):
-                    assert repr(det) == repr(lapack)
+                assert abs(det - lapack) <= 4.0 * np.spacing(abs(lapack))
             m = r @ flip
-            message = f"matrix not a proper rotation: det = {np.linalg.det(m)!r}"
+            message = f"matrix not a proper rotation: det = {det3(m)!r}"
             with pytest.raises(ValueError, match=re.escape(message)):
                 validate_rotation(m)
 
     @pytest.mark.parametrize("side", [1.0, -1.0])
-    def test_scaled_rotations_straddling_the_bound(self, side, monkeypatch):
-        # s^3 det(R) steps across 1 +- ROTATION_TOL by a few ulp per step, so
-        # the closed form lies within 1e-12 of the bound and LAPACK decides
-        lapack = np.linalg.det
-        fallbacks = []
-        monkeypatch.setattr(np.linalg, "det", lambda m: fallbacks.append(m) or lapack(m))
+    def test_scaled_rotations_straddling_the_bound(self, side):
+        # s^3 det(R) steps across 1 +- ROTATION_TOL by a few ulp per step: the
+        # closed form stays within a few ulp of LAPACK, and every such matrix
+        # fails the orthonormality test first, so the det test never decides
         rng = np.random.default_rng(23)
         outcomes = set()
         for _ in range(20):
@@ -526,11 +523,43 @@ class TestDeterminant:
                 s = np.nextafter(s, 0.0)
             for _ in range(17):
                 m = r * s
-                det, ref = det3(m), lapack(m)
-                assert _fails(det) == _fails(ref)
-                if _fails(ref):
-                    assert repr(det) == repr(ref)
+                det, ref = det3(m), np.linalg.det(m)
+                assert abs(det - ref) <= 4.0 * np.spacing(abs(ref))
                 outcomes.add(_fails(ref))
+                with pytest.raises(ValueError, match="not orthonormal"):
+                    validate_rotation(m)
                 s = np.nextafter(s, 2.0)
         assert outcomes == {True, False}
-        assert len(fallbacks) == 20 * 17
+
+    def test_orthonormal_matrices_stay_inside_the_det_bound(self):
+        # |M^T M - I|_F <= ROTATION_TOL and det M > 0 give |det M - 1| <=
+        # (sqrt(3) / 2) ROTATION_TOL, reached by an isotropic scaling: over a
+        # seeded sweep of matrices straddling the orthonormality bound (a
+        # quarter of them isotropic), every one that passes that test has a
+        # determinant within the bound or a negative one, so the det test
+        # rejects exactly the reflections
+        rng = np.random.default_rng(23)
+        flip = np.diag([1.0, 1.0, -1.0])
+        worst, passed, rejected = 0.0, 0, 0
+        for k in range(2000):
+            r = rotation_from_rotvec(rng.normal(size=3))
+            a = rng.normal(size=(3, 3))
+            s = np.eye(3) * rng.choice([-1.0, 1.0]) if k % 4 == 0 else a + a.T
+            stretch = np.eye(3) + s * (rng.uniform(0.99, 1.01) * ROTATION_TOL / norm(2.0 * s))
+            for m in (r @ stretch, r @ flip @ stretch):
+                if norm(m.T @ m - np.eye(3)) > ROTATION_TOL:
+                    with pytest.raises(ValueError, match="not orthonormal"):
+                        validate_rotation(m)
+                    rejected += 1
+                    continue
+                passed += 1
+                det = det3(m)
+                if det > 0.0:
+                    assert abs(det - 1.0) < ROTATION_TOL
+                    worst = max(worst, abs(det - 1.0))
+                    validate_rotation(m)
+                else:
+                    with pytest.raises(ValueError, match="not a proper rotation"):
+                        validate_rotation(m)
+        assert passed > 1500 and rejected > 1500
+        assert worst > 0.84 * ROTATION_TOL  # the sweep reaches the worst case

@@ -219,6 +219,13 @@ class TestPlatePoseEstimate:
         est = estimate_plate_pose(tampered)
         assert est.registration_rms_mm > 0.5
         assert est.suspect
+        # the result of the chain carries the plate estimate's fields
+        result = compute_rob_h_cam(tampered)
+        assert result.suspect
+        assert result.registration_rms_mm == est.registration_rms_mm
+        assert result.reprojection_rms_px == est.reprojection_rms_px
+        assert np.array_equal(result.h_abs_scn.matrix, est.h_abs_scn.matrix)
+        assert np.array_equal(result.scene.h_scn_ref.matrix, est.scene.h_scn_ref.matrix)
 
 
 class TestFullChain:
@@ -441,14 +448,12 @@ def test_bow_yaw_bias_is_left_in_place_by_reversal():
 def test_calibrate_op_call_counts(seed, call_counts):
     # One reversal calibration, as the benchmark's calibrate op: each session
     # solves its two robot poses in one support_poses call, each run undistorts
-    # once (the image fit; the rectification probe rays are kept per camera),
-    # compose/invert do not re-validate rotations, and every determinant is
-    # the closed form. The world and the probe rays of its camera are built
-    # first: the camera is the shared demo camera, whose grid check and probe
-    # rays are computed once per process, so counting them would depend on
-    # test order.
+    # once (the image fit; the rectification probe rays come from the camera's
+    # construction check), compose/invert do not re-validate rotations, and
+    # every determinant is the closed form. The world is built first: its
+    # camera is the shared demo camera, built once per process, so counting
+    # its construction would depend on test order.
     world = inject_wooden_plate(random_world(seed), 0.25)
-    camera._probe_rays(world.camera)
     counts = call_counts(
         (simulate, "support_poses"),
         (camera, "undistort_radial"),

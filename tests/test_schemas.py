@@ -325,6 +325,7 @@ MALFORMED = [
     ("world", _set(["floor", "inclination_deg"], math.inf), "world.floor.inclination_deg"),
     ("world", _set(["floor", "azimuth_deg"], True), "world.floor.azimuth_deg"),
     ("world", _set(["hand_eye", "matrix", 3, 3], True), "world.hand_eye.matrix[3][3]"),
+    ("world", _set(["seed"], -5), "world.seed"),
     ("result", _set(["residuals", "suspect"], "no"), "result.residuals.suspect"),
     ("result", _set(["rotation_quaternion_wxyz", 0], "a"), "result.rotation_quaternion_wxyz[0]"),
     ("plan", _set(["mark_xy_mm", 0], "a"), "plan.mark_xy_mm[0]"),

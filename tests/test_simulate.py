@@ -310,6 +310,19 @@ class TestWoodenPlateInjection:
         rise = np.asarray(world.surface_rise_pcs(xx, yy))
         assert abs(np.max(np.abs(rise)) - 1.0) < 0.02
 
+    def test_plate_surface_is_the_rise_on_the_plate_and_zero_off_it(self):
+        world = inject_wooden_plate(demo_world(seed=0), 1.0)
+        ex, ey = world.plate.extent_mm
+        # plate points 1 mm inside each edge, then 1 mm beyond each edge
+        px = np.array([1.0, ex - 1.0, ex / 2.0, ex / 2.0, -1.0, ex + 1.0, ex / 2.0, ex / 2.0])
+        py = np.array([ey / 2.0, ey / 2.0, 1.0, ey - 1.0, ey / 2.0, ey / 2.0, -1.0, ey + 1.0])
+        xy = apply(world.h_abs_ref, np.column_stack([px, py, np.zeros(8)]))[:, :2]
+        z = np.asarray(world.plate_surface_z(xy[:, 0], xy[:, 1]))
+        rise = np.asarray(world.surface_rise_pcs(px, py))
+        assert np.abs(rise).min() > 0.1
+        assert np.max(np.abs(z[:4] - rise[:4])) < 1e-9
+        assert (z[4:] == 0.0).all()
+
     def test_negative_amplitude_rejected(self, world):
         with pytest.raises(ValueError):
             inject_wooden_plate(world, -0.1)

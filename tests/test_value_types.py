@@ -113,3 +113,17 @@ def test_reader_sees_arrays_mappings_and_identity_types():
     assert not _held_by_identity(tuple[float, float])
     assert not _held_by_identity(int | None)
     assert not _held_by_identity(floorref.CameraModel)
+
+
+def test_equal_cameras_carry_their_own_probe_rays():
+    # the probe rays are kept on each camera, outside its fields: equality
+    # and hashing stay by value, and a replaced camera computes its own
+    world = demo_world()
+    a, b = world.camera, dataclasses.replace(world.camera)
+    assert a == b and hash(a) == hash(b)
+    assert a._probe_rays is not b._probe_rays
+    assert np.array_equal(a._probe_rays, b._probe_rays)
+    c = dataclasses.replace(a, k=(0.0, 0.0, 0.0))
+    assert c != a
+    assert not np.array_equal(c._probe_rays, a._probe_rays)
+    assert not c._probe_rays.flags.writeable
