@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from . import frames
 from .camera import (
     CameraModel,
-    ImagePoint,
     SceneFrame,
     build_rectification_map,
     estimate_plate_pose_from_image,
@@ -34,7 +33,6 @@ from .geometry import (
 from .pipeline import (
     ReferencingResult,
     ReferencingSession,
-    TrackerMeasurement,
     compute_rob_h_cam,
     estimate_plate_pose,
     estimate_robot_pose,
@@ -64,7 +62,6 @@ __all__ = [
     "ExperimentPlan",
     "FloorRefError",
     "GLASS_NOISE",
-    "ImagePoint",
     "MarkMeasurement",
     "NoiseConfig",
     "ReferencingPlate",
@@ -75,7 +72,6 @@ __all__ = [
     "RobotPlacement",
     "SceneFrame",
     "SimWorld",
-    "TrackerMeasurement",
     "apply",
     "build_rectification_map",
     "cluster_metrics",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -82,18 +82,6 @@ def undistort_radial(xy: Array, k1: float, k2: float, k3: float) -> Array:
         )
     scale = np.divide(ru, rd, out=np.ones_like(rd), where=rd > 0.0)
     return xy * scale[:, None]
-
-
-@dataclass(frozen=True)
-class ImagePoint:
-    """Subpixel sensor coordinates (row, column) in px."""
-
-    row: float
-    col: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.row) and math.isfinite(self.col)):
-            raise ValueError(f"image point must be finite, got ({self.row}, {self.col})")
 
 
 @dataclass(frozen=True)
@@ -437,10 +425,10 @@ def _pose_from_homography(h: Array) -> tuple[Array, Array]:
 
 
 def estimate_plate_pose_from_image(
-    model: CameraModel,
-    observed: Sequence[tuple[ImagePoint, Sequence[float] | Array]],
+    model: CameraModel, image_points: Array, plate_points: Array
 ) -> PlateImageFit:
-    """Pose of the plate frame in the camera from coplanar mark observations.
+    """Pose of the plate frame in the camera from coplanar marks: their (n, 2)
+    image points (row, col) and their (n, 3) points in the plate frame.
 
     Homography decomposition (Zhang 2000) provides the initial pose. A
     Levenberg-Marquardt iteration on the pixel reprojection error refines it,
@@ -467,22 +455,23 @@ def estimate_plate_pose_from_image(
     with few marks can take a few hundred iterations of slow descent.
 
     Raises:
-        ValueError: a reference mark that is not a finite 3-vector.
+        ValueError: arrays of other shapes, or a non-finite value.
         DegenerateConfiguration: fewer than 4 marks, non-coplanar references,
             collinear layout, or an initial pose with marks behind the camera.
         NonConvergence: neither stop rule met within 500 iterations.
     """
-    n = len(observed)
+    rc_obs = np.asarray(image_points, dtype=np.float64)
+    ref_pts = np.asarray(plate_points, dtype=np.float64)
+    n = len(rc_obs)
     if n < 4:
         raise DegenerateConfiguration(
             f"estimate_plate_pose_from_image: need at least 4 marks, got {n}"
         )
-    rc_obs = np.array([[ip.row, ip.col] for ip, _ in observed], dtype=np.float64)
-    ref_pts = np.array([p for _, p in observed], dtype=np.float64)
-    if ref_pts.shape != (n, 3) or not np.isfinite(ref_pts).all():
+    shapes = rc_obs.shape == (n, 2) and ref_pts.shape == (n, 3)
+    if not (shapes and np.isfinite(rc_obs).all() and np.isfinite(ref_pts).all()):
         raise ValueError(
-            f"estimate_plate_pose_from_image: reference marks must be finite 3-vectors, "
-            f"got an array of shape {ref_pts.shape}"
+            f"estimate_plate_pose_from_image: need finite (n, 2) image points and (n, 3) "
+            f"plate points, got arrays of shape {rc_obs.shape} and {ref_pts.shape}"
         )
     if np.abs(ref_pts[:, 2]).max() > 1e-9:
         raise DegenerateConfiguration(

@@ -82,8 +82,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     write_json(doc, args.out)
     print(
-        f"session written to {args.out}: {len(session.image_observation)} marks, "
-        f"{len(session.tracker)} tracker points, seed {world.seed}"
+        f"session written to {args.out}: {len(session.mark_ids)} marks, "
+        f"{len(session.nest_points) + len(session.robot_points)} tracker points, seed {world.seed}"
     )
     return 0
 

@@ -38,10 +38,6 @@ class UnknownNest(FloorRefError):
     """Nest identifier not present on the plate."""
 
 
-class MissingMeasurement(FloorRefError):
-    """A required tracker or image measurement is absent from the session."""
-
-
 class InconsistentRuns(FloorRefError):
     """Two referencing runs disagree too much to be averaged."""
 

@@ -20,7 +20,6 @@ from numpy.typing import NDArray
 from .errors import EmptyCluster, EmptyInput, FloorRefError, MetricOverflow, OutOfBounds
 from .geometry import RigidTransform, as_point3, rotations_about_z
 from .pipeline import ReferencingResult
-from .camera import ImagePoint
 from .simulate import (
     NoiseConfig,
     SimWorld,
@@ -150,10 +149,8 @@ def _measure_marks(
     return (p_rob @ np.swapaxes(r_abs_rob, 1, 2))[:, 0] + t_abs_rob
 
 
-def measure_mark(
-    result: ReferencingResult, image_point: ImagePoint, h_abs_rob: RigidTransform
-) -> Array:
-    """Mark position in tracker coordinates from one image observation.
+def measure_mark(result: ReferencingResult, image_point: Array, h_abs_rob: RigidTransform) -> Array:
+    """Mark position in tracker coordinates from one (row, col) image point.
 
     Rectifies the image point into the scene plane (z = 0 by construction),
     lifts it into the robot frame through the calibrated chain, and transforms
@@ -162,9 +159,9 @@ def measure_mark(
     Raises:
         OutOfBounds: image point outside the sensor.
     """
-    rowcol = np.array([[image_point.row, image_point.col]])
+    rowcol = np.asarray(image_point, dtype=np.float64).reshape(1, 2)
     if not result.scene.model.contains_points(rowcol)[0]:
-        raise _off_sensor(image_point.row, image_point.col)
+        raise _off_sensor(*rowcol[0])
     return _measure_marks(result, rowcol, h_abs_rob.rotation[None], h_abs_rob.translation[None])[0]
 
 

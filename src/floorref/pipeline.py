@@ -22,14 +22,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import frames
-from .camera import CameraModel, ImagePoint, SceneFrame, build_rectification_map, estimate_plate_pose_from_image
-from .errors import (
-    DegenerateConfiguration,
-    DegenerateMotion,
-    FloorRefError,
-    InconsistentRuns,
-    MissingMeasurement,
-)
+from .camera import CameraModel, SceneFrame, build_rectification_map, estimate_plate_pose_from_image
+from .errors import DegenerateConfiguration, DegenerateMotion, FloorRefError, InconsistentRuns
 from .geometry import (
     RigidTransform,
     apply,
@@ -43,13 +37,12 @@ from .geometry import (
     transform_gap,
     triangle_area,
 )
-from .plate import MIN_NEST_TRIANGLE_MM2, NEST_IDS, ReferencingPlate, smr_points
+from .plate import MIN_NEST_TRIANGLE_MM2, ReferencingPlate, smr_points
 
 log = logging.getLogger(__name__)
 
 Array = NDArray[np.float64]
 
-ROBOT_SMR_ID = "robot_smr"
 MIN_DISPLACEMENT_MM = 50.0
 MIN_PROJECTED_DISPLACEMENT_MM = 10.0
 SUSPECT_REGISTRATION_RMS_MM = 0.5
@@ -58,57 +51,46 @@ REVERSAL_MAX_ROTATION_RAD = np.radians(1.0)
 
 
 @dataclass(frozen=True, eq=False)
-class TrackerMeasurement:
-    """One laser-tracker point: a nest smr or the robot smr at a position index."""
-
-    point_id: str
-    position: Array
-    position_index: int | None = None
-
-    def __post_init__(self) -> None:
-        p = as_point3(self.position)
-        p.setflags(write=False)
-        object.__setattr__(self, "position", p)
-
-
-@dataclass(frozen=True, eq=False)
 class ReferencingSession:
-    """The full observation bundle of one referencing run.
+    """The measurements of one referencing run. The constructor checks them
+    (``ValueError``) and stores the arrays as read-only float copies.
 
     Attributes:
         camera: calibrated camera model
         plate: measured referencing plate (template marks, measured nests)
-        image_observation: (mark id, image point) pairs captured at robot
-            position 0
-        tracker: smr measurements for the three nests plus the robot smr at
-            position indices 0 and 1
+        mark_ids: ids of the observed marks, each on the plate and listed once
+        image_points: (n, 2) finite image points (row, col) of those marks,
+            captured at robot position 0
+        nest_points: (3, 3) finite tracker points of the smrs seated in nests
+            r, g and b
+        robot_points: (2, 3) finite tracker points of the robot smr at
+            positions 0 and 1
     """
 
     camera: CameraModel
     plate: ReferencingPlate
-    image_observation: tuple[tuple[str, ImagePoint], ...]
-    tracker: tuple[TrackerMeasurement, ...]
+    mark_ids: tuple[str, ...]
+    image_points: Array
+    nest_points: Array
+    robot_points: Array
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "image_observation", tuple(self.image_observation))
-        object.__setattr__(self, "tracker", tuple(self.tracker))
-
-    def nest_position(self, nest_id: str) -> Array:
-        return _only([m for m in self.tracker if m.point_id == nest_id], f"for nest {nest_id!r}")
-
-    def nest_positions(self) -> Array:
-        return np.array([self.nest_position(nid) for nid in NEST_IDS])
-
-    def robot_position(self, index: int) -> Array:
-        hits = [m for m in self.tracker if m.point_id == ROBOT_SMR_ID and m.position_index == index]
-        return _only(hits, f"of the robot smr at position {index}")
-
-
-def _only(hits: list[TrackerMeasurement], what: str) -> Array:
-    # the position of a tracker point that a session must hold exactly once
-    if len(hits) != 1:
-        raise MissingMeasurement(f"expected exactly one tracker measurement {what}, got {len(hits)}")
-    return hits[0].position
+        mark_ids = tuple(self.mark_ids)
+        if len(set(mark_ids)) != len(mark_ids):
+            raise ValueError("mark ids must be listed once each")
+        for mark_id in mark_ids:
+            if mark_id not in self.plate.marks:
+                raise ValueError(f"mark {mark_id!r} is not on the plate")
+        object.__setattr__(self, "mark_ids", mark_ids)
+        shapes = {"image_points": (len(mark_ids), 2), "nest_points": (3, 3), "robot_points": (2, 3)}
+        for name, shape in shapes.items():
+            a = np.array(getattr(self, name), dtype=np.float64)
+            if a.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+            if not np.isfinite(a).all():
+                raise ValueError(f"{name} must be finite")
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
 
 class PlatePoseEstimate(NamedTuple):
@@ -192,18 +174,12 @@ def estimate_plate_pose(session: ReferencingSession) -> PlatePoseEstimate:
     A registration RMS above 0.5 mm is flagged as suspect (setup fault or a
     deformed plate) but does not fail the run.
     """
-    observed = []
-    for mark_id, ip in session.image_observation:
-        if mark_id not in session.plate.marks:
-            raise MissingMeasurement(f"observed mark {mark_id!r} not on the plate")
-        observed.append((ip, session.plate.marks[mark_id]))
-    fit = estimate_plate_pose_from_image(session.camera, observed)
+    plate_points = np.array([session.plate.marks[mark_id] for mark_id in session.mark_ids])
+    fit = estimate_plate_pose_from_image(session.camera, session.image_points, plate_points)
     scene = build_rectification_map(session.camera, fit.h_cam_ref)
 
-    p_ref = smr_points(session.plate)
-    p_scn = apply(scene.h_scn_ref, p_ref)
-    p_abs = session.nest_positions()
-    registration = register_points(p_scn, p_abs, frames.SCN, frames.ABS)
+    p_scn = apply(scene.h_scn_ref, smr_points(session.plate))
+    registration = register_points(p_scn, session.nest_points, frames.SCN, frames.ABS)
     suspect = registration.rms_mm > SUSPECT_REGISTRATION_RMS_MM
     if suspect:
         log.warning(
@@ -228,12 +204,10 @@ def estimate_robot_pose(session: ReferencingSession, n: Sequence[float] | Array)
     together with position 0 forms the pose (the image is bound to position 0).
 
     Raises:
-        MissingMeasurement: a robot position is absent.
         DegenerateMotion: displacement too short or parallel to the normal.
     """
     n = as_point3(n)
-    p0 = session.robot_position(0)
-    p1 = session.robot_position(1)
+    p0, p1 = session.robot_points
     v = p1 - p0
     dist = float(norm(v))
     if dist <= MIN_DISPLACEMENT_MM:
@@ -276,8 +250,7 @@ def compute_rob_h_cam(session: ReferencingSession) -> ReferencingResult:
         plate_est = estimate_plate_pose(session)
 
     with _stage("plate_normal"):
-        p_abs = session.nest_positions()
-        area = triangle_area(p_abs[0], p_abs[1], p_abs[2])
+        area = triangle_area(*session.nest_points)
         if area <= MIN_NEST_TRIANGLE_MM2:
             raise DegenerateConfiguration(
                 f"nest triangle area {area:.2f} mm^2 at or below {MIN_NEST_TRIANGLE_MM2} mm^2"
@@ -286,7 +259,7 @@ def compute_rob_h_cam(session: ReferencingSession) -> ReferencingResult:
         # is known; keeps the sign rule independent of the tracker gauge.
         axis_scn = plate_est.scene.h_scn_cam.rotation @ np.array([0.0, 0.0, 1.0])
         axis_abs = plate_est.h_abs_scn.rotation @ axis_scn
-        n = plate_normal(p_abs[0], p_abs[1], p_abs[2], camera_axis=axis_abs)
+        n = plate_normal(*session.nest_points, camera_axis=axis_abs)
 
     with _stage("estimate_robot_pose"):
         h_abs_rob = estimate_robot_pose(session, n)

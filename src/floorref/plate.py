@@ -36,7 +36,8 @@ class ReferencingPlate:
         marks: mark id -> (x, y, 0) position on the plate surface, mm
         nests: nest id in {r, g, b} -> nest ring center in plate coordinates, mm
         delta_mm: z-offset from nest ring plane to a seated smr center, >= 0
-        extent_mm: bounding rectangle (x extent, y extent) of the plate, mm
+        extent_mm: bounding rectangle (x extent, y extent) of the plate, mm;
+            every mark and nest lies in 0 <= x <= x extent, 0 <= y <= y extent
     """
 
     marks: Mapping[str, Array]
@@ -65,9 +66,17 @@ class ReferencingPlate:
             raise ValueError(
                 f"nest triangle area {area:.1f} mm^2 below {MIN_NEST_TRIANGLE_MM2} mm^2"
             )
+        ex, ey = extent = tuple(float(v) for v in self.extent_mm)
+        for what, points in (("nest", nests), ("mark", marks)):
+            for point_id, (x, y, _) in zip(points, np.reshape(list(points.values()), (-1, 3)).tolist()):
+                if not (0.0 <= x <= ex and 0.0 <= y <= ey):
+                    raise ValueError(
+                        f"{what} {point_id!r} at ({x:g}, {y:g}) mm is off the plate: extent_mm "
+                        f"({ex:g}, {ey:g}) requires 0 <= x <= {ex:g} and 0 <= y <= {ey:g}"
+                    )
         object.__setattr__(self, "marks", MappingProxyType(marks))
         object.__setattr__(self, "nests", MappingProxyType(nests))
-        object.__setattr__(self, "extent_mm", tuple(float(v) for v in self.extent_mm))
+        object.__setattr__(self, "extent_mm", extent)
 
     def mark_array(self) -> tuple[list[str], Array]:
         ids = list(self.marks.keys())

@@ -17,7 +17,7 @@ from typing import Any, Iterator, Mapping
 import numpy as np
 
 from . import __version__, frames
-from .camera import CameraModel, ImagePoint, build_rectification_map
+from .camera import CameraModel, build_rectification_map
 from .errors import DegenerateViewingGeometry, SchemaError
 from .experiment import ExperimentPlan
 from .geometry import (
@@ -26,7 +26,7 @@ from .geometry import (
     rotation_to_quaternion,
     transform_gap,
 )
-from .pipeline import ReferencingResult, ReferencingSession, TrackerMeasurement
+from .pipeline import ReferencingResult, ReferencingSession
 from .plate import NEST_IDS, ReferencingPlate
 from .simulate import NoiseConfig, RobotModel, RobotPlacement, SimWorld
 
@@ -245,6 +245,16 @@ def plate_from_dict(doc: Mapping[str, Any]) -> ReferencingPlate:
 
 # --- session ---------------------------------------------------------------
 
+# (id, position_index) of each tracker point a session holds: the smrs seated
+# in the nests, without an index, then the robot smr at positions 0 and 1;
+# the rows of a session's nest_points and then its robot_points
+_TRACKER_POINTS = (*((nest_id, None) for nest_id in NEST_IDS), ("robot_smr", 0), ("robot_smr", 1))
+
+
+def _tracker_point(point: tuple[str, int | None]) -> str:
+    point_id, index = point
+    return repr(point_id) if index is None else f"{point_id!r} at position index {index}"
+
 
 def session_to_dict(
     session: ReferencingSession,
@@ -255,18 +265,14 @@ def session_to_dict(
         "camera": camera_to_dict(session.camera),
         "plate": plate_to_dict(session.plate),
         "tracker_measurements": [
-            {
-                "id": m.point_id,
-                "x": float(m.position[0]),
-                "y": float(m.position[1]),
-                "z": float(m.position[2]),
-                "position_index": m.position_index,
-            }
-            for m in session.tracker
+            {"id": point_id, "x": x, "y": y, "z": z, "position_index": index}
+            for (point_id, index), (x, y, z) in zip(
+                _TRACKER_POINTS, [*session.nest_points.tolist(), *session.robot_points.tolist()]
+            )
         ],
         "image_observation": [
-            {"mark_id": mark_id, "row": ip.row, "col": ip.col}
-            for mark_id, ip in session.image_observation
+            {"mark_id": mark_id, "row": row, "col": col}
+            for mark_id, (row, col) in zip(session.mark_ids, session.image_points.tolist())
         ],
     }
     if ground_truth is not None:
@@ -284,18 +290,25 @@ def session_from_dict(doc: Mapping[str, Any]) -> ReferencingSession:
     _check_keys(doc, where, required, {"ground_truth", "provenance"})
     camera = camera_from_dict(doc["camera"])
     plate = plate_from_dict(doc["plate"])
-    tracker = []
+    points: dict[tuple[str, int | None], tuple[float, float, float]] = {}
     keys = {"id", "x", "y", "z"}
     for w, entry in _objects(doc, where, "tracker_measurements", keys, {"position_index"}):
+        point_id = _text(entry, w, "id")
+        xyz = (_number(entry, w, "x"), _number(entry, w, "y"), _number(entry, w, "z"))
         idx = entry.get("position_index")
-        tracker.append(
-            TrackerMeasurement(
-                _text(entry, w, "id"),
-                np.array([_number(entry, w, "x"), _number(entry, w, "y"), _number(entry, w, "z")]),
-                position_index=None if idx is None else _integer(entry, w, "position_index"),
+        point = (point_id, None if idx is None else _integer(entry, w, "position_index"))
+        if point not in _TRACKER_POINTS:
+            raise SchemaError(
+                f"{w}: {_tracker_point(point)} is not a tracker point of a session (nests 'r', "
+                f"'g' and 'b' without a position index, 'robot_smr' at position index 0 and 1)"
             )
-        )
-    observation: dict[str, ImagePoint] = {}
+        if point in points:
+            raise SchemaError(f"{w}: second reading of {_tracker_point(point)}")
+        points[point] = xyz
+    for point in _TRACKER_POINTS:
+        if point not in points:
+            raise SchemaError(f"{where}.tracker_measurements: no reading of {_tracker_point(point)}")
+    observation: dict[str, tuple[float, float]] = {}
     entries = _objects(doc, where, "image_observation", {"mark_id", "row", "col"}, set())
     for w, entry in entries:
         mark_id = _text(entry, w, "mark_id")
@@ -303,21 +316,22 @@ def session_from_dict(doc: Mapping[str, Any]) -> ReferencingSession:
             raise SchemaError(f"{w}.mark_id: duplicate mark id {mark_id!r}")
         if mark_id not in plate.marks:
             raise SchemaError(f"{w}.mark_id: mark {mark_id!r} is not on the plate")
-        observation[mark_id] = ImagePoint(_number(entry, w, "row"), _number(entry, w, "col"))
-    points = list(observation.values())
-    rowcol = np.reshape([(p.row, p.col) for p in points], (-1, 2))
+        observation[mark_id] = (_number(entry, w, "row"), _number(entry, w, "col"))
+    rowcol = np.reshape(list(observation.values()), (-1, 2))
     off = np.flatnonzero(~camera.contains_points(rowcol))
     if off.size:
-        p = points[off[0]]
+        row, col = rowcol[off[0]].tolist()
         raise SchemaError(
-            f"{where}.image_observation[{off[0]}]: point (row {p.row}, col {p.col}) is off "
+            f"{where}.image_observation[{off[0]}]: point (row {row}, col {col}) is off "
             f"the {camera.rows}x{camera.cols} px sensor"
         )
     return ReferencingSession(
         camera=camera,
         plate=plate,
-        image_observation=tuple(observation.items()),
-        tracker=tuple(tracker),
+        mark_ids=tuple(observation),
+        image_points=rowcol,
+        nest_points=[points[point] for point in _TRACKER_POINTS[:3]],
+        robot_points=[points[point] for point in _TRACKER_POINTS[3:]],
     )
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import frames
-from .camera import CameraModel, ImagePoint, project_points
+from .camera import CameraModel, project_points
 from .errors import (
     DegenerateConfiguration,
     DegenerateMotion,
@@ -45,7 +45,7 @@ from .geometry import (
     row_dots,
     triangle_area,
 )
-from .pipeline import ROBOT_SMR_ID, ReferencingSession, TrackerMeasurement
+from .pipeline import ReferencingSession
 from .plate import NEST_IDS, ReferencingPlate
 
 Array = NDArray[np.float64]
@@ -258,6 +258,7 @@ class SupportPoses(NamedTuple):
     error: tuple[DegenerateConfiguration | None, ...]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def support_poses(world: SimWorld, xy: Array, yaw_rad: Array, surface: str) -> SupportPoses:
     """True robot poses with all three wheels on the named surface ("plate"
     or "floor"), for (n, 2) robot positions and (n,) headings.
@@ -267,7 +268,8 @@ def support_poses(world: SimWorld, xy: Array, yaw_rad: Array, surface: str) -> S
     contacts sit on the surface within 1e-12 mm. A row's pose is taken at the
     iteration where it settles; from then on it repeats that iteration on the
     same contacts until every row has settled. Every operation is taken row
-    by row, so each row equals a one-row call.
+    by row, so each row equals a one-row call. A row that overflows (a surface
+    near the float range) fails alone, with no numpy warning.
     """
     surf = world.plate_surface_z if surface == "plate" else world.floor_surface_z
     xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
@@ -423,11 +425,7 @@ def simulate_session_with_truth(
     # 1; their noise in one draw (the same stream as one draw per point)
     tracker_noise = rng.normal(0.0, noise.tracker_sigma_mm, size=(len(NEST_IDS) + 2, 3))
     smr_ref = world.true_smr_points_ref(noise.nest_offset_error_mm)
-    smr_abs = apply(h_abs_ref, smr_ref)
-    tracker = [
-        TrackerMeasurement(nest_id, smr_abs[i] + tracker_noise[i])
-        for i, nest_id in enumerate(NEST_IDS)
-    ]
+    nest_points = apply(h_abs_ref, smr_ref) + tracker_noise[: len(NEST_IDS)]
     both = support_poses(
         world,
         np.array([[placement0.x_mm, placement0.y_mm], [placement1.x_mm, placement1.y_mm]]),
@@ -435,14 +433,7 @@ def simulate_session_with_truth(
         "plate",
     )
     poses = (_support_pose(both, 0), _support_pose(both, 1))
-    for index, h_abs_rob in enumerate(poses):
-        tracker.append(
-            TrackerMeasurement(
-                ROBOT_SMR_ID,
-                h_abs_rob.translation + tracker_noise[len(NEST_IDS) + index],
-                position_index=index,
-            )
-        )
+    robot_points = both.translation + tracker_noise[len(NEST_IDS) :]
 
     # plate-target image at placement 0
     mark_ids, marks_ref = world.true_mark_points_ref()
@@ -455,22 +446,20 @@ def simulate_session_with_truth(
     visible = np.flatnonzero(in_front & world.camera.contains_points(rc))
     noisy = rc[visible] + rng.normal(0.0, noise.image_sigma_px, size=(visible.size, 2))
     on_sensor = world.camera.contains_points(noisy)
-    observation = [
-        (mark_ids[i], ImagePoint(row, col))
-        for i, (row, col), keep in zip(visible.tolist(), noisy.tolist(), on_sensor.tolist())
-        if keep
-    ]
-    if len(observation) < 4:
+    seen = visible[on_sensor]
+    if seen.size < 4:
         raise TargetNotVisible(
-            f"simulate_referencing_session: only {len(observation)} of {len(mark_ids)} "
+            f"simulate_referencing_session: only {seen.size} of {len(mark_ids)} "
             f"target marks visible at placement 0"
         )
 
     session = ReferencingSession(
         camera=world.camera,
         plate=world.plate,
-        image_observation=tuple(observation),
-        tracker=tuple(tracker),
+        mark_ids=tuple(mark_ids[i] for i in seen.tolist()),
+        image_points=noisy[on_sensor],
+        nest_points=nest_points,
+        robot_points=robot_points,
     )
     truth = {
         "rob_H_cam": world.h_rob_cam_true,
@@ -532,9 +521,10 @@ def simulate_mark_observation(
     mark_abs: Array,
     *,
     trial: int = 0,
-) -> tuple[ImagePoint, TrackerMeasurement]:
-    """Image point of a floor mark plus the robot smr tracker reading at a
-    placement on the experiment floor (a one-row ``mark_views`` plus noise).
+) -> tuple[Array, Array]:
+    """Image point (row, col) of a floor mark plus the robot smr tracker point
+    at a placement on the experiment floor (a one-row ``mark_views`` plus
+    noise).
 
     Raises:
         MarkNotVisible: mark outside the camera view at this placement.
@@ -546,13 +536,9 @@ def simulate_mark_observation(
     )
     if views.error[0] is not None:
         raise views.error[0]
-    noisy = views.rowcol[0] + rng.normal(0.0, noise.image_sigma_px, size=2)
-    smr = TrackerMeasurement(
-        ROBOT_SMR_ID,
-        views.smr_abs[0] + rng.normal(0.0, noise.tracker_sigma_mm, size=3),
-        position_index=0,
-    )
-    return ImagePoint(float(noisy[0]), float(noisy[1])), smr
+    rowcol = views.rowcol[0] + rng.normal(0.0, noise.image_sigma_px, size=2)
+    smr = views.smr_abs[0] + rng.normal(0.0, noise.tracker_sigma_mm, size=3)
+    return rowcol, smr
 
 
 # --- demo rig ------------------------------------------------------------------

@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from floorref import frames
-from floorref.camera import ImagePoint, project_points
+from floorref.camera import project_points
 from floorref.errors import DegenerateConfiguration, MarkNotVisible, OutOfBounds
 from floorref.experiment import (
     DIRECTIONS,
@@ -155,11 +155,11 @@ def scalar_mark_observation(world, noise, x_mm, y_mm, yaw, mark_abs, rng):
         raise MarkNotVisible("scalar_mark_observation: mark not visible")
     noisy = rc[0] + rng.normal(0.0, noise.image_sigma_px, size=2)
     smr = h_abs_rob.translation + rng.normal(0.0, noise.tracker_sigma_mm, size=3)
-    return ImagePoint(float(noisy[0]), float(noisy[1])), smr
+    return noisy, smr
 
 
 def scalar_measure_mark(result, image_point, h_abs_rob) -> np.ndarray:
-    rowcol = np.array([[image_point.row, image_point.col]])
+    rowcol = np.array([image_point])
     if not result.scene.model.contains_points(rowcol)[0]:
         raise OutOfBounds("scalar_measure_mark: image point outside the sensor")
     xy = result.scene.map_image_points(rowcol)[0]

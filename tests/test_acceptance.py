@@ -30,12 +30,7 @@ from floorref.geometry import (
     rotation_about_z,
     rotation_distance,
 )
-from floorref.pipeline import (
-    ReferencingSession,
-    TrackerMeasurement,
-    compute_rob_h_cam,
-    reversal_average,
-)
+from floorref.pipeline import compute_rob_h_cam, reversal_average
 from floorref.simulate import (
     GLASS_NOISE,
     NO_NOISE,
@@ -94,14 +89,10 @@ def test_criterion_2_gauge_invariance():
             source=frames.ABS,
             dest=frames.ABS,
         )
-        moved = ReferencingSession(
-            camera=session.camera,
-            plate=session.plate,
-            image_observation=session.image_observation,
-            tracker=tuple(
-                TrackerMeasurement(m.point_id, apply(g, m.position), m.position_index)
-                for m in session.tracker
-            ),
+        moved = replace(
+            session,
+            nest_points=apply(g, session.nest_points),
+            robot_points=apply(g, session.robot_points),
         )
         out = compute_rob_h_cam(moved).h_rob_cam
         worst_rot = max(worst_rot, rotation_distance(out.rotation, base.rotation))

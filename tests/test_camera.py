@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from floorref import camera, frames
 from floorref.camera import (
     CameraModel,
-    ImagePoint,
     _pose_jacobian,
     _project_plate,
     build_rectification_map,
@@ -345,13 +344,14 @@ class TestRectification:
 
 
 def _synthetic_observation(m, h_cam_ref, marks, sigma_px=0.0, rng=None):
-    obs = []
-    rc, _ = project_points(m, apply(h_cam_ref, np.array(marks)))
-    for (row, col), p in zip(rc, marks):
-        if sigma_px > 0.0:
-            row, col = row + sigma_px * rng.standard_normal(), col + sigma_px * rng.standard_normal()
-        obs.append((ImagePoint(row, col), p))
-    return obs
+    """(image points, plate points) of marks seen from a pose, the noise of
+    each point drawn row first, then column."""
+    marks = np.array(marks)
+    rc, _ = project_points(m, apply(h_cam_ref, marks))
+    if sigma_px > 0.0:
+        for point in rc:
+            point += [sigma_px * rng.standard_normal(), sigma_px * rng.standard_normal()]
+    return rc, marks
 
 
 def _grid_marks(n=5, pitch=12.0, cx=0.0, cy=0.0):
@@ -363,9 +363,9 @@ def _grid_marks(n=5, pitch=12.0, cx=0.0, cy=0.0):
 
 
 def _stress_view(seed):
-    """(camera, observations) of the 5 x 5 mark grid seen by the demo camera
-    from 150 to 600 mm, tilted up to 0.4 rad, under up to 1 px of image
-    noise; marks whose noisy point is off the sensor are dropped."""
+    """(camera, (image points, plate points)) of the 5 x 5 mark grid seen by
+    the demo camera from 150 to 600 mm, tilted up to 0.4 rad, under up to 1 px
+    of image noise; marks whose noisy point is off the sensor are dropped."""
     m = demo_camera()
     rng = np.random.default_rng(seed)
     height = rng.uniform(150.0, 600.0)
@@ -378,17 +378,23 @@ def _stress_view(seed):
     rc, in_front = project_points(m, apply(invert(h_ref_cam), marks))
     noisy = rc + sigma_px * rng.standard_normal(rc.shape)
     keep = in_front & m.contains_points(noisy)
-    return m, [(ImagePoint(*rowcol), p) for rowcol, p, k in zip(noisy.tolist(), marks, keep) if k]
+    return m, (noisy[keep], marks[keep])
+
+
+def _observation(session):
+    """(image points, plate points) of a session's observed marks."""
+    marks = np.array([session.plate.marks[mark_id] for mark_id in session.mark_ids])
+    return session.image_points, marks
 
 
 def _session_observations(world):
-    """(camera, observations) of sessions A and B of a world under glass noise."""
+    """(camera, (image points, plate points)) of sessions A and B of a world
+    under glass noise."""
     out = []
     for reverse, trial in ((False, 1), (True, 2)):
         placements = default_placements(world, reverse=reverse)
         session = simulate_referencing_session(world, GLASS_NOISE, *placements, trial=trial)
-        obs = [(ip, session.plate.marks[mark]) for mark, ip in session.image_observation]
-        out.append((session.camera, obs))
+        out.append((session.camera, _observation(session)))
     return out
 
 
@@ -406,7 +412,7 @@ class TestPlatePoseFromImage:
                 dest=frames.REF,
             )
             h_cam_ref = invert(h_ref_cam)
-            fit = estimate_plate_pose_from_image(m, _synthetic_observation(m, h_cam_ref, marks))
+            fit = estimate_plate_pose_from_image(m, *_synthetic_observation(m, h_cam_ref, marks))
             assert rotation_distance(fit.h_cam_ref.rotation, h_cam_ref.rotation) < 1e-8
             assert np.max(np.abs(fit.h_cam_ref.translation - h_cam_ref.translation)) < 1e-6
             assert fit.rms_px < 1e-8
@@ -422,7 +428,7 @@ class TestPlatePoseFromImage:
             source=frames.CAM, dest=frames.REF,
         )
         h_cam_ref = invert(h_ref_cam)
-        fit = estimate_plate_pose_from_image(m, _synthetic_observation(m, h_cam_ref, marks))
+        fit = estimate_plate_pose_from_image(m, *_synthetic_observation(m, h_cam_ref, marks))
         assert rotation_distance(fit.h_cam_ref.rotation, h_cam_ref.rotation) < 1e-8
         assert np.max(np.abs(fit.h_cam_ref.translation - h_cam_ref.translation)) < 1e-6
         assert fit.iterations <= 10
@@ -441,7 +447,7 @@ class TestPlatePoseFromImage:
         errs = []
         for _ in range(500):
             obs = _synthetic_observation(m, h_cam_ref, marks, sigma_px=0.05, rng=rng)
-            fit = estimate_plate_pose_from_image(m, obs)
+            fit = estimate_plate_pose_from_image(m, *obs)
             assert fit.stop == "step_tol"
             errs.append(np.linalg.norm(fit.h_cam_ref.translation - h_cam_ref.translation))
         errs = np.array(errs)
@@ -459,8 +465,7 @@ class TestPlatePoseFromImage:
             for reverse, trial in ((False, 1), (True, 2)):
                 placements = default_placements(world, reverse=reverse)
                 session = simulate_referencing_session(world, GLASS_NOISE, *placements, trial=trial)
-                obs = [(ip, session.plate.marks[mark]) for mark, ip in session.image_observation]
-                fit = estimate_plate_pose_from_image(session.camera, obs)
+                fit = estimate_plate_pose_from_image(session.camera, *_observation(session))
                 assert fit.stop == "step_tol"
                 iterations.append(fit.iterations)
         assert sum(iterations) <= sum(finite_difference)
@@ -471,7 +476,7 @@ class TestPlatePoseFromImage:
         total = 0
         for seed in range(1, 11):
             for camera, obs in _session_observations(random_world(seed)):
-                fit = estimate_plate_pose_from_image(camera, obs)
+                fit = estimate_plate_pose_from_image(camera, *obs)
                 assert fit.stop == "step_tol"
                 total += fit.iterations
         assert total <= 100
@@ -485,9 +490,8 @@ class TestPlatePoseFromImage:
         worst = 0.0
         for seed in range(1, 51):
             for camera, obs in _session_observations(inject_wooden_plate(random_world(seed), 0.25)):
-                fit = estimate_plate_pose_from_image(camera, obs)
-                ref_pts = np.array([p for _, p in obs])
-                rc_obs = np.array([[ip.row, ip.col] for ip, _ in obs])
+                fit = estimate_plate_pose_from_image(camera, *obs)
+                rc_obs, ref_pts = obs
                 r, t = fit.h_cam_ref.rotation, fit.h_cam_ref.translation
                 for _ in range(30):
                     res = _pixel_residual(camera, ref_pts, r, t) - rc_obs.ravel()
@@ -501,7 +505,7 @@ class TestPlatePoseFromImage:
     def test_slow_stress_view_ends_below_the_cap(self, seed):
         # a poor homography start: a slow descent, then the cost is flat to rounding
         m, obs = _stress_view(seed)
-        fit = estimate_plate_pose_from_image(m, obs)
+        fit = estimate_plate_pose_from_image(m, *obs)
         assert fit.stop == "step_tol"
         assert fit.iterations <= camera._POSE_MAX_ITER
 
@@ -509,7 +513,7 @@ class TestPlatePoseFromImage:
         monkeypatch.setattr(camera, "_POSE_MAX_ITER", 2)
         m, obs = _stress_view(143)
         with pytest.raises(NonConvergence, match="no convergence in 2 iterations"):
-            estimate_plate_pose_from_image(m, obs)
+            estimate_plate_pose_from_image(m, *obs)
 
     def test_one_jacobian_per_iteration(self, call_counts):
         # each accepted projection feeds the next iteration's one Jacobian;
@@ -518,7 +522,7 @@ class TestPlatePoseFromImage:
         counts = call_counts((camera, "_pose_jacobian"))
         for m, obs in cases:
             before = counts["_pose_jacobian"]
-            fit = estimate_plate_pose_from_image(m, obs)
+            fit = estimate_plate_pose_from_image(m, *obs)
             assert counts["_pose_jacobian"] - before == fit.iterations
 
     def test_rejected_trial_raises_the_damping(self, monkeypatch):
@@ -534,7 +538,7 @@ class TestPlatePoseFromImage:
 
         monkeypatch.setattr(camera, "rotation_from_rotvec", counted)
         m, obs = _stress_view(804)
-        fit = estimate_plate_pose_from_image(m, obs)
+        fit = estimate_plate_pose_from_image(m, *obs)
         assert fit.stop == "step_tol"
         assert len(trials) > fit.iterations
 
@@ -543,26 +547,39 @@ class TestPlatePoseFromImage:
         marks = _grid_marks()[:3]
         obs = _synthetic_observation(m, nadir_pose(150.0), marks)
         with pytest.raises(DegenerateConfiguration):
-            estimate_plate_pose_from_image(m, obs)
+            estimate_plate_pose_from_image(m, *obs)
 
     def test_collinear_marks_rejected(self):
         m = model()
         marks = [np.array([10.0 * i, 0.0, 0.0]) for i in range(6)]
         obs = _synthetic_observation(m, nadir_pose(150.0), marks)
         with pytest.raises(DegenerateConfiguration):
-            estimate_plate_pose_from_image(m, obs)
+            estimate_plate_pose_from_image(m, *obs)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda rc, p: (rc[:, :1], p),
+            lambda rc, p: (rc, p[:, :2]),
+            lambda rc, p: (rc[1:], p),
+            lambda rc, p: (np.where(np.arange(rc.size).reshape(rc.shape) == 3, np.nan, rc), p),
+            lambda rc, p: (rc, np.where(np.arange(p.size).reshape(p.shape) == 4, np.inf, p)),
+        ],
+        ids=["image-column", "plate-column", "one-image-point-fewer", "nan-image-point", "inf-plate-point"],
+    )
+    def test_array_shapes_and_finiteness_checked(self, edit):
+        m = model()
+        obs = _synthetic_observation(m, nadir_pose(150.0), _grid_marks())
+        with pytest.raises(ValueError, match="^estimate_plate_pose_from_image: need finite"):
+            estimate_plate_pose_from_image(m, *edit(*obs))
 
     def test_non_coplanar_marks_rejected(self):
         m = model()
         with pytest.raises(DegenerateConfiguration):
             estimate_plate_pose_from_image(
                 m,
-                [
-                    (ImagePoint(10.0, 10.0), np.array([0.0, 0.0, 5.0])),
-                    (ImagePoint(10.0, 20.0), np.array([1.0, 0.0, 0.0])),
-                    (ImagePoint(20.0, 10.0), np.array([0.0, 1.0, 0.0])),
-                    (ImagePoint(20.0, 20.0), np.array([1.0, 1.0, 0.0])),
-                ],
+                np.array([[10.0, 10.0], [10.0, 20.0], [20.0, 10.0], [20.0, 20.0]]),
+                np.array([[0.0, 0.0, 5.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]),
             )
 
 
@@ -645,7 +662,7 @@ class TestAnisotropicPixels:
         assert np.max(np.abs(back - q)) < 1e-4
         marks = [np.array([12.0 * (j - 2), 12.0 * (i - 2), 0.0]) for i in range(5) for j in range(5)]
         obs = _synthetic_observation(m, invert(h_ref_cam), marks)
-        fit = estimate_plate_pose_from_image(m, obs)
+        fit = estimate_plate_pose_from_image(m, *obs)
         truth = invert(h_ref_cam)
         assert rotation_distance(fit.h_cam_ref.rotation, truth.rotation) < 1e-8
         assert np.max(np.abs(fit.h_cam_ref.translation - truth.translation)) < 1e-6

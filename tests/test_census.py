@@ -1,6 +1,7 @@
 """Census of the settable surface: the options of each CLI subcommand, the
 parameters of each public decoder, every parameter with a default of a
-public function, method or class constructor, and the package exports.
+public function, method or class constructor, the package exports, and the
+error classes, each of which the package raises.
 
 Adding an option, a decoder parameter, a default or an export means adding it
 here too, so every new setting or name shows up in review next to a reason
@@ -8,9 +9,11 @@ for it.
 """
 
 import argparse
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -44,7 +47,6 @@ EXPORTS = {
     "ExperimentPlan",
     "FloorRefError",
     "GLASS_NOISE",
-    "ImagePoint",
     "MarkMeasurement",
     "NoiseConfig",
     "ReferencingPlate",
@@ -55,7 +57,6 @@ EXPORTS = {
     "RobotPlacement",
     "SceneFrame",
     "SimWorld",
-    "TrackerMeasurement",
     "apply",
     "build_rectification_map",
     "cluster_metrics",
@@ -94,7 +95,6 @@ DEFAULTS = {
     },
     "experiment.run_experiment": {"seed": None},
     "geometry.register_points": {"source_frame": "src", "target_frame": "dst"},
-    "pipeline.TrackerMeasurement": {"position_index": None},
     "pipeline.ReferencingResult": {"reversal_of": None},
     "report.write_clusters_svg": {"desc": None},
     "schemas.session_to_dict": {"ground_truth": None, "prov": None},
@@ -168,3 +168,32 @@ def test_decoder_signature_census(name):
 def test_export_census():
     assert sorted(floorref.__all__) == sorted(EXPORTS)
     assert [name for name in floorref.__all__ if not hasattr(floorref, name)] == []
+
+
+def _constructed_names(source: str) -> set[str]:
+    """Names called as ``Name(...)`` anywhere in a module's source: an error
+    raised at once or built and raised later (a per-row error, a helper that
+    returns one)."""
+    return {
+        node.func.id
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+
+
+def test_error_class_census():
+    # every error class but the base is raised somewhere in the package
+    package = Path(floorref.__file__).parent
+    errors = ast.parse((package / "errors.py").read_text())
+    classes = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    constructed = set()
+    for path in package.glob("*.py"):
+        if path.name != "errors.py":
+            constructed |= _constructed_names(path.read_text())
+    assert "FloorRefError" in classes
+    assert sorted(classes - {"FloorRefError"} - constructed) == []
+
+
+def test_error_census_reader_sees_raised_and_stored_errors():
+    source = "raise A('x')\nerrors[i] = B(f'{i}')\nraise helper(1)\nif isinstance(e, C):\n    pass\n"
+    assert _constructed_names(source) == {"A", "B", "helper", "isinstance"}

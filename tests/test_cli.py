@@ -60,6 +60,28 @@ class TestSimulate:
         assert "error: world: unknown keys ['unexpected']" in capsys.readouterr().err
         assert not (tmp_path / "s.json").exists()
 
+    @pytest.mark.parametrize("extent", [[0, 0], [1e-300, 400], [-600, 400]], ids=["zero", "tiny", "negative"])
+    def test_nest_off_the_plate_extent_exit_2(self, tmp_path, capsys, extent):
+        doc = read_json(CONFIGS / "world_wooden.json")
+        doc["plate"]["extent_mm"] = extent
+        world = tmp_path / "world.json"
+        write_json(doc, world)
+        assert run("simulate", world, "--out", tmp_path / "s.json") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: plate: nest 'r' at (45, 50) mm is off the plate: extent_mm (")
+        assert not (tmp_path / "s.json").exists()
+
+    def test_overflowing_plate_bow_exit_3_without_warning(self, tmp_path, capsys):
+        # the support-pose solve overflows: the placement's row fails with its
+        # typed error, and numpy prints nothing (a warning is an error here)
+        doc = read_json(CONFIGS / "world.json")
+        doc["noise"]["plate_amplitude_mm"] = 1e300
+        world = tmp_path / "world.json"
+        write_json(doc, world)
+        assert run("simulate", world, "--out", tmp_path / "s.json") == 3
+        assert capsys.readouterr().err == "error: pose_on_surface: contact plane singular: Singular matrix\n"
+        assert not (tmp_path / "s.json").exists()
+
     def test_demo_config_calibrates_accurately(self, tmp_path):
         session = tmp_path / "session.json"
         result = tmp_path / "result.json"
@@ -142,6 +164,34 @@ class TestCalibrate:
         write_json(doc, bad)
         assert run("calibrate", bad, "--out", tmp_path / "r.json") == 2
         assert "error: session.image_observation[4].mark_id:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda t: t.pop(1), "session.tracker_measurements: no reading of 'g'"),
+            (lambda t: t.append(dict(t[0])), "session.tracker_measurements[5]: second reading of 'r'"),
+            (lambda t: t[2].update(id="x"), "session.tracker_measurements[2]: 'x' is not a tracker point"),
+            (
+                lambda t: t[0].update(position_index=0),
+                "session.tracker_measurements[0]: 'r' at position index 0 is not a tracker point",
+            ),
+            (
+                lambda t: t[4].update(position_index=5),
+                "session.tracker_measurements[4]: 'robot_smr' at position index 5 is not a tracker point",
+            ),
+        ],
+        ids=["missing-nest", "second-nest-reading", "unknown-id", "nest-with-index", "robot-index-5"],
+    )
+    def test_tracker_entry_not_one_of_the_five_points_exit_2(self, tmp_path, quiet_world, capsys, edit, message):
+        session = tmp_path / "session.json"
+        run("simulate", quiet_world, "--out", session)
+        doc = read_json(session)
+        edit(doc["tracker_measurements"])
+        bad = tmp_path / "bad.json"
+        write_json(doc, bad)
+        assert run("calibrate", bad, "--out", tmp_path / "r.json") == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "r.json").exists()
 
     def test_solver_failure_exit_4_naming_stage(self, tmp_path, quiet_world, capsys):
         session = tmp_path / "session.json"

@@ -14,7 +14,7 @@ from _oracles import (
     scalar_run_experiment,
 )
 from floorref import experiment, frames, simulate
-from floorref.camera import ImagePoint, SceneFrame
+from floorref.camera import SceneFrame
 from floorref.errors import (
     DegenerateViewingGeometry,
     EmptyCluster,
@@ -81,16 +81,16 @@ class TestDirections:
 
 class TestMeasureMark:
     def test_identity_robot_pose_returns_robot_frame_point(self, noiseless_result):
-        ip = ImagePoint(900.0, 1100.0)
+        ip = np.array([900.0, 1100.0])
         identity = RigidTransform(np.eye(3), np.zeros(3), source=frames.ROB, dest=frames.ABS)
-        xy = noiseless_result.scene.map_image_points([[ip.row, ip.col]])[0]
+        xy = noiseless_result.scene.map_image_points([ip])[0]
         expected = apply(noiseless_result.h_rob_scn, np.array([xy[0], xy[1], 0.0]))
         assert np.array_equal(measure_mark(noiseless_result, ip, identity), expected)
 
     def test_out_of_bounds(self, noiseless_result):
         identity = RigidTransform(np.eye(3), np.zeros(3), source=frames.ROB, dest=frames.ABS)
         with pytest.raises(OutOfBounds):
-            measure_mark(noiseless_result, ImagePoint(-5.0, 100.0), identity)
+            measure_mark(noiseless_result, [-5.0, 100.0], identity)
 
     def test_corrupted_hand_eye_draws_circle(self, world, noiseless_result):
         # pure 1 mm translation along camera x: cluster means sit on a circle

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -6,12 +7,7 @@ import pytest
 
 from floorref import camera, frames, geometry, simulate
 from floorref.schemas import result_from_dict, result_to_dict
-from floorref.errors import (
-    DegenerateConfiguration,
-    DegenerateMotion,
-    InconsistentRuns,
-    MissingMeasurement,
-)
+from floorref.errors import DegenerateConfiguration, DegenerateMotion, InconsistentRuns
 from floorref.geometry import (
     RigidTransform,
     apply,
@@ -24,7 +20,6 @@ from floorref.geometry import (
 )
 from floorref.pipeline import (
     ReferencingSession,
-    TrackerMeasurement,
     compute_rob_h_cam,
     estimate_plate_pose,
     estimate_robot_pose,
@@ -76,25 +71,15 @@ class TestPlateNormal:
         assert np.allclose(n, [0.0, 0.0, -1.0], atol=1e-15)
 
 
-def session_with_tracker(tracker):
+def session_with_robot_points(robot_points):
     world = demo_world(seed=1)
     base = simulate_referencing_session(world, NO_NOISE, *default_placements(world))
-    return ReferencingSession(
-        camera=base.camera,
-        plate=base.plate,
-        image_observation=base.image_observation,
-        tracker=tuple(tracker),
-    )
+    return replace(base, robot_points=robot_points)
 
 
 class TestRobotPose:
     def _session(self, p0, p1):
-        return session_with_tracker(
-            [
-                TrackerMeasurement("robot_smr", np.asarray(p0, dtype=float), 0),
-                TrackerMeasurement("robot_smr", np.asarray(p1, dtype=float), 1),
-            ]
-        )
+        return session_with_robot_points([p0, p1])
 
     def test_straight_move_gives_identity_rotation(self):
         s = self._session([0, 0, 0.5], [100, 0, 0.5])
@@ -128,9 +113,56 @@ class TestRobotPose:
             estimate_robot_pose(s, [0.0, 0.0, 1.0])
 
     def test_missing_position_one(self):
-        s = session_with_tracker([TrackerMeasurement("robot_smr", np.zeros(3), 0)])
-        with pytest.raises(MissingMeasurement):
-            estimate_robot_pose(s, [0.0, 0.0, 1.0])
+        # a session without position 1 is refused when it is built
+        with pytest.raises(ValueError, match=r"robot_points must have shape \(2, 3\), got \(1, 3\)"):
+            session_with_robot_points([np.zeros(3)])
+
+
+class TestSessionType:
+    def test_arrays_are_read_only_float_copies(self, noiseless_session):
+        s = noiseless_session
+        image = s.image_points.copy()
+        built = ReferencingSession(
+            s.camera, s.plate, list(s.mark_ids), image, s.nest_points.tolist(), s.robot_points
+        )
+        image[0, 0] += 1.0
+        assert np.array_equal(built.image_points, s.image_points)
+        assert built.mark_ids == s.mark_ids
+        for name in ("image_points", "nest_points", "robot_points"):
+            a = getattr(built, name)
+            assert a.dtype == np.float64 and not a.flags.writeable
+            assert np.array_equal(a, getattr(s, name))
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 0.0
+
+    @pytest.mark.parametrize(
+        "field, edit, shape",
+        [
+            ("image_points", lambda a: a[:, :1], "(n, 2), got (n, 1)"),
+            ("image_points", lambda a: a[1:], "(n, 2), got (n - 1, 2)"),
+            ("nest_points", lambda a: a.ravel(), "(3, 3), got (9,)"),
+            ("robot_points", lambda a: a[:, :2], "(2, 3), got (2, 2)"),
+        ],
+        ids=["image-column", "image-row-per-mark", "nest-flat", "robot-column"],
+    )
+    def test_wrong_shape_refused(self, noiseless_session, field, edit, shape):
+        n = len(noiseless_session.mark_ids)
+        shape = shape.replace("n - 1", str(n - 1)).replace("n", str(n))
+        with pytest.raises(ValueError, match=f"^{field} must have shape {re.escape(shape)}$"):
+            replace(noiseless_session, **{field: edit(getattr(noiseless_session, field))})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["image_points", "nest_points", "robot_points"])
+    def test_non_finite_value_refused(self, noiseless_session, field, value):
+        a = getattr(noiseless_session, field).copy()
+        a[-1, 1] = value
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            replace(noiseless_session, **{field: a})
+
+    def test_repeated_mark_refused(self, noiseless_session):
+        ids = noiseless_session.mark_ids
+        with pytest.raises(ValueError, match="^mark ids must be listed once each$"):
+            replace(noiseless_session, mark_ids=(ids[0], ids[0], *ids[2:]))
 
 
 class TestPlatePoseEstimate:
@@ -159,42 +191,23 @@ class TestPlatePoseEstimate:
         assert worst <= 0.15
 
     def test_unknown_observed_mark_rejected(self, noiseless_session):
-        mark_id, ip = noiseless_session.image_observation[0]
-        swapped = (("ghost", ip),) + noiseless_session.image_observation[1:]
-        bad = ReferencingSession(
-            camera=noiseless_session.camera,
-            plate=noiseless_session.plate,
-            image_observation=swapped,
-            tracker=noiseless_session.tracker,
-        )
-        with pytest.raises(MissingMeasurement, match="ghost"):
-            estimate_plate_pose(bad)
+        # a session observing a mark that is not on the plate is refused when it is built
+        swapped = ("ghost", *noiseless_session.mark_ids[1:])
+        with pytest.raises(ValueError, match="^mark 'ghost' is not on the plate$"):
+            replace(noiseless_session, mark_ids=swapped)
 
     def test_coincident_nest_measurements_rejected(self, noiseless_session):
-        tracker = []
-        for m in noiseless_session.tracker:
-            if m.point_id == "g":
-                m = TrackerMeasurement("g", noiseless_session.nest_position("r"), None)
-            tracker.append(m)
-        bad = ReferencingSession(
-            camera=noiseless_session.camera,
-            plate=noiseless_session.plate,
-            image_observation=noiseless_session.image_observation,
-            tracker=tuple(tracker),
-        )
+        r, _, b = noiseless_session.nest_points
+        bad = replace(noiseless_session, nest_points=[r, r, b])
         with pytest.raises(DegenerateConfiguration):
             compute_rob_h_cam(bad)
 
     def test_small_nest_triangle_rejected(self, noiseless_session):
         # three nest readings 12 x 10 mm apart: registration accepts them,
         # the plate-normal stage refuses their 60 mm^2 triangle
-        p = noiseless_session.nest_position("r")
-        offsets = {"r": [0.0, 0.0, 0.0], "g": [12.0, 0.0, 0.0], "b": [0.0, 10.0, 0.0]}
-        tracker = tuple(
-            TrackerMeasurement(m.point_id, p + offsets[m.point_id]) if m.point_id in offsets else m
-            for m in noiseless_session.tracker
-        )
-        bad = replace(noiseless_session, tracker=tracker)
+        p = noiseless_session.nest_points[0]
+        offsets = np.array([[0.0, 0.0, 0.0], [12.0, 0.0, 0.0], [0.0, 10.0, 0.0]])
+        bad = replace(noiseless_session, nest_points=p + offsets)
         estimate_plate_pose(bad)
         with pytest.raises(
             DegenerateConfiguration,
@@ -205,17 +218,8 @@ class TestPlatePoseEstimate:
     def test_suspect_flag_on_inconsistent_plate(self, noiseless_session):
         # an in-plane shift of one nest distorts the measured triangle shape,
         # which rigid registration cannot absorb
-        tracker = []
-        for m in noiseless_session.tracker:
-            if m.point_id == "b":
-                m = TrackerMeasurement("b", m.position + [3.0, 0.0, 0.0], None)
-            tracker.append(m)
-        tampered = ReferencingSession(
-            camera=noiseless_session.camera,
-            plate=noiseless_session.plate,
-            image_observation=noiseless_session.image_observation,
-            tracker=tuple(tracker),
-        )
+        shift = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [3.0, 0.0, 0.0]])  # nest b
+        tampered = replace(noiseless_session, nest_points=noiseless_session.nest_points + shift)
         est = estimate_plate_pose(tampered)
         assert est.registration_rms_mm > 0.5
         assert est.suspect
@@ -261,45 +265,29 @@ class TestFullChain:
         via_stored = apply(r.h_rob_cam, p)
         assert np.max(np.abs(via_chain - via_stored)) < 1e-12
 
-    def test_missing_robot_position_names_stage(self, noiseless_session):
-        tracker = tuple(
-            m
-            for m in noiseless_session.tracker
-            if not (m.point_id == "robot_smr" and m.position_index == 1)
-        )
-        bad = ReferencingSession(
-            camera=noiseless_session.camera,
-            plate=noiseless_session.plate,
-            image_observation=noiseless_session.image_observation,
-            tracker=tracker,
-        )
-        with pytest.raises(MissingMeasurement, match="estimate_robot_pose"):
-            compute_rob_h_cam(bad)
-
     @pytest.mark.parametrize(
         "edit, message",
         [
             (
-                lambda t: [m for m in t if m.point_id != "g"],
-                "estimate_plate_pose: expected exactly one tracker measurement for nest 'g', got 0",
+                lambda s: {"nest_points": s.nest_points[[0, 2]]},
+                r"^nest_points must have shape \(3, 3\), got \(2, 3\)$",
             ),
             (
-                lambda t: t + [TrackerMeasurement("r", t[0].position + 1.0)],
-                "estimate_plate_pose: expected exactly one tracker measurement for nest 'r', got 2",
+                lambda s: {"nest_points": [*s.nest_points, s.nest_points[0] + 1.0]},
+                r"^nest_points must have shape \(3, 3\), got \(4, 3\)$",
             ),
             (
-                lambda t: t + [TrackerMeasurement("robot_smr", t[-1].position + 1.0, 1)],
-                "estimate_robot_pose: expected exactly one tracker measurement of the robot smr "
-                "at position 1, got 2",
+                lambda s: {"robot_points": [*s.robot_points, s.robot_points[1] + 1.0]},
+                r"^robot_points must have shape \(2, 3\), got \(3, 3\)$",
             ),
         ],
         ids=["missing-nest", "two-nest-readings", "two-robot-readings"],
     )
     def test_tracker_point_must_be_held_once(self, noiseless_session, edit, message):
-        bad = replace(noiseless_session, tracker=edit(list(noiseless_session.tracker)))
-        with pytest.raises(MissingMeasurement) as info:
-            compute_rob_h_cam(bad)
-        assert str(info.value) == message
+        # a session holds one point per nest and per robot position: another
+        # count is refused when the session is built
+        with pytest.raises(ValueError, match=message):
+            replace(noiseless_session, **edit(noiseless_session))
 
     def test_gauge_invariance(self, world):
         session = simulate_referencing_session(world, GLASS_NOISE, *default_placements(world))
@@ -312,14 +300,10 @@ class TestFullChain:
                 source=frames.ABS,
                 dest=frames.ABS,
             )
-            moved = ReferencingSession(
-                camera=session.camera,
-                plate=session.plate,
-                image_observation=session.image_observation,
-                tracker=tuple(
-                    TrackerMeasurement(m.point_id, apply(g, m.position), m.position_index)
-                    for m in session.tracker
-                ),
+            moved = replace(
+                session,
+                nest_points=apply(g, session.nest_points),
+                robot_points=apply(g, session.robot_points),
             )
             out = compute_rob_h_cam(moved).h_rob_cam
             assert rotation_distance(out.rotation, base.rotation) < 1e-9

@@ -50,7 +50,7 @@ class TestPlateType:
 
     def test_marks_are_read_only_float_vectors(self):
         plate = ReferencingPlate(
-            marks={"a": [0, 1, 0], 7: np.array([2.5, -1.0, 0.0])},
+            marks={"a": [0, 1, 0], 7: np.array([2.5, 1.5, 0.0])},
             nests=make_plate().nests,
             delta_mm=1.0,
             extent_mm=(600.0, 400.0),
@@ -58,7 +58,37 @@ class TestPlateType:
         assert list(plate.marks) == ["a", "7"]
         for p in plate.marks.values():
             assert p.dtype == np.float64 and p.shape == (3,) and not p.flags.writeable
-        assert np.array_equal(plate.mark_array()[1], [[0.0, 1.0, 0.0], [2.5, -1.0, 0.0]])
+        assert np.array_equal(plate.mark_array()[1], [[0.0, 1.0, 0.0], [2.5, 1.5, 0.0]])
+
+    @pytest.mark.parametrize(
+        "marks, nest_r, extent, message",
+        [
+            ({"a": [600.0, 400.0, 0.0]}, [40.0, 40.0, 0.0], (600.0, 400.0), None),
+            ({"a": [0.0, 0.0, 0.0]}, [0.0, 400.0, 0.0], (600.0, 400.0), None),
+            ({"a": [600.5, 10.0, 0.0]}, [40.0, 40.0, 0.0], (600.0, 400.0), r"mark 'a' at \(600\.5, 10\) mm"),
+            ({"a": [10.0, -0.5, 0.0]}, [40.0, 40.0, 0.0], (600.0, 400.0), r"mark 'a' at \(10, -0\.5\) mm"),
+            ({}, [40.0, 40.0, 0.0], (0.0, 0.0), r"nest 'r' at \(40, 40\) mm"),
+            ({}, [40.0, 40.0, 0.0], (1e-300, 400.0), r"nest 'r' at \(40, 40\) mm"),
+            ({}, [40.0, 40.0, 0.0], (-600.0, 400.0), r"nest 'r' at \(40, 40\) mm"),
+            ({}, [40.0, 40.0, 0.0], (600.0, np.nan), r"nest 'r' at \(40, 40\) mm"),
+        ],
+        ids=["corner", "origin-and-edge", "mark-beyond-x", "mark-below-y", "zero", "tiny", "negative", "nan"],
+    )
+    def test_marks_and_nests_lie_on_the_extent(self, marks, nest_r, extent, message):
+        # every mark and nest lies in 0 <= x <= extent_mm[0], 0 <= y <= extent_mm[1]
+        def build():
+            return ReferencingPlate(
+                marks=marks,
+                nests={**make_plate().nests, "r": np.array(nest_r)},
+                delta_mm=1.0,
+                extent_mm=extent,
+            )
+
+        if message is None:
+            assert build().extent_mm == extent
+        else:
+            with pytest.raises(ValueError, match=rf"^{message} is off the plate: extent_mm \("):
+                build()
 
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):

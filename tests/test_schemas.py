@@ -93,15 +93,26 @@ class TestSessionSchema:
         doc = session_to_dict(noiseless_session)
         parsed = session_from_dict(doc)
         assert parsed.camera == noiseless_session.camera
-        assert len(parsed.tracker) == len(noiseless_session.tracker)
-        for a, b in zip(parsed.tracker, noiseless_session.tracker):
-            assert a.point_id == b.point_id
-            assert a.position_index == b.position_index
-            assert np.array_equal(a.position, b.position)
-        for (ida, ipa), (idb, ipb) in zip(
-            parsed.image_observation, noiseless_session.image_observation
-        ):
-            assert ida == idb and ipa == ipb
+        assert parsed.mark_ids == noiseless_session.mark_ids
+        for name in ("image_points", "nest_points", "robot_points"):
+            assert np.array_equal(getattr(parsed, name), getattr(noiseless_session, name))
+        assert [(m["id"], m["position_index"]) for m in doc["tracker_measurements"]] == [
+            ("r", None),
+            ("g", None),
+            ("b", None),
+            ("robot_smr", 0),
+            ("robot_smr", 1),
+        ]
+
+    def test_shuffled_tracker_entries_decode_to_the_same_arrays(self, noiseless_session):
+        doc = session_to_dict(noiseless_session)
+        shuffled = copy.deepcopy(doc)
+        shuffled["tracker_measurements"] = [doc["tracker_measurements"][i] for i in (4, 1, 3, 0, 2)]
+        parsed = session_from_dict(shuffled)
+        assert np.array_equal(parsed.nest_points, noiseless_session.nest_points)
+        assert np.array_equal(parsed.robot_points, noiseless_session.robot_points)
+        # re-encoded in canonical order: r, g, b, then the robot smr at 0 and 1
+        assert json.dumps(session_to_dict(parsed)) == json.dumps(doc)
 
     def test_parsed_session_calibrates_identically(self, noiseless_session):
         parsed = session_from_dict(session_to_dict(noiseless_session))
@@ -238,7 +249,7 @@ def test_json_file_round_trip(tmp_path, world, noiseless_session):
     write_json(session_to_dict(noiseless_session), path)
     doc = read_json(path)
     parsed = session_from_dict(doc)
-    assert np.array_equal(parsed.tracker[0].position, noiseless_session.tracker[0].position)
+    assert np.array_equal(parsed.nest_points, noiseless_session.nest_points)
 
 
 def test_read_json_rejects_non_object(tmp_path):
@@ -295,6 +306,25 @@ def _set(path, value):
     return mutate
 
 
+def _delete(path):
+    def mutate(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        del doc[last]
+
+    return mutate
+
+
+def _repeat(path, index):
+    def mutate(doc):
+        for key in path:
+            doc = doc[key]
+        doc.append(dict(doc[index]))
+
+    return mutate
+
+
 def _repeat_plate_mark(doc):
     doc["plate"]["marks"].append(dict(doc["plate"]["marks"][0]))
 
@@ -338,6 +368,16 @@ MALFORMED = [
     ("session", _unknown_truth_key, "session.ground_truth"),
     ("session", _set(["image_observation", 2, "row"], 20000.0), "session.image_observation[2]"),
     ("session", _set(["image_observation", 3, "mark_id"], "Z9"), "session.image_observation[3].mark_id"),
+    # a session holds one reading of each nest and of the robot smr at positions 0 and 1
+    ("session", _delete(["tracker_measurements", 1]), "session.tracker_measurements"),
+    ("session", _repeat(["tracker_measurements"], 0), "session.tracker_measurements[5]"),
+    ("session", _set(["tracker_measurements", 2, "id"], "x"), "session.tracker_measurements[2]"),
+    ("session", _set(["tracker_measurements", 0, "position_index"], 0), "session.tracker_measurements[0]"),
+    ("session", _set(["tracker_measurements", 4, "position_index"], 5), "session.tracker_measurements[4]"),
+    # every mark and nest lies on the plate's extent (the decoder names extent_mm)
+    ("session", _set(["plate", "extent_mm"], [0, 0]), "plate"),
+    ("session", _set(["plate", "extent_mm"], [1e-300, 400]), "plate"),
+    ("world", _set(["plate", "extent_mm"], [-600, 400]), "plate"),
 ]
 
 

@@ -86,9 +86,8 @@ class TestSessionGeneration:
     def test_noisy_points_off_the_sensor_are_not_observed(self, world):
         p0, p1 = default_placements(world)
         session = simulate_referencing_session(world, NoiseConfig(image_sigma_px=500.0), p0, p1)
-        assert 4 <= len(session.image_observation) < len(world.plate.marks)
-        rowcol = np.array([(ip.row, ip.col) for _, ip in session.image_observation])
-        assert world.camera.contains_points(rowcol).all()
+        assert 4 <= len(session.mark_ids) < len(world.plate.marks)
+        assert world.camera.contains_points(session.image_points).all()
         session_from_dict(session_to_dict(session))  # the decoder accepts the session
 
     def test_coincident_placements_rejected(self, world):
@@ -100,23 +99,20 @@ class TestSessionGeneration:
         p0, p1 = default_placements(world)
         for index, placement in ((0, p0), (1, p1)):
             truth = pose_on_surface(world, placement, "plate").translation
-            assert np.array_equal(noiseless_session.robot_position(index), truth)
+            assert np.array_equal(noiseless_session.robot_points[index], truth)
 
     def test_tracker_noise_empirical_sigma(self):
         world = demo_world(seed=9)
         p0, p1 = default_placements(world)
         sigma = 0.035
         noise = NoiseConfig(tracker_sigma_mm=sigma)
-        truth = {}
         base = simulate_referencing_session(world, NO_NOISE, p0, p1)
-        for m in base.tracker:
-            truth[(m.point_id, m.position_index)] = m.position
+        truth = np.concatenate([base.nest_points, base.robot_points])
         samples = []
         n_sessions = 2000  # 5 points x 2000 sessions = 1e4 smr measurements
         for trial in range(n_sessions):
             s = simulate_referencing_session(world, noise, p0, p1, trial=trial)
-            for m in s.tracker:
-                samples.append(m.position - truth[(m.point_id, m.position_index)])
+            samples.append(np.concatenate([s.nest_points, s.robot_points]) - truth)
         devs = np.array(samples).ravel()
         assert abs(devs.std() - sigma) / sigma < 0.05
 
@@ -201,7 +197,7 @@ class TestSupportPose:
             assert np.array_equal(h.translation, one.translation)
             assert (h.source, h.dest) == ("rob", "abs")
             # no tracker noise: the session's robot smr is the pose translation
-            assert np.array_equal(session.robot_position(i), one.translation)
+            assert np.array_equal(session.robot_points[i], one.translation)
         assert session_to_dict(session) == session_to_dict(
             simulate_referencing_session(world, NO_NOISE, p0, p1)
         )
@@ -260,9 +256,9 @@ class TestMarkObservation:
     def test_mark_under_principal_ray_hits_principal_point(self, world):
         mark = np.array([1500.0, 700.0, 0.0])
         placement = experiment_placement(world, mark, 0.4, (0.0, 0.0))
-        ip, _ = simulate_mark_observation(world, NO_NOISE, placement, mark)
-        assert abs(ip.row - world.camera.cy_px) < 1e-9
-        assert abs(ip.col - world.camera.cx_px) < 1e-9
+        (row, col), _ = simulate_mark_observation(world, NO_NOISE, placement, mark)
+        assert abs(row - world.camera.cy_px) < 1e-9
+        assert abs(col - world.camera.cx_px) < 1e-9
 
     def test_round_trip_with_true_calibration(self, world, noiseless_result):
         mark = np.array([1500.0, 700.0, 0.0])
@@ -351,7 +347,7 @@ class TestFloorInclination:
 
             h_assumed = RigidTransform(
                 rotation_about_z(placement.yaw_rad),
-                smr.position,
+                smr,
                 source=frames.ROB,
                 dest=frames.ABS,
             )

@@ -33,7 +33,6 @@ def _instances():
     return {
         "ReferencingPlate": world.plate,
         "SceneFrame": result.scene,
-        "TrackerMeasurement": session.tracker[0],
         "ReferencingSession": session,
         "ReferencingResult": result,
         "MarkMeasurement": record,
@@ -45,7 +44,6 @@ def _instances():
 IDENTITY_TYPES = (
     "ReferencingPlate",
     "SceneFrame",
-    "TrackerMeasurement",
     "ReferencingSession",
     "ReferencingResult",
     "MarkMeasurement",
@@ -89,7 +87,6 @@ def test_value_types_hold_no_array_mapping_or_transform():
     value_types = [cls for cls in classes if cls.__dataclass_params__.eq]
     assert {cls.__name__ for cls in value_types} == {
         "CameraModel",
-        "ImagePoint",
         "NoiseConfig",
         "RobotModel",
         "RobotPlacement",
@@ -109,7 +106,7 @@ def test_reader_sees_arrays_mappings_and_identity_types():
     assert _held_by_identity(floorref.plate.Array)
     assert _held_by_identity(typing.Mapping[str, floorref.plate.Array])
     assert _held_by_identity(floorref.RigidTransform | None)
-    assert _held_by_identity(tuple[floorref.TrackerMeasurement, ...])
+    assert _held_by_identity(tuple[floorref.ReferencingResult, ...])
     assert not _held_by_identity(tuple[float, float])
     assert not _held_by_identity(int | None)
     assert not _held_by_identity(floorref.CameraModel)
