@@ -22,6 +22,7 @@ from numpy.typing import NDArray
 from . import frames
 from .errors import DegenerateConfiguration, DegenerateViewingGeometry, NonConvergence
 from .geometry import (
+    MIN_PLANAR_SPREAD_MM,
     RigidTransform,
     apply,
     compose,
@@ -29,6 +30,7 @@ from .geometry import (
     invert,
     nearest_rotation,
     norm,
+    planar_spread,
     rotation_from_rotvec,
 )
 
@@ -477,9 +479,7 @@ def estimate_plate_pose_from_image(
         raise DegenerateConfiguration(
             "estimate_plate_pose_from_image: reference marks must lie in the plate plane"
         )
-    centered = ref_pts[:, :2] - ref_pts[:, :2].mean(axis=0)
-    sv = np.linalg.svd(centered, compute_uv=False)
-    if sv[1] <= 1e-6:
+    if planar_spread(ref_pts[:, :2]) <= MIN_PLANAR_SPREAD_MM:
         raise DegenerateConfiguration("estimate_plate_pose_from_image: marks are collinear")
 
     norm_xy = model.pixel_to_normalized_array(rc_obs)

@@ -10,8 +10,8 @@ arrays are marked read-only and every operation returns a new value.
 Validation
 ----------
 A ``RigidTransform`` is checked where a rotation enters the library: the
-public constructor (and so ``from_matrix``, ``identity`` and the schema
-decoders) requires rotation entries within 1 + 1e-9 in magnitude (so finite),
+public constructor (and so ``from_matrix`` and the schema decoders)
+requires rotation entries within 1 + 1e-9 in magnitude (so finite),
 |R^T R - I|_F and |det R - 1| within 1e-9, and a finite 3-vector translation.
 ``compose`` and ``invert`` build their results without the rotation check: a
 product of two such rotations is re-orthonormalised once its drift passes
@@ -33,6 +33,7 @@ from numpy.typing import NDArray
 from .errors import DegenerateConfiguration, FrameMismatch, LengthMismatch
 
 ROTATION_TOL = 1e-9
+MIN_PLANAR_SPREAD_MM = 1e-6
 _RENORM_TRIGGER = 1e-12
 
 Array = NDArray[np.float64]
@@ -263,10 +264,6 @@ class RigidTransform:
         object.__setattr__(self, "translation", _frozen(t))
 
     @classmethod
-    def identity(cls, frame: str) -> RigidTransform:
-        return cls(_EYE3, np.zeros(3), source=frame, dest=frame)
-
-    @classmethod
     def from_matrix(cls, m: Array, source: str, dest: str) -> RigidTransform:
         m = np.asarray(m, dtype=np.float64)
         if m.shape != (4, 4):
@@ -391,25 +388,30 @@ class Registration(NamedTuple):
     rms_mm: float
 
 
+def planar_spread(pts: Array) -> float:
+    """Second singular value (mm) of an (n, 2) or (n, 3) point set about its
+    mean. At or below MIN_PLANAR_SPREAD_MM the points are collinear or
+    coincident and fix no plane: the one collinearity rule of the library."""
+    return float(np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)[1])
+
+
 def _rank2_check(pts: Array, label: str) -> None:
-    # A well-posed rotation needs planar spread: the second singular value of
-    # the centered set must clear the collinearity threshold. (The third is
+    # A well-posed rotation needs planar spread. (The third singular value is
     # identically zero for any 3-point or coplanar set; only rank < 2 is
     # degenerate.)
-    centered = pts - pts.mean(axis=0)
-    sv = np.linalg.svd(centered, compute_uv=False)
-    if sv[1] <= 1e-6:
+    spread = planar_spread(pts)
+    if spread <= MIN_PLANAR_SPREAD_MM:
         raise DegenerateConfiguration(
             f"register_points: {label} points collinear or coincident "
-            f"(spread singular value {sv[1]:.3e} mm)"
+            f"(spread singular value {spread:.3e} mm)"
         )
 
 
 def register_points(
     source: Sequence[Sequence[float]] | Array,
     target: Sequence[Sequence[float]] | Array,
-    source_frame: str = "src",
-    target_frame: str = "dst",
+    source_frame: str,
+    target_frame: str,
 ) -> Registration:
     """Least-squares rigid alignment H minimizing sum ||target_i - H source_i||^2.
 

@@ -59,8 +59,8 @@ class ReferencingSession:
         camera: calibrated camera model
         plate: measured referencing plate (template marks, measured nests)
         mark_ids: ids of the observed marks, each on the plate and listed once
-        image_points: (n, 2) finite image points (row, col) of those marks,
-            captured at robot position 0
+        image_points: (n, 2) image points (row, col) of those marks on the
+            camera's sensor, captured at robot position 0
         nest_points: (3, 3) finite tracker points of the smrs seated in nests
             r, g and b
         robot_points: (2, 3) finite tracker points of the robot smr at
@@ -91,6 +91,13 @@ class ReferencingSession:
                 raise ValueError(f"{name} must be finite")
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+        off = np.flatnonzero(~self.camera.contains_points(self.image_points))
+        if off.size:
+            row, col = self.image_points[off[0]].tolist()
+            raise ValueError(
+                f"image point {off[0]} (row {row}, col {col}) is off the "
+                f"{self.camera.rows}x{self.camera.cols} px sensor"
+            )
 
 
 class PlatePoseEstimate(NamedTuple):

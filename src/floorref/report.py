@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -251,14 +251,9 @@ def summary_line(report: ClusterReport) -> str:
     )
 
 
-def residual_table(residuals: Mapping[str, Any]) -> str:
+def residual_table(residuals: Mapping[str, float | bool]) -> str:
     lines = ["quantity                          value"]
     for key, value in residuals.items():
-        if isinstance(value, bool):
-            text = "yes" if value else "no"
-        elif isinstance(value, float):
-            text = _fmt9(value)
-        else:
-            text = str(value)
+        text = ("yes" if value else "no") if isinstance(value, bool) else _fmt9(value)
         lines.append(f"{key:<32}  {text}")
     return "\n".join(lines)

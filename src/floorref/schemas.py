@@ -171,6 +171,20 @@ def _transform(doc: Any, where: str, key: str, source: str, dest: str) -> RigidT
         raise SchemaError(f"{w}: {e}") from e
 
 
+def _check_provenance(block: Any, where: str) -> None:
+    # the block ``provenance`` writes; nothing reads its values back
+    _check_keys(block, where, {"tool", "version", "seed", "inputs"}, set())
+    _text(block, where, "tool")
+    _text(block, where, "version")
+    if block["seed"] is not None and _integer(block, where, "seed") < 0:
+        raise SchemaError(f"{where}.seed: expected a non-negative integer, got {block['seed']}")
+    inputs = block["inputs"]
+    if not isinstance(inputs, Mapping):
+        raise SchemaError(f"{where}.inputs: expected an object")
+    for role in inputs:
+        _text(inputs, f"{where}.inputs", role)
+
+
 # --- camera ---------------------------------------------------------------
 
 
@@ -325,6 +339,8 @@ def session_from_dict(doc: Mapping[str, Any]) -> ReferencingSession:
             f"{where}.image_observation[{off[0]}]: point (row {row}, col {col}) is off "
             f"the {camera.rows}x{camera.cols} px sensor"
         )
+    if "provenance" in doc:
+        _check_provenance(doc["provenance"], f"{where}.provenance")
     return ReferencingSession(
         camera=camera,
         plate=plate,
@@ -391,6 +407,19 @@ def result_to_dict(result: ReferencingResult, prov: Mapping[str, Any] | None = N
     return doc
 
 
+def _check_reversal(block: Any, where: str) -> None:
+    # the gap and the run residuals ``result_to_dict`` writes; a loaded result
+    # keeps neither run
+    _check_keys(block, where, {"delta_translation_mm", "delta_rotation_deg", "run_residuals"}, set())
+    _number(block, where, "delta_translation_mm")
+    _number(block, where, "delta_rotation_deg")
+    _array(block, where, "run_residuals", 2)
+    keys = ("registration_rms_mm", "reprojection_rms_px")
+    for w, run in _objects(block, where, "run_residuals", set(keys), set()):
+        for key in keys:
+            _number(run, w, key)
+
+
 def result_from_dict(doc: Mapping[str, Any], camera: CameraModel) -> ReferencingResult:
     where = "result"
     required = {
@@ -434,7 +463,7 @@ def result_from_dict(doc: Mapping[str, Any], camera: CameraModel) -> Referencing
     residuals, w = doc["residuals"], f"{where}.residuals"
     keys = {"registration_rms_mm", "reprojection_rms_px", "suspect"}
     _check_keys(residuals, w, keys, set())
-    return ReferencingResult(
+    result = ReferencingResult(
         h_rob_cam=h_rob_cam,
         scene=scene,
         h_abs_scn=h_abs_scn,
@@ -443,47 +472,14 @@ def result_from_dict(doc: Mapping[str, Any], camera: CameraModel) -> Referencing
         reprojection_rms_px=_number(residuals, w, "reprojection_rms_px"),
         suspect=_flag(residuals, w, "suspect"),
     )
+    if "reversal" in doc:
+        _check_reversal(doc["reversal"], f"{where}.reversal")
+    if "provenance" in doc:
+        _check_provenance(doc["provenance"], f"{where}.provenance")
+    return result
 
 
 # --- world config ----------------------------------------------------------
-
-
-def world_to_dict(world: SimWorld, noise: NoiseConfig, placements: tuple[RobotPlacement, RobotPlacement] | None = None) -> dict:
-    doc: dict[str, Any] = {
-        "camera": camera_to_dict(world.camera),
-        "plate": plate_to_dict(world.plate),
-        "robot": {
-            "smr_height_mm": world.robot.smr_height_mm,
-            "wheel_contacts_xy_mm": [list(w) for w in world.robot.wheel_contacts_xy_mm],
-        },
-        "hand_eye": {"matrix": world.h_rob_cam_true.matrix.tolist()},
-        "plate_pose": {
-            "x_mm": world.plate_x_mm,
-            "y_mm": world.plate_y_mm,
-            "yaw_deg": math.degrees(world.plate_yaw_rad),
-        },
-        "floor": {
-            "inclination_deg": math.degrees(world.floor_inclination_rad),
-            "azimuth_deg": math.degrees(world.floor_azimuth_rad),
-        },
-        "noise": {
-            "tracker_sigma_mm": noise.tracker_sigma_mm,
-            "image_sigma_px": noise.image_sigma_px,
-            "nest_offset_error_mm": noise.nest_offset_error_mm,
-            "plate_amplitude_mm": world.deformation_amplitude_mm,
-        },
-        "seed": world.seed,
-    }
-    if placements is not None:
-        doc["placements"] = {
-            f"position{i}": {
-                "x_mm": p.x_mm,
-                "y_mm": p.y_mm,
-                "yaw_deg": math.degrees(p.yaw_rad),
-            }
-            for i, p in enumerate(placements)
-        }
-    return doc
 
 
 def _planar_pose(doc: Mapping[str, Any], where: str) -> RobotPlacement:
@@ -573,16 +569,6 @@ def world_from_dict(
 
 
 # --- experiment plan ---------------------------------------------------------
-
-
-def plan_to_dict(plan: ExperimentPlan) -> dict:
-    return {
-        "mark_xy_mm": list(plan.mark_xy_mm),
-        "yaw_deg_list": list(plan.yaw_deg_list),
-        "repeats": plan.repeats,
-        "max_offset_mm": plan.max_offset_mm,
-        "yaw_jitter_deg": plan.yaw_jitter_deg,
-    }
 
 
 def plan_from_dict(doc: Mapping[str, Any]) -> ExperimentPlan:

@@ -135,11 +135,6 @@ class RobotModel:
             tuple((float(x), float(y)) for x, y in self.wheel_contacts_xy_mm),
         )
 
-    @property
-    def wheel_contacts_rob(self) -> Array:
-        xy = np.array(self.wheel_contacts_xy_mm, dtype=np.float64)
-        return np.column_stack([xy, np.full(3, -self.smr_height_mm)])
-
 
 @dataclass(frozen=True)
 class RobotPlacement:

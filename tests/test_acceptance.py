@@ -199,7 +199,7 @@ def test_criterion_5_registration_oracle():
         dst = src @ rotation_about_z(theta_true).T + t_true
         if i % 2:
             dst[:, :2] += rng.normal(0.0, 0.01, size=(n, 2))
-        reg = register_points(src, dst)
+        reg = register_points(src, dst, "a", "b")
         theta_est = math.atan2(reg.transform.rotation[1, 0], reg.transform.rotation[0, 0])
         theta_oracle, t_oracle = planar_alignment_oracle(src, dst)
         d_angle = abs((theta_est - theta_oracle + math.pi) % (2.0 * math.pi) - math.pi)

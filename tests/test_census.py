@@ -1,7 +1,9 @@
 """Census of the settable surface: the options of each CLI subcommand, the
 parameters of each public decoder, every parameter with a default of a
 public function, method or class constructor, the package exports, and the
-error classes, each of which the package raises.
+error classes, each of which the package raises; and of the callers: every
+public definition is called by the package, exported, or used by the
+benchmark.
 
 Adding an option, a decoder parameter, a default or an export means adding it
 here too, so every new setting or name shows up in review next to a reason
@@ -94,12 +96,10 @@ DEFAULTS = {
         "yaw_jitter_deg": 0.15,
     },
     "experiment.run_experiment": {"seed": None},
-    "geometry.register_points": {"source_frame": "src", "target_frame": "dst"},
     "pipeline.ReferencingResult": {"reversal_of": None},
     "report.write_clusters_svg": {"desc": None},
     "schemas.session_to_dict": {"ground_truth": None, "prov": None},
     "schemas.result_to_dict": {"prov": None},
-    "schemas.world_to_dict": {"placements": None},
     "simulate.NoiseConfig": {"tracker_sigma_mm": 0.035, "image_sigma_px": 0.0, "nest_offset_error_mm": 0.0},
     # none for SimWorld.true_smr_points_ref: its caller passes the configured nest offset
     "simulate.SimWorld": {
@@ -197,3 +197,92 @@ def test_error_class_census():
 def test_error_census_reader_sees_raised_and_stored_errors():
     source = "raise A('x')\nerrors[i] = B(f'{i}')\nraise helper(1)\nif isinstance(e, C):\n    pass\n"
     assert _constructed_names(source) == {"A", "B", "helper", "isinstance"}
+
+
+def _public_definitions(tree: ast.Module):
+    """(qualified name, node) of each public module-level function and class
+    of a module, and of each public method or property of such a class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                        yield f"{node.name}.{member.name}", member
+
+
+def _referenced_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names read as ``Name`` nodes or ``Attribute`` attributes in a tree,
+    leaving out the subtree ``skip`` (a definition's own body)."""
+    names, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _bench_names(tree: ast.AST) -> set[str]:
+    """What a benchmark module names: references and imported names."""
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    return _referenced_names(tree) | {alias.name for node in imports for alias in node.names}
+
+
+def _uncalled(package: dict[str, ast.Module], exported: set[str], bench: set[str]) -> list[str]:
+    found = []
+    for module, tree in package.items():
+        for qualname, node in _public_definitions(tree):
+            name = qualname.rsplit(".", 1)[-1]
+            if name in exported or name in bench:
+                continue
+            if not any(
+                name in _referenced_names(other, node if other is tree else None)
+                for other in package.values()
+            ):
+                found.append(f"{module}.{qualname}")
+    return found
+
+
+def test_every_public_definition_has_a_caller():
+    # a public definition that only tests call is dead weight in the package
+    root = Path(floorref.__file__).parent
+    package = {path.stem: ast.parse(path.read_text()) for path in sorted(root.glob("*.py"))}
+    bench_dir = Path(__file__).resolve().parent.parent / "perfbench"
+    bench = set()
+    for path in bench_dir.glob("*.py"):
+        bench |= _bench_names(ast.parse(path.read_text()))
+    assert "run_experiment" in bench  # the benchmark sources were read
+    assert _uncalled(package, set(floorref.__all__), bench) == []
+
+
+def test_caller_census_reader_sees_callers_and_definitions():
+    source = (
+        "def used():\n    return 1\n"
+        "def recursive():\n    return recursive()\n"
+        "class Box:\n"
+        "    def method(self):\n        return self.prop\n"
+        "    @property\n    def prop(self):\n        return used()\n"
+        "    def orphan(self):\n        return self.method()\n"
+        "    def _private(self):\n        pass\n"
+        "def exported():\n    pass\n"
+        "def benched():\n    pass\n"
+        "def _helper():\n    return Box\n"
+    )
+    tree = ast.parse(source)
+    assert [name for name, _ in _public_definitions(tree)] == [
+        "used", "recursive", "Box", "Box.method", "Box.prop", "Box.orphan", "exported", "benched",
+    ]
+    other = ast.parse("import m\nm.exported\n")
+    # a call from its own body does not count; a call from another module does
+    assert _uncalled({"a": tree}, {"exported"}, {"benched"}) == ["a.recursive", "a.Box.orphan"]
+    assert _uncalled({"a": tree, "b": other}, set(), {"benched"}) == ["a.recursive", "a.Box.orphan"]
+    assert _uncalled({"a": tree}, set(), set()) == [
+        "a.recursive", "a.Box.orphan", "a.exported", "a.benched",
+    ]
+    bench = ast.parse("from floorref.x import benched as b\nimport floorref.y as y\ny.traced\n")
+    assert {"benched", "traced"} <= _bench_names(bench)

@@ -37,10 +37,14 @@ from floorref.geometry import (
 RZ90 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
 
+def _identity(frame):
+    return RigidTransform(np.eye(3), np.zeros(3), source=frame, dest=frame)
+
+
 class TestCompose:
     def test_identity_case(self):
         h = make_transform([0, 0, 1], 0.7, [1.0, -2.0, 3.0], "a", "b")
-        out = compose(RigidTransform.identity("b"), h)
+        out = compose(_identity("b"), h)
         assert np.allclose(out.matrix, h.matrix, atol=1e-15)
 
     def test_inverse_case(self):
@@ -78,7 +82,7 @@ class TestCompose:
 
     def test_long_chain_stays_orthonormal(self):
         step = make_transform([0.3, -0.2, 0.93], 1e-3, [0.1, 0.0, -0.1], "a", "a")
-        h = RigidTransform.identity("a")
+        h = _identity("a")
         for _ in range(20000):
             h = compose(step, h)
         r = h.rotation
@@ -99,7 +103,7 @@ class TestCompose:
 
 class TestInvert:
     def test_identity(self):
-        assert np.allclose(invert(RigidTransform.identity("x")).matrix, np.eye(4))
+        assert np.allclose(invert(_identity("x")).matrix, np.eye(4))
 
     def test_pure_translation(self):
         t = np.array([4.0, -1.0, 2.5])
@@ -119,7 +123,7 @@ class TestInvert:
 class TestApply:
     def test_identity(self):
         p = np.array([1.0, 2.0, 3.0])
-        assert np.allclose(apply(RigidTransform.identity("w"), p), p)
+        assert np.allclose(apply(_identity("w"), p), p)
 
     def test_translation_of_origin(self):
         h = RigidTransform(np.eye(3), np.array([1.0, 2.0, 3.0]), source="a", dest="b")
@@ -151,7 +155,7 @@ class TestApply:
 class TestRegisterPoints:
     def test_self_registration_is_identity(self):
         pts = np.array([[0.0, 0.0, 0.0], [100.0, 0.0, 0.0], [0.0, 50.0, 10.0]])
-        reg = register_points(pts, pts)
+        reg = register_points(pts, pts, "a", "b")
         assert np.allclose(reg.transform.matrix, np.eye(4), atol=1e-12)
         assert reg.rms_mm < 1e-12
 
@@ -161,7 +165,7 @@ class TestRegisterPoints:
         rot = rotation_about_z(math.radians(30.0))
         t = np.array([5.0, -2.0, 1.0])
         dst = src @ rot.T + t
-        reg = register_points(src, dst)
+        reg = register_points(src, dst, "a", "b")
         assert np.linalg.norm(reg.transform.rotation - rot) < 1e-9
         assert np.max(np.abs(reg.transform.translation - t)) < 1e-9
         assert reg.rms_mm < 1e-9
@@ -176,28 +180,28 @@ class TestRegisterPoints:
             rot = rotation_about_axis(rng.normal(size=3), rng.uniform(-1, 1))
             t = rng.uniform(-100, 100, size=3)
             dst = src @ rot.T + t + rng.normal(0.0, sigma, size=src.shape)
-            reg = register_points(src, dst)
+            reg = register_points(src, dst, "a", "b")
             worst = max(worst, reg.rms_mm)
         assert worst <= 3.0 * sigma
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            register_points(np.zeros((4, 3)), np.zeros((3, 3)))
+            register_points(np.zeros((4, 3)), np.zeros((3, 3)), "a", "b")
 
     def test_too_few_points(self):
         with pytest.raises(DegenerateConfiguration):
-            register_points(np.zeros((2, 3)), np.zeros((2, 3)))
+            register_points(np.zeros((2, 3)), np.zeros((2, 3)), "a", "b")
 
     def test_collinear_source_rejected(self):
         src = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         with pytest.raises(DegenerateConfiguration):
-            register_points(src, src)
+            register_points(src, src, "a", "b")
 
     def test_coincident_target_rejected(self):
         src = np.array([[0.0, 0.0, 0.0], [100.0, 0.0, 0.0], [0.0, 100.0, 0.0]])
         dst = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 100.0, 0.0]])
         with pytest.raises(DegenerateConfiguration):
-            register_points(src, dst)
+            register_points(src, dst, "a", "b")
 
     @settings(max_examples=30, deadline=None)
     @given(rigid_transforms("dst", "dst2"))
@@ -218,7 +222,7 @@ class TestRegisterPoints:
         sv = np.linalg.svd(centered, compute_uv=False)
         if sv[1] <= 1e-3:  # skip near-degenerate draws
             return
-        reg = register_points(pts, apply(h, pts))
+        reg = register_points(pts, apply(h, pts), "a", "b")
         assert reg.rms_mm < 1e-9
 
 
@@ -323,7 +327,7 @@ class TestWhereTransformsAreChecked:
 
     def test_long_chain_results_are_read_only(self):
         step = make_transform([0.3, -0.2, 0.93], 1e-3, [0.1, 0.0, -0.1], "a", "a")
-        h = RigidTransform.identity("a")
+        h = _identity("a")
         for _ in range(5000):
             h = invert(compose(step, h))
         validate_rotation(h.rotation)

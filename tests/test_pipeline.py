@@ -164,6 +164,27 @@ class TestSessionType:
         with pytest.raises(ValueError, match="^mark ids must be listed once each$"):
             replace(noiseless_session, mark_ids=(ids[0], ids[0], *ids[2:]))
 
+    @pytest.mark.parametrize("row", [20000.0, -3.0])
+    def test_off_sensor_image_point_refused(self, noiseless_session, row):
+        # at 20000 the image fit ended in NonConvergence, at -3 it calibrated
+        # to a 70 px reprojection RMS
+        camera = noiseless_session.camera
+        a = noiseless_session.image_points.copy()
+        a[4, 0] = row
+        message = (
+            f"image point 4 (row {row}, col {a[4, 1]}) is off the "
+            f"{camera.rows}x{camera.cols} px sensor"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(noiseless_session, image_points=a)
+
+    def test_point_on_the_last_row_accepted(self, noiseless_session):
+        camera = noiseless_session.camera
+        a = noiseless_session.image_points.copy()
+        a[4] = (camera.rows - 1, camera.cols - 1)
+        built = replace(noiseless_session, image_points=a)
+        assert built.image_points[4].tolist() == [camera.rows - 1, camera.cols - 1]
+
 
 class TestPlatePoseEstimate:
     def test_noiseless_matches_true_camera_pose(self, world, noiseless_session):
@@ -187,7 +208,7 @@ class TestPlatePoseEstimate:
             rot = rotation_about_axis(rng.normal(size=3), rng.uniform(-math.pi, math.pi))
             t = rng.uniform(-500, 500, size=3)
             dst = src @ rot.T + t + rng.normal(0.0, 0.035, size=src.shape)
-            worst = max(worst, register_points(src, dst).rms_mm)
+            worst = max(worst, register_points(src, dst, "a", "b").rms_mm)
         assert worst <= 0.15
 
     def test_unknown_observed_mark_rejected(self, noiseless_session):

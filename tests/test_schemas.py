@@ -16,7 +16,6 @@ from floorref.schemas import (
     camera_from_dict,
     camera_to_dict,
     plan_from_dict,
-    plan_to_dict,
     plate_from_dict,
     plate_to_dict,
     read_json,
@@ -26,16 +25,18 @@ from floorref.schemas import (
     session_ground_truth,
     session_to_dict,
     world_from_dict,
-    world_to_dict,
     write_json,
 )
 from floorref.experiment import ExperimentPlan
 from floorref.simulate import (
     GLASS_NOISE,
     default_placements,
+    demo_world,
     inject_wooden_plate,
     simulate_referencing_session,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestCameraSchema:
@@ -174,20 +175,47 @@ class TestResultSchema:
         assert np.array_equal(parsed.h_rob_cam.matrix, merged.h_rob_cam.matrix)
 
 
-class TestWorldSchema:
-    def test_round_trip(self, world):
-        placements = default_placements(world)
-        doc = world_to_dict(world, GLASS_NOISE, placements)
-        w2, noise, pl = world_from_dict(doc)
-        assert w2.camera == world.camera
-        assert np.array_equal(w2.h_rob_cam_true.matrix, world.h_rob_cam_true.matrix)
-        assert noise == GLASS_NOISE
-        assert pl is not None
-        assert abs(pl[0].x_mm - placements[0].x_mm) < 1e-12
-        assert abs(pl[0].yaw_rad - placements[0].yaw_rad) < 1e-12
+def _world_config():
+    return read_json(CONFIGS / "world.json")
 
-    def test_defaults_for_optional_blocks(self, world):
-        doc = world_to_dict(world, GLASS_NOISE)
+
+def _assert_demo_rig(world, noise, amplitude_mm):
+    # configs/world.json is the rig of demo_world(42) under GLASS_NOISE
+    demo = demo_world(42)
+    assert world.camera == demo.camera
+    assert world.robot == demo.robot
+    for name in ("marks", "nests"):
+        got, want = getattr(world.plate, name), getattr(demo.plate, name)
+        assert list(got) == list(want)
+        assert all(np.array_equal(got[k], want[k]) for k in want)
+    assert world.plate.delta_mm == demo.plate.delta_mm
+    assert world.plate.extent_mm == demo.plate.extent_mm
+    assert np.array_equal(world.h_rob_cam_true.matrix, demo.h_rob_cam_true.matrix)
+    pose = ("plate_x_mm", "plate_y_mm", "plate_yaw_rad", "floor_inclination_rad", "floor_azimuth_rad")
+    assert [getattr(world, k) for k in pose] == [getattr(demo, k) for k in pose]
+    assert world.seed == demo.seed
+    assert world.deformation_amplitude_mm == amplitude_mm
+    assert noise == GLASS_NOISE
+
+
+class TestWorldSchema:
+    def test_round_trip(self):
+        doc = _world_config()
+        w, _, _ = world_from_dict(doc)
+        placements = default_placements(w)
+        doc["placements"] = {
+            f"position{i}": {"x_mm": p.x_mm, "y_mm": p.y_mm, "yaw_deg": math.degrees(p.yaw_rad)}
+            for i, p in enumerate(placements)
+        }
+        w2, noise, pl = world_from_dict(doc)
+        _assert_demo_rig(w2, noise, 0.0)
+        assert pl is not None
+        for got, want in zip(pl, placements):
+            assert (got.x_mm, got.y_mm) == (want.x_mm, want.y_mm)
+            assert abs(got.yaw_rad - want.yaw_rad) < 1e-12
+
+    def test_defaults_for_optional_blocks(self):
+        doc = _world_config()
         del doc["floor"]
         del doc["noise"]
         del doc["seed"]
@@ -196,19 +224,21 @@ class TestWorldSchema:
         assert noise.tracker_sigma_mm == 0.035
         assert pl is None
 
-    def test_bad_hand_eye_matrix(self, world):
-        doc = world_to_dict(world, GLASS_NOISE)
+    def test_bad_hand_eye_matrix(self):
+        doc = _world_config()
         doc["hand_eye"]["matrix"][0][0] = 5.0
         with pytest.raises(SchemaError):
             world_from_dict(doc)
 
     def test_wooden_config_is_the_bowed_world(self):
-        # the config's plate bow goes onto the world: its sessions are those of
-        # the flat world bowed by inject_wooden_plate, and it encodes unchanged
+        # the config's plate bow goes onto the world: it is the demo rig with
+        # a 1 mm bow, and its sessions are those of the flat world bowed by
+        # inject_wooden_plate
         doc = read_json(CONFIGS / "world_wooden.json")
         world, noise, placements = world_from_dict(doc)
         assert world.deformation_amplitude_mm == doc["noise"]["plate_amplitude_mm"] == 1.0
-        assert world_to_dict(world, noise, placements) == doc
+        _assert_demo_rig(world, noise, 1.0)
+        assert placements is None
         flat, _, _ = world_from_dict({**doc, "noise": {**doc["noise"], "plate_amplitude_mm": 0.0}})
         injected = inject_wooden_plate(flat, 1.0)
         for reverse in (False, True):
@@ -216,14 +246,14 @@ class TestWorldSchema:
             sessions = [simulate_referencing_session(w, noise, *pair) for w in (world, injected)]
             assert session_to_dict(sessions[0]) == session_to_dict(sessions[1])
 
-    def test_negative_plate_amplitude_names_its_field(self, world):
-        doc = world_to_dict(world, GLASS_NOISE)
+    def test_negative_plate_amplitude_names_its_field(self):
+        doc = _world_config()
         doc["noise"]["plate_amplitude_mm"] = -0.5
         with pytest.raises(SchemaError, match=r"^world\.noise\.plate_amplitude_mm: .*non-negative"):
             world_from_dict(doc)
 
-    def test_negative_noise_rejected(self, world):
-        doc = world_to_dict(world, GLASS_NOISE)
+    def test_negative_noise_rejected(self):
+        doc = _world_config()
         doc["noise"]["tracker_sigma_mm"] = -1.0
         with pytest.raises(SchemaError):
             world_from_dict(doc)
@@ -231,8 +261,8 @@ class TestWorldSchema:
 
 class TestPlanSchema:
     def test_round_trip(self):
-        plan = ExperimentPlan(mark_xy_mm=(10.0, 20.0), repeats=3)
-        assert plan_from_dict(plan_to_dict(plan)) == plan
+        plan = plan_from_dict(read_json(CONFIGS / "plan.json"))
+        assert plan == ExperimentPlan(mark_xy_mm=(1200.0, 900.0))
 
     def test_defaults(self):
         plan = plan_from_dict({"mark_xy_mm": [1.0, 2.0]})
@@ -263,8 +293,6 @@ def test_read_json_rejects_non_object(tmp_path):
 
 
 # --- malformed fields --------------------------------------------------------
-
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -378,6 +406,23 @@ MALFORMED = [
     ("session", _set(["plate", "extent_mm"], [0, 0]), "plate"),
     ("session", _set(["plate", "extent_mm"], [1e-300, 400]), "plate"),
     ("world", _set(["plate", "extent_mm"], [-600, 400]), "plate"),
+    # the reversal and provenance blocks hold what the tool writes there
+    ("result", _set(["reversal"], "garbage"), "result.reversal"),
+    ("result", _set(["reversal", "extra"], 1), "result.reversal"),
+    ("result", _set(["reversal", "delta_rotation_deg"], "0"), "result.reversal.delta_rotation_deg"),
+    ("result", _set(["reversal", "run_residuals"], []), "result.reversal.run_residuals"),
+    (
+        "result",
+        _set(["reversal", "run_residuals", 1, "reprojection_rms_px"], None),
+        "result.reversal.run_residuals[1].reprojection_rms_px",
+    ),
+    ("result", _set(["provenance"], 17), "result.provenance"),
+    ("result", _set(["provenance", "version"], 1), "result.provenance.version"),
+    ("session", _set(["provenance", "operator"], "me"), "session.provenance"),
+    ("session", _set(["provenance", "seed"], "seven"), "session.provenance.seed"),
+    ("session", _set(["provenance", "seed"], -1), "session.provenance.seed"),
+    ("session", _set(["provenance", "inputs"], ["world"]), "session.provenance.inputs"),
+    ("session", _set(["provenance", "inputs", "world"], 5), "session.provenance.inputs.world"),
 ]
 
 

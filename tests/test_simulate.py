@@ -117,6 +117,12 @@ class TestSessionGeneration:
         assert abs(devs.std() - sigma) / sigma < 0.05
 
 
+def _wheel_contacts_rob(robot):
+    # the wheel contacts in the robot frame: the smr is the origin
+    xy = np.array(robot.wheel_contacts_xy_mm)
+    return np.column_stack([xy, np.full(3, -robot.smr_height_mm)])
+
+
 class TestSupportPose:
     def test_flat_plate_pose_is_exact(self, world):
         h = pose_on_surface(world, RobotPlacement(210.0, -270.0, 0.3), "plate")
@@ -133,7 +139,7 @@ class TestSupportPose:
         placement = RobotPlacement(250.0, -180.0, 0.8)
         h = pose_on_surface(world, placement, surface)
         surf = world.plate_surface_z if surface == "plate" else world.floor_surface_z
-        contacts = apply(h, world.robot.wheel_contacts_rob)
+        contacts = apply(h, _wheel_contacts_rob(world.robot))
         gaps = np.abs(np.asarray(surf(contacts[:, 0], contacts[:, 1])) - contacts[:, 2])
         assert np.max(gaps) < 1e-9
 
@@ -143,7 +149,7 @@ class TestSupportPose:
 
         world = replace(world, floor_inclination_rad=math.radians(2.0))
         h = pose_on_surface(world, RobotPlacement(500.0, 100.0, 0.2), "floor")
-        contacts = apply(h, world.robot.wheel_contacts_rob)
+        contacts = apply(h, _wheel_contacts_rob(world.robot))
         n = np.cross(contacts[1] - contacts[0], contacts[2] - contacts[0])
         n = n / np.linalg.norm(n)
         if n[2] < 0:
