@@ -84,7 +84,7 @@ class MarkMeasurement:
     @classmethod
     def _unchecked(cls, direction: str, yaw_deg: float, position: Array, trial: int) -> MarkMeasurement:
         # For records whose direction, yaw and (read-only) position have been
-        # checked as arrays, as run_experiment does: no per-record checks.
+        # checked as arrays, as measurement_records does: no per-record checks.
         m = object.__new__(cls)
         object.__setattr__(m, "direction", direction)
         object.__setattr__(m, "yaw_deg", yaw_deg)
@@ -263,23 +263,36 @@ def run_experiment(
     if first < count:
         raise views.error[first] or _off_sensor(*rowcol[first])
 
-    # MarkMeasurement's checks, once per array
-    directions = [direction_for_yaw(yaw) for yaw in yaws]
-    nominal = np.tile([DIRECTION_YAW_DEG[d] for d in directions], plan.repeats)
-    bad_yaw = ~(np.abs(_wrap_deg(yaw_deg - nominal)) <= DIRECTION_TOLERANCE_DEG)
+    directions = [direction_for_yaw(yaw) for yaw in yaws] * plan.repeats
+    trials = [k // len(yaws) for k in range(count)]
+    return measurement_records(directions, yaw_deg, positions, trials)
+
+
+def measurement_records(
+    directions: Sequence[str], yaw_deg: Array, positions: Array, trials: Sequence[int]
+) -> list[MarkMeasurement]:
+    """Mark measurements from a direction, an (n,) yaw array, an (n, 3)
+    position array and a trial per record, checked once per array as the
+    ``MarkMeasurement`` constructor checks one record: a known direction, the
+    yaw within 10 degrees of its nominal yaw after wrapping, and a finite
+    position. The first failing record raises the constructor's error; the
+    records share the position array, made read-only."""
+    nominal = np.array([DIRECTION_YAW_DEG.get(d, math.nan) for d in directions])
+    with np.errstate(invalid="ignore"):  # an infinite yaw wraps to NaN, which fails
+        bad_yaw = ~(np.abs(_wrap_deg(yaw_deg - nominal)) <= DIRECTION_TOLERANCE_DEG)
     bad = bad_yaw | ~np.isfinite(positions).all(axis=1)
     yaw_list = yaw_deg.tolist()
     if bad.any():
         k = int(np.argmax(bad))
+        if directions[k] not in DIRECTION_YAW_DEG:
+            raise ValueError(f"unknown direction {directions[k]!r}")
         if bad_yaw[k]:
-            raise ValueError(
-                f"yaw {yaw_list[k]:.2f} deg inconsistent with direction {directions[k % len(yaws)]!r}"
-            )
+            raise ValueError(f"yaw {yaw_list[k]:.2f} deg inconsistent with direction {directions[k]!r}")
         raise ValueError(f"point components must be finite, got {positions[k]}")
     positions.setflags(write=False)
     return [
-        MarkMeasurement._unchecked(directions[k % len(yaws)], yaw_actual, positions[k], k // len(yaws))
-        for k, yaw_actual in enumerate(yaw_list)
+        MarkMeasurement._unchecked(direction, yaw, position, trial)
+        for direction, yaw, position, trial in zip(directions, yaw_list, positions, trials)
     ]
 
 

@@ -360,11 +360,11 @@ def invert(h: RigidTransform) -> RigidTransform:
 
 def transform_gap(a: RigidTransform, b: RigidTransform) -> tuple[float, float]:
     """Distance between two transforms: translation gap (mm) and geodesic
-    rotation gap (rad)."""
-    return (
-        float(norm(a.translation - b.translation)),
-        rotation_distance(a.rotation, b.rotation),
-    )
+    rotation gap (rad). The translation gap is inf, with no warning, when it
+    is beyond the float range."""
+    with np.errstate(over="ignore"):
+        dt = float(norm(a.translation - b.translation))
+    return dt, rotation_distance(a.rotation, b.rotation)
 
 
 def apply(h: RigidTransform, p: Sequence[float] | Array) -> Array:

@@ -50,10 +50,20 @@ REVERSAL_MAX_TRANSLATION_MM = 2.0
 REVERSAL_MAX_ROTATION_RAD = np.radians(1.0)
 
 
+class OffSensorPoint(ValueError):
+    """A session's image point off its camera's sensor; ``index`` is its row
+    of ``image_points``, so a decoder can name the entry it read it from."""
+
+    def __init__(self, message: str, index: int) -> None:
+        super().__init__(message)
+        self.index = index
+
+
 @dataclass(frozen=True, eq=False)
 class ReferencingSession:
     """The measurements of one referencing run. The constructor checks them
-    (``ValueError``) and stores the arrays as read-only float copies.
+    (``ValueError``, ``OffSensorPoint`` for an image point off the sensor)
+    and stores the arrays as read-only float copies.
 
     Attributes:
         camera: calibrated camera model
@@ -94,9 +104,10 @@ class ReferencingSession:
         off = np.flatnonzero(~self.camera.contains_points(self.image_points))
         if off.size:
             row, col = self.image_points[off[0]].tolist()
-            raise ValueError(
+            raise OffSensorPoint(
                 f"image point {off[0]} (row {row}, col {col}) is off the "
-                f"{self.camera.rows}x{self.camera.cols} px sensor"
+                f"{self.camera.rows}x{self.camera.cols} px sensor",
+                int(off[0]),
             )
 
 

@@ -16,7 +16,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import SchemaError
-from .experiment import DIRECTIONS, ClusterReport, DirectionStats, MarkMeasurement
+from .experiment import (
+    DIRECTIONS,
+    ClusterReport,
+    DirectionStats,
+    MarkMeasurement,
+    measurement_records,
+)
 
 CSV_HEADER = (
     "Direction",
@@ -95,23 +101,20 @@ def report_to_dict(report: ClusterReport) -> dict:
 
 
 def write_measurements_csv(measurements: Sequence[MarkMeasurement], path: str | Path) -> None:
+    positions = np.reshape([m.position for m in measurements], (-1, 3)).tolist()
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(MEASUREMENT_COLUMNS)
-        for m in measurements:
-            writer.writerow(
-                [
-                    m.direction,
-                    repr(m.yaw_deg),
-                    repr(float(m.position[0])),
-                    repr(float(m.position[1])),
-                    repr(float(m.position[2])),
-                    m.trial,
-                ]
-            )
+        writer.writerows(
+            [m.direction, repr(m.yaw_deg), repr(x), repr(y), repr(z), m.trial]
+            for m, (x, y, z) in zip(measurements, positions)
+        )
 
 
 def read_measurements_csv(path: str | Path) -> list[MarkMeasurement]:
+    """The records of a measurement CSV, checked once per array
+    (``measurement_records``). When a row is malformed or a record fails its
+    check, the rows are read one at a time to name the first bad line."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as f:
             rows = list(csv.reader(f))
@@ -119,8 +122,18 @@ def read_measurements_csv(path: str | Path) -> list[MarkMeasurement]:
         raise SchemaError(f"cannot read measurement CSV {path}: {e}") from e
     if not rows or tuple(rows[0]) != MEASUREMENT_COLUMNS:
         raise SchemaError(f"{path}: expected header {','.join(MEASUREMENT_COLUMNS)}")
+    body = rows[1:]
+    if all(len(row) == 6 for row in body):
+        try:
+            values = np.reshape([[float(v) for v in row[1:5]] for row in body], (-1, 4))
+            trials = [int(row[5]) for row in body]
+            return measurement_records(
+                [row[0] for row in body], values[:, 0], values[:, 1:].copy(), trials
+            )
+        except ValueError:
+            pass
     out = []
-    for i, row in enumerate(rows[1:], start=2):
+    for i, row in enumerate(body, start=2):
         if len(row) != 6:
             raise SchemaError(f"{path}:{i}: expected 6 columns, got {len(row)}")
         try:
@@ -159,9 +172,8 @@ def _panel_svg(
     rel = xy - center
     span = max(1e-6, 2.0 * float(np.max(np.abs(rel))) * 1.15)
     scale = size / span
-
-    def to_px(p: np.ndarray) -> tuple[float, float]:
-        return (x0 + size / 2.0 + p[0] * scale, y0 + size / 2.0 - p[1] * scale)
+    px = (x0 + size / 2.0 + rel[:, 0] * scale).tolist()
+    py = (y0 + size / 2.0 - rel[:, 1] * scale).tolist()
 
     parts = [
         f'<rect x="{x0}" y="{y0}" width="{size}" height="{size}" fill="white" stroke="#333"/>',
@@ -189,10 +201,10 @@ def _panel_svg(
         f'<text x="{x0 + size - 4:.1f}" y="{y0 + size - 6:.1f}" text-anchor="end" '
         f'font-size="10" font-family="sans-serif" fill="#555">grid {step:g} mm</text>'
     )
-    for m in measurements:
-        px, py = to_px(m.position[:2] - center)
-        color = _COLORS[m.direction]
-        parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="3" fill="{color}" fill-opacity="0.8"/>')
+    parts.extend(
+        f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{_COLORS[m.direction]}" fill-opacity="0.8"/>'
+        for m, x, y in zip(measurements, px, py)
+    )
     return parts
 
 

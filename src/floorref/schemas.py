@@ -9,12 +9,17 @@ human-facing reports round to nine decimals elsewhere.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
+import operator
+from collections.abc import Mapping
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterator
 
 import numpy as np
+from numpy.typing import NDArray
 
 from . import __version__, frames
 from .camera import CameraModel, build_rectification_map
@@ -26,9 +31,11 @@ from .geometry import (
     rotation_to_quaternion,
     transform_gap,
 )
-from .pipeline import ReferencingResult, ReferencingSession
+from .pipeline import OffSensorPoint, ReferencingResult, ReferencingSession
 from .plate import NEST_IDS, ReferencingPlate
 from .simulate import NoiseConfig, RobotModel, RobotPlacement, SimWorld
+
+Array = NDArray[np.float64]
 
 TOOL_NAME = "floorref"
 TOOL_VERSION = __version__
@@ -48,10 +55,103 @@ def read_json(path: str | Path) -> dict:
 
 
 def write_json(doc: Mapping[str, Any], path: str | Path) -> None:
+    pieces: list[str] = []
+    _json_pieces(doc, "", pieces.append)
+    pieces.append("\n")
     # newline pinned so outputs stay byte-identical across platforms
-    text = json.dumps(doc, indent=2) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(text)
+        f.write("".join(pieces))
+
+
+# The text of ``json.dumps(value, indent=2)``, appended piece by piece to one
+# list and joined once (with an indent, json encodes through generators in
+# pure Python). Each value takes the spelling json gives it, by json's rules
+# in json's order: a finite float (an ``np.float64`` too) is its
+# ``float.__repr__``, NaN and the infinities are spelled as in JavaScript, and
+# strings are ASCII-escaped. Unlike json, a container that holds itself is
+# not detected: it ends in RecursionError, and no document holds one.
+
+
+def _float_text(v: float) -> str:
+    if v != v:
+        return "NaN"
+    if v == math.inf:
+        return "Infinity"
+    if v == -math.inf:
+        return "-Infinity"
+    return float.__repr__(v)
+
+
+def _key_text(key: Any) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, float):
+        return encode_basestring_ascii(_float_text(key))
+    if key is True:
+        return '"true"'
+    if key is False:
+        return '"false"'
+    if key is None:
+        return '"null"'
+    if isinstance(key, int):
+        return encode_basestring_ascii(int.__repr__(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _json_pieces(value: Any, indent: str, append: Callable[[str], None]) -> None:
+    """Append the text of a value whose first line is indented by ``indent``.
+    A container writes its finite floats and its strings, most of a
+    document's values, in place."""
+    if isinstance(value, dict):
+        if not value:
+            append("{}")
+            return
+        inner = indent + "  "
+        lead, separator = "{\n" + inner, ",\n" + inner
+        for k, v in value.items():
+            append(lead + (encode_basestring_ascii(k) if type(k) is str else _key_text(k)) + ": ")
+            lead = separator
+            if type(v) is float and math.isfinite(v):
+                append(float.__repr__(v))
+            elif type(v) is str:
+                append(encode_basestring_ascii(v))
+            else:
+                _json_pieces(v, inner, append)
+        append("\n" + indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            append("[]")
+            return
+        inner = indent + "  "
+        lead, separator = "[\n" + inner, ",\n" + inner
+        for v in value:
+            append(lead)
+            lead = separator
+            if type(v) is float and math.isfinite(v):
+                append(float.__repr__(v))
+            elif type(v) is str:
+                append(encode_basestring_ascii(v))
+            else:
+                _json_pieces(v, inner, append)
+        append("\n" + indent + "]")
+    else:
+        append(_scalar_text(value))
+
+
+def _scalar_text(value: Any) -> str:
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
 def file_sha256(path: str | Path) -> str:
@@ -160,13 +260,61 @@ def _objects(
         yield w, entry
 
 
+# The fast paths of the decoders: an array whose values are all finite floats
+# (what JSON decoding gives for a number written with a fraction or an
+# exponent) becomes one numpy array, with no reader per value. The readers
+# return such a value as it is, so both paths give the same array; anything
+# else (an int, a bool, NaN, a missing or unknown key) goes to the readers,
+# which accept or refuse it and name the field.
+
+_FLOAT = frozenset({float})
+
+
+def _float_array(rows: list, width: int) -> Array | None:
+    """Rows of ``width`` values as an (n, width) float array when every value
+    is a finite float; None otherwise."""
+    flat = list(itertools.chain.from_iterable(rows))
+    # a float sum is finite only if every term is; finite terms whose sum
+    # overflows go to the readers, which accept them
+    if set(map(type, flat)) != _FLOAT or not math.isfinite(sum(flat)):
+        return None
+    return np.array(flat).reshape(-1, width)
+
+
+def _plain_entries(
+    entries: Any, labels: tuple[str, ...], numbers: tuple[str, ...]
+) -> tuple[list, Array] | None:
+    """Fast path of an array of objects: when ``entries`` is a non-empty array
+    of objects that each hold exactly the keys ``labels`` and ``numbers``, with
+    a finite float under each of ``numbers``, each entry's label (its value
+    under a single label key, or the tuple of them) as read, for the caller to
+    check, and the (n, len(numbers)) array of its numbers. None otherwise."""
+    if type(entries) is not list or not entries:
+        return None
+    keys = {*labels, *numbers}
+    if not all(type(entry) is dict and entry.keys() == keys for entry in entries):
+        return None
+    values = _float_array(list(map(operator.itemgetter(*numbers), entries)), len(numbers))
+    if values is None:
+        return None
+    return list(map(operator.itemgetter(*labels), entries)), values
+
+
+def _unique_strings(ids: list) -> bool:
+    return all(type(i) is str for i in ids) and len(set(ids)) == len(ids)
+
+
 def _transform(doc: Any, where: str, key: str, source: str, dest: str) -> RigidTransform:
+    rows = doc[key]
+    m = None
+    if type(rows) is list and len(rows) == 4 and all(type(r) is list and len(r) == 4 for r in rows):
+        m = _float_array(rows, 4)
     w = _path(where, key)
-    rows = _array(doc, where, key, 4)
+    if m is None:
+        rows = _array(doc, where, key, 4)
+        m = np.array([_numbers(rows, w, i, 4) for i in range(4)])
     try:
-        return RigidTransform.from_matrix(
-            np.array([_numbers(rows, w, i, 4) for i in range(4)]), source=source, dest=dest
-        )
+        return RigidTransform.from_matrix(m, source=source, dest=dest)
     except ValueError as e:
         raise SchemaError(f"{w}: {e}") from e
 
@@ -224,12 +372,10 @@ def camera_from_dict(doc: Mapping[str, Any]) -> CameraModel:
 
 
 def plate_to_dict(plate: ReferencingPlate) -> dict:
+    ids, marks = plate.mark_array()
     return {
-        "marks": [
-            {"id": mark_id, "x": float(p[0]), "y": float(p[1])}
-            for mark_id, p in plate.marks.items()
-        ],
-        "nests": {nid: [float(v) for v in plate.nests[nid]] for nid in NEST_IDS},
+        "marks": [{"id": mark_id, "x": x, "y": y} for mark_id, (x, y, _) in zip(ids, marks.tolist())],
+        "nests": {nid: plate.nests[nid].tolist() for nid in NEST_IDS},
         "delta_mm": plate.delta_mm,
         "extent_mm": list(plate.extent_mm),
     }
@@ -238,12 +384,19 @@ def plate_to_dict(plate: ReferencingPlate) -> dict:
 def plate_from_dict(doc: Mapping[str, Any]) -> ReferencingPlate:
     where = "plate"
     _check_keys(doc, where, {"marks", "nests", "delta_mm", "extent_mm"}, set())
-    marks = {}
-    for w, entry in _objects(doc, where, "marks", {"id", "x", "y"}, set()):
-        mark_id = _text(entry, w, "id")
-        if mark_id in marks:
-            raise SchemaError(f"{w}.id: duplicate mark id {mark_id!r}")
-        marks[mark_id] = np.array([_number(entry, w, "x"), _number(entry, w, "y"), 0.0])
+    if doc["marks"] == []:
+        raise SchemaError(f"{where}.marks: expected at least one mark, got []")
+    plain = _plain_entries(doc["marks"], ("id",), ("x", "y"))
+    if plain is not None and _unique_strings(plain[0]):
+        ids, xy = plain
+        marks = dict(zip(ids, np.column_stack([xy, np.zeros(len(ids))])))
+    else:
+        marks = {}
+        for w, entry in _objects(doc, where, "marks", {"id", "x", "y"}, set()):
+            mark_id = _text(entry, w, "id")
+            if mark_id in marks:
+                raise SchemaError(f"{w}.id: duplicate mark id {mark_id!r}")
+            marks[mark_id] = np.array([_number(entry, w, "x"), _number(entry, w, "y"), 0.0])
     _check_keys(doc["nests"], f"{where}.nests", set(NEST_IDS), set())
     nests = {nid: np.array(_numbers(doc["nests"], f"{where}.nests", nid, 3)) for nid in NEST_IDS}
     try:
@@ -298,13 +451,18 @@ def session_to_dict(
     return doc
 
 
-def session_from_dict(doc: Mapping[str, Any]) -> ReferencingSession:
-    where = "session"
-    required = {"camera", "plate", "tracker_measurements", "image_observation"}
-    _check_keys(doc, where, required, {"ground_truth", "provenance"})
-    camera = camera_from_dict(doc["camera"])
-    plate = plate_from_dict(doc["plate"])
-    points: dict[tuple[str, int | None], tuple[float, float, float]] = {}
+def _tracker_points(doc: Mapping[str, Any], where: str) -> Array:
+    """The (5, 3) tracker points of a session in ``_TRACKER_POINTS`` order."""
+    plain = _plain_entries(doc["tracker_measurements"], ("id", "position_index"), ("x", "y", "z"))
+    if plain is not None:
+        points, xyz = plain
+        if (
+            all(type(i) is str and (n is None or type(n) is int) for i, n in points)
+            and len(points) == len(_TRACKER_POINTS)
+            and set(points) == set(_TRACKER_POINTS)
+        ):
+            return xyz[[points.index(point) for point in _TRACKER_POINTS]]
+    found: dict[tuple[str, int | None], tuple[float, float, float]] = {}
     keys = {"id", "x", "y", "z"}
     for w, entry in _objects(doc, where, "tracker_measurements", keys, {"position_index"}):
         point_id = _text(entry, w, "id")
@@ -316,12 +474,24 @@ def session_from_dict(doc: Mapping[str, Any]) -> ReferencingSession:
                 f"{w}: {_tracker_point(point)} is not a tracker point of a session (nests 'r', "
                 f"'g' and 'b' without a position index, 'robot_smr' at position index 0 and 1)"
             )
-        if point in points:
+        if point in found:
             raise SchemaError(f"{w}: second reading of {_tracker_point(point)}")
-        points[point] = xyz
+        found[point] = xyz
     for point in _TRACKER_POINTS:
-        if point not in points:
+        if point not in found:
             raise SchemaError(f"{where}.tracker_measurements: no reading of {_tracker_point(point)}")
+    return np.array([found[point] for point in _TRACKER_POINTS])
+
+
+def _image_observation(
+    doc: Mapping[str, Any], where: str, plate: ReferencingPlate
+) -> tuple[tuple[str, ...], Array]:
+    """The observed mark ids of a session and their (n, 2) image points."""
+    plain = _plain_entries(doc["image_observation"], ("mark_id",), ("row", "col"))
+    if plain is not None:
+        mark_ids, rowcol = plain
+        if _unique_strings(mark_ids) and plate.marks.keys() >= set(mark_ids):
+            return tuple(mark_ids), rowcol
     observation: dict[str, tuple[float, float]] = {}
     entries = _objects(doc, where, "image_observation", {"mark_id", "row", "col"}, set())
     for w, entry in entries:
@@ -331,24 +501,35 @@ def session_from_dict(doc: Mapping[str, Any]) -> ReferencingSession:
         if mark_id not in plate.marks:
             raise SchemaError(f"{w}.mark_id: mark {mark_id!r} is not on the plate")
         observation[mark_id] = (_number(entry, w, "row"), _number(entry, w, "col"))
-    rowcol = np.reshape(list(observation.values()), (-1, 2))
-    off = np.flatnonzero(~camera.contains_points(rowcol))
-    if off.size:
-        row, col = rowcol[off[0]].tolist()
-        raise SchemaError(
-            f"{where}.image_observation[{off[0]}]: point (row {row}, col {col}) is off "
-            f"the {camera.rows}x{camera.cols} px sensor"
+    return tuple(observation), np.reshape(list(observation.values()), (-1, 2))
+
+
+def session_from_dict(doc: Mapping[str, Any]) -> ReferencingSession:
+    where = "session"
+    required = {"camera", "plate", "tracker_measurements", "image_observation"}
+    _check_keys(doc, where, required, {"ground_truth", "provenance"})
+    camera = camera_from_dict(doc["camera"])
+    plate = plate_from_dict(doc["plate"])
+    points = _tracker_points(doc, where)
+    mark_ids, rowcol = _image_observation(doc, where, plate)
+    try:
+        session = ReferencingSession(
+            camera=camera,
+            plate=plate,
+            mark_ids=mark_ids,
+            image_points=rowcol,
+            nest_points=points[:3],
+            robot_points=points[3:],
         )
+    except OffSensorPoint as e:
+        row, col = rowcol[e.index].tolist()
+        raise SchemaError(
+            f"{where}.image_observation[{e.index}]: point (row {row}, col {col}) is off "
+            f"the {camera.rows}x{camera.cols} px sensor"
+        ) from e
     if "provenance" in doc:
         _check_provenance(doc["provenance"], f"{where}.provenance")
-    return ReferencingSession(
-        camera=camera,
-        plate=plate,
-        mark_ids=tuple(observation),
-        image_points=rowcol,
-        nest_points=[points[point] for point in _TRACKER_POINTS[:3]],
-        robot_points=[points[point] for point in _TRACKER_POINTS[3:]],
-    )
+    return session
 
 
 def session_ground_truth(doc: Mapping[str, Any]) -> dict[str, RigidTransform] | None:

@@ -71,6 +71,15 @@ class TestSimulate:
         assert err.startswith("error: plate: nest 'r' at (45, 50) mm is off the plate: extent_mm (")
         assert not (tmp_path / "s.json").exists()
 
+    def test_empty_plate_marks_exit_2(self, tmp_path, capsys):
+        doc = read_json(CONFIGS / "world.json")
+        doc["plate"]["marks"] = []
+        world = tmp_path / "world.json"
+        write_json(doc, world)
+        assert run("simulate", world, "--out", tmp_path / "s.json") == 2
+        assert capsys.readouterr().err == "error: plate.marks: expected at least one mark, got []\n"
+        assert not (tmp_path / "s.json").exists()
+
     def test_overflowing_plate_bow_exit_3_without_warning(self, tmp_path, capsys):
         # the support-pose solve overflows: the placement's row fails with its
         # typed error, and numpy prints nothing (a warning is an error here)
@@ -153,7 +162,11 @@ class TestCalibrate:
         bad = tmp_path / "bad.json"
         write_json(doc, bad)
         assert run("calibrate", bad, "--out", tmp_path / "r.json") == 2
-        assert "error: session.image_observation[4]:" in capsys.readouterr().err
+        col, camera = doc["image_observation"][4]["col"], doc["camera"]
+        assert capsys.readouterr().err == (
+            f"error: session.image_observation[4]: point (row 20000.0, col {col}) is off "
+            f"the {camera['rows']}x{camera['cols']} px sensor\n"
+        )
 
     def test_observed_mark_not_on_plate_exit_2(self, tmp_path, quiet_world, capsys):
         session = tmp_path / "session.json"
@@ -192,6 +205,26 @@ class TestCalibrate:
         assert run("calibrate", bad, "--out", tmp_path / "r.json") == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["plate"].update(delta_mm=1e300),
+            lambda doc: doc["ground_truth"]["rob_H_cam"][0].__setitem__(3, 1e300),
+        ],
+        ids=["plate-delta", "truth-translation"],
+    )
+    def test_gap_to_truth_beyond_the_float_range_is_inf_without_warning(self, tmp_path, quiet_world, capsys, edit):
+        # the translation gap overflows: it prints as inf, and numpy prints
+        # nothing (a warning is an error here)
+        session = tmp_path / "s.json"
+        run("simulate", quiet_world, "--out", session)
+        doc = read_json(session)
+        edit(doc)
+        write_json(doc, session)
+        capsys.readouterr()
+        assert run("calibrate", session, "--out", tmp_path / "r.json") == 0
+        assert "\nvs_truth_translation_mm           inf\n" in capsys.readouterr().out
 
     def test_solver_failure_exit_4_naming_stage(self, tmp_path, quiet_world, capsys):
         session = tmp_path / "session.json"

@@ -19,6 +19,7 @@ from floorref.geometry import (
     rotation_distance,
 )
 from floorref.pipeline import (
+    OffSensorPoint,
     ReferencingSession,
     compute_rob_h_cam,
     estimate_plate_pose,
@@ -175,8 +176,10 @@ class TestSessionType:
             f"image point 4 (row {row}, col {a[4, 1]}) is off the "
             f"{camera.rows}x{camera.cols} px sensor"
         )
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(OffSensorPoint, match=f"^{re.escape(message)}$") as info:
             replace(noiseless_session, image_points=a)
+        assert isinstance(info.value, ValueError)
+        assert info.value.index == 4
 
     def test_point_on_the_last_row_accepted(self, noiseless_session):
         camera = noiseless_session.camera

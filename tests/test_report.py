@@ -2,7 +2,9 @@ import csv
 import xml.etree.ElementTree as ET
 
 import numpy as np
+import pytest
 
+from floorref.errors import SchemaError
 from floorref.experiment import MarkMeasurement, cluster_metrics
 from floorref.report import (
     CSV_HEADER,
@@ -67,6 +69,31 @@ def test_measurements_csv_round_trip(tmp_path):
         assert a.yaw_deg == b.yaw_deg
         assert np.array_equal(a.position, b.position)
         assert a.trial == b.trial
+
+
+# two bad records of a measurement CSV (line number -> row): the error names the
+# first bad line, whichever of the checks each one fails
+BAD_RECORDS = [
+    ({5: "up,25.0,1,2,0,0", 9: "sideways,0.0,1,2,0,0"}, "5: yaw 25.00 deg inconsistent with direction 'up'"),
+    ({5: "sideways,0.0,1,2,0,0", 9: "up,25.0,1,2,0,0"}, "5: unknown direction 'sideways'"),
+    ({5: "up,0.0,1,2,0", 9: "up,25.0,1,2,0,0"}, "5: expected 6 columns, got 5"),
+    ({7: "up,0.0,1,inf,0,0", 9: "up,25.0,1,2,0,0"}, "7: y_mm: expected a finite number, got 'inf'"),
+    ({7: "up,0.0,1,2,0,zero", 8: "up,0.0,1,nan,0,0"}, "7: invalid literal for int() with base 10: 'zero'"),
+    ({6: "up,0.0,1,2,1e999,0"}, "6: z_mm: expected a finite number, got '1e999'"),
+]
+
+
+@pytest.mark.parametrize("rows, message", BAD_RECORDS, ids=[m for _, m in BAD_RECORDS])
+def test_measurements_csv_names_the_first_bad_line(tmp_path, rows, message):
+    path = tmp_path / "m.csv"
+    write_measurements_csv(sample_measurements(), path)
+    lines = path.read_text().splitlines()
+    for number, row in rows.items():
+        lines[number - 1] = row
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError) as info:
+        read_measurements_csv(path)
+    assert str(info.value) == f"{path}:{message}"
 
 
 def test_svg_is_wellformed_and_has_points(tmp_path):

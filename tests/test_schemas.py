@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -393,6 +394,8 @@ MALFORMED = [
     # a camera pose that cannot view the plate is a bad document, not bad geometry
     ("result", _set(["intermediates", "cam_H_ref", 2, 3], -1e300), "result.intermediates.cam_H_ref"),
     ("session", _repeat_plate_mark, "plate.marks[25].id"),
+    ("session", _set(["plate", "marks"], []), "plate.marks"),
+    ("world", _set(["plate", "marks"], []), "plate.marks"),
     ("session", _unknown_truth_key, "session.ground_truth"),
     ("session", _set(["image_observation", 2, "row"], 20000.0), "session.image_observation[2]"),
     ("session", _set(["image_observation", 3, "mark_id"], "Z9"), "session.image_observation[3].mark_id"),
@@ -602,3 +605,133 @@ def test_any_structural_mutation_decodes_or_raises_schema_error(quick_start_docs
             _decode(kind, doc, quick_start_docs)
         except SchemaError:
             pass
+
+
+# --- the JSON writer -----------------------------------------------------------
+
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([10**400, -(2**64), 0]),
+    st.floats(),  # NaN and the infinities included
+    st.floats().map(np.float64),
+    st.text(),  # non-ASCII and control characters included
+)
+_JSON_KEYS = st.one_of(st.text(max_size=5), st.integers(), st.floats(), st.booleans(), st.none())
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.tuples(inner, inner),
+        st.dictionaries(_JSON_KEYS, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.dictionaries(_JSON_KEYS, _JSON_VALUES, max_size=5))
+def test_write_json_text_is_json_dumps_with_indent_2(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("json") / "doc.json"
+    write_json(doc, path)
+    assert path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode("ascii")
+
+
+def test_write_json_special_values_and_refusals(tmp_path):
+    path = tmp_path / "doc.json"
+    doc = {
+        "empty": [[], {}, [[{}]], {"e": {"f": []}}],
+        "floats": [math.nan, math.inf, -math.inf, -0.0, 5e-324, np.float64(0.1), np.float64(math.nan)],
+        "keys": {math.nan: 1, -math.inf: 2, 1.5: 3, 10**30: 4, True: 5, None: 6},
+        "ints": [10**400, -(2**64), True, False, None],
+        "text": ("é\x00\u2028\ud83d\"\\/", ""),
+        "nan": math.nan,
+    }
+    write_json(doc, path)
+    assert path.read_text() == json.dumps(doc, indent=2) + "\n"
+    for bad, message in [
+        ({"a": {1, 2}}, "Object of type set is not JSON serializable"),
+        ({"a": np.int64(1)}, "Object of type int64 is not JSON serializable"),
+        ({("a",): 1}, "keys must be str, int, float, bool or None, not tuple"),
+    ]:
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            json.dumps(bad, indent=2)
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            write_json(bad, path)
+
+
+# --- the decoders' fast paths --------------------------------------------------
+
+# A value that a decoder reads through its fast path (an array of objects or a
+# matrix of plain floats), the decoded number it becomes, and its field path.
+# Any other JSON value sends the array to the per-value readers.
+FAST_PATH_VALUES = [
+    ("session", ["plate", "marks", 3, "x"], lambda out: out[0].plate.marks["m03"][0], "plate.marks[3].x"),
+    ("world", ["plate", "marks", 3, "y"], lambda out: out[0].plate.marks["m03"][1], "plate.marks[3].y"),
+    (
+        "session",
+        ["image_observation", 3, "col"],
+        lambda out: out[0].image_points[3, 1],
+        "session.image_observation[3].col",
+    ),
+    (
+        "session",
+        ["tracker_measurements", 3, "y"],  # the robot smr at position 0
+        lambda out: out[0].robot_points[0, 1],
+        "session.tracker_measurements[3].y",
+    ),
+    (
+        "session",
+        ["ground_truth", "rob_H_cam", 0, 3],
+        lambda out: out[1]["rob_H_cam"].translation[0],
+        "session.ground_truth.rob_H_cam[0][3]",
+    ),
+    (
+        "result",
+        ["intermediates", "abs_H_rob", 1, 3],
+        lambda out: out.h_abs_rob.translation[1],
+        "result.intermediates.abs_H_rob[1][3]",
+    ),
+]
+_FAST_PATH_IDS = [field for _, _, _, field in FAST_PATH_VALUES]
+
+
+def _decoded(kind, doc, docs):
+    if kind == "session":
+        return session_from_dict(doc), session_ground_truth(doc)
+    if kind == "result":
+        return result_from_dict(doc, camera_from_dict(docs["world"]["camera"]))
+    return world_from_dict(doc)
+
+
+def _value_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "true", "1" + "0" * 400])
+@pytest.mark.parametrize("kind, path, read, field", FAST_PATH_VALUES, ids=_FAST_PATH_IDS)
+def test_fast_path_refuses_what_the_readers_refuse(quick_start_docs, kind, path, read, field, literal):
+    doc = copy.deepcopy(quick_start_docs[kind])
+    value = json.loads(literal)  # what json.load gives for the literal in a file
+    _set(path, value)(doc)
+    with pytest.raises(SchemaError) as info:
+        _decoded(kind, doc, quick_start_docs)
+    assert str(info.value) == f"{field}: expected a finite number, got {value!r}"
+
+
+@pytest.mark.parametrize("kind, path, read, field", FAST_PATH_VALUES, ids=_FAST_PATH_IDS)
+def test_fast_path_reads_ints_and_negative_zero_as_the_readers_do(quick_start_docs, kind, path, read, field):
+    doc = quick_start_docs[kind]
+    assert read(_decoded(kind, doc, quick_start_docs)) == _value_at(doc, path)  # the path reads it
+    number = round(_value_at(doc, path))
+    for value, as_float in [(number, float(number)), (-0.0, -0.0)]:
+        decoded = []
+        for v in (value, as_float):
+            edited = copy.deepcopy(doc)
+            _set(path, v)(edited)
+            decoded.append(read(_decoded(kind, edited, quick_start_docs)))
+        assert decoded[0] == decoded[1] == as_float
+        assert np.signbit(decoded[0]) == np.signbit(as_float)
