@@ -186,6 +186,8 @@ def project_points(model: CameraModel, pts_cam: Array) -> tuple[Array, Array]:
     in_front = z > _MIN_DEPTH_MM
     with np.errstate(divide="ignore", invalid="ignore"):
         xy = pc[:, :2] / z[:, None]
+    if in_front.all():
+        return model.normalized_to_pixel_array(xy), in_front
     xy[~in_front] = np.nan
     rc = np.full((pc.shape[0], 2), np.nan)
     if in_front.any():

@@ -86,10 +86,7 @@ class MarkMeasurement:
         # For records whose direction, yaw and (read-only) position have been
         # checked as arrays, as measurement_records does: no per-record checks.
         m = object.__new__(cls)
-        object.__setattr__(m, "direction", direction)
-        object.__setattr__(m, "yaw_deg", yaw_deg)
-        object.__setattr__(m, "position", position)
-        object.__setattr__(m, "trial", trial)
+        m.__dict__.update(direction=direction, yaw_deg=yaw_deg, position=position, trial=trial)
         return m
 
 
@@ -130,6 +127,11 @@ class ExperimentPlan:
             raise ValueError(f"mark_xy_mm must be finite, got {self.mark_xy_mm}")
         object.__setattr__(self, "mark_xy_mm", tuple(float(v) for v in self.mark_xy_mm))
         object.__setattr__(self, "yaw_deg_list", tuple(float(v) for v in self.yaw_deg_list))
+
+    @functools.cached_property
+    def directions(self) -> tuple[str, ...]:
+        """Direction label of each planned yaw, worked out on first use."""
+        return tuple(map(direction_for_yaw, self.yaw_deg_list))
 
 
 def _measure_marks(
@@ -189,12 +191,14 @@ def run_experiment(
     All repeats x directions go through one batched pass. The random numbers
     are drawn first, in per-measurement order from each repeat's substream
     (yaw jitter, offset angle and radius, image noise, tracker noise) in three
-    calls: one standard normal, two uniforms and five standard normals. They
-    are scaled as ``Generator.uniform`` (low + (high - low) u) and
-    ``Generator.normal`` (loc + scale z) scale their draws. The
-    geometry then runs on arrays: the placements, the floor support poses
-    (``simulate.mark_views``), one projection, one rectification of the noisy
-    image points and one robot-to-tracker transform. If measurements fail, the
+    calls: one standard normal, then two uniforms and five standard normals
+    written in place into the measurement's rows. They are scaled as
+    ``Generator.uniform`` (low + (high - low) u) and ``Generator.normal``
+    (loc + scale z) scale their draws. The direction labels are the plan's
+    (``ExperimentPlan.directions``). The geometry then runs on arrays: the
+    placements, the floor support poses (``simulate.mark_views``), one
+    projection, one rectification of the noisy image points and one
+    robot-to-tracker transform. If measurements fail, the
     error of the first one in repeat-then-direction order is raised, as a
     one-at-a-time loop would.
 
@@ -232,8 +236,8 @@ def run_experiment(
         rng = rng_substream(base_seed, STREAM_EXPERIMENT, trial)
         for _ in yaws:
             jitter[k] = rng.standard_normal()
-            uniform[k] = rng.random(2)
-            normal[k] = rng.standard_normal(5)
+            rng.random(out=uniform[k])
+            rng.standard_normal(out=normal[k])
             k += 1
     yaw_deg = np.tile(yaws, plan.repeats) + plan.yaw_jitter_deg * jitter
     theta = 2.0 * math.pi * uniform[:, 0]
@@ -263,7 +267,7 @@ def run_experiment(
     if first < count:
         raise views.error[first] or _off_sensor(*rowcol[first])
 
-    directions = [direction_for_yaw(yaw) for yaw in yaws] * plan.repeats
+    directions = plan.directions * plan.repeats
     trials = [k // len(yaws) for k in range(count)]
     return measurement_records(directions, yaw_deg, positions, trials)
 
@@ -317,37 +321,6 @@ def _permutation(n: int) -> tuple[int, ...]:
     return tuple(idx)
 
 
-def _dist(ax: float, ay: float, bx: float, by: float) -> float:
-    dx = ax - bx
-    dy = ay - by
-    return math.sqrt(dx * dx + dy * dy)
-
-
-def _circle_two(ax: float, ay: float, bx: float, by: float) -> tuple[float, float, float]:
-    cx = (ax + bx) / 2.0
-    cy = (ay + by) / 2.0
-    r = max(_dist(cx, cy, ax, ay), _dist(cx, cy, bx, by))
-    return cx, cy, r
-
-
-def _circle_three(
-    ax: float, ay: float, bx: float, by: float, px: float, py: float
-) -> tuple[float, float, float] | None:
-    # Circumcircle, evaluated about the bounding-box midpoint for conditioning.
-    ox = (min(ax, bx, px) + max(ax, bx, px)) / 2.0
-    oy = (min(ay, by, py) + max(ay, by, py)) / 2.0
-    a0, a1 = ax - ox, ay - oy
-    b0, b1 = bx - ox, by - oy
-    p0, p1 = px - ox, py - oy
-    d = (a0 * (b1 - p1) + b0 * (p1 - a1) + p0 * (a1 - b1)) * 2.0
-    if d == 0.0:
-        return None
-    x = ox + ((a0 * a0 + a1 * a1) * (b1 - p1) + (b0 * b0 + b1 * b1) * (p1 - a1) + (p0 * p0 + p1 * p1) * (a1 - b1)) / d
-    y = oy + ((a0 * a0 + a1 * a1) * (p0 - b0) + (b0 * b0 + b1 * b1) * (a0 - p0) + (p0 * p0 + p1 * p1) * (b0 - a0)) / d
-    r = max(_dist(x, y, ax, ay), _dist(x, y, bx, by), _dist(x, y, px, py))
-    return x, y, r
-
-
 def enclosing_circle(points: Array) -> tuple[float, float, float]:
     """Center x, center y and radius of the smallest circle containing all
     points of a non-empty (n, 2) float64 array.
@@ -356,6 +329,13 @@ def enclosing_circle(points: Array) -> tuple[float, float, float]:
     boundary passes); expected linear time, deterministic permutation. A point
     is inside a circle of radius r when its distance from the center is at
     most r (1 + 1e-14) + 1e-14; that bound is computed once per circle.
+
+    The circle constructions are written out in the loop, with no call per
+    circle: the diameter circle of two points, and the circumcircle of three,
+    evaluated about their bounding-box midpoint for conditioning. Its radius is
+    the largest distance from the center to a defining point. A collinear
+    triple has no circumcircle and takes the widest of its three diameter
+    circles (the first on a tie).
 
     Squared distances overflow beyond about 1.3e154: when the radius comes out
     infinite or NaN for finite points, the construction is redone on the
@@ -388,8 +368,12 @@ def enclosing_circle(points: Array) -> tuple[float, float, float]:
             dy = qy - cy
             if sqrt(dx * dx + dy * dy) <= lim:
                 continue
-            # p_i and p_j both lie on the boundary
-            cx, cy, r = _circle_two(px, py, qx, qy)
+            # p_i and p_j both lie on the boundary: their diameter circle
+            cx = (px + qx) / 2.0
+            cy = (py + qy) / 2.0
+            dx, dy = cx - px, cy - py
+            ex, ey = cx - qx, cy - qy
+            r = max(sqrt(dx * dx + dy * dy), sqrt(ex * ex + ey * ey))
             lim = r * (1.0 + 1e-14) + 1e-14
             for k in range(j):
                 sx, sy = pts[k]
@@ -397,17 +381,30 @@ def enclosing_circle(points: Array) -> tuple[float, float, float]:
                 dy = sy - cy
                 if sqrt(dx * dx + dy * dy) <= lim:
                     continue
-                c3 = _circle_three(px, py, qx, qy, sx, sy)
-                if c3 is None:
-                    # collinear triple: widest diameter circle of the three
-                    pairs = (
-                        _circle_two(px, py, qx, qy),
-                        _circle_two(px, py, sx, sy),
-                        _circle_two(qx, qy, sx, sy),
-                    )
-                    cx, cy, r = max(pairs, key=lambda c: c[2])
+                # the circumcircle of p_i, p_j and p_k
+                ox = (min(px, qx, sx) + max(px, qx, sx)) / 2.0
+                oy = (min(py, qy, sy) + max(py, qy, sy)) / 2.0
+                a0, a1 = px - ox, py - oy
+                b0, b1 = qx - ox, qy - oy
+                c0, c1 = sx - ox, sy - oy
+                d = (a0 * (b1 - c1) + b0 * (c1 - a1) + c0 * (a1 - b1)) * 2.0
+                if d == 0.0:  # collinear: the widest diameter circle of the three
+                    circles = []
+                    for ax, ay, bx, by in ((px, py, qx, qy), (px, py, sx, sy), (qx, qy, sx, sy)):
+                        mx = (ax + bx) / 2.0
+                        my = (ay + by) / 2.0
+                        dx, dy = mx - ax, my - ay
+                        ex, ey = mx - bx, my - by
+                        circles.append((mx, my, max(sqrt(dx * dx + dy * dy), sqrt(ex * ex + ey * ey))))
+                    cx, cy, r = max(circles, key=lambda c: c[2])
                 else:
-                    cx, cy, r = c3
+                    aa, bb, cc = a0 * a0 + a1 * a1, b0 * b0 + b1 * b1, c0 * c0 + c1 * c1
+                    cx = ox + (aa * (b1 - c1) + bb * (c1 - a1) + cc * (a1 - b1)) / d
+                    cy = oy + (aa * (c0 - b0) + bb * (a0 - c0) + cc * (b0 - a0)) / d
+                    dx, dy = cx - px, cy - py
+                    ex, ey = cx - qx, cy - qy
+                    fx, fy = cx - sx, cy - sy
+                    r = max(sqrt(dx * dx + dy * dy), sqrt(ex * ex + ey * ey), sqrt(fx * fx + fy * fy))
                 lim = r * (1.0 + 1e-14) + 1e-14
     if not math.isfinite(r) and np.isfinite(points).all():
         e = math.frexp(float(np.abs(points).max()))[1]
@@ -546,7 +543,8 @@ def cluster_metrics(measurements: Sequence[MarkMeasurement]) -> ClusterReport:
     (k, size) arrays reduced along each cluster's row (one pass when every
     direction has the same count), so each figure is the one a cluster alone
     gives; the enclosing circle is one ``enclosing_circle`` call per cluster
-    and one for all points.
+    and one for all points, with its two- and three-point constructions
+    written out in that function's loop.
 
     Raises:
         EmptyCluster: no measurements.

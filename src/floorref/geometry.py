@@ -141,8 +141,8 @@ def rotations_about_z(angles_rad: Sequence[float] | Array) -> Array:
     """
     angles = np.asarray(angles_rad, dtype=np.float64).reshape(-1).tolist()
     r = np.zeros((len(angles), 3, 3))
-    r[:, 0, 0] = r[:, 1, 1] = [math.cos(a) for a in angles]
-    r[:, 1, 0] = [math.sin(a) for a in angles]
+    r[:, 0, 0] = r[:, 1, 1] = list(map(math.cos, angles))
+    r[:, 1, 0] = list(map(math.sin, angles))
     r[:, 0, 1] = -r[:, 1, 0]
     r[:, 2, 2] = 1.0
     return r

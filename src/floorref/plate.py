@@ -67,13 +67,17 @@ class ReferencingPlate:
                 f"nest triangle area {area:.1f} mm^2 below {MIN_NEST_TRIANGLE_MM2} mm^2"
             )
         ex, ey = extent = tuple(float(v) for v in self.extent_mm)
-        for what, points in (("nest", nests), ("mark", marks)):
-            for point_id, (x, y, _) in zip(points, np.reshape(list(points.values()), (-1, 3)).tolist()):
-                if not (0.0 <= x <= ex and 0.0 <= y <= ey):
-                    raise ValueError(
-                        f"{what} {point_id!r} at ({x:g}, {y:g}) mm is off the plate: extent_mm "
-                        f"({ex:g}, {ey:g}) requires 0 <= x <= {ex:g} and 0 <= y <= {ey:g}"
-                    )
+        # one stacked check; only when it fails does the loop name the first
+        # point off the extent, nests before marks
+        xy = np.array([*nests.values(), *marks.values()])[:, :2]
+        if not ((0.0 <= xy) & (xy <= extent)).all():
+            for what, points in (("nest", nests), ("mark", marks)):
+                for point_id, (x, y, _) in zip(points, np.reshape(list(points.values()), (-1, 3)).tolist()):
+                    if not (0.0 <= x <= ex and 0.0 <= y <= ey):
+                        raise ValueError(
+                            f"{what} {point_id!r} at ({x:g}, {y:g}) mm is off the plate: extent_mm "
+                            f"({ex:g}, {ey:g}) requires 0 <= x <= {ex:g} and 0 <= y <= {ey:g}"
+                        )
         object.__setattr__(self, "marks", MappingProxyType(marks))
         object.__setattr__(self, "nests", MappingProxyType(nests))
         object.__setattr__(self, "extent_mm", extent)

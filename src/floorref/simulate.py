@@ -262,9 +262,10 @@ def support_poses(world: SimWorld, xy: Array, yaw_rad: Array, surface: str) -> S
     contacts and reposing the rigid wheel triangle on that plane until the
     contacts sit on the surface within 1e-12 mm. A row's pose is taken at the
     iteration where it settles; from then on it repeats that iteration on the
-    same contacts until every row has settled. Every operation is taken row
-    by row, so each row equals a one-row call. A row that overflows (a surface
-    near the float range) fails alone, with no numpy warning.
+    same contacts until every row has settled; when all rows settle at the
+    same iteration, that iteration's arrays are the poses. Every operation is
+    taken row by row, so each row equals a one-row call. A row that overflows
+    (a surface near the float range) fails alone, with no numpy warning.
     """
     surf = world.plate_surface_z if surface == "plate" else world.floor_surface_z
     xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
@@ -284,8 +285,7 @@ def support_poses(world: SimWorld, xy: Array, yaw_rad: Array, surface: str) -> S
     origin = np.empty((n_rows, 3))
     origin[:, :2] = xy
 
-    rotation = np.full((n_rows, 3, 3), np.nan)
-    translation = np.full((n_rows, 3), np.nan)
+    rotation = translation = None  # NaN-filled at the first iteration that leaves a row unsettled
     error: list[DegenerateConfiguration | None] = [None] * n_rows
     done = np.zeros(n_rows, dtype=bool)  # settled or failed
     for _ in range(_SUPPORT_MAX_ITER):
@@ -313,6 +313,11 @@ def support_poses(world: SimWorld, xy: Array, yaw_rad: Array, surface: str) -> S
         contacts = origin[:, None, :] + wheel_x * x_r[:, None, :] + wheel_y * y_r[:, None, :]
         surf_z = np.asarray(surf(contacts[..., 0], contacts[..., 1]), dtype=np.float64)
         settled = ~done & (np.abs(surf_z - contacts[..., 2]).max(axis=1) < _SUPPORT_TOL_MM)
+        if settled.all():
+            # every row settles here and none has failed: the poses are this iteration's
+            return SupportPoses(frame, origin + h * n, tuple(error))
+        if rotation is None:
+            rotation, translation = np.full((n_rows, 3, 3), np.nan), np.full((n_rows, 3), np.nan)
         if settled.any():
             rotation[settled] = frame[settled]
             translation[settled] = (origin + h * n)[settled]

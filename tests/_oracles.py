@@ -21,8 +21,6 @@ from floorref.experiment import (
     ClusterReport,
     DirectionStats,
     MarkMeasurement,
-    _circle_three,
-    _circle_two,
     direction_for_yaw,
 )
 from floorref.geometry import RigidTransform, apply, compose, invert, rotation_about_z
@@ -230,9 +228,42 @@ def _inside(cx, cy, r, px, py) -> bool:
     return math.sqrt(dx * dx + dy * dy) <= r * (1.0 + 1e-14) + 1e-14
 
 
+def _dist(ax: float, ay: float, bx: float, by: float) -> float:
+    dx = ax - bx
+    dy = ay - by
+    return math.sqrt(dx * dx + dy * dy)
+
+
+def _circle_two(ax: float, ay: float, bx: float, by: float) -> tuple[float, float, float]:
+    cx = (ax + bx) / 2.0
+    cy = (ay + by) / 2.0
+    r = max(_dist(cx, cy, ax, ay), _dist(cx, cy, bx, by))
+    return cx, cy, r
+
+
+def _circle_three(
+    ax: float, ay: float, bx: float, by: float, px: float, py: float
+) -> tuple[float, float, float] | None:
+    # Circumcircle, evaluated about the bounding-box midpoint for conditioning.
+    ox = (min(ax, bx, px) + max(ax, bx, px)) / 2.0
+    oy = (min(ay, by, py) + max(ay, by, py)) / 2.0
+    a0, a1 = ax - ox, ay - oy
+    b0, b1 = bx - ox, by - oy
+    p0, p1 = px - ox, py - oy
+    d = (a0 * (b1 - p1) + b0 * (p1 - a1) + p0 * (a1 - b1)) * 2.0
+    if d == 0.0:
+        return None
+    x = ox + ((a0 * a0 + a1 * a1) * (b1 - p1) + (b0 * b0 + b1 * b1) * (p1 - a1) + (p0 * p0 + p1 * p1) * (a1 - b1)) / d
+    y = oy + ((a0 * a0 + a1 * a1) * (p0 - b0) + (b0 * b0 + b1 * b1) * (a0 - p0) + (p0 * p0 + p1 * p1) * (b0 - a0)) / d
+    r = max(_dist(x, y, ax, ay), _dist(x, y, bx, by), _dist(x, y, px, py))
+    return x, y, r
+
+
 def reference_enclosing_circle(points: np.ndarray) -> tuple[float, float, float]:
     """Welzl's circle over the LCG-shuffled points, one containment call per
-    point test (the circle constructors are the library's)."""
+    point test and one call per circle construction: the two-point diameter
+    circle and the three-point circumcircle about the bounding-box midpoint,
+    both kept here, apart from the library's loop."""
     pts = lcg_shuffled(points).tolist()
     cx, cy, r = pts[0][0], pts[0][1], 0.0
     for i in range(1, len(pts)):

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,16 +37,20 @@ from floorref.experiment import (
     run_experiment,
 )
 from floorref.geometry import RigidTransform, apply, compose
-from floorref.pipeline import compute_rob_h_cam
+from floorref.pipeline import compute_rob_h_cam, reversal_average
 from floorref.report import read_measurements_csv
+from floorref.schemas import plan_from_dict, read_json
 from floorref.simulate import (
     GLASS_NOISE,
     NO_NOISE,
     NoiseConfig,
     default_placements,
+    inject_wooden_plate,
     random_world,
     simulate_referencing_session,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestDirections:
@@ -379,6 +384,15 @@ class TestMinEnclosingCircle:
             else:
                 pts = rng.normal(size=(n, 2)) * 10.0 ** float(rng.integers(-3, 4))
             assert enclosing_circle(pts) == reference_enclosing_circle(pts)
+        for _ in range(300):
+            # grid points whose cubes overflow: some triples have no circumcircle
+            # (d == 0) and take the widest diameter circle; the reference has
+            # no overflow rescue, so only its finite circles are compared
+            n = int(rng.integers(3, 20))
+            pts = np.round(rng.normal(size=(n, 2))) * 10.0 ** float(rng.integers(95, 165))
+            expected = reference_enclosing_circle(pts)
+            if math.isfinite(expected[2]):
+                assert enclosing_circle(pts) == expected
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -543,11 +557,31 @@ class TestClusterMetricsReference:
             ms[:1],
         ]
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    @pytest.mark.parametrize("repeats", [5, 12])
-    def test_seeded_experiments(self, world, noiseless_result, seed, repeats):
-        plan = ExperimentPlan(mark_xy_mm=(1500.0, 700.0), repeats=repeats)
-        ms = run_experiment(world, GLASS_NOISE, plan, noiseless_result, seed=seed)
+    @pytest.mark.parametrize(
+        "world_seed, seed, repeats",
+        [*((None, seed, repeats) for repeats in (5, 12) for seed in (1, 2, 3)), (1, 1, None), (2, 2, None)],
+        ids=[*(f"{repeats}-{seed}" for repeats in (5, 12) for seed in (1, 2, 3)), "bowed-1", "bowed-2"],
+    )
+    def test_seeded_experiments(self, world, noiseless_result, world_seed, seed, repeats):
+        # the fixture world under a noiseless calibration, or the inputs the
+        # experiment benchmark scores: a random world bowed by 0.25 mm,
+        # calibrated by reversal under glass noise, with configs/plan.json
+        if world_seed is None:
+            plan = ExperimentPlan(mark_xy_mm=(1500.0, 700.0), repeats=repeats)
+            result = noiseless_result
+        else:
+            world = inject_wooden_plate(random_world(world_seed), 0.25)
+            runs = [
+                compute_rob_h_cam(
+                    simulate_referencing_session(
+                        world, GLASS_NOISE, *default_placements(world, reverse=reverse), trial=trial
+                    )
+                )
+                for trial, reverse in ((1, False), (2, True))
+            ]
+            result = reversal_average(*runs)
+            plan = plan_from_dict(read_json(CONFIGS / "plan.json"))
+        ms = run_experiment(world, GLASS_NOISE, plan, result, seed=seed)
         for sub in self._sublists(ms):
             assert cluster_metrics(sub) == reference_cluster_metrics(sub)
 

@@ -4,7 +4,9 @@ the array methods (``x.all()``, ``x.any()``), tolerance tests are written
 out as comparisons, small inverses are written in closed form (a linear
 system goes to ``np.linalg.solve``) and 3x3 determinants go through
 ``geometry.det3``, the cofactor expansion, so no module uses LAPACK's
-determinant; read from each module's source."""
+determinant; and every random generator is a Philox substream made by
+``simulate.rng_substream``, for per-seed determinism: no ``default_rng`` and
+no draw from numpy's legacy global state; read from each module's source."""
 
 import ast
 from pathlib import Path
@@ -16,6 +18,13 @@ MODULES = sorted(p.stem for p in SRC.glob("*.py"))
 FORBIDDEN = {"np.cross", "np.all", "np.any", "np.allclose", "np.isclose", "np.linalg.inv"}
 NORM = "np.linalg.norm"
 DET = "np.linalg.det"
+# the only uses of np.random: the generator of rng_substream, and the seed
+# derivation of the cli's per-trial seeds
+RANDOM_HOMES = {
+    "np.random.Generator": {"simulate.rng_substream"},
+    "np.random.Philox": {"simulate.rng_substream"},
+    "np.random.SeedSequence": {"simulate.rng_substream", "cli._derived_seed"},
+}
 
 
 def _dotted(node: ast.expr) -> str:
@@ -86,3 +95,70 @@ def test_reader_sees_every_form():
         "    return det3(r) + lu(r)\n"
     ) == [":1", "det3:3", "f:5", "g:7"]
     assert len(MODULES) >= 12
+
+
+def _random_uses(source: str) -> list[tuple[str, str, int]]:
+    """Each use of ``np.random`` in a module's source, called or not and
+    imported or not, as (``np.random.<name>`` or ``np.random``, innermost
+    enclosing function ("" at module level), line)."""
+    found = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute):
+                name = _dotted(child).replace("numpy.", "np.", 1)
+                if name == "np.random" or name.startswith("np.random."):
+                    found.append((".".join(name.split(".")[:3]), function, child.lineno))
+                    continue
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                module = f"{child.module}." if isinstance(child, ast.ImportFrom) else ""
+                for alias in child.names:
+                    name = f"{module}{alias.name}".replace("numpy.", "np.", 1)
+                    if name == "np.random" or name.startswith("np.random."):
+                        found.append((name, function, child.lineno))
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_generators_come_from_rng_substream():
+    uses = {
+        (name, f"{m}.{function}")
+        for m in MODULES
+        for name, function, _ in _random_uses((SRC / f"{m}.py").read_text(encoding="utf-8"))
+    }
+    homes = {(name, home) for name, homes in RANDOM_HOMES.items() for home in homes}
+    assert homes <= uses  # the reader sees the allowed uses
+    assert sorted(use for use in uses if use[1] not in RANDOM_HOMES.get(use[0], ())) == []
+
+
+def test_random_reader_sees_every_form():
+    source = (
+        "import numpy as np\n"
+        "from numpy.random import default_rng\n"
+        "from numpy import random, linalg\n"
+        "def rng_substream(seed):\n"
+        "    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))\n"
+        "def f():\n"
+        "    x = np.random.normal(0.0, 1.0)\n"
+        "    def g():\n"
+        "        return numpy.random.default_rng(1).normal()\n"
+        "    return np.random\n"
+        "rng: np.random.Generator = rng_substream(1)\n"
+        "import numpy.random\n"
+        "y = rng.standard_normal() + np.linalg.norm(x)\n"
+    )
+    assert _random_uses(source) == [
+        ("np.random.default_rng", "", 2),
+        ("np.random", "", 3),
+        ("np.random.Generator", "rng_substream", 5),
+        ("np.random.Philox", "rng_substream", 5),
+        ("np.random.SeedSequence", "rng_substream", 5),
+        ("np.random.normal", "f", 7),
+        ("np.random.default_rng", "g", 9),
+        ("np.random", "f", 10),
+        ("np.random.Generator", "", 11),
+        ("np.random", "", 12),
+    ]

@@ -67,12 +67,21 @@ class TestPlateType:
             ({"a": [0.0, 0.0, 0.0]}, [0.0, 400.0, 0.0], (600.0, 400.0), None),
             ({"a": [600.5, 10.0, 0.0]}, [40.0, 40.0, 0.0], (600.0, 400.0), r"mark 'a' at \(600\.5, 10\) mm"),
             ({"a": [10.0, -0.5, 0.0]}, [40.0, 40.0, 0.0], (600.0, 400.0), r"mark 'a' at \(10, -0\.5\) mm"),
+            (
+                {"a": [10.0, 10.0, 0.0], "b": [700.0, 10.0, 0.0], "c": [10.0, 500.0, 0.0]},
+                [40.0, 40.0, 0.0],
+                (600.0, 400.0),
+                r"mark 'b' at \(700, 10\) mm",
+            ),
             ({}, [40.0, 40.0, 0.0], (0.0, 0.0), r"nest 'r' at \(40, 40\) mm"),
             ({}, [40.0, 40.0, 0.0], (1e-300, 400.0), r"nest 'r' at \(40, 40\) mm"),
             ({}, [40.0, 40.0, 0.0], (-600.0, 400.0), r"nest 'r' at \(40, 40\) mm"),
             ({}, [40.0, 40.0, 0.0], (600.0, np.nan), r"nest 'r' at \(40, 40\) mm"),
         ],
-        ids=["corner", "origin-and-edge", "mark-beyond-x", "mark-below-y", "zero", "tiny", "negative", "nan"],
+        ids=[
+            "corner", "origin-and-edge", "mark-beyond-x", "mark-below-y", "first-of-two-marks",
+            "zero", "tiny", "negative", "nan",
+        ],
     )
     def test_marks_and_nests_lie_on_the_extent(self, marks, nest_r, extent, message):
         # every mark and nest lies in 0 <= x <= extent_mm[0], 0 <= y <= extent_mm[1]
