@@ -38,9 +38,11 @@ Array = NDArray[np.float64]
 
 _MIN_DEPTH_MM = 1e-9
 _MAX_INCIDENCE_DEG = 89.0
+_COS_MAX_INCIDENCE = math.cos(math.radians(_MAX_INCIDENCE_DEG))
 _POSE_MAX_ITER = 500
 _POSE_LAMBDA0 = 1e-6
 _POSE_RESIDUAL_ULPS = 8.0
+_POSE_RESIDUAL_ERR = _POSE_RESIDUAL_ULPS * float(np.finfo(np.float64).eps)
 _POSE_STEP_TOL = 1e-10
 _UNDISTORT_MAX_ITER = 50
 _UNDISTORT_RTOL = 4.0 * np.finfo(np.float64).eps
@@ -122,6 +124,17 @@ class CameraModel:
         if self.rows < 2 or self.cols < 2:
             raise ValueError("image size must be at least 2x2 px")
         object.__setattr__(self, "k", tuple(float(v) for v in self.k))
+        # per (row, col) axis: the pixel pitch and principal point, for the
+        # pixel conversions and the pose Jacobian, and the last pixel
+        consts = {
+            "_pitch_rc": [self.sy_mm, self.sx_mm],
+            "_center_rc": [self.cy_px, self.cx_px],
+            "_last_rc": [self.rows - 1, self.cols - 1],
+        }
+        for name, value in consts.items():
+            value = np.array(value, dtype=np.float64)
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
         self._check_invertible()
 
     def _check_invertible(self) -> None:
@@ -155,24 +168,20 @@ class CameraModel:
     def normalized_to_pixel_array(self, xy: Array) -> Array:
         """Distort normalized coordinates and convert to (row, col) pairs, (n, 2)."""
         d = distort_radial(np.atleast_2d(xy), *self.k)
-        rc = np.empty((d.shape[0], 2))
-        rc[:, 0] = self.cy_px + d[:, 1] * self.focal_mm / self.sy_mm
-        rc[:, 1] = self.cx_px + d[:, 0] * self.focal_mm / self.sx_mm
-        return rc
+        return d[:, 1::-1] * self.focal_mm / self._pitch_rc + self._center_rc
 
     def pixel_to_normalized_array(self, rowcol: Array) -> Array:
         """Undistorted normalized coordinates for (row, col) pairs, (n, 2)."""
         rowcol = np.atleast_2d(np.asarray(rowcol, dtype=np.float64))
-        xy = np.empty((rowcol.shape[0], 2))
-        xy[:, 0] = (rowcol[:, 1] - self.cx_px) * self.sx_mm / self.focal_mm
-        xy[:, 1] = (rowcol[:, 0] - self.cy_px) * self.sy_mm / self.focal_mm
+        xy = (rowcol[:, 1::-1] - self._center_rc[::-1]) * self._pitch_rc[::-1] / self.focal_mm
         return undistort_radial(xy, *self.k)
 
     def contains_points(self, rowcol: Array) -> Array:
         """Per (row, col) pair of an (n, 2) array, whether it lies on the
         sensor, 0 <= row <= rows - 1 and 0 <= col <= cols - 1; NaN is outside."""
-        row, col = np.asarray(rowcol, dtype=np.float64).T
-        return (0.0 <= row) & (row <= self.rows - 1) & (0.0 <= col) & (col <= self.cols - 1)
+        rc = np.asarray(rowcol, dtype=np.float64)
+        on = (0.0 <= rc) & (rc <= self._last_rc)
+        return on[:, 0] & on[:, 1]
 
 
 def project_points(model: CameraModel, pts_cam: Array) -> tuple[Array, Array]:
@@ -254,13 +263,15 @@ def build_rectification_map(model: CameraModel, h_cam_ref: RigidTransform) -> Sc
     """
     h_ref_cam = invert(h_cam_ref)
     c = h_ref_cam.translation
-    if abs(c[2]) < 1e-6:
+    c_z = float(c[2])
+    if abs(c_z) < 1e-6:
         raise DegenerateViewingGeometry("camera center lies in the plate plane")
-    sigma = 1.0 if c[2] > 0.0 else -1.0
-    axis = h_ref_cam.rotation[:, 2]  # the optical axis (0, 0, 1) in plate coordinates
-    if axis[2] * sigma >= 0.0:
+    sigma = 1.0 if c_z > 0.0 else -1.0
+    # z of the optical axis (0, 0, 1) in plate coordinates
+    axis_z = float(h_ref_cam.rotation[2, 2])
+    if axis_z * sigma >= 0.0:
         raise DegenerateViewingGeometry("optical axis points away from the plate plane")
-    if abs(axis[2]) < math.cos(math.radians(_MAX_INCIDENCE_DEG)):
+    if abs(axis_z) < _COS_MAX_INCIDENCE:
         raise DegenerateViewingGeometry(
             f"incidence angle beyond {_MAX_INCIDENCE_DEG} degrees"
         )
@@ -367,7 +378,7 @@ def _pose_jacobian(model: CameraModel, p: _PlateProjection) -> Array:
     """
     k1, k2, k3 = model.k
     n = p.z.shape[0]
-    scale = model.focal_mm / np.array([model.sy_mm, model.sx_mm])
+    scale = model.focal_mm / model._pitch_rc
     iz = 1.0 / p.z
     r2 = (p.xy * p.xy).sum(axis=1)
     f_z = _radial_factor(r2, k1, k2, k3) * iz
@@ -390,11 +401,13 @@ def _homography_dlt(plane_xy: Array, norm_xy: Array) -> Array:
     normalised coordinates, and its null vector is mapped back through the
     plate similarity and the closed-form inverse of the image similarity."""
     pts = np.concatenate([plane_xy, norm_xy], axis=1)
-    mean = pts.mean(axis=0)
+    n = len(pts)
+    # sum / n: the arithmetic of mean(axis=0) without its dispatch
+    mean = pts.sum(axis=0) / n
     d = pts - mean
     d2 = d * d
     # each set's mean distance from its centroid, rounded as np.linalg.norm(., axis=1) rounds
-    dist = np.sqrt(d2[:, 0::2] + d2[:, 1::2]).mean(axis=0)
+    dist = np.sqrt(d2[:, 0::2] + d2[:, 1::2]).sum(axis=0) / n
     scale = math.sqrt(2.0) / np.maximum(dist, 1e-12)
     u = d * scale.repeat(2)
     pln, img = u[:, :2], u[:, 2:]
@@ -408,13 +421,11 @@ def _homography_dlt(plane_xy: Array, norm_xy: Array) -> Array:
     a[:, :, 8] = -img
     # the full SVD: four marks give an 8 x 9 system, whose null vector is the ninth row of vt
     _, _, vt = np.linalg.svd(a.reshape(-1, 9))
-    s_pln, s_img = scale
-    t_pln = np.array(
-        [[s_pln, 0.0, -s_pln * mean[0]], [0.0, s_pln, -s_pln * mean[1]], [0.0, 0.0, 1.0]]
-    )
-    t_img_inv = np.array(
-        [[1.0 / s_img, 0.0, mean[2]], [0.0, 1.0 / s_img, mean[3]], [0.0, 0.0, 1.0]]
-    )
+    # the similarities from Python floats, which round as numpy scalars do
+    s_pln, s_img = scale.tolist()
+    m_x, m_y, m_u, m_v = mean.tolist()
+    t_pln = np.array([[s_pln, 0.0, -s_pln * m_x], [0.0, s_pln, -s_pln * m_y], [0.0, 0.0, 1.0]])
+    t_img_inv = np.array([[1.0 / s_img, 0.0, m_u], [0.0, 1.0 / s_img, m_v], [0.0, 0.0, 1.0]])
     h = t_img_inv @ vt[-1].reshape(3, 3) @ t_pln
     return h / h[2, 2]
 
@@ -466,12 +477,14 @@ def estimate_plate_pose_from_image(
     """
     rc_obs = np.asarray(image_points, dtype=np.float64)
     ref_pts = np.asarray(plate_points, dtype=np.float64)
-    n = len(rc_obs)
-    if n < 4:
+    # a 0-d array has no length: it fails the shape test below
+    sized = rc_obs.ndim > 0 and ref_pts.ndim > 0
+    n = len(rc_obs) if sized else 0
+    if sized and n < 4:
         raise DegenerateConfiguration(
             f"estimate_plate_pose_from_image: need at least 4 marks, got {n}"
         )
-    shapes = rc_obs.shape == (n, 2) and ref_pts.shape == (n, 3)
+    shapes = sized and rc_obs.shape == (n, 2) and ref_pts.shape == (n, 3)
     if not (shapes and np.isfinite(rc_obs).all() and np.isfinite(ref_pts).all()):
         raise ValueError(
             f"estimate_plate_pose_from_image: need finite (n, 2) image points and (n, 3) "
@@ -496,24 +509,31 @@ def estimate_plate_pose_from_image(
     res = (projection.rc - rc_obs).ravel()
     cost = float(res @ res)
     # rounding error of each residual: a few ulp of its pixel coordinate
-    res_err = _POSE_RESIDUAL_ULPS * np.finfo(np.float64).eps * np.abs(rc_obs).ravel()
+    res_err = _POSE_RESIDUAL_ERR * np.abs(rc_obs).ravel()
     lam = _POSE_LAMBDA0
     iterations = 0
+    # the damped normal matrix a + diag(lam diag(a) + 1e-12), rebuilt in place
+    # per trial: a + 0.0 (what adding the diagonal matrix's zeros gives), then
+    # the damping added to its diagonal
+    damped = np.empty((6, 6))
+    damped_diag = damped.reshape(36)[::7]
 
     for iterations in range(1, _POSE_MAX_ITER + 1):
         jac = _pose_jacobian(model, projection)
-        g = jac.T @ res
+        neg_g = -(jac.T @ res)
         a = jac.T @ jac
-        diag = np.diag(a)
+        diag = a.diagonal()
         cost_err = 2.0 * float(np.abs(res) @ res_err)  # rounding error of the cost
         stop = "no_descent"  # unless a trial step is accepted or falls below tolerance
         while lam < 1e12:
+            np.add(a, 0.0, out=damped)
+            damped_diag += lam * diag + 1e-12
             try:
-                step = np.linalg.solve(a + np.diag(lam * diag + 1e-12), -g)
+                step = np.linalg.solve(damped, neg_g)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            small = float(np.abs(step).max()) < _POSE_STEP_TOL
+            small = all(-_POSE_STEP_TOL < x < _POSE_STEP_TOL for x in step.tolist())
             r_new = rotation_from_rotvec(step[:3]) @ r
             t_new = t + step[3:]
             trial = _project_plate(model, ref_pts, r_new, t_new)

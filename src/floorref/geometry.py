@@ -40,6 +40,8 @@ Array = NDArray[np.float64]
 
 _EYE3 = np.eye(3)
 _EYE3.setflags(write=False)
+_FLIP_Z = np.diag([1.0, 1.0, -1.0])  # the Kabsch determinant correction
+_FLIP_Z.setflags(write=False)
 _YZX = np.array([1, 2, 0])
 _ZXY = np.array([2, 0, 1])
 
@@ -88,8 +90,16 @@ def det3(r: Array) -> float:
     value: a matrix with |R^T R - I|_F <= ROTATION_TOL and det > 0 has
     |det - 1| <= (sqrt(3) / 2) ROTATION_TOL, far inside the bound.
     """
-    (a, b, c), (d, e, f), (g, h, i) = r.tolist()
+    return _cofactor_det(*r.tolist())
+
+
+def _cofactor_det(row0: list[float], row1: list[float], row2: list[float]) -> float:
+    # det3 of a matrix given as its rows of Python floats
+    (a, b, c), (d, e, f), (g, h, i) = row0, row1, row2
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+_ENTRY_BOUND = 1.0 + ROTATION_TOL
 
 
 def validate_rotation(r: Array) -> None:
@@ -97,12 +107,14 @@ def validate_rotation(r: Array) -> None:
     if r.shape != (3, 3):
         raise ValueError(f"rotation must be 3x3, got {r.shape}")
     # bounded entries (NaN fails too) keep R^T R from overflowing
-    if not (np.abs(r) <= 1.0 + ROTATION_TOL).all():
+    rows = r.tolist()
+    b = _ENTRY_BOUND
+    if not all(-b <= x <= b for x in rows[0] + rows[1] + rows[2]):
         raise ValueError("rotation entries must be finite and within [-1, 1]")
     err = norm(r.T @ r - _EYE3)
     if err > ROTATION_TOL:
         raise ValueError(f"matrix not orthonormal: |R^T R - I|_F = {err:.3e}")
-    det = det3(r)
+    det = _cofactor_det(*rows)
     if abs(det - 1.0) > ROTATION_TOL:
         raise ValueError(f"matrix not a proper rotation: det = {det!r}")
 
@@ -156,11 +168,13 @@ def rotation_from_rotvec(w: Sequence[float] | Array) -> Array:
     """
     w = np.asarray(w, dtype=np.float64)
     angle = float(norm(w))
+    # the skew matrix from Python floats: w / angle rounds as numpy's division
+    x, y, z = w.tolist()
+    if angle >= 1e-12:
+        x, y, z = x / angle, y / angle, z / angle
+    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
     if angle < 1e-12:
-        k = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
         return _EYE3 + k + 0.5 * (k @ k)
-    a = w / angle
-    k = np.array([[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]])
     return _EYE3 + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
 
 
@@ -234,12 +248,6 @@ def quaternion_to_rotation(q: Sequence[float] | Array) -> Array:
 # --- rigid transforms -----------------------------------------------------
 
 
-def _frozen(a: Array) -> Array:
-    a = np.array(a, dtype=np.float64)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class RigidTransform:
     """SE(3) element mapping source-frame coordinates to dest-frame coordinates.
@@ -257,11 +265,14 @@ class RigidTransform:
     dest: str
 
     def __post_init__(self) -> None:
-        r = np.asarray(self.rotation, dtype=np.float64)
-        t = as_point3(self.translation)
+        # one copy of each array, checked and frozen in place
+        r = np.array(self.rotation, dtype=np.float64)
+        t = as_point3(np.array(self.translation, dtype=np.float64))
         validate_rotation(r)
-        object.__setattr__(self, "rotation", _frozen(r))
-        object.__setattr__(self, "translation", _frozen(t))
+        r.setflags(write=False)
+        t.setflags(write=False)
+        object.__setattr__(self, "rotation", r)
+        object.__setattr__(self, "translation", t)
 
     @classmethod
     def from_matrix(cls, m: Array, source: str, dest: str) -> RigidTransform:
@@ -392,7 +403,8 @@ def planar_spread(pts: Array) -> float:
     """Second singular value (mm) of an (n, 2) or (n, 3) point set about its
     mean. At or below MIN_PLANAR_SPREAD_MM the points are collinear or
     coincident and fix no plane: the one collinearity rule of the library."""
-    return float(np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)[1])
+    # sum / n: the arithmetic of mean(axis=0) without its dispatch
+    return float(np.linalg.svd(pts - pts.sum(axis=0) / len(pts), compute_uv=False)[1])
 
 
 def _rank2_check(pts: Array, label: str) -> None:
@@ -419,6 +431,8 @@ def register_points(
     SO(3); n >= 3 points, uniformly weighted.
 
     Raises:
+        ValueError: point lists not of shape (n, 3), or a non-finite source or
+            target point.
         LengthMismatch: unequal list lengths.
         DegenerateConfiguration: fewer than 3 points, or collinear/coincident
             source or target points.
@@ -431,25 +445,27 @@ def register_points(
         raise LengthMismatch(
             f"register_points: {src.shape[0]} source vs {dst.shape[0]} target points"
         )
-    if src.shape[0] < 3:
-        raise DegenerateConfiguration(
-            f"register_points: need at least 3 points, got {src.shape[0]}"
-        )
+    n = src.shape[0]
+    if n < 3:
+        raise DegenerateConfiguration(f"register_points: need at least 3 points, got {n}")
+    for pts, label in ((src, "source"), (dst, "target")):
+        if not np.isfinite(pts).all():
+            raise ValueError(f"register_points: need finite {label} points")
     _rank2_check(src, "source")
     _rank2_check(dst, "target")
 
-    src_mean = src.mean(axis=0)
-    dst_mean = dst.mean(axis=0)
+    src_mean = src.sum(axis=0) / n
+    dst_mean = dst.sum(axis=0) / n
     h = (src - src_mean).T @ (dst - dst_mean)
     u, _, vt = np.linalg.svd(h)
-    d = -1.0 if det3(vt.T @ u.T) < 0.0 else 1.0  # +-1 for an orthogonal product
-    r = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-    r = nearest_rotation(r)
+    # diag(1, 1, d) with d = +-1, the sign of det(V U^T) for an orthogonal product
+    d = _FLIP_Z if det3(vt.T @ u.T) < 0.0 else _EYE3
+    r = nearest_rotation(vt.T @ d @ u.T)
     t = dst_mean - r @ src_mean
 
     transform = RigidTransform(r, t, source=source_frame, dest=target_frame)
     residuals = dst - (src @ r.T + t)
-    rms = math.sqrt((residuals**2).sum(axis=1).mean())
+    rms = math.sqrt((residuals**2).sum(axis=1).sum() / n)
     return Registration(transform, rms)
 
 

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import functools
 import logging
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -240,50 +239,51 @@ def estimate_robot_pose(session: ReferencingSession, n: Sequence[float] | Array)
             f"{MIN_PROJECTED_DISPLACEMENT_MM} mm (motion parallel to the plate normal)"
         )
     v_perp = v_perp / norm_perp
-    c = cross3(n, v_perp)
-    r = np.column_stack([v_perp, c, n])
+    r = np.empty((3, 3))  # columns v_perp, n x v_perp, n
+    r[:, 0] = v_perp
+    r[:, 1] = cross3(n, v_perp)
+    r[:, 2] = n
     return RigidTransform(r, p0, source=frames.ROB, dest=frames.ABS)
 
 
-@contextmanager
-def _stage(name: str) -> Iterator[None]:
-    # Re-raise package errors with the pipeline stage name prefixed, keeping
-    # the concrete type for caller dispatch; a numpy solver failure, overflow
-    # or invalid value inside a stage is degenerate geometry.
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except FloorRefError as e:
-        raise type(e)(f"{name}: {e}") from e
-    except (np.linalg.LinAlgError, FloatingPointError) as e:
-        raise DegenerateConfiguration(f"{name}: {e}") from e
+_E_Z = np.array([0.0, 0.0, 1.0])
+_E_Z.setflags(write=False)
 
 
 def compute_rob_h_cam(session: ReferencingSession) -> ReferencingResult:
     """Run the full referencing chain on one session.
 
-    Errors from any stage are re-raised with the stage name prefixed.
+    Errors from any stage are re-raised with the stage name prefixed, keeping
+    the concrete type for caller dispatch; a numpy solver failure, overflow or
+    invalid value inside a stage is degenerate geometry. The stages run under
+    one ``np.errstate``, and ``stage`` names the one running.
     """
-    with _stage("estimate_plate_pose"):
-        plate_est = estimate_plate_pose(session)
+    stage = "estimate_plate_pose"
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            plate_est = estimate_plate_pose(session)
 
-    with _stage("plate_normal"):
-        area = triangle_area(*session.nest_points)
-        if area <= MIN_NEST_TRIANGLE_MM2:
-            raise DegenerateConfiguration(
-                f"nest triangle area {area:.2f} mm^2 at or below {MIN_NEST_TRIANGLE_MM2} mm^2"
-            )
-        # Optical axis in tracker coordinates, available once the plate pose
-        # is known; keeps the sign rule independent of the tracker gauge.
-        axis_scn = plate_est.scene.h_scn_cam.rotation @ np.array([0.0, 0.0, 1.0])
-        axis_abs = plate_est.h_abs_scn.rotation @ axis_scn
-        n = plate_normal(*session.nest_points, camera_axis=axis_abs)
+            stage = "plate_normal"
+            area = triangle_area(*session.nest_points)
+            if area <= MIN_NEST_TRIANGLE_MM2:
+                raise DegenerateConfiguration(
+                    f"nest triangle area {area:.2f} mm^2 at or below {MIN_NEST_TRIANGLE_MM2} mm^2"
+                )
+            # Optical axis in tracker coordinates, available once the plate
+            # pose is known; keeps the sign rule independent of the tracker gauge.
+            axis_scn = plate_est.scene.h_scn_cam.rotation @ _E_Z
+            axis_abs = plate_est.h_abs_scn.rotation @ axis_scn
+            n = plate_normal(*session.nest_points, camera_axis=axis_abs)
 
-    with _stage("estimate_robot_pose"):
-        h_abs_rob = estimate_robot_pose(session, n)
+            stage = "estimate_robot_pose"
+            h_abs_rob = estimate_robot_pose(session, n)
 
-    with _stage("compose"):
-        return ReferencingResult.from_chain(plate_est, h_abs_rob)
+            stage = "compose"
+            return ReferencingResult.from_chain(plate_est, h_abs_rob)
+    except FloorRefError as e:
+        raise type(e)(f"{stage}: {e}") from e
+    except (np.linalg.LinAlgError, FloatingPointError) as e:
+        raise DegenerateConfiguration(f"{stage}: {e}") from e
 
 
 def reversal_average(run_a: ReferencingResult, run_b: ReferencingResult) -> ReferencingResult:

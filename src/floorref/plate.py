@@ -81,10 +81,16 @@ class ReferencingPlate:
         object.__setattr__(self, "marks", MappingProxyType(marks))
         object.__setattr__(self, "nests", MappingProxyType(nests))
         object.__setattr__(self, "extent_mm", extent)
+        # the marks stacked in id order, (n, 3), and their centroid (None
+        # without marks), built once from the plate's own marks
+        stack = np.array(list(marks.values()), dtype=np.float64).reshape(len(marks), 3)
+        stack.setflags(write=False)
+        object.__setattr__(self, "_mark_stack", stack)
+        center = tuple(stack.mean(axis=0).tolist()) if marks else None
+        object.__setattr__(self, "_mark_center", center)
 
     def mark_array(self) -> tuple[list[str], Array]:
-        ids = list(self.marks.keys())
-        return ids, np.array([self.marks[i] for i in ids])
+        return list(self.marks.keys()), self._mark_stack.copy()
 
 
 def _checked_marks(marks: Mapping[str, Array]) -> dict[str, Array]:

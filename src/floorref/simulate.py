@@ -42,7 +42,6 @@ from .geometry import (
     rotation_about_y,
     rotation_about_z,
     rotations_about_z,
-    row_dots,
     triangle_area,
 )
 from .pipeline import ReferencingSession
@@ -181,9 +180,13 @@ class SimWorld:
         """Upward plate-surface deviation (mm) at plate coordinates."""
         if self.deformation_amplitude_mm == 0.0:
             return np.zeros_like(np.asarray(px, dtype=np.float64)) + 0.0
+        return self._rise(np.asarray(px, dtype=np.float64), np.asarray(py, dtype=np.float64))
+
+    def _rise(self, px: Array, py: Array) -> Array:
+        # surface_rise_pcs of a deformed plate, on float arrays
         ex, ey = self.plate.extent_mm
-        u = (np.asarray(px, dtype=np.float64) - ex / 2.0) / (ex / 2.0)
-        v = (np.asarray(py, dtype=np.float64) - ey / 2.0) / (ey / 2.0)
+        u = (px - ex / 2.0) / (ex / 2.0)
+        v = (py - ey / 2.0) / (ey / 2.0)
         return self.deformation_amplitude_mm * _deform_shape(u, v) / _DEFORM_PEAK
 
     def plate_surface_z(self, x: Array | float, y: Array | float) -> Array | float:
@@ -198,7 +201,7 @@ class SimWorld:
         py = -(s * dx + c * dy)  # plate frame is mirrored about its x-axis
         ex, ey = self.plate.extent_mm
         inside = (0.0 <= px) & (px <= ex) & (0.0 <= py) & (py <= ey)
-        return np.where(inside, self.surface_rise_pcs(px, py), 0.0)
+        return np.where(inside, self._rise(px, py), 0.0)
 
     def floor_surface_z(self, x: Array | float, y: Array | float) -> Array | float:
         """World height of the experiment floor (possibly inclined)."""
@@ -218,14 +221,10 @@ class SimWorld:
 
     def true_smr_points_ref(self, nest_offset_error_mm: float) -> Array:
         """Physical seated-smr centers in plate coordinates, all three nests."""
-        pts = []
-        for nest_id in NEST_IDS:
-            nest = self.plate.nests[nest_id].copy()
-            rise = float(np.asarray(self.surface_rise_pcs(nest[0], nest[1])))
-            nest[2] -= rise  # seat rides on the deformed surface
-            nest[2] -= self.plate.delta_mm + nest_offset_error_mm
-            pts.append(nest)
-        return np.array(pts)
+        pts = np.array([self.plate.nests[nest_id] for nest_id in NEST_IDS])
+        pts[:, 2] -= self.surface_rise_pcs(pts[:, 0], pts[:, 1])  # seats ride on the deformed surface
+        pts[:, 2] -= self.plate.delta_mm + nest_offset_error_mm
+        return pts
 
 
 def inject_wooden_plate(world: SimWorld, amplitude_mm: float) -> SimWorld:
@@ -302,13 +301,17 @@ def support_poses(world: SimWorld, xy: Array, yaw_rad: Array, surface: str) -> S
                             f"pose_on_surface: contact plane singular: {e}"
                         )
                         done[k] = True
+        # row_dots inline: the same stacked vector products on the same
+        # contiguous rows; the frame's columns x_r, y_r, n written in place
         n = np.ones((n_rows, 3))
         n[:, :2] = -coeffs[:, :2]
-        n /= np.sqrt(row_dots(n, n))[:, None]
-        x_r = heading - row_dots(heading, n)[:, None] * n
-        x_r /= np.sqrt(row_dots(x_r, x_r))[:, None]
-        y_r = cross3(n.T, x_r.T).T
-        frame = np.stack([x_r, y_r, n], axis=2)  # columns x_r, y_r, n
+        n /= np.sqrt((n[:, None, :] @ n[:, :, None])[:, 0])
+        x_r = heading - (heading[:, None, :] @ n[:, :, None])[:, 0] * n
+        x_r /= np.sqrt((x_r[:, None, :] @ x_r[:, :, None])[:, 0])
+        frame = np.empty((n_rows, 3, 3))
+        frame[:, :, 0] = x_r
+        frame[:, :, 1] = y_r = cross3(n.T, x_r.T).T
+        frame[:, :, 2] = n
         origin[:, 2] = coeffs[:, 0] * x0 + coeffs[:, 1] * y0 + coeffs[:, 2]
         contacts = origin[:, None, :] + wheel_x * x_r[:, None, :] + wheel_y * y_r[:, None, :]
         surf_z = np.asarray(surf(contacts[..., 0], contacts[..., 1]), dtype=np.float64)
@@ -393,7 +396,7 @@ def simulate_referencing_session(
         DegenerateConfiguration: a placement without a settled support pose.
         TargetNotVisible: fewer than 4 target marks in the camera view.
     """
-    return simulate_session_with_truth(world, noise, placement0, placement1, trial=trial)[0]
+    return _simulate_session(world, noise, placement0, placement1, trial)[0]
 
 
 def simulate_session_with_truth(
@@ -413,6 +416,26 @@ def simulate_session_with_truth(
         DegenerateMotion, DegenerateConfiguration, TargetNotVisible: as
             ``simulate_referencing_session``.
     """
+    session, both, pose0 = _simulate_session(world, noise, placement0, placement1, trial)
+    truth = {
+        "rob_H_cam": world.h_rob_cam_true,
+        "abs_H_ref": world.h_abs_ref,
+        "abs_H_rob_0": pose0,
+        "abs_H_rob_1": _support_pose(both, 1),
+    }
+    return session, truth
+
+
+def _simulate_session(
+    world: SimWorld,
+    noise: NoiseConfig,
+    placement0: RobotPlacement,
+    placement1: RobotPlacement,
+    trial: int,
+) -> tuple[ReferencingSession, SupportPoses, RigidTransform]:
+    # the session, both support poses and the robot pose at placement 0; the
+    # pose at placement 1 gives only its tracker point, so it is built as a
+    # transform only for the truth, but its error is raised here
     dx = placement1.x_mm - placement0.x_mm
     dy = placement1.y_mm - placement0.y_mm
     if math.hypot(dx, dy) < 1e-9:
@@ -432,13 +455,15 @@ def simulate_session_with_truth(
         [placement0.yaw_rad, placement1.yaw_rad],
         "plate",
     )
-    poses = (_support_pose(both, 0), _support_pose(both, 1))
+    pose0 = _support_pose(both, 0)
+    if both.error[1] is not None:
+        raise both.error[1]
     robot_points = both.translation + tracker_noise[len(NEST_IDS) :]
 
     # plate-target image at placement 0
     mark_ids, marks_ref = world.true_mark_points_ref()
     marks_abs = apply(h_abs_ref, marks_ref)
-    h_cam_abs = invert(compose(poses[0], world.h_rob_cam_true))
+    h_cam_abs = invert(compose(pose0, world.h_rob_cam_true))
     rc, in_front = project_points(world.camera, apply(h_cam_abs, marks_abs))
     # noise is drawn for each mark whose true point is on the sensor, in mark
     # order and in one call (the same stream as one draw per mark); a mark
@@ -461,13 +486,7 @@ def simulate_session_with_truth(
         nest_points=nest_points,
         robot_points=robot_points,
     )
-    truth = {
-        "rob_H_cam": world.h_rob_cam_true,
-        "abs_H_ref": world.h_abs_ref,
-        "abs_H_rob_0": poses[0],
-        "abs_H_rob_1": poses[1],
-    }
-    return session, truth
+    return session, both, pose0
 
 
 class MarkViews(NamedTuple):
@@ -640,8 +659,15 @@ def default_placements(
     world: SimWorld, *, reverse: bool = False
 ) -> tuple[RobotPlacement, RobotPlacement]:
     """Placement pair covering the plate target at position 0, with the robot
-    heading along the plate (reversed heading for instrument-reversal runs)."""
-    center_abs = apply(world.h_abs_ref, world.plate.mark_array()[1].mean(axis=0))
+    heading along the plate (reversed heading for instrument-reversal runs).
+
+    Raises:
+        ValueError: a plate without marks.
+    """
+    center = world.plate._mark_center
+    if center is None:
+        raise ValueError("default_placements: the plate has no marks to cover")
+    center_abs = apply(world.h_abs_ref, center)
     yaw = world.plate_yaw_rad + (math.pi if reverse else 0.0)
     g0 = camera_ground_offset(world)
     c, s = math.cos(yaw), math.sin(yaw)

@@ -564,8 +564,18 @@ class TestPlatePoseFromImage:
             lambda rc, p: (rc[1:], p),
             lambda rc, p: (np.where(np.arange(rc.size).reshape(rc.shape) == 3, np.nan, rc), p),
             lambda rc, p: (rc, np.where(np.arange(p.size).reshape(p.shape) == 4, np.inf, p)),
+            lambda rc, p: (np.float64(3.0), p),
+            lambda rc, p: (rc, np.float64(3.0)),
         ],
-        ids=["image-column", "plate-column", "one-image-point-fewer", "nan-image-point", "inf-plate-point"],
+        ids=[
+            "image-column",
+            "plate-column",
+            "one-image-point-fewer",
+            "nan-image-point",
+            "inf-plate-point",
+            "0-d-image-points",
+            "0-d-plate-points",
+        ],
     )
     def test_array_shapes_and_finiteness_checked(self, edit):
         m = model()

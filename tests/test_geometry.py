@@ -203,6 +203,17 @@ class TestRegisterPoints:
         with pytest.raises(DegenerateConfiguration):
             register_points(src, dst, "a", "b")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("label", ["source", "target"])
+    def test_non_finite_point_rejected_naming_its_set(self, label, value):
+        # checked before the rank checks, whose SVD would fail on it or warn
+        good = np.array([[0.0, 0.0, 0.0], [100.0, 0.0, 0.0], [0.0, 100.0, 0.0]])
+        bad = good.copy()
+        bad[1, 2] = value
+        pair = (bad, good) if label == "source" else (good, bad)
+        with pytest.raises(ValueError, match=f"^register_points: need finite {label} points$"):
+            register_points(*pair, "a", "b")
+
     @settings(max_examples=30, deadline=None)
     @given(rigid_transforms("dst", "dst2"))
     def test_left_invariance(self, g):

@@ -460,24 +460,33 @@ def test_calibrate_op_call_counts(seed, call_counts):
     # construction check), compose/invert do not re-validate rotations, and
     # every determinant is the closed form. The world is built first: its
     # camera is the shared demo camera, built once per process, so counting
-    # its construction would depend on test order.
+    # its construction would depend on test order. The LAPACK calls are
+    # bounded too: 19 SVDs (2 homographies, 9 nearest rotations, 6 planar
+    # spreads, 2 registrations), one solve per LM trial, and one batched solve
+    # per support-pose plane fit, two per session.
     world = inject_wooden_plate(random_world(seed), 0.25)
     counts = call_counts(
         (simulate, "support_poses"),
         (camera, "undistort_radial"),
+        (camera, "rotation_from_rotvec"),
         (geometry, "validate_rotation"),
         (np.linalg, "det"),
+        (np.linalg, "svd"),
+        (np.linalg, "solve"),
     )
-    runs = [
-        compute_rob_h_cam(
-            simulate_referencing_session(
-                world, GLASS_NOISE, *default_placements(world, reverse=trial == 2), trial=trial
-            )
+    sessions = [
+        simulate_referencing_session(
+            world, GLASS_NOISE, *default_placements(world, reverse=trial == 2), trial=trial
         )
         for trial in (1, 2)
     ]
+    plane_fits = counts["solve"]
+    runs = [compute_rob_h_cam(session) for session in sessions]
     reversal_average(*runs)
     assert counts["support_poses"] == 2
     assert counts["undistort_radial"] == 2
     assert counts["validate_rotation"] <= 20
     assert counts["det"] == 0
+    assert counts["svd"] <= 19
+    assert plane_fits <= 4
+    assert counts["solve"] - plane_fits <= counts["rotation_from_rotvec"]

@@ -15,6 +15,7 @@ from floorref.errors import (
 from floorref.experiment import measure_mark
 from floorref.geometry import apply, compose, invert, rotation_distance
 from floorref.pipeline import compute_rob_h_cam
+from floorref.plate import ReferencingPlate
 from floorref.schemas import session_from_dict, session_to_dict
 from floorref.simulate import (
     GLASS_NOISE,
@@ -94,6 +95,14 @@ class TestSessionGeneration:
         p = RobotPlacement(100.0, 100.0, 0.0)
         with pytest.raises(DegenerateMotion, match="simulate_referencing_session"):
             simulate_referencing_session(world, NO_NOISE, p, p)
+
+    def test_default_placements_need_plate_marks(self, world):
+        plate = world.plate
+        bare = ReferencingPlate(
+            marks={}, nests=plate.nests, delta_mm=plate.delta_mm, extent_mm=plate.extent_mm
+        )
+        with pytest.raises(ValueError, match="^default_placements: the plate has no marks"):
+            default_placements(replace(world, plate=bare))
 
     def test_robot_smr_equals_true_pose_translation(self, world, noiseless_session):
         p0, p1 = default_placements(world)
