@@ -187,20 +187,20 @@ class CameraModel:
 def project_points(model: CameraModel, pts_cam: Array) -> tuple[Array, Array]:
     """Project camera-frame points; returns ((n, 2) row/col array, in-front mask).
 
-    Points behind the camera get non-finite coordinates and a False mask entry
-    so simulator visibility checks can proceed without raising.
+    Points behind the camera get NaN coordinates and a False mask entry so
+    simulator visibility checks can proceed without raising. They are projected
+    from (0, 0) with the rest: every step works row by row, so each point in
+    front gets the pixels it gets alone.
     """
     pc = np.atleast_2d(np.asarray(pts_cam, dtype=np.float64))
     z = pc[:, 2]
     in_front = z > _MIN_DEPTH_MM
     with np.errstate(divide="ignore", invalid="ignore"):
         xy = pc[:, :2] / z[:, None]
-    if in_front.all():
-        return model.normalized_to_pixel_array(xy), in_front
-    xy[~in_front] = np.nan
-    rc = np.full((pc.shape[0], 2), np.nan)
-    if in_front.any():
-        rc[in_front] = model.normalized_to_pixel_array(xy[in_front])
+    behind = ~in_front
+    xy[behind] = 0.0
+    rc = model.normalized_to_pixel_array(xy)
+    rc[behind] = np.nan
     return rc, in_front
 
 

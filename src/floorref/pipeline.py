@@ -87,9 +87,7 @@ class ReferencingSession:
         mark_ids = tuple(self.mark_ids)
         if len(set(mark_ids)) != len(mark_ids):
             raise ValueError("mark ids must be listed once each")
-        for mark_id in mark_ids:
-            if mark_id not in self.plate.marks:
-                raise ValueError(f"mark {mark_id!r} is not on the plate")
+        self.plate.mark_rows(mark_ids)
         object.__setattr__(self, "mark_ids", mark_ids)
         shapes = {"image_points": (len(mark_ids), 2), "nest_points": (3, 3), "robot_points": (2, 3)}
         for name, shape in shapes.items():
@@ -191,7 +189,7 @@ def estimate_plate_pose(session: ReferencingSession) -> PlatePoseEstimate:
     A registration RMS above 0.5 mm is flagged as suspect (setup fault or a
     deformed plate) but does not fail the run.
     """
-    plate_points = np.array([session.plate.marks[mark_id] for mark_id in session.mark_ids])
+    plate_points = session.plate.mark_points[session.plate.mark_rows(session.mark_ids)]
     fit = estimate_plate_pose_from_image(session.camera, session.image_points, plate_points)
     scene = build_rectification_map(session.camera, fit.h_cam_ref)
 

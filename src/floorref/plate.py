@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import UnknownNest
-from .geometry import as_point3, triangle_area
+from .geometry import triangle_area
 
 Array = NDArray[np.float64]
 
@@ -29,92 +28,87 @@ MIN_NEST_TRIANGLE_MM2 = 100.0
 class ReferencingPlate:
     """Dual-modality referencing plate: camera target marks plus reflector nests.
 
-    A plate is immutable: ``marks`` and ``nests`` are read-only mappings of
-    read-only arrays, so one plate can be shared by every world that uses it.
+    A plate is its arrays. The constructor checks them once (``ValueError``
+    naming the first failing mark or nest) and stores them as read-only float
+    copies, so one plate can be shared by every world that uses it.
 
     Attributes:
-        marks: mark id -> (x, y, 0) position on the plate surface, mm
-        nests: nest id in {r, g, b} -> nest ring center in plate coordinates, mm
+        mark_ids: ids of the target marks, each stored as ``str(id)`` and
+            listed once
+        mark_points: (n, 3) finite (x, y, 0) positions of those marks on the
+            plate surface, mm
+        nest_points: (3, 3) finite ring centers of nests r, g and b
+            (``NEST_IDS`` order) in plate coordinates, mm
         delta_mm: z-offset from nest ring plane to a seated smr center, >= 0
         extent_mm: bounding rectangle (x extent, y extent) of the plate, mm;
             every mark and nest lies in 0 <= x <= x extent, 0 <= y <= y extent
     """
 
-    marks: Mapping[str, Array]
-    nests: Mapping[str, Array]
+    mark_ids: tuple[str, ...]
+    mark_points: Array
+    nest_points: Array
     delta_mm: float
     extent_mm: tuple[float, float]
 
     def __post_init__(self) -> None:
-        marks = _checked_marks(self.marks)
-        nests = {}
-        for nest_id in NEST_IDS:
-            if nest_id not in self.nests:
-                raise UnknownNest(f"plate is missing nest {nest_id!r}")
-        for nest_id, p in self.nests.items():
-            if nest_id not in NEST_IDS:
-                raise UnknownNest(f"unknown nest id {nest_id!r}")
-            p = as_point3(p)
-            p.setflags(write=False)
-            nests[nest_id] = p
+        mark_ids = tuple(str(mark_id) for mark_id in self.mark_ids)
+        rows = dict(zip(mark_ids, range(len(mark_ids))))
+        if len(rows) != len(mark_ids):
+            raise ValueError("mark ids must be listed once each")
+        object.__setattr__(self, "mark_ids", mark_ids)
+        object.__setattr__(self, "_rows", rows)
+        for name, shape in {"mark_points": (len(mark_ids), 3), "nest_points": (3, 3)}.items():
+            a = np.array(getattr(self, name), dtype=np.float64)
+            if a.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        marks, nests = self.mark_points, self.nest_points
+        # each check names its first failing row
+        for i in np.flatnonzero(~np.isfinite(marks).all(axis=1))[:1]:
+            raise ValueError(f"mark {mark_ids[i]!r}: point components must be finite, got {marks[i]}")
+        for i in np.flatnonzero(marks[:, 2] != 0.0)[:1]:
+            raise ValueError(f"mark {mark_ids[i]!r} must lie on the plate surface (z=0)")
+        for i in np.flatnonzero(~np.isfinite(nests).all(axis=1))[:1]:
+            raise ValueError(f"nest {NEST_IDS[i]!r}: point components must be finite, got {nests[i]}")
+        if not math.isfinite(self.delta_mm):
+            raise ValueError(f"delta_mm must be finite, got {self.delta_mm}")
         if self.delta_mm < 0.0:
             raise ValueError(f"nest offset must be non-negative, got {self.delta_mm}")
-        area = triangle_area(nests["r"], nests["g"], nests["b"])
+        area = triangle_area(*nests)
         if not math.isfinite(area):
             raise ValueError("nest triangle area overflows the float range")
         if area <= MIN_NEST_TRIANGLE_MM2:
             raise ValueError(
                 f"nest triangle area {area:.1f} mm^2 below {MIN_NEST_TRIANGLE_MM2} mm^2"
             )
-        ex, ey = extent = tuple(float(v) for v in self.extent_mm)
-        # one stacked check; only when it fails does the loop name the first
-        # point off the extent, nests before marks
-        xy = np.array([*nests.values(), *marks.values()])[:, :2]
-        if not ((0.0 <= xy) & (xy <= extent)).all():
-            for what, points in (("nest", nests), ("mark", marks)):
-                for point_id, (x, y, _) in zip(points, np.reshape(list(points.values()), (-1, 3)).tolist()):
-                    if not (0.0 <= x <= ex and 0.0 <= y <= ey):
-                        raise ValueError(
-                            f"{what} {point_id!r} at ({x:g}, {y:g}) mm is off the plate: extent_mm "
-                            f"({ex:g}, {ey:g}) requires 0 <= x <= {ex:g} and 0 <= y <= {ey:g}"
-                        )
-        object.__setattr__(self, "marks", MappingProxyType(marks))
-        object.__setattr__(self, "nests", MappingProxyType(nests))
+        extent = tuple(float(v) for v in self.extent_mm)
+        if len(extent) != 2:
+            raise ValueError(f"extent_mm must hold 2 values, got {len(extent)}")
+        ex, ey = extent
+        for what, ids, points in (("nest", NEST_IDS, nests), ("mark", mark_ids, marks)):
+            xy = points[:, :2]
+            for i in np.flatnonzero(~((0.0 <= xy) & (xy <= extent)).all(axis=1))[:1]:
+                x, y = xy[i].tolist()
+                raise ValueError(
+                    f"{what} {ids[i]!r} at ({x:g}, {y:g}) mm is off the plate: extent_mm "
+                    f"({ex:g}, {ey:g}) requires 0 <= x <= {ex:g} and 0 <= y <= {ey:g}"
+                )
         object.__setattr__(self, "extent_mm", extent)
-        # the marks stacked in id order, (n, 3), and their centroid (None
-        # without marks), built once from the plate's own marks
-        stack = np.array(list(marks.values()), dtype=np.float64).reshape(len(marks), 3)
-        stack.setflags(write=False)
-        object.__setattr__(self, "_mark_stack", stack)
-        center = tuple(stack.mean(axis=0).tolist()) if marks else None
+        # the marks' centroid (None without marks), built once for default_placements
+        center = tuple(marks.mean(axis=0).tolist()) if len(marks) else None
         object.__setattr__(self, "_mark_center", center)
 
-    def mark_array(self) -> tuple[list[str], Array]:
-        return list(self.marks.keys()), self._mark_stack.copy()
+    def mark_rows(self, mark_ids: Iterable[str]) -> list[int]:
+        """The row of ``mark_points`` of each id.
 
-
-def _checked_marks(marks: Mapping[str, Array]) -> dict[str, Array]:
-    """Marks as read-only finite 3-vectors on the plate surface, keyed by str id.
-
-    All marks are checked as one stacked array; only when that check fails
-    does the per-mark loop run, to raise the error of the first bad mark.
-    """
-    ids = [str(mark_id) for mark_id in marks]
-    try:
-        stack = np.array(list(marks.values()), dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        stack = np.empty(0)  # ragged or not numeric: the loop names the mark
-    if stack.shape == (len(ids), 3) and np.isfinite(stack).all() and (stack[:, 2] == 0.0).all():
-        stack.setflags(write=False)
-        return dict(zip(ids, stack))
-    checked = {}
-    for mark_id, p in marks.items():
-        p = as_point3(p)
-        if p[2] != 0.0:
-            raise ValueError(f"mark {mark_id!r} must lie on the plate surface (z=0)")
-        p.setflags(write=False)
-        checked[str(mark_id)] = p
-    return checked
+        Raises:
+            ValueError: an id not on the plate, named.
+        """
+        try:
+            return [self._rows[mark_id] for mark_id in mark_ids]
+        except KeyError as e:
+            raise ValueError(f"mark {e.args[0]!r} is not on the plate") from None
 
 
 def nest_to_smr(plate: ReferencingPlate, nest_id: str) -> Array:
@@ -128,11 +122,11 @@ def nest_to_smr(plate: ReferencingPlate, nest_id: str) -> Array:
     """
     if nest_id not in NEST_IDS:
         raise UnknownNest(f"nest_to_smr: unknown nest id {nest_id!r}")
-    p = plate.nests[nest_id].copy()
-    p[2] -= plate.delta_mm
-    return p
+    return smr_points(plate)[NEST_IDS.index(nest_id)]
 
 
 def smr_points(plate: ReferencingPlate) -> Array:
     """Seated smr centers for all three nests in canonical (r, g, b) order."""
-    return np.array([nest_to_smr(plate, nid) for nid in NEST_IDS])
+    p = plate.nest_points.copy()
+    p[:, 2] -= plate.delta_mm
+    return p

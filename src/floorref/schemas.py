@@ -8,6 +8,7 @@ human-facing reports round to nine decimals elsewhere.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -372,10 +373,10 @@ def camera_from_dict(doc: Mapping[str, Any]) -> CameraModel:
 
 
 def plate_to_dict(plate: ReferencingPlate) -> dict:
-    ids, marks = plate.mark_array()
+    marks = zip(plate.mark_ids, plate.mark_points.tolist())
     return {
-        "marks": [{"id": mark_id, "x": x, "y": y} for mark_id, (x, y, _) in zip(ids, marks.tolist())],
-        "nests": {nid: plate.nests[nid].tolist() for nid in NEST_IDS},
+        "marks": [{"id": mark_id, "x": x, "y": y} for mark_id, (x, y, _) in marks],
+        "nests": dict(zip(NEST_IDS, plate.nest_points.tolist())),
         "delta_mm": plate.delta_mm,
         "extent_mm": list(plate.extent_mm),
     }
@@ -389,20 +390,21 @@ def plate_from_dict(doc: Mapping[str, Any]) -> ReferencingPlate:
     plain = _plain_entries(doc["marks"], ("id",), ("x", "y"))
     if plain is not None and _unique_strings(plain[0]):
         ids, xy = plain
-        marks = dict(zip(ids, np.column_stack([xy, np.zeros(len(ids))])))
+        points = np.column_stack([xy, np.zeros(len(ids))])
     else:
         marks = {}
         for w, entry in _objects(doc, where, "marks", {"id", "x", "y"}, set()):
             mark_id = _text(entry, w, "id")
             if mark_id in marks:
                 raise SchemaError(f"{w}.id: duplicate mark id {mark_id!r}")
-            marks[mark_id] = np.array([_number(entry, w, "x"), _number(entry, w, "y"), 0.0])
+            marks[mark_id] = (_number(entry, w, "x"), _number(entry, w, "y"), 0.0)
+        ids, points = list(marks), list(marks.values())
     _check_keys(doc["nests"], f"{where}.nests", set(NEST_IDS), set())
-    nests = {nid: np.array(_numbers(doc["nests"], f"{where}.nests", nid, 3)) for nid in NEST_IDS}
     try:
         return ReferencingPlate(
-            marks=marks,
-            nests=nests,
+            mark_ids=ids,
+            mark_points=points,
+            nest_points=[_numbers(doc["nests"], f"{where}.nests", nid, 3) for nid in NEST_IDS],
             delta_mm=_number(doc, where, "delta_mm"),
             extent_mm=_numbers(doc, where, "extent_mm", 2),
         )
@@ -490,16 +492,20 @@ def _image_observation(
     plain = _plain_entries(doc["image_observation"], ("mark_id",), ("row", "col"))
     if plain is not None:
         mark_ids, rowcol = plain
-        if _unique_strings(mark_ids) and plate.marks.keys() >= set(mark_ids):
-            return tuple(mark_ids), rowcol
+        if _unique_strings(mark_ids):
+            with contextlib.suppress(ValueError):  # the readers below name the entry
+                plate.mark_rows(mark_ids)
+                return tuple(mark_ids), rowcol
     observation: dict[str, tuple[float, float]] = {}
     entries = _objects(doc, where, "image_observation", {"mark_id", "row", "col"}, set())
     for w, entry in entries:
         mark_id = _text(entry, w, "mark_id")
         if mark_id in observation:
             raise SchemaError(f"{w}.mark_id: duplicate mark id {mark_id!r}")
-        if mark_id not in plate.marks:
-            raise SchemaError(f"{w}.mark_id: mark {mark_id!r} is not on the plate")
+        try:
+            plate.mark_rows([mark_id])
+        except ValueError as e:
+            raise SchemaError(f"{w}.mark_id: {e}") from None
         observation[mark_id] = (_number(entry, w, "row"), _number(entry, w, "col"))
     return tuple(observation), np.reshape(list(observation.values()), (-1, 2))
 

@@ -102,6 +102,9 @@ class NoiseConfig:
     nest_offset_error_mm: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("tracker_sigma_mm", "image_sigma_px", "nest_offset_error_mm"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.tracker_sigma_mm < 0.0 or self.image_sigma_px < 0.0:
             raise ValueError("noise sigmas must be non-negative")
 
@@ -118,6 +121,8 @@ class RobotModel:
     wheel_contacts_xy_mm: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.smr_height_mm):
+            raise ValueError(f"smr_height_mm must be finite, got {self.smr_height_mm}")
         if self.smr_height_mm <= 0.0:
             raise ValueError("smr height must be positive")
         if len(self.wheel_contacts_xy_mm) != 3:
@@ -164,6 +169,8 @@ class SimWorld:
     def __post_init__(self) -> None:
         if self.h_rob_cam_true.source != frames.CAM or self.h_rob_cam_true.dest != frames.ROB:
             raise ValueError("ground-truth hand-eye must map cam -> rob")
+        if not math.isfinite(self.deformation_amplitude_mm):
+            raise ValueError(f"deformation_amplitude_mm must be finite, got {self.deformation_amplitude_mm}")
         if self.deformation_amplitude_mm < 0.0:
             raise ValueError("deformation amplitude must be non-negative")
 
@@ -213,15 +220,15 @@ class SimWorld:
 
     # --- true geometry ------------------------------------------------------
 
-    def true_mark_points_ref(self) -> tuple[list[str], Array]:
+    def true_mark_points_ref(self) -> tuple[tuple[str, ...], Array]:
         """Physical mark positions in plate coordinates (z into the plate)."""
-        ids, pts = self.plate.mark_array()
+        pts = self.plate.mark_points.copy()
         pts[:, 2] = -np.asarray(self.surface_rise_pcs(pts[:, 0], pts[:, 1]))
-        return ids, pts
+        return self.plate.mark_ids, pts
 
     def true_smr_points_ref(self, nest_offset_error_mm: float) -> Array:
         """Physical seated-smr centers in plate coordinates, all three nests."""
-        pts = np.array([self.plate.nests[nest_id] for nest_id in NEST_IDS])
+        pts = self.plate.nest_points.copy()
         pts[:, 2] -= self.surface_rise_pcs(pts[:, 0], pts[:, 1])  # seats ride on the deformed surface
         pts[:, 2] -= self.plate.delta_mm + nest_offset_error_mm
         return pts
@@ -259,12 +266,12 @@ def support_poses(world: SimWorld, xy: Array, yaw_rad: Array, surface: str) -> S
 
     Each row alternates between fitting the support plane through its wheel
     contacts and reposing the rigid wheel triangle on that plane until the
-    contacts sit on the surface within 1e-12 mm. A row's pose is taken at the
-    iteration where it settles; from then on it repeats that iteration on the
-    same contacts until every row has settled; when all rows settle at the
-    same iteration, that iteration's arrays are the poses. Every operation is
-    taken row by row, so each row equals a one-row call. A row that overflows
-    (a surface near the float range) fails alone, with no numpy warning.
+    contacts sit on the surface within 1e-12 mm. A row that has settled keeps
+    its contacts, so it repeats its settling iteration bit for bit until every
+    row has settled or failed; the poses are the last iteration's arrays. Every
+    operation is taken row by row, so each row equals a one-row call. A row
+    that overflows (a surface near the float range) fails alone, with no numpy
+    warning.
     """
     surf = world.plate_surface_z if surface == "plate" else world.floor_surface_z
     xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
@@ -284,9 +291,8 @@ def support_poses(world: SimWorld, xy: Array, yaw_rad: Array, surface: str) -> S
     origin = np.empty((n_rows, 3))
     origin[:, :2] = xy
 
-    rotation = translation = None  # NaN-filled at the first iteration that leaves a row unsettled
     error: list[DegenerateConfiguration | None] = [None] * n_rows
-    done = np.zeros(n_rows, dtype=bool)  # settled or failed
+    failed = np.zeros(n_rows, dtype=bool)  # a singular contact plane; its contacts stay
     for _ in range(_SUPPORT_MAX_ITER):
         try:
             coeffs = np.linalg.solve(a_mat, contact_z[..., None])[..., 0]
@@ -296,11 +302,8 @@ def support_poses(world: SimWorld, xy: Array, yaw_rad: Array, surface: str) -> S
                 try:
                     coeffs[k] = np.linalg.solve(a_mat[k], contact_z[k])
                 except np.linalg.LinAlgError as e:
-                    if not done[k]:
-                        error[k] = DegenerateConfiguration(
-                            f"pose_on_surface: contact plane singular: {e}"
-                        )
-                        done[k] = True
+                    error[k] = DegenerateConfiguration(f"pose_on_surface: contact plane singular: {e}")
+                    failed[k] = True
         # row_dots inline: the same stacked vector products on the same
         # contiguous rows; the frame's columns x_r, y_r, n written in place
         n = np.ones((n_rows, 3))
@@ -315,27 +318,19 @@ def support_poses(world: SimWorld, xy: Array, yaw_rad: Array, surface: str) -> S
         origin[:, 2] = coeffs[:, 0] * x0 + coeffs[:, 1] * y0 + coeffs[:, 2]
         contacts = origin[:, None, :] + wheel_x * x_r[:, None, :] + wheel_y * y_r[:, None, :]
         surf_z = np.asarray(surf(contacts[..., 0], contacts[..., 1]), dtype=np.float64)
-        settled = ~done & (np.abs(surf_z - contacts[..., 2]).max(axis=1) < _SUPPORT_TOL_MM)
-        if settled.all():
-            # every row settles here and none has failed: the poses are this iteration's
-            return SupportPoses(frame, origin + h * n, tuple(error))
-        if rotation is None:
-            rotation, translation = np.full((n_rows, 3, 3), np.nan), np.full((n_rows, 3), np.nan)
-        if settled.any():
-            rotation[settled] = frame[settled]
-            translation[settled] = (origin + h * n)[settled]
-            done |= settled
-            if done.all():
-                break
-        # settled rows keep their contacts and repeat their settled iteration
-        moving = ~done
+        settled = np.abs(surf_z - contacts[..., 2]).max(axis=1) < _SUPPORT_TOL_MM
+        moving = ~(settled | failed)
+        if not moving.any():
+            break
         a_mat[moving, :, :2] = contacts[moving, :, :2]
         contact_z[moving] = surf_z[moving]
-    for i in np.flatnonzero(~done):
+    for i in np.flatnonzero(moving):
         error[i] = DegenerateConfiguration(
             f"pose_on_surface: wheel contacts did not settle within {_SUPPORT_MAX_ITER} iterations"
         )
-    return SupportPoses(rotation, translation, tuple(error))
+    translation = origin + h * n
+    frame[~settled] = translation[~settled] = np.nan
+    return SupportPoses(frame, translation, tuple(error))
 
 
 def _support_pose(poses: SupportPoses, i: int) -> RigidTransform:
@@ -581,19 +576,11 @@ def demo_camera() -> CameraModel:
 
 @functools.cache
 def demo_plate() -> ReferencingPlate:
-    marks = {}
-    for i in range(5):
-        for j in range(5):
-            marks[f"m{i}{j}"] = np.array(
-                [380.0 + 12.0 * (j - 2), 240.0 + 12.0 * (i - 2), 0.0]
-            )
+    grid = [(i, j) for i in range(5) for j in range(5)]
     return ReferencingPlate(
-        marks=marks,
-        nests={
-            "r": np.array([45.0, 50.0, 0.0]),
-            "g": np.array([555.0, 85.0, 0.0]),
-            "b": np.array([280.0, 355.0, 0.0]),
-        },
+        mark_ids=tuple(f"m{i}{j}" for i, j in grid),
+        mark_points=[[380.0 + 12.0 * (j - 2), 240.0 + 12.0 * (i - 2), 0.0] for i, j in grid],
+        nest_points=[[45.0, 50.0, 0.0], [555.0, 85.0, 0.0], [280.0, 355.0, 0.0]],
         delta_mm=19.05,
         extent_mm=(600.0, 400.0),
     )

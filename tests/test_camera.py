@@ -80,6 +80,26 @@ class TestProjection:
         assert ok.tolist() == [True, False]
         assert np.all(np.isfinite(rc[0])) and np.all(np.isnan(rc[1]))
 
+    def test_rows_in_front_project_as_alone_beside_rows_behind(self):
+        # one projection of the whole stack: each row in front gets, bit for
+        # bit, the pixels it gets alone; a row behind, in the camera plane,
+        # below the minimum depth or NaN gets NaN and a False mask entry
+        m = model()
+        rng = np.random.default_rng(3)
+        pts = rng.uniform([-30, -25, 80], [30, 25, 300], size=(12, 3))
+        pts[[1, 4, 11], 2] *= -1.0
+        pts[5, 2], pts[7, 2], pts[9, 2] = 0.0, 1e-9, np.nan
+        behind = [1, 4, 5, 7, 9, 11]
+        rc, in_front = project_points(m, pts)
+        assert np.flatnonzero(~in_front).tolist() == behind
+        assert np.isnan(rc[behind]).all()
+        for i in np.flatnonzero(in_front):
+            one, ok = project_points(m, pts[i])
+            assert ok.tolist() == [True]
+            assert np.array_equal(one[0], rc[i])
+        front, ok = project_points(m, pts[in_front])
+        assert ok.all() and np.array_equal(front, rc[in_front])
+
     def test_pixel_ray_round_trip_on_plane(self):
         m = model()
         rng = np.random.default_rng(5)
@@ -383,7 +403,7 @@ def _stress_view(seed):
 
 def _observation(session):
     """(image points, plate points) of a session's observed marks."""
-    marks = np.array([session.plate.marks[mark_id] for mark_id in session.mark_ids])
+    marks = session.plate.mark_points[session.plate.mark_rows(session.mark_ids)]
     return session.image_points, marks
 
 

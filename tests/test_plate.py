@@ -4,64 +4,79 @@ import pytest
 from floorref.errors import UnknownNest
 from floorref.plate import ReferencingPlate, nest_to_smr, smr_points
 
+NESTS = [[40.0, 40.0, 0.0], [560.0, 60.0, 0.0], [300.0, 360.0, 0.0]]
+A = [0.0, 1.0, 0.0]  # a good mark
 
-def make_plate(delta=19.05):
-    marks = {f"m{i}": np.array([100.0 + 10.0 * i, 50.0, 0.0]) for i in range(5)}
-    return ReferencingPlate(
-        marks=marks,
-        nests={
-            "r": np.array([40.0, 40.0, 0.0]),
-            "g": np.array([560.0, 60.0, 0.0]),
-            "b": np.array([300.0, 360.0, 0.0]),
-        },
-        delta_mm=delta,
-        extent_mm=(600.0, 400.0),
-    )
+
+def make_plate(delta=19.05, **fields):
+    args = {
+        "mark_ids": tuple(f"m{i}" for i in range(5)),
+        "mark_points": [[100.0 + 10.0 * i, 50.0, 0.0] for i in range(5)],
+        "nest_points": NESTS,
+        "delta_mm": delta,
+        "extent_mm": (600.0, 400.0),
+    }
+    return ReferencingPlate(**{**args, **fields})
+
+
+def marks(points: dict) -> dict:
+    """The mark fields of a plate for a mapping of id -> point."""
+    return {"mark_ids": tuple(points), "mark_points": np.reshape(list(points.values()), (-1, 3))}
 
 
 class TestPlateType:
     def test_marks_must_lie_on_surface(self):
         with pytest.raises(ValueError):
-            ReferencingPlate(
-                marks={"a": np.array([0.0, 0.0, 0.1])},
-                nests=make_plate().nests,
-                delta_mm=1.0,
-                extent_mm=(600.0, 400.0),
-            )
+            make_plate(delta=1.0, **marks({"a": [0.0, 0.0, 0.1]}))
 
     @pytest.mark.parametrize(
         "bad, message",
         [
-            ({"b": [1.0, 2.0, 0.5], "c": [np.nan, 0.0, 0.0]}, "mark 'b' must lie on the plate surface"),
-            ({"b": [np.inf, 0.0, 0.0], "c": [1.0, 2.0, 0.5]}, r"point components must be finite, got \[inf"),
-            ({"b": [1.0, 2.0], "c": [1.0, 2.0, 0.5]}, r"expected a 3-vector, got shape \(2,\)"),
-            ({"b": "xyz", "c": [1.0, 2.0, 0.5]}, "could not convert string to float"),
+            ([A, [1.0, 2.0, 0.5], [1.0, 2.0, 0.5]], "mark 'b' must lie on the plate surface"),
+            ([A, [np.inf, 0.0, 0.0], [1.0, 2.0, 0.5]], r"point components must be finite, got \[inf"),
+            ([[0.0, 1.0], [1.0, 2.0], [1.0, 2.0]], r"mark_points must have shape \(3, 3\), got \(3, 2\)"),
+            ([A, list("xyz"), [1.0, 2.0, 0.5]], "could not convert string to float"),
+            ([A, [1.0, 2.0, 0.5], [np.nan, 0.0, 0.0]], r"mark 'c': point components must be finite"),
         ],
     )
     def test_first_bad_mark_names_the_error(self, bad, message):
-        # the marks are checked as one array; the error is that of the first bad mark
-        with pytest.raises(ValueError, match=message):
-            ReferencingPlate(
-                marks={"a": [0.0, 1.0, 0.0], **bad},
-                nests=make_plate().nests,
-                delta_mm=1.0,
-                extent_mm=(600.0, 400.0),
-            )
+        # the marks are checked as one array: finiteness, then the surface,
+        # each check naming its first failing row ('b' is the first bad row
+        # of the first four cases; a non-finite 'c' comes before an
+        # off-surface 'b')
+        with pytest.raises(ValueError, match=message) as e:
+            make_plate(delta=1.0, mark_ids=("a", "b", "c"), mark_points=bad)
+        assert "'a'" not in str(e.value)
 
     def test_marks_are_read_only_float_vectors(self):
-        plate = ReferencingPlate(
-            marks={"a": [0, 1, 0], 7: np.array([2.5, 1.5, 0.0])},
-            nests=make_plate().nests,
-            delta_mm=1.0,
-            extent_mm=(600.0, 400.0),
-        )
-        assert list(plate.marks) == ["a", "7"]
-        for p in plate.marks.values():
-            assert p.dtype == np.float64 and p.shape == (3,) and not p.flags.writeable
-        assert np.array_equal(plate.mark_array()[1], [[0.0, 1.0, 0.0], [2.5, 1.5, 0.0]])
+        given = np.array([[0, 1, 0], [2.5, 1.5, 0.0]])
+        plate = make_plate(delta=1.0, mark_ids=["a", 7], mark_points=given)
+        given[0, 0] = 99.0
+        assert plate.mark_ids == ("a", "7")
+        for a in (plate.mark_points, plate.nest_points):
+            assert a.dtype == np.float64 and not a.flags.writeable
+        assert np.array_equal(plate.mark_points, [[0.0, 1.0, 0.0], [2.5, 1.5, 0.0]])
+        assert np.array_equal(plate.nest_points, NESTS)
+
+    @pytest.mark.parametrize("ids", [(7, "7"), ("a", "b", "a")], ids=["int-and-str", "repeated"])
+    def test_each_mark_id_is_listed_once(self, ids):
+        points = [[10.0 * (i + 1), 10.0, 0.0] for i in range(len(ids))]
+        with pytest.raises(ValueError, match="^mark ids must be listed once each$"):
+            make_plate(mark_ids=ids, mark_points=points)
+
+    def test_mark_rows_in_the_order_asked(self):
+        plate = make_plate()
+        assert plate.mark_rows(["m3", "m0", "m3"]) == [3, 0, 3]
+        assert plate.mark_rows([]) == []
+        assert np.array_equal(plate.mark_points[plate.mark_rows(["m4"])], [[140.0, 50.0, 0.0]])
+
+    @pytest.mark.parametrize("ids, named", [(["m1", "zz", "yy"], "'zz'"), ([3], "3")])
+    def test_mark_rows_refuses_an_id_not_on_the_plate(self, ids, named):
+        with pytest.raises(ValueError, match=rf"^mark {named} is not on the plate$"):
+            make_plate().mark_rows(ids)
 
     @pytest.mark.parametrize(
-        "marks, nest_r, extent, message",
+        "marks_xy, nest_r, extent, message",
         [
             ({"a": [600.0, 400.0, 0.0]}, [40.0, 40.0, 0.0], (600.0, 400.0), None),
             ({"a": [0.0, 0.0, 0.0]}, [0.0, 400.0, 0.0], (600.0, 400.0), None),
@@ -77,20 +92,19 @@ class TestPlateType:
             ({}, [40.0, 40.0, 0.0], (1e-300, 400.0), r"nest 'r' at \(40, 40\) mm"),
             ({}, [40.0, 40.0, 0.0], (-600.0, 400.0), r"nest 'r' at \(40, 40\) mm"),
             ({}, [40.0, 40.0, 0.0], (600.0, np.nan), r"nest 'r' at \(40, 40\) mm"),
+            ({"a": [10.0, 10.0, 0.0]}, [40.0, 40.0, 0.0], (500.0, 400.0), r"nest 'g' at \(560, 60\) mm"),
+            ({"a": [550.0, 10.0, 0.0]}, [40.0, 40.0, 0.0], (500.0, 400.0), r"nest 'g' at \(560, 60\) mm"),
         ],
         ids=[
             "corner", "origin-and-edge", "mark-beyond-x", "mark-below-y", "first-of-two-marks",
-            "zero", "tiny", "negative", "nan",
+            "zero", "tiny", "negative", "nan", "first-bad-nest", "nests-before-marks",
         ],
     )
-    def test_marks_and_nests_lie_on_the_extent(self, marks, nest_r, extent, message):
+    def test_marks_and_nests_lie_on_the_extent(self, marks_xy, nest_r, extent, message):
         # every mark and nest lies in 0 <= x <= extent_mm[0], 0 <= y <= extent_mm[1]
         def build():
-            return ReferencingPlate(
-                marks=marks,
-                nests={**make_plate().nests, "r": np.array(nest_r)},
-                delta_mm=1.0,
-                extent_mm=extent,
+            return make_plate(
+                delta=1.0, nest_points=[nest_r, *NESTS[1:]], extent_mm=extent, **marks(marks_xy)
             )
 
         if message is None:
@@ -100,47 +114,52 @@ class TestPlateType:
                 build()
 
     def test_negative_delta_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^nest offset must be non-negative, got -0.5$"):
             make_plate(delta=-0.5)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"delta_mm": np.nan}, "^delta_mm must be finite, got nan$"),
+            ({"delta_mm": np.inf}, "^delta_mm must be finite, got inf$"),
+            ({"delta_mm": -np.inf}, "^delta_mm must be finite, got -inf$"),
+            ({"extent_mm": (600.0,)}, "^extent_mm must hold 2 values, got 1$"),
+            ({"extent_mm": (600.0, 400.0, 10.0)}, "^extent_mm must hold 2 values, got 3$"),
+        ],
+        ids=["delta-nan", "delta-inf", "delta-minus-inf", "extent-1", "extent-3"],
+    )
+    def test_non_finite_delta_and_extent_arity_rejected_by_name(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            make_plate(**fields)
+
     def test_missing_nest_rejected(self):
-        with pytest.raises(UnknownNest):
-            ReferencingPlate(
-                marks={},
-                nests={"r": np.zeros(3), "g": np.array([500.0, 0.0, 0.0])},
-                delta_mm=1.0,
-                extent_mm=(600.0, 400.0),
-            )
+        # r, g and b are the rows of one (3, 3) array: a plate without nest b
+        # is an array of the wrong shape
+        with pytest.raises(ValueError, match=r"^nest_points must have shape \(3, 3\), got \(2, 3\)$"):
+            make_plate(delta=1.0, nest_points=[[0.0, 0.0, 0.0], [500.0, 0.0, 0.0]])
+
+    def test_first_non_finite_nest_named(self):
+        nests = [NESTS[0], [np.nan, 60.0, 0.0], [np.inf, 360.0, 0.0]]
+        with pytest.raises(ValueError, match=r"^nest 'g': point components must be finite, got \[nan"):
+            make_plate(nest_points=nests)
 
     def test_small_nest_triangle_rejected(self):
         with pytest.raises(ValueError):
-            ReferencingPlate(
-                marks={},
-                nests={
-                    "r": np.zeros(3),
-                    "g": np.array([10.0, 0.0, 0.0]),
-                    "b": np.array([0.0, 10.0, 0.0]),
-                },
-                delta_mm=1.0,
-                extent_mm=(600.0, 400.0),
+            make_plate(
+                delta=1.0,
+                nest_points=[[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [0.0, 10.0, 0.0]],
+                **marks({}),
             )
 
 
 class TestNestToSmr:
     def test_zero_delta_is_identity(self):
         plate = make_plate(delta=0.0)
-        assert np.array_equal(nest_to_smr(plate, "r"), plate.nests["r"])
+        assert np.array_equal(nest_to_smr(plate, "r"), plate.nest_points[0])
 
     def test_known_offset(self):
-        plate = ReferencingPlate(
-            marks={},
-            nests={
-                "r": np.array([100.0, 50.0, 0.0]),
-                "g": np.array([560.0, 60.0, 0.0]),
-                "b": np.array([300.0, 360.0, 0.0]),
-            },
-            delta_mm=11.3,
-            extent_mm=(600.0, 400.0),
+        plate = make_plate(
+            delta=11.3, nest_points=[[100.0, 50.0, 0.0], *NESTS[1:]], **marks({})
         )
         assert np.allclose(nest_to_smr(plate, "r"), [100.0, 50.0, -11.3], atol=0)
 
@@ -150,15 +169,16 @@ class TestNestToSmr:
 
     def test_only_z_changes(self):
         plate = make_plate()
-        for nid in ("r", "g", "b"):
+        for row, nid in enumerate(("r", "g", "b")):
             smr = nest_to_smr(plate, nid)
-            assert smr[0] == plate.nests[nid][0]
-            assert smr[1] == plate.nests[nid][1]
-            assert smr[2] == plate.nests[nid][2] - plate.delta_mm
+            assert smr[0] == plate.nest_points[row][0]
+            assert smr[1] == plate.nest_points[row][1]
+            assert smr[2] == plate.nest_points[row][2] - plate.delta_mm
+            assert np.array_equal(smr, smr_points(plate)[row])
 
     def test_smr_plane_parallel_to_nest_plane(self):
         plate = make_plate()
-        nests = np.array([plate.nests[n] for n in ("r", "g", "b")])
+        nests = plate.nest_points
         smrs = smr_points(plate)
         n1 = np.cross(nests[1] - nests[0], nests[2] - nests[0])
         n2 = np.cross(smrs[1] - smrs[0], smrs[2] - smrs[0])

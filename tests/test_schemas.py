@@ -76,11 +76,9 @@ class TestPlateSchema:
     def test_round_trip(self, world):
         doc = plate_to_dict(world.plate)
         plate = plate_from_dict(doc)
-        assert plate.marks.keys() == world.plate.marks.keys()
-        for k in plate.marks:
-            assert np.array_equal(plate.marks[k], world.plate.marks[k])
-        for nid in ("r", "g", "b"):
-            assert np.array_equal(plate.nests[nid], world.plate.nests[nid])
+        assert plate.mark_ids == world.plate.mark_ids
+        assert np.array_equal(plate.mark_points, world.plate.mark_points)
+        assert np.array_equal(plate.nest_points, world.plate.nest_points)
         assert plate.delta_mm == world.plate.delta_mm
 
     def test_invalid_nest_shape(self, world):
@@ -185,10 +183,9 @@ def _assert_demo_rig(world, noise, amplitude_mm):
     demo = demo_world(42)
     assert world.camera == demo.camera
     assert world.robot == demo.robot
-    for name in ("marks", "nests"):
-        got, want = getattr(world.plate, name), getattr(demo.plate, name)
-        assert list(got) == list(want)
-        assert all(np.array_equal(got[k], want[k]) for k in want)
+    assert world.plate.mark_ids == demo.plate.mark_ids
+    for name in ("mark_points", "nest_points"):
+        assert np.array_equal(getattr(world.plate, name), getattr(demo.plate, name))
     assert world.plate.delta_mm == demo.plate.delta_mm
     assert world.plate.extent_mm == demo.plate.extent_mm
     assert np.array_equal(world.h_rob_cam_true.matrix, demo.h_rob_cam_true.matrix)
@@ -663,12 +660,19 @@ def test_write_json_special_values_and_refusals(tmp_path):
 
 # --- the decoders' fast paths --------------------------------------------------
 
+
+def _plate_mark(out, mark_id):
+    # the plate point of a mark of a decoded session or world
+    plate = out[0].plate
+    return plate.mark_points[plate.mark_rows([mark_id])[0]]
+
+
 # A value that a decoder reads through its fast path (an array of objects or a
 # matrix of plain floats), the decoded number it becomes, and its field path.
 # Any other JSON value sends the array to the per-value readers.
 FAST_PATH_VALUES = [
-    ("session", ["plate", "marks", 3, "x"], lambda out: out[0].plate.marks["m03"][0], "plate.marks[3].x"),
-    ("world", ["plate", "marks", 3, "y"], lambda out: out[0].plate.marks["m03"][1], "plate.marks[3].y"),
+    ("session", ["plate", "marks", 3, "x"], lambda out: _plate_mark(out, "m03")[0], "plate.marks[3].x"),
+    ("world", ["plate", "marks", 3, "y"], lambda out: _plate_mark(out, "m03")[1], "plate.marks[3].y"),
     (
         "session",
         ["image_observation", 3, "col"],

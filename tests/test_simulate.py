@@ -21,6 +21,7 @@ from floorref.simulate import (
     GLASS_NOISE,
     NO_NOISE,
     NoiseConfig,
+    RobotModel,
     RobotPlacement,
     camera_ground_offset,
     default_placements,
@@ -34,6 +35,29 @@ from floorref.simulate import (
     simulate_session_with_truth,
     support_poses,
 )
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "minus-inf"])
+@pytest.mark.parametrize("field", ["tracker_sigma_mm", "image_sigma_px", "nest_offset_error_mm"])
+def test_noise_config_refuses_non_finite_fields_by_name(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+        NoiseConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "minus-inf"])
+def test_robot_model_refuses_a_non_finite_smr_height_by_name(value):
+    contacts = demo_world().robot.wheel_contacts_xy_mm
+    with pytest.raises(ValueError, match=f"^smr_height_mm must be finite, got {value}$"):
+        RobotModel(smr_height_mm=value, wheel_contacts_xy_mm=contacts)
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "minus-inf"])
+def test_sim_world_refuses_a_non_finite_deformation_by_name(value):
+    with pytest.raises(ValueError, match=f"^deformation_amplitude_mm must be finite, got {value}$"):
+        inject_wooden_plate(demo_world(), value)
 
 
 class TestDeterminism:
@@ -58,15 +82,12 @@ def test_demo_rig_is_shared_and_immutable():
     assert demo_world().plate is a.plate
     plate = a.plate
     with pytest.raises(TypeError):
-        plate.marks["m00"] = np.zeros(3)
-    with pytest.raises(TypeError):
-        plate.nests["r"] = np.zeros(3)
-    with pytest.raises(TypeError):
-        del plate.marks["m00"]
-    for p in (*plate.marks.values(), *plate.nests.values()):
+        plate.mark_ids[0] = "m99"
+    for p in (plate.mark_points, plate.nest_points):
         with pytest.raises(ValueError):
             p[0] = 0.0
-    for part, field in ((a.camera, "focal_mm"), (plate, "delta_mm"), (a.robot, "smr_height_mm")):
+    plate_fields = [(plate, f) for f in ("mark_ids", "mark_points", "nest_points", "delta_mm")]
+    for part, field in ((a.camera, "focal_mm"), *plate_fields, (a.robot, "smr_height_mm")):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(part, field, 1.0)
 
@@ -87,7 +108,7 @@ class TestSessionGeneration:
     def test_noisy_points_off_the_sensor_are_not_observed(self, world):
         p0, p1 = default_placements(world)
         session = simulate_referencing_session(world, NoiseConfig(image_sigma_px=500.0), p0, p1)
-        assert 4 <= len(session.mark_ids) < len(world.plate.marks)
+        assert 4 <= len(session.mark_ids) < len(world.plate.mark_ids)
         assert world.camera.contains_points(session.image_points).all()
         session_from_dict(session_to_dict(session))  # the decoder accepts the session
 
@@ -99,7 +120,11 @@ class TestSessionGeneration:
     def test_default_placements_need_plate_marks(self, world):
         plate = world.plate
         bare = ReferencingPlate(
-            marks={}, nests=plate.nests, delta_mm=plate.delta_mm, extent_mm=plate.extent_mm
+            mark_ids=(),
+            mark_points=np.empty((0, 3)),
+            nest_points=plate.nest_points,
+            delta_mm=plate.delta_mm,
+            extent_mm=plate.extent_mm,
         )
         with pytest.raises(ValueError, match="^default_placements: the plate has no marks"):
             default_placements(replace(world, plate=bare))
