@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -123,6 +124,10 @@ class CameraModel:
             raise ValueError("pixel pitch must be positive")
         if self.rows < 2 or self.cols < 2:
             raise ValueError("image size must be at least 2x2 px")
+        # an int beyond the float range has no float pixel coordinate
+        huge = [name for name in ("rows", "cols") if getattr(self, name) > sys.float_info.max]
+        if huge:
+            raise ValueError(f"image size must be within the float range: {', '.join(huge)}")
         object.__setattr__(self, "k", tuple(float(v) for v in self.k))
         # per (row, col) axis: the pixel pitch and principal point, for the
         # pixel conversions and the pose Jacobian, and the last pixel

@@ -13,6 +13,7 @@ Diagnostic verbosity via the FLOORREF_LOG environment variable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import logging
@@ -21,6 +22,7 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -55,10 +57,38 @@ from .simulate import default_placements, simulate_session_with_truth
 log = logging.getLogger(__name__)
 
 
-def _setup_logging() -> None:
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to ``sys.stderr`` as it is when the record is
+    emitted, so the log lines of an in-process call go with its own output."""
+
+    def __init__(self) -> None:
+        logging.Handler.__init__(self)
+        self.setFormatter(logging.Formatter("%(name)s %(levelname)s %(message)s"))
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
+_LOG_HANDLER = _StderrHandler()
+
+
+@contextlib.contextmanager
+def _logging_to_stderr() -> Iterator[None]:
+    """Log to ``sys.stderr`` at the FLOORREF_LOG level for the duration of one call."""
     level_name = os.environ.get("FLOORREF_LOG", "WARNING").upper()
     level = getattr(logging, level_name, logging.WARNING)
-    logging.basicConfig(level=level, stream=sys.stderr, format="%(name)s %(levelname)s %(message)s")
+    root = logging.getLogger()
+    saved = root.level
+    if level != saved:  # setting a level clears every logger's level cache
+        root.setLevel(level)
+    root.addHandler(_LOG_HANDLER)
+    try:
+        yield
+    finally:
+        root.removeHandler(_LOG_HANDLER)
+        if level != saved:
+            root.setLevel(saved)
 
 
 def _load_world(args: argparse.Namespace):
@@ -239,7 +269,6 @@ def _exit_code(command: str, exc: FloorRefError) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    _setup_logging()
     # looked up at call time, so a replaced module attribute is the one run
     commands = {
         "simulate": cmd_simulate,
@@ -248,7 +277,8 @@ def main(argv: list[str] | None = None) -> int:
         "metrics": cmd_metrics,
     }
     try:
-        return commands[args.command](args)
+        with _logging_to_stderr():
+            return commands[args.command](args)
     except FloorRefError as e:
         print(f"error: {e}", file=sys.stderr)
         return _exit_code(args.command, e)

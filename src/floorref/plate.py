@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -22,6 +22,16 @@ Array = NDArray[np.float64]
 
 NEST_IDS = ("r", "g", "b")
 MIN_NEST_TRIANGLE_MM2 = 100.0
+
+
+class MarkNotOnPlate(ValueError):
+    """An id that ``ReferencingPlate.mark_rows`` does not find; ``index`` is
+    its position among the ids asked for, so a decoder can name the entry it
+    read it from."""
+
+    def __init__(self, message: str, index: int) -> None:
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,16 +109,18 @@ class ReferencingPlate:
         center = tuple(marks.mean(axis=0).tolist()) if len(marks) else None
         object.__setattr__(self, "_mark_center", center)
 
-    def mark_rows(self, mark_ids: Iterable[str]) -> list[int]:
+    def mark_rows(self, mark_ids: Sequence[str]) -> list[int]:
         """The row of ``mark_points`` of each id.
 
         Raises:
-            ValueError: an id not on the plate, named.
+            MarkNotOnPlate: the first id not on the plate, named.
         """
         try:
             return [self._rows[mark_id] for mark_id in mark_ids]
         except KeyError as e:
-            raise ValueError(f"mark {e.args[0]!r} is not on the plate") from None
+            mark_id = e.args[0]
+            message = f"mark {mark_id!r} is not on the plate"
+            raise MarkNotOnPlate(message, mark_ids.index(mark_id)) from None
 
 
 def nest_to_smr(plate: ReferencingPlate, nest_id: str) -> Array:

@@ -1,23 +1,23 @@
 """JSON document schemas: sessions, results, world configs, and plans.
 
 Every decoder rejects a missing or unknown key with a SchemaError that names
-the object's field path and the key, so a typo fails loudly. Pose matrices
-serialize at full float precision (they must round-trip exactly);
-human-facing reports round to nine decimals elsewhere.
+the object's field path and the key, so a typo fails loudly. Each check on
+an array runs over the whole array and names its first failing entry: a
+document with one fault gets that fault's message, and a document with two
+gets the message of the check that runs first. Pose matrices serialize at
+full float precision (they must round-trip exactly); human-facing reports
+round to nine decimals elsewhere.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import itertools
 import json
 import math
-import operator
 from collections.abc import Mapping
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -33,7 +33,7 @@ from .geometry import (
     transform_gap,
 )
 from .pipeline import OffSensorPoint, ReferencingResult, ReferencingSession
-from .plate import NEST_IDS, ReferencingPlate
+from .plate import NEST_IDS, MarkNotOnPlate, ReferencingPlate
 from .simulate import NoiseConfig, RobotModel, RobotPlacement, SimWorld
 
 Array = NDArray[np.float64]
@@ -172,15 +172,22 @@ def provenance(inputs: Mapping[str, str | Path], seed: int | None) -> dict:
     }
 
 
-def _check_keys(doc: Mapping[str, Any], where: str, required: set[str], optional: set[str]) -> None:
-    if not isinstance(doc, Mapping):
-        raise SchemaError(f"{where}: expected an object")
-    missing = required - set(doc)
+def _key_fault(doc: Any, required: set[str], optional: set[str]) -> str | None:
+    """What is wrong with the keys of an object, or None."""
+    if not isinstance(doc, (dict, Mapping)):  # dict first: the ABC check is slow
+        return "expected an object"
+    missing = required.difference(doc)
     if missing:
-        raise SchemaError(f"{where}: missing keys {sorted(missing)}")
-    unknown = set(doc) - required - optional
-    if unknown:
-        raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
+        return f"missing keys {sorted(missing)}"
+    # with every required key present, only a larger object holds another key
+    unknown = set(doc) - required - optional if len(doc) > len(required) else None
+    return f"unknown keys {sorted(unknown)}" if unknown else None
+
+
+def _check_keys(doc: Any, where: str, required: set[str], optional: set[str]) -> None:
+    fault = _key_fault(doc, required, optional)
+    if fault:
+        raise SchemaError(f"{where}: {fault}")
 
 
 def _path(where: str, key: str | int) -> str:
@@ -242,82 +249,73 @@ def _array(doc: Any, where: str, key: str | int, n: int | None = None) -> list:
     return v
 
 
-def _numbers(doc: Any, where: str, key: str | int, n: int | None = None) -> tuple[float, ...]:
-    out = tuple(_finite(v) for v in _array(doc, where, key, n))
+# An array is read in one path, in this check order: every entry's keys (or,
+# for rows, every row's length), then its labels (ids, position indices, mark
+# membership), then all its numbers as one flat list through ``_floats``.
+
+
+def _floats(values: list, path: Callable[[int], str]) -> list[float]:
+    """The ``_finite`` reading of each value; a SchemaError names the first
+    value that has none by ``path(i)``."""
+    # a finite float, what JSON decoding gives for most numbers, reads as itself
+    out = [v if type(v) is float and math.isfinite(v) else _finite(v) for v in values]
     if None in out:
         i = out.index(None)
-        v = doc[key][i]
-        raise SchemaError(f"{_path(where, key)}[{i}]: expected a finite number, got {v!r}")
+        raise SchemaError(f"{path(i)}: expected a finite number, got {values[i]!r}")
     return out
 
 
-def _objects(
+def _numbers(doc: Any, where: str, key: str | int, n: int | None = None) -> tuple[float, ...]:
+    w = _path(where, key)
+    return tuple(_floats(_array(doc, where, key, n), lambda i: f"{w}[{i}]"))
+
+
+def _rows(doc: Any, where: str, key: str, n: int, width: int) -> Array:
+    """The (n, width) numbers of an array of n arrays of ``width`` numbers."""
+    rows, w = _array(doc, where, key, n), _path(where, key)
+    flat = [v for i in range(n) for v in _array(rows, w, i, width)]
+    return np.array(_floats(flat, lambda i: f"{w}[{i // width}][{i % width}]")).reshape(n, width)
+
+
+def _entries(
     doc: Mapping[str, Any], where: str, key: str, required: set[str], optional: set[str]
-) -> Iterator[tuple[str, Mapping[str, Any]]]:
-    """Yield (path, entry) for each object of an array, its keys checked."""
-    for i, entry in enumerate(_array(doc, where, key)):
-        w = f"{where}.{key}[{i}]"
-        _check_keys(entry, w, required, optional)
-        yield w, entry
+) -> list:
+    """The objects of an array, each one's keys checked."""
+    entries = _array(doc, where, key)
+    for i, entry in enumerate(entries):
+        fault = _key_fault(entry, required, optional)
+        if fault:
+            raise SchemaError(f"{where}.{key}[{i}]: {fault}")
+    return entries
 
 
-# The fast paths of the decoders: an array whose values are all finite floats
-# (what JSON decoding gives for a number written with a fraction or an
-# exponent) becomes one numpy array, with no reader per value. The readers
-# return such a value as it is, so both paths give the same array; anything
-# else (an int, a bool, NaN, a missing or unknown key) goes to the readers,
-# which accept or refuse it and name the field.
-
-_FLOAT = frozenset({float})
+def _entry_numbers(entries: list, where: str, names: tuple[str, ...]) -> Array:
+    """The (n, len(names)) numbers under ``names`` of the entries of the
+    array at ``where``."""
+    n = len(names)
+    flat = [entry[name] for entry in entries for name in names]
+    return np.array(_floats(flat, lambda i: f"{where}[{i // n}].{names[i % n]}")).reshape(-1, n)
 
 
-def _float_array(rows: list, width: int) -> Array | None:
-    """Rows of ``width`` values as an (n, width) float array when every value
-    is a finite float; None otherwise."""
-    flat = list(itertools.chain.from_iterable(rows))
-    # a float sum is finite only if every term is; finite terms whose sum
-    # overflows go to the readers, which accept them
-    if set(map(type, flat)) != _FLOAT or not math.isfinite(sum(flat)):
-        return None
-    return np.array(flat).reshape(-1, width)
-
-
-def _plain_entries(
-    entries: Any, labels: tuple[str, ...], numbers: tuple[str, ...]
-) -> tuple[list, Array] | None:
-    """Fast path of an array of objects: when ``entries`` is a non-empty array
-    of objects that each hold exactly the keys ``labels`` and ``numbers``, with
-    a finite float under each of ``numbers``, each entry's label (its value
-    under a single label key, or the tuple of them) as read, for the caller to
-    check, and the (n, len(numbers)) array of its numbers. None otherwise."""
-    if type(entries) is not list or not entries:
-        return None
-    keys = {*labels, *numbers}
-    if not all(type(entry) is dict and entry.keys() == keys for entry in entries):
-        return None
-    values = _float_array(list(map(operator.itemgetter(*numbers), entries)), len(numbers))
-    if values is None:
-        return None
-    return list(map(operator.itemgetter(*labels), entries)), values
-
-
-def _unique_strings(ids: list) -> bool:
-    return all(type(i) is str for i in ids) and len(set(ids)) == len(ids)
+def _mark_ids(entries: list, where: str, key: str) -> list[str]:
+    """The mark id under ``key`` of each entry of the array at ``where``,
+    each listed once."""
+    ids = [entry[key] for entry in entries]
+    first: dict[str, int] = {}
+    for i, mark_id in enumerate(ids):
+        if not isinstance(mark_id, str):
+            raise SchemaError(f"{where}[{i}].{key}: expected a string, got {mark_id!r}")
+        if first.setdefault(mark_id, i) != i:
+            raise SchemaError(f"{where}[{i}].{key}: duplicate mark id {mark_id!r}")
+    return ids
 
 
 def _transform(doc: Any, where: str, key: str, source: str, dest: str) -> RigidTransform:
-    rows = doc[key]
-    m = None
-    if type(rows) is list and len(rows) == 4 and all(type(r) is list and len(r) == 4 for r in rows):
-        m = _float_array(rows, 4)
-    w = _path(where, key)
-    if m is None:
-        rows = _array(doc, where, key, 4)
-        m = np.array([_numbers(rows, w, i, 4) for i in range(4)])
+    m = _rows(doc, where, key, 4, 4)
     try:
         return RigidTransform.from_matrix(m, source=source, dest=dest)
     except ValueError as e:
-        raise SchemaError(f"{w}: {e}") from e
+        raise SchemaError(f"{_path(where, key)}: {e}") from e
 
 
 def _check_provenance(block: Any, where: str) -> None:
@@ -387,23 +385,14 @@ def plate_from_dict(doc: Mapping[str, Any]) -> ReferencingPlate:
     _check_keys(doc, where, {"marks", "nests", "delta_mm", "extent_mm"}, set())
     if doc["marks"] == []:
         raise SchemaError(f"{where}.marks: expected at least one mark, got []")
-    plain = _plain_entries(doc["marks"], ("id",), ("x", "y"))
-    if plain is not None and _unique_strings(plain[0]):
-        ids, xy = plain
-        points = np.column_stack([xy, np.zeros(len(ids))])
-    else:
-        marks = {}
-        for w, entry in _objects(doc, where, "marks", {"id", "x", "y"}, set()):
-            mark_id = _text(entry, w, "id")
-            if mark_id in marks:
-                raise SchemaError(f"{w}.id: duplicate mark id {mark_id!r}")
-            marks[mark_id] = (_number(entry, w, "x"), _number(entry, w, "y"), 0.0)
-        ids, points = list(marks), list(marks.values())
+    marks = _entries(doc, where, "marks", {"id", "x", "y"}, set())
+    ids = _mark_ids(marks, f"{where}.marks", "id")
+    xy = _entry_numbers(marks, f"{where}.marks", ("x", "y"))
     _check_keys(doc["nests"], f"{where}.nests", set(NEST_IDS), set())
     try:
         return ReferencingPlate(
             mark_ids=ids,
-            mark_points=points,
+            mark_points=np.column_stack([xy, np.zeros(len(ids))]),
             nest_points=[_numbers(doc["nests"], f"{where}.nests", nid, 3) for nid in NEST_IDS],
             delta_mm=_number(doc, where, "delta_mm"),
             extent_mm=_numbers(doc, where, "extent_mm", 2),
@@ -455,59 +444,41 @@ def session_to_dict(
 
 def _tracker_points(doc: Mapping[str, Any], where: str) -> Array:
     """The (5, 3) tracker points of a session in ``_TRACKER_POINTS`` order."""
-    plain = _plain_entries(doc["tracker_measurements"], ("id", "position_index"), ("x", "y", "z"))
-    if plain is not None:
-        points, xyz = plain
-        if (
-            all(type(i) is str and (n is None or type(n) is int) for i, n in points)
-            and len(points) == len(_TRACKER_POINTS)
-            and set(points) == set(_TRACKER_POINTS)
-        ):
-            return xyz[[points.index(point) for point in _TRACKER_POINTS]]
-    found: dict[tuple[str, int | None], tuple[float, float, float]] = {}
+    w = f"{where}.tracker_measurements"
     keys = {"id", "x", "y", "z"}
-    for w, entry in _objects(doc, where, "tracker_measurements", keys, {"position_index"}):
-        point_id = _text(entry, w, "id")
-        xyz = (_number(entry, w, "x"), _number(entry, w, "y"), _number(entry, w, "z"))
-        idx = entry.get("position_index")
-        point = (point_id, None if idx is None else _integer(entry, w, "position_index"))
+    entries = _entries(doc, where, "tracker_measurements", keys, {"position_index"})
+    points: list[tuple[str, int | None]] = []
+    for i, entry in enumerate(entries):
+        wi = f"{w}[{i}]"
+        point_id, index = _text(entry, wi, "id"), entry.get("position_index")
+        point = (point_id, None if index is None else _integer(entry, wi, "position_index"))
         if point not in _TRACKER_POINTS:
             raise SchemaError(
-                f"{w}: {_tracker_point(point)} is not a tracker point of a session (nests 'r', "
+                f"{wi}: {_tracker_point(point)} is not a tracker point of a session (nests 'r', "
                 f"'g' and 'b' without a position index, 'robot_smr' at position index 0 and 1)"
             )
-        if point in found:
-            raise SchemaError(f"{w}: second reading of {_tracker_point(point)}")
-        found[point] = xyz
+        if point in points:
+            raise SchemaError(f"{wi}: second reading of {_tracker_point(point)}")
+        points.append(point)
     for point in _TRACKER_POINTS:
-        if point not in found:
-            raise SchemaError(f"{where}.tracker_measurements: no reading of {_tracker_point(point)}")
-    return np.array([found[point] for point in _TRACKER_POINTS])
+        if point not in points:
+            raise SchemaError(f"{w}: no reading of {_tracker_point(point)}")
+    xyz = _entry_numbers(entries, w, ("x", "y", "z"))
+    return xyz[[points.index(point) for point in _TRACKER_POINTS]]
 
 
 def _image_observation(
     doc: Mapping[str, Any], where: str, plate: ReferencingPlate
 ) -> tuple[tuple[str, ...], Array]:
     """The observed mark ids of a session and their (n, 2) image points."""
-    plain = _plain_entries(doc["image_observation"], ("mark_id",), ("row", "col"))
-    if plain is not None:
-        mark_ids, rowcol = plain
-        if _unique_strings(mark_ids):
-            with contextlib.suppress(ValueError):  # the readers below name the entry
-                plate.mark_rows(mark_ids)
-                return tuple(mark_ids), rowcol
-    observation: dict[str, tuple[float, float]] = {}
-    entries = _objects(doc, where, "image_observation", {"mark_id", "row", "col"}, set())
-    for w, entry in entries:
-        mark_id = _text(entry, w, "mark_id")
-        if mark_id in observation:
-            raise SchemaError(f"{w}.mark_id: duplicate mark id {mark_id!r}")
-        try:
-            plate.mark_rows([mark_id])
-        except ValueError as e:
-            raise SchemaError(f"{w}.mark_id: {e}") from None
-        observation[mark_id] = (_number(entry, w, "row"), _number(entry, w, "col"))
-    return tuple(observation), np.reshape(list(observation.values()), (-1, 2))
+    w = f"{where}.image_observation"
+    entries = _entries(doc, where, "image_observation", {"mark_id", "row", "col"}, set())
+    mark_ids = _mark_ids(entries, w, "mark_id")
+    try:
+        plate.mark_rows(mark_ids)
+    except MarkNotOnPlate as e:
+        raise SchemaError(f"{w}[{e.index}].mark_id: {e}") from None
+    return tuple(mark_ids), _entry_numbers(entries, w, ("row", "col"))
 
 
 def session_from_dict(doc: Mapping[str, Any]) -> ReferencingSession:
@@ -602,9 +573,8 @@ def _check_reversal(block: Any, where: str) -> None:
     _number(block, where, "delta_rotation_deg")
     _array(block, where, "run_residuals", 2)
     keys = ("registration_rms_mm", "reprojection_rms_px")
-    for w, run in _objects(block, where, "run_residuals", set(keys), set()):
-        for key in keys:
-            _number(run, w, key)
+    runs = _entries(block, where, "run_residuals", set(keys), set())
+    _entry_numbers(runs, f"{where}.run_residuals", keys)
 
 
 def result_from_dict(doc: Mapping[str, Any], camera: CameraModel) -> ReferencingResult:
@@ -692,13 +662,10 @@ def world_from_dict(
 
     robot_doc, w = doc["robot"], f"{where}.robot"
     _check_keys(robot_doc, w, {"smr_height_mm", "wheel_contacts_xy_mm"}, set())
-    contacts = _array(robot_doc, w, "wheel_contacts_xy_mm", 3)
     try:
         robot = RobotModel(
             smr_height_mm=_number(robot_doc, w, "smr_height_mm"),
-            wheel_contacts_xy_mm=tuple(
-                _numbers(contacts, f"{w}.wheel_contacts_xy_mm", i, 2) for i in range(3)
-            ),
+            wheel_contacts_xy_mm=_rows(robot_doc, w, "wheel_contacts_xy_mm", 3, 2),
         )
     except ValueError as e:
         raise SchemaError(f"{where}.robot: {e}") from e

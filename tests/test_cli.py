@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
@@ -434,6 +436,20 @@ class TestRepeatedCalls:
         assert other.read_bytes() != first.read_bytes()
         assert again.read_bytes() == first.read_bytes()
 
+    def test_log_lines_go_to_the_stderr_of_their_call(self, tmp_path):
+        def stderr_of(*argv):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                assert run(*argv) == 0
+            return err.getvalue()
+
+        session = tmp_path / "s.json"
+        assert stderr_of("simulate", CONFIGS / "world.json", "--out", session) == ""
+        far = _edited(session, tmp_path / "far.json", _far_smrs)
+        err = stderr_of("calibrate", far, "--out", tmp_path / "r.json")
+        assert err.startswith("floorref.pipeline WARNING estimate_plate_pose: registration RMS ")
+        assert err.endswith(" mm above 0.5 mm, result suspect\n")
+
     def test_command_looked_up_at_call_time(self, tmp_path, monkeypatch):
         assert run("simulate", CONFIGS / "world.json", "--out", tmp_path / "s.json") == 0
         seen = []
@@ -471,6 +487,11 @@ def _edited(src, dst, edit):
     edit(doc)
     write_json(doc, dst)
     return dst
+
+
+def _far_smrs(doc):
+    # the seated smrs far off the nests: calibrate exits 0 with a suspect fit
+    doc["plate"]["delta_mm"] = 1e300
 
 
 def _junk_truth(doc):
@@ -536,6 +557,15 @@ EXIT_2_CASES = {
     "metrics-overflow": (
         lambda c, t: ("metrics", _huge_csv(t / "m.csv"), "--out-dir", "OUT"),
         "error: cluster_metrics: measurement coordinates too large, a metric overflows",
+    ),
+    "camera-size-beyond-float-range": (
+        lambda c, t: (
+            "simulate",
+            _edited(WORLD, t / "w.json", lambda d: d["camera"].update(cols=10**400)),
+            "--out",
+            "OUT",
+        ),
+        "error: camera: image size must be within the float range: cols",
     ),
     "unknown-world-key": (
         lambda c, t: (

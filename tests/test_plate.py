@@ -70,10 +70,11 @@ class TestPlateType:
         assert plate.mark_rows([]) == []
         assert np.array_equal(plate.mark_points[plate.mark_rows(["m4"])], [[140.0, 50.0, 0.0]])
 
-    @pytest.mark.parametrize("ids, named", [(["m1", "zz", "yy"], "'zz'"), ([3], "3")])
-    def test_mark_rows_refuses_an_id_not_on_the_plate(self, ids, named):
-        with pytest.raises(ValueError, match=rf"^mark {named} is not on the plate$"):
+    @pytest.mark.parametrize("ids, named, index", [(["m1", "zz", "yy"], "'zz'", 1), ([3], "3", 0)])
+    def test_mark_rows_refuses_an_id_not_on_the_plate(self, ids, named, index):
+        with pytest.raises(ValueError, match=rf"^mark {named} is not on the plate$") as info:
             make_plate().mark_rows(ids)
+        assert info.value.index == index  # the first id not on the plate
 
     @pytest.mark.parametrize(
         "marks_xy, nest_r, extent, message",

@@ -362,6 +362,7 @@ def _unknown_truth_key(doc):
 # (document, mutation, field path the decoder's SchemaError must start with)
 MALFORMED = [
     ("session", _set(["camera", "k", 1], "0.01"), "camera.k[1]"),
+    ("world", _set(["camera", "cols"], 10**400), "camera"),  # an int beyond the float range
     ("session", _set(["plate", "nests", "g", 2], True), "plate.nests.g[2]"),
     ("session", _set(["plate", "extent_mm", 0], "600"), "plate.extent_mm[0]"),
     (
@@ -436,6 +437,48 @@ def test_malformed_field_names_its_path(quick_start_docs, kind, mutate, field):
     with pytest.raises(SchemaError) as info:
         _decode(kind, doc, quick_start_docs)
     assert str(info.value).startswith(f"{field}:")
+
+
+# (document, mutations, message) of documents with two faults in one array:
+# each check runs over the whole array, so the check that runs first names its
+# fault (keys, then labels, then numbers), wherever the other fault sits
+TWO_FAULTS = [
+    (
+        "session",
+        [_set(["plate", "marks", 2, "x"], math.nan), _set(["plate", "marks", 17], "m17")],
+        "plate.marks[17]: expected an object",
+    ),
+    (
+        "session",
+        [_set(["image_observation", 5, "row"], []), _set(["image_observation", 20, "mark_id"], True)],
+        "session.image_observation[20].mark_id: expected a string, got True",
+    ),
+    (
+        "session",
+        [
+            _set(["tracker_measurements", 0, "x"], "x"),
+            _set(["tracker_measurements", 4, "position_index"], True),
+        ],
+        "session.tracker_measurements[4].position_index: expected an integer, got True",
+    ),
+    (
+        "session",
+        [_set(["ground_truth", "rob_H_cam", 0, 0], None), _set(["ground_truth", "rob_H_cam", 3], [])],
+        "session.ground_truth.rob_H_cam[3]: expected an array of 4, got []",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, mutations, message", TWO_FAULTS, ids=[message.split(":")[0] for _, _, message in TWO_FAULTS]
+)
+def test_two_faults_name_the_check_that_runs_first(quick_start_docs, kind, mutations, message):
+    doc = copy.deepcopy(quick_start_docs[kind])
+    for mutate in mutations:
+        mutate(doc)
+    with pytest.raises(SchemaError) as info:
+        _decode(kind, doc, quick_start_docs)
+    assert str(info.value) == message
 
 
 # numbers within the float range whose geometry overflows it
@@ -658,7 +701,7 @@ def test_write_json_special_values_and_refusals(tmp_path):
             write_json(bad, path)
 
 
-# --- the decoders' fast paths --------------------------------------------------
+# --- numbers read from arrays -------------------------------------------------
 
 
 def _plate_mark(out, mark_id):
@@ -667,10 +710,10 @@ def _plate_mark(out, mark_id):
     return plate.mark_points[plate.mark_rows([mark_id])[0]]
 
 
-# A value that a decoder reads through its fast path (an array of objects or a
-# matrix of plain floats), the decoded number it becomes, and its field path.
-# Any other JSON value sends the array to the per-value readers.
-FAST_PATH_VALUES = [
+# A number that a decoder reads from an array (of objects or of rows), the
+# decoded number it becomes, and its field path: it is read as a lone number
+# is, by the same rules and with the same message.
+ARRAY_VALUES = [
     ("session", ["plate", "marks", 3, "x"], lambda out: _plate_mark(out, "m03")[0], "plate.marks[3].x"),
     ("world", ["plate", "marks", 3, "y"], lambda out: _plate_mark(out, "m03")[1], "plate.marks[3].y"),
     (
@@ -698,7 +741,7 @@ FAST_PATH_VALUES = [
         "result.intermediates.abs_H_rob[1][3]",
     ),
 ]
-_FAST_PATH_IDS = [field for _, _, _, field in FAST_PATH_VALUES]
+_ARRAY_VALUE_IDS = [field for _, _, _, field in ARRAY_VALUES]
 
 
 def _decoded(kind, doc, docs):
@@ -716,8 +759,8 @@ def _value_at(doc, path):
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "true", "1" + "0" * 400])
-@pytest.mark.parametrize("kind, path, read, field", FAST_PATH_VALUES, ids=_FAST_PATH_IDS)
-def test_fast_path_refuses_what_the_readers_refuse(quick_start_docs, kind, path, read, field, literal):
+@pytest.mark.parametrize("kind, path, read, field", ARRAY_VALUES, ids=_ARRAY_VALUE_IDS)
+def test_array_value_refused_as_a_lone_number_is(quick_start_docs, kind, path, read, field, literal):
     doc = copy.deepcopy(quick_start_docs[kind])
     value = json.loads(literal)  # what json.load gives for the literal in a file
     _set(path, value)(doc)
@@ -726,8 +769,8 @@ def test_fast_path_refuses_what_the_readers_refuse(quick_start_docs, kind, path,
     assert str(info.value) == f"{field}: expected a finite number, got {value!r}"
 
 
-@pytest.mark.parametrize("kind, path, read, field", FAST_PATH_VALUES, ids=_FAST_PATH_IDS)
-def test_fast_path_reads_ints_and_negative_zero_as_the_readers_do(quick_start_docs, kind, path, read, field):
+@pytest.mark.parametrize("kind, path, read, field", ARRAY_VALUES, ids=_ARRAY_VALUE_IDS)
+def test_array_value_reads_ints_and_negative_zero_as_a_lone_number_does(quick_start_docs, kind, path, read, field):
     doc = quick_start_docs[kind]
     assert read(_decoded(kind, doc, quick_start_docs)) == _value_at(doc, path)  # the path reads it
     number = round(_value_at(doc, path))
