@@ -191,6 +191,12 @@ def estimate_plate_pose(session: ReferencingSession) -> PlatePoseEstimate:
     """
     plate_points = session.plate.mark_points[session.plate.mark_rows(session.mark_ids)]
     fit = estimate_plate_pose_from_image(session.camera, session.image_points, plate_points)
+    log.debug(
+        "estimate_plate_pose: image fit stopped by %s after %d iterations, RMS %.4f px",
+        fit.stop,
+        fit.iterations,
+        fit.rms_px,
+    )
     scene = build_rectification_map(session.camera, fit.h_cam_ref)
 
     p_scn = apply(scene.h_scn_ref, smr_points(session.plate))

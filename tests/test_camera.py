@@ -33,6 +33,7 @@ from floorref.simulate import (
     GLASS_NOISE,
     default_placements,
     demo_camera,
+    demo_world,
     inject_wooden_plate,
     random_world,
     simulate_referencing_session,
@@ -154,6 +155,20 @@ class TestProjection:
             CameraModel(-1.0, 0.00345, 0.00345, 10, 10, (0, 0, 0), 100, 100)
         with pytest.raises(ValueError):
             CameraModel(12.0, 0.00345, 0.00345, 10, 10, (0, 0, 0), 1, 100)
+
+    @pytest.mark.parametrize("field", ["rows", "cols"])
+    def test_image_size_above_2_to_the_53_named(self, field):
+        # up to 2**53 px every pixel coordinate is an exact float; a larger
+        # size is refused by name before the distortion check spans it
+        def build(size):
+            sizes = {"rows": 2048, "cols": 2448, field: size}
+            return CameraModel(12.0, 0.00345, 0.00345, 1224.0, 1024.0, (-0.03, 0.0005, 0.0), **sizes)
+
+        for size in (2**53 + 1, 2**70, 10**400):
+            with pytest.raises(ValueError, match=rf"^image size must be at most 2\*\*53 px: {field}$"):
+                build(size)
+        with pytest.raises(ValueError, match="^distortion not invertible"):
+            build(2**53)
 
 
 class TestRadialDistortion:
@@ -468,7 +483,7 @@ class TestPlatePoseFromImage:
         for _ in range(500):
             obs = _synthetic_observation(m, h_cam_ref, marks, sigma_px=0.05, rng=rng)
             fit = estimate_plate_pose_from_image(m, *obs)
-            assert fit.stop == "step_tol"
+            assert fit.stop == "sigma"
             errs.append(np.linalg.norm(fit.h_cam_ref.translation - h_cam_ref.translation))
         errs = np.array(errs)
         assert np.mean(errs) < 0.05
@@ -486,47 +501,66 @@ class TestPlatePoseFromImage:
                 placements = default_placements(world, reverse=reverse)
                 session = simulate_referencing_session(world, GLASS_NOISE, *placements, trial=trial)
                 fit = estimate_plate_pose_from_image(session.camera, *_observation(session))
-                assert fit.stop == "step_tol"
+                assert fit.stop == "sigma"
                 iterations.append(fit.iterations)
         assert sum(iterations) <= sum(finite_difference)
 
     def test_iterations_total_on_random_worlds(self):
-        # random_world(1..10), sessions A and B: 20 fits in at most 100
-        # iterations (87 with the damping started at 1e-6, 140 at 1e-3).
+        # random_world(1..10), sessions A and B: 20 fits in at most 46
+        # iterations, each ended by the sigma stop.
         total = 0
         for seed in range(1, 11):
             for camera, obs in _session_observations(random_world(seed)):
                 fit = estimate_plate_pose_from_image(camera, *obs)
-                assert fit.stop == "step_tol"
+                assert fit.stop == "sigma"
                 total += fit.iterations
-        assert total <= 100
+        assert total <= 46
 
     def test_lands_on_gauss_newton_reference(self):
-        # Thirty undamped Gauss-Newton steps from the fit's own result move
-        # its translation by at most 1e-7 mm on 0.25 mm bowed worlds under
-        # glass noise: the fit does not stop short while the cost is flat to
-        # rounding along the near-degenerate tilt/shift direction of a
-        # top-down view.
+        # Undamped Gauss-Newton from the fit's own result, run until its step
+        # is below 1e-12 or for 500 steps, is the reference. On 0.25 mm bowed
+        # worlds under glass noise and on four crawling stress views, the fit
+        # ends by the sigma stop within 1e-2 sigma of the reference in every
+        # pose component, sigma from the reference's J^T J and s^2 (worst
+        # 2.1e-3 sigma, stress view 693): it does not stop short along the
+        # near-degenerate tilt/shift direction of a top-down view.
+        cases = [
+            case
+            for seed in range(1, 51)
+            for case in _session_observations(inject_wooden_plate(random_world(seed), 0.25))
+        ]
+        cases += [_stress_view(seed) for seed in (143, 468, 693, 804)]
         worst = 0.0
-        for seed in range(1, 51):
-            for camera, obs in _session_observations(inject_wooden_plate(random_world(seed), 0.25)):
-                fit = estimate_plate_pose_from_image(camera, *obs)
-                rc_obs, ref_pts = obs
-                r, t = fit.h_cam_ref.rotation, fit.h_cam_ref.translation
-                for _ in range(30):
-                    res = _pixel_residual(camera, ref_pts, r, t) - rc_obs.ravel()
-                    jac = _pose_jacobian(camera, _project_plate(camera, ref_pts, r, t))
-                    step = np.linalg.lstsq(jac, -res, rcond=None)[0]
-                    r, t = rotation_from_rotvec(step[:3]) @ r, t + step[3:]
-                worst = max(worst, float(np.max(np.abs(fit.h_cam_ref.translation - t))))
-        assert worst <= 1e-7
+        for m, (rc_obs, ref_pts) in cases:
+            fit = estimate_plate_pose_from_image(m, rc_obs, ref_pts)
+            assert fit.stop == "sigma"
+            r, t = fit.h_cam_ref.rotation, fit.h_cam_ref.translation
+            for _ in range(500):
+                res = _pixel_residual(m, ref_pts, r, t) - rc_obs.ravel()
+                jac = _pose_jacobian(m, _project_plate(m, ref_pts, r, t))
+                step = np.linalg.lstsq(jac, -res, rcond=None)[0]
+                r, t = rotation_from_rotvec(step[:3]) @ r, t + step[3:]
+                if np.abs(step).max() < 1e-12:
+                    break
+            res = _pixel_residual(m, ref_pts, r, t) - rc_obs.ravel()
+            jac = _pose_jacobian(m, _project_plate(m, ref_pts, r, t))
+            s2 = res @ res / (res.size - 6)
+            sigma = np.sqrt(s2 * np.linalg.inv(jac.T @ jac).diagonal())
+            # the pose update (dw, dt) from the fit to the reference, dw from
+            # the skew part of the small rotation between them
+            d = r @ fit.h_cam_ref.rotation.T
+            dw = 0.5 * np.array([d[2, 1] - d[1, 2], d[0, 2] - d[2, 0], d[1, 0] - d[0, 1]])
+            gap = np.concatenate([dw, t - fit.h_cam_ref.translation])
+            worst = max(worst, float((np.abs(gap) / sigma).max()))
+        assert worst <= 1e-2
 
     @pytest.mark.parametrize("seed", [143, 468])
     def test_slow_stress_view_ends_below_the_cap(self, seed):
-        # a poor homography start: a slow descent, then the cost is flat to rounding
+        # a poor homography start: a slow descent, then the pose is known to
+        # 1e-3 of its sigma
         m, obs = _stress_view(seed)
         fit = estimate_plate_pose_from_image(m, *obs)
-        assert fit.stop == "step_tol"
+        assert fit.stop == "sigma"
         assert fit.iterations <= camera._POSE_MAX_ITER
 
     def test_non_convergence_raised_at_the_cap(self, monkeypatch):
@@ -547,9 +581,10 @@ class TestPlatePoseFromImage:
 
     def test_rejected_trial_raises_the_damping(self, monkeypatch):
         # on this stress view some trial steps raise the cost: each is
-        # rejected, the damping grows tenfold, and the fit still ends with
-        # the cost flat to rounding; every iteration ends at its first
-        # accepted trial, so more trials than iterations means rejections
+        # rejected, the damping grows tenfold, and the fit still ends by the
+        # sigma stop; every iteration but the last ends at its first accepted
+        # trial and the last tries none, so more trials than iterations means
+        # rejections
         trials = []
 
         def counted(w):
@@ -559,8 +594,36 @@ class TestPlatePoseFromImage:
         monkeypatch.setattr(camera, "rotation_from_rotvec", counted)
         m, obs = _stress_view(804)
         fit = estimate_plate_pose_from_image(m, *obs)
-        assert fit.stop == "step_tol"
+        assert fit.stop == "sigma"
         assert len(trials) > fit.iterations
+
+    def test_singular_normal_matrix_skips_the_sigma_stop(self, monkeypatch):
+        # one mark moved to x = 0 on the plate drives the fit toward a camera
+        # in the plate plane, where J^T J + 1e-12 I is singular to working
+        # precision: the decrement solve fails, no sigma is known, and the
+        # damped trials go on until the decrement is defined and small; the
+        # scene check then refuses the pose
+        singular = []
+        solve = np.linalg.solve
+
+        def counted(a, b):
+            try:
+                return solve(a, b)
+            except np.linalg.LinAlgError:
+                singular.append(a)
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        world = demo_world(seed=7)
+        session = simulate_referencing_session(world, GLASS_NOISE, *default_placements(world))
+        rc_obs, ref_pts = _observation(session)
+        ref_pts = ref_pts.copy()
+        ref_pts[4, 0] = 0.0
+        fit = estimate_plate_pose_from_image(session.camera, rc_obs, ref_pts)
+        assert len(singular) == 4
+        assert fit.stop == "sigma"
+        with pytest.raises(DegenerateViewingGeometry, match="camera center lies in the plate plane"):
+            build_rectification_map(session.camera, fit.h_cam_ref)
 
     def test_three_points_rejected(self):
         m = model()

@@ -565,7 +565,7 @@ EXIT_2_CASES = {
             "--out",
             "OUT",
         ),
-        "error: camera: image size must be within the float range: cols",
+        "error: camera: image size must be at most 2**53 px: cols",
     ),
     "unknown-world-key": (
         lambda c, t: (

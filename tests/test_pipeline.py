@@ -1,3 +1,4 @@
+import logging
 import math
 import re
 from dataclasses import replace
@@ -201,6 +202,22 @@ class TestPlatePoseEstimate:
         assert np.max(np.abs(h_abs_cam.translation - truth.translation)) < 1e-6
         assert est.registration_rms_mm < 1e-9
         assert not est.suspect
+
+    @pytest.mark.parametrize("noise", [NO_NOISE, GLASS_NOISE], ids=["noiseless", "glass"])
+    def test_image_fit_logged_at_debug(self, world, noise, caplog):
+        # FLOORREF_LOG=DEBUG explains each image fit: why it stopped, after
+        # how many iterations, and its RMS
+        session = simulate_referencing_session(world, noise, *default_placements(world))
+        plate_points = session.plate.mark_points[session.plate.mark_rows(session.mark_ids)]
+        fit = camera.estimate_plate_pose_from_image(session.camera, session.image_points, plate_points)
+        with caplog.at_level(logging.DEBUG, logger="floorref.pipeline"):
+            est = estimate_plate_pose(session)
+        assert est.reprojection_rms_px == fit.rms_px
+        assert caplog.messages == [
+            f"estimate_plate_pose: image fit stopped by {fit.stop} after {fit.iterations} "
+            f"iterations, RMS {fit.rms_px:.4f} px"
+        ]
+        assert fit.stop == ("step_tol" if noise is NO_NOISE else "sigma")
 
     def test_registration_rms_under_tracker_noise(self):
         # three seated-smr points with 35 um tracker noise on the targets
@@ -452,6 +469,11 @@ def test_bow_yaw_bias_is_left_in_place_by_reversal():
         assert per_mm[0] == pytest.approx(-6.1, abs=0.1)
 
 
+# image-fit iterations per calibrate op (two fits, each ended by the sigma
+# stop), one Jacobian each
+POSE_JACOBIANS = {1: 5, 2: 5, 3: 4, 4: 5, 5: 5}
+
+
 @pytest.mark.parametrize("seed", range(1, 6))
 def test_calibrate_op_call_counts(seed, call_counts):
     # One reversal calibration, as the benchmark's calibrate op: each session
@@ -462,13 +484,15 @@ def test_calibrate_op_call_counts(seed, call_counts):
     # camera is the shared demo camera, built once per process, so counting
     # its construction would depend on test order. The LAPACK calls are
     # bounded too: 19 SVDs (2 homographies, 9 nearest rotations, 6 planar
-    # spreads, 2 registrations), one solve per LM trial, and one batched solve
-    # per support-pose plane fit, two per session.
+    # spreads, 2 registrations), one solve per LM trial plus one per LM
+    # iteration (its Gauss-Newton decrement), and one batched solve per
+    # support-pose plane fit, two per session.
     world = inject_wooden_plate(random_world(seed), 0.25)
     counts = call_counts(
         (simulate, "support_poses"),
         (camera, "undistort_radial"),
         (camera, "rotation_from_rotvec"),
+        (camera, "_pose_jacobian"),
         (geometry, "validate_rotation"),
         (np.linalg, "det"),
         (np.linalg, "svd"),
@@ -489,4 +513,5 @@ def test_calibrate_op_call_counts(seed, call_counts):
     assert counts["det"] == 0
     assert counts["svd"] <= 19
     assert plane_fits <= 4
-    assert counts["solve"] - plane_fits <= counts["rotation_from_rotvec"]
+    assert counts["_pose_jacobian"] == POSE_JACOBIANS[seed]
+    assert counts["solve"] - plane_fits == counts["rotation_from_rotvec"] + counts["_pose_jacobian"]
