@@ -18,7 +18,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import EmptyCluster, EmptyInput, FloorRefError, MetricOverflow, OutOfBounds
-from .geometry import RigidTransform, as_point3, rotations_about_z
+from .geometry import RigidTransform, rotations_about_z
 from .pipeline import ReferencingResult
 from .simulate import (
     NoiseConfig,
@@ -70,24 +70,14 @@ class MarkMeasurement:
     trial: int
 
     def __post_init__(self) -> None:
-        if self.direction not in DIRECTION_YAW_DEG:
-            raise ValueError(f"unknown direction {self.direction!r}")
-        nominal = DIRECTION_YAW_DEG[self.direction]
-        if not abs(_wrap_deg(self.yaw_deg - nominal)) <= DIRECTION_TOLERANCE_DEG:  # NaN fails
-            raise ValueError(
-                f"yaw {self.yaw_deg:.2f} deg inconsistent with direction {self.direction!r}"
-            )
-        p = as_point3(self.position)
+        p = np.asarray(self.position, dtype=np.float64)
+        if p.shape != (3,):
+            raise ValueError(f"expected a 3-vector, got shape {p.shape}")
+        fault = _record_fault((self.direction,), np.array([self.yaw_deg]), p[None])
+        if fault is not None:
+            raise ValueError(fault[1])
         p.setflags(write=False)
         object.__setattr__(self, "position", p)
-
-    @classmethod
-    def _unchecked(cls, direction: str, yaw_deg: float, position: Array, trial: int) -> MarkMeasurement:
-        # For records whose direction, yaw and (read-only) position have been
-        # checked as arrays, as measurement_records does: no per-record checks.
-        m = object.__new__(cls)
-        m.__dict__.update(direction=direction, yaw_deg=yaw_deg, position=position, trial=trial)
-        return m
 
 
 @dataclass(frozen=True)
@@ -202,12 +192,12 @@ def run_experiment(
     error of the first one in repeat-then-direction order is raised, as a
     one-at-a-time loop would.
 
-    The records are then checked once per array, as the ``MarkMeasurement``
-    constructor checks one record: each yaw within 10 degrees of its
-    direction's nominal yaw after wrapping, and each position finite. The
-    first failing record raises the constructor's error (its yaw before its
-    position), after any failure of the geometry pass. The records are built
-    without a second check and share one read-only position array.
+    The records are then checked once per array by the record rule of
+    ``measurement_records``, the rule the ``MarkMeasurement`` constructor
+    runs on one record: each yaw within 10 degrees of its direction's nominal
+    yaw after wrapping, and each position finite. The first failing record
+    raises the rule's error (its yaw before its position), after any failure
+    of the geometry pass. The records share one read-only position array.
 
     Raises:
         MarkNotVisible: plan geometry pushes the mark out of view.
@@ -272,32 +262,49 @@ def run_experiment(
     return measurement_records(directions, yaw_deg, positions, trials)
 
 
-def measurement_records(
-    directions: Sequence[str], yaw_deg: Array, positions: Array, trials: Sequence[int]
-) -> list[MarkMeasurement]:
-    """Mark measurements from a direction, an (n,) yaw array, an (n, 3)
-    position array and a trial per record, checked once per array as the
-    ``MarkMeasurement`` constructor checks one record: a known direction, the
-    yaw within 10 degrees of its nominal yaw after wrapping, and a finite
-    position. The first failing record raises the constructor's error; the
-    records share the position array, made read-only."""
+def _record_fault(directions: Sequence[str], yaw_deg: Array, positions: Array) -> tuple[int, str] | None:
+    """The index and message of the first record that breaks the record rule,
+    or None. A record has a known direction, then a yaw within 10 degrees of
+    that direction's nominal yaw after wrapping, then a finite position."""
     nominal = np.array([DIRECTION_YAW_DEG.get(d, math.nan) for d in directions])
     with np.errstate(invalid="ignore"):  # an infinite yaw wraps to NaN, which fails
         bad_yaw = ~(np.abs(_wrap_deg(yaw_deg - nominal)) <= DIRECTION_TOLERANCE_DEG)
     bad = bad_yaw | ~np.isfinite(positions).all(axis=1)
-    yaw_list = yaw_deg.tolist()
-    if bad.any():
-        k = int(np.argmax(bad))
-        if directions[k] not in DIRECTION_YAW_DEG:
-            raise ValueError(f"unknown direction {directions[k]!r}")
-        if bad_yaw[k]:
-            raise ValueError(f"yaw {yaw_list[k]:.2f} deg inconsistent with direction {directions[k]!r}")
-        raise ValueError(f"point components must be finite, got {positions[k]}")
+    if not bad.any():
+        return None
+    k = int(np.argmax(bad))
+    if directions[k] not in DIRECTION_YAW_DEG:
+        return k, f"unknown direction {directions[k]!r}"
+    if bad_yaw[k]:
+        return k, f"yaw {float(yaw_deg[k]):.2f} deg inconsistent with direction {directions[k]!r}"
+    return k, f"point components must be finite, got {positions[k]}"
+
+
+def measurement_records(
+    directions: Sequence[str], yaw_deg: Array, positions: Array, trials: Sequence[int]
+) -> list[MarkMeasurement]:
+    """Mark measurements from a direction, an (n,) yaw array, an (n, 3)
+    position array and a trial per record, checked once per array by the
+    record rule that also checks each ``MarkMeasurement`` built one at a
+    time. The first failing record raises the rule's message as a
+    ValueError; the records share the position array, made read-only."""
+    fault = _record_fault(directions, yaw_deg, positions)
+    if fault is not None:
+        raise ValueError(fault[1])
+    return _records(directions, yaw_deg, positions, trials)
+
+
+def _records(
+    directions: Sequence[str], yaw_deg: Array, positions: Array, trials: Sequence[int]
+) -> list[MarkMeasurement]:
+    # records that have passed the record rule, built without a second check
     positions.setflags(write=False)
-    return [
-        MarkMeasurement._unchecked(direction, yaw, position, trial)
-        for direction, yaw, position, trial in zip(directions, yaw_list, positions, trials)
-    ]
+    records = []
+    for direction, yaw, position, trial in zip(directions, yaw_deg.tolist(), positions, trials):
+        m = object.__new__(MarkMeasurement)
+        m.__dict__.update(direction=direction, yaw_deg=yaw, position=position, trial=trial)
+        records.append(m)
+    return records
 
 
 # --- metrics -------------------------------------------------------------------

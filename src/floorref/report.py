@@ -21,7 +21,8 @@ from .experiment import (
     ClusterReport,
     DirectionStats,
     MarkMeasurement,
-    measurement_records,
+    _record_fault,
+    _records,
 )
 
 CSV_HEADER = (
@@ -112,44 +113,45 @@ def write_measurements_csv(measurements: Sequence[MarkMeasurement], path: str | 
 
 
 def read_measurements_csv(path: str | Path) -> list[MarkMeasurement]:
-    """The records of a measurement CSV, checked once per array
-    (``measurement_records``). When a row is malformed or a record fails its
-    check, the rows are read one at a time to name the first bad line."""
+    """The records of a measurement CSV, read in one pass in file order: each
+    row's column count, its four finite numbers and its integer trial, up to
+    the first malformed row. The record rule (``measurement_records``)
+    then runs over the rows before that row, so the error names the first
+    bad line, whichever check that line fails."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as f:
             rows = list(csv.reader(f))
-    except OSError as e:
+    except (OSError, UnicodeDecodeError, csv.Error) as e:
         raise SchemaError(f"cannot read measurement CSV {path}: {e}") from e
     if not rows or tuple(rows[0]) != MEASUREMENT_COLUMNS:
         raise SchemaError(f"{path}: expected header {','.join(MEASUREMENT_COLUMNS)}")
-    body = rows[1:]
-    if all(len(row) == 6 for row in body):
-        try:
-            values = np.reshape([[float(v) for v in row[1:5]] for row in body], (-1, 4))
-            trials = [int(row[5]) for row in body]
-            return measurement_records(
-                [row[0] for row in body], values[:, 0], values[:, 1:].copy(), trials
-            )
-        except ValueError:
-            pass
-    out = []
-    for i, row in enumerate(body, start=2):
+    values: list[list[float]] = []
+    trials: list[int] = []
+    row_fault = None
+    for i, row in enumerate(rows[1:]):
         if len(row) != 6:
-            raise SchemaError(f"{path}:{i}: expected 6 columns, got {len(row)}")
+            row_fault = i, f"expected 6 columns, got {len(row)}"
+            break
         try:
-            values = [float(v) for v in row[1:5]]
-            for name, text, v in zip(MEASUREMENT_COLUMNS[1:5], row[1:5], values):
-                if not math.isfinite(v):
-                    raise SchemaError(f"{path}:{i}: {name}: expected a finite number, got {text!r}")
-            yaw, x, y, z = values
-            out.append(
-                MarkMeasurement(
-                    direction=row[0], yaw_deg=yaw, position=np.array([x, y, z]), trial=int(row[5])
-                )
-            )
+            # a row's numbers are kept when its trial fails, so that a
+            # non-finite number on that row is named before the trial
+            values.append([float(v) for v in row[1:5]])
+            trials.append(int(row[5]))
         except ValueError as e:
-            raise SchemaError(f"{path}:{i}: {e}") from e
-    return out
+            row_fault = i, str(e)
+            break
+    array = np.reshape(values, (-1, 4))
+    # a non-finite number lies on or before the row of a fault the loop met
+    if not np.isfinite(array).all():
+        i, k = np.argwhere(~np.isfinite(array))[0].tolist()
+        row_fault = i, f"{MEASUREMENT_COLUMNS[k + 1]}: expected a finite number, got {rows[i + 1][k + 1]!r}"
+    n = len(trials) if row_fault is None else row_fault[0]
+    directions = [row[0] for row in rows[1 : n + 1]]
+    yaw_deg, positions = array[:n, 0], array[:n, 1:].copy()
+    fault = _record_fault(directions, yaw_deg, positions) or row_fault
+    if fault is not None:
+        raise SchemaError(f"{path}:{fault[0] + 2}: {fault[1]}")
+    return _records(directions, yaw_deg, positions, trials)
 
 
 # --- SVG -----------------------------------------------------------------------

@@ -45,10 +45,12 @@ _NUM = (int, float)
 
 
 def read_json(path: str | Path) -> dict:
+    # ValueError: malformed JSON, bytes that are not UTF-8, or an integer
+    # beyond Python's digit limit; RecursionError: nesting beyond the stack
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, RecursionError) as e:
         raise SchemaError(f"cannot read JSON document {path}: {e}") from e
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top-level JSON value must be an object")
@@ -66,37 +68,18 @@ def write_json(doc: Mapping[str, Any], path: str | Path) -> None:
 
 # The text of ``json.dumps(value, indent=2)``, appended piece by piece to one
 # list and joined once (with an indent, json encodes through generators in
-# pure Python). Each value takes the spelling json gives it, by json's rules
-# in json's order: a finite float (an ``np.float64`` too) is its
-# ``float.__repr__``, NaN and the infinities are spelled as in JavaScript, and
-# strings are ASCII-escaped. Unlike json, a container that holds itself is
-# not detected: it ends in RecursionError, and no document holds one.
-
-
-def _float_text(v: float) -> str:
-    if v != v:
-        return "NaN"
-    if v == math.inf:
-        return "Infinity"
-    if v == -math.inf:
-        return "-Infinity"
-    return float.__repr__(v)
+# pure Python). What documents hold is spelled here as json spells it: str
+# keys, strings (ASCII-escaped), finite floats (an ``np.float64`` too, by
+# ``float.__repr__``), ints, bools and None. Every other key or scalar (NaN,
+# the infinities, a non-str key, a value json refuses) goes to ``json.dumps``,
+# which spells it or raises its own TypeError. Unlike json, a container that
+# holds itself is not detected: it ends in RecursionError, and no document
+# holds one.
 
 
 def _key_text(key: Any) -> str:
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if isinstance(key, float):
-        return encode_basestring_ascii(_float_text(key))
-    if key is True:
-        return '"true"'
-    if key is False:
-        return '"false"'
-    if key is None:
-        return '"null"'
-    if isinstance(key, int):
-        return encode_basestring_ascii(int.__repr__(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    # the text of {key: 0} between the brace and the value
+    return json.dumps({key: 0})[1:-4]
 
 
 def _json_pieces(value: Any, indent: str, append: Callable[[str], None]) -> None:
@@ -150,17 +133,13 @@ def _scalar_text(value: Any) -> str:
         return "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)
 
 
 def file_sha256(path: str | Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def provenance(inputs: Mapping[str, str | Path], seed: int | None) -> dict:

@@ -508,6 +508,17 @@ def _huge_csv(path):
     return path
 
 
+def _written(path, data):
+    path.write_bytes(data)
+    return path
+
+
+# a document whose one string is Latin-1, not UTF-8
+LATIN1_JSON = '{"note": "\u00e9"}'.encode("latin-1")
+LATIN1_MESSAGE = "latin1.json: 'utf-8' codec can't decode byte 0xe9"
+CSV_HEADER = b"direction,yaw_deg,x_mm,y_mm,z_mm,trial\n"
+
+
 def _experiment(result, plan, *extra):
     return ("experiment", WORLD, result, "--plan", plan, "--out-dir", "OUT", *extra)
 
@@ -596,6 +607,55 @@ EXIT_2_CASES = {
             c / "result.json", _edited(PLAN, t / "p.json", lambda d: d.update(repeat=5))
         ),
         "error: plan: unknown keys ['repeat']",
+    ),
+    "world-not-utf8": (
+        lambda c, t: ("simulate", _written(t / "world-latin1.json", LATIN1_JSON), "--out", "OUT"),
+        LATIN1_MESSAGE,
+    ),
+    "session-not-utf8": (
+        lambda c, t: ("calibrate", _written(t / "session-latin1.json", LATIN1_JSON), "--out", "OUT"),
+        LATIN1_MESSAGE,
+    ),
+    "result-not-utf8": (
+        lambda c, t: _experiment(_written(t / "result-latin1.json", LATIN1_JSON), PLAN),
+        LATIN1_MESSAGE,
+    ),
+    "plan-not-utf8": (
+        lambda c, t: _experiment(c / "result.json", _written(t / "plan-latin1.json", LATIN1_JSON)),
+        LATIN1_MESSAGE,
+    ),
+    "json-nested-too-deep": (
+        lambda c, t: (
+            "calibrate",
+            _written(t / "deep.json", b'{"a": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"),
+            "--out",
+            "OUT",
+        ),
+        "deep.json: maximum recursion depth exceeded",
+    ),
+    "json-integer-too-long": (
+        lambda c, t: (
+            "simulate", _written(t / "long.json", b'{"seed": 1' + b"0" * 5000 + b"}"), "--out", "OUT"
+        ),
+        "long.json: Exceeds the limit (4300 digits) for integer string conversion",
+    ),
+    "csv-not-utf8": (
+        lambda c, t: (
+            "metrics",
+            _written(t / "m-latin1.csv", CSV_HEADER + "up\u00e9,0.0,1,2,0,0\n".encode("latin-1")),
+            "--out-dir",
+            "OUT",
+        ),
+        "m-latin1.csv: 'utf-8' codec can't decode byte 0xe9",
+    ),
+    "csv-field-too-long": (
+        lambda c, t: (
+            "metrics",
+            _written(t / "long-field.csv", CSV_HEADER + b"up,0.0," + b"1" * 200_000 + b",2,0,0\n"),
+            "--out-dir",
+            "OUT",
+        ),
+        "long-field.csv: field larger than field limit (131072)",
     ),
     "removed-flag-simulate": (
         lambda c, t: ("simulate", WORLD, "--out", "OUT", REMOVED_FLAG),

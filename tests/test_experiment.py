@@ -33,6 +33,7 @@ from floorref.experiment import (
     enclosing_circle,
     fit_circle,
     measure_mark,
+    measurement_records,
     min_enclosing_circle,
     run_experiment,
 )
@@ -322,21 +323,41 @@ class TestRecordChecks:
             assert np.array_equal(m.position, checked.position)
 
 
+# one record with one fault: (direction, yaw, position)
+RECORD_FAULTS = {
+    "unknown-direction": ("sideways", 0.0, [1.0, 2.0, 0.0]),
+    "yaw-outside-band": ("up", 25.0, [1.0, 2.0, 0.0]),
+    "nan-yaw": ("left", math.nan, [1.0, 2.0, 0.0]),
+    "infinite-yaw": ("down", -math.inf, [1.0, 2.0, 0.0]),
+    "non-finite-position": ("right", -90.0, [1.0, math.nan, 0.0]),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(RECORD_FAULTS))
+def test_constructor_and_array_check_agree(fault):
+    direction, yaw, position = RECORD_FAULTS[fault]
+    with pytest.raises(ValueError) as one:
+        MarkMeasurement(direction, yaw, np.array(position), 0)
+    with pytest.raises(ValueError) as array:
+        measurement_records([direction], np.array([yaw]), np.array([position]), [0])
+    assert str(one.value) == str(array.value)
+
+
 def test_experiment_op_call_counts(world, noiseless_result, call_counts):
     counts = call_counts(
         (experiment, "enclosing_circle"),
-        (experiment, "as_point3"),
+        (experiment, "_record_fault"),
         (experiment, "rng_substream"),
         (simulate, "rng_substream"),
     )
     plan = ExperimentPlan(mark_xy_mm=(1500.0, 700.0), repeats=5)
     measurements = run_experiment(world, GLASS_NOISE, plan, noiseless_result, seed=9)
     assert len(measurements) == 40
-    assert counts["as_point3"] == 0  # records are checked per array
+    assert counts["_record_fault"] == 1  # records are checked once per array
     assert counts["rng_substream"] == 5  # one substream per repeat
     cluster_metrics(measurements)
     # eight direction clusters and the overall one
-    assert counts == {"enclosing_circle": 9, "rng_substream": 5}
+    assert counts == {"enclosing_circle": 9, "_record_fault": 1, "rng_substream": 5}
 
 
 class TestMinEnclosingCircle:

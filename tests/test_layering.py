@@ -45,3 +45,47 @@ def test_metrics_side_imports_the_simulator_only_where_known():
 def test_import_reader_sees_every_form():
     assert _package_imports("cli") >= {"errors", "experiment", "schemas", "simulate"}
     assert _package_imports("schemas") >= {"frames", "camera", "simulate"}
+
+
+# The functions that read files. read_json and read_measurements_csv map a
+# failed read to a SchemaError naming the file, and file_sha256 hashes only
+# inputs they have read, so an OSError that reaches cli.main is an output's.
+READERS = {("schemas", "read_json"), ("schemas", "file_sha256"), ("report", "read_measurements_csv")}
+
+
+def _is_read(call: ast.Call) -> bool:
+    """Whether a call opens a file for reading: ``open`` or ``.open`` in a
+    mode that neither writes, appends nor creates (no mode, or a mode not
+    written out, counts as reading), ``.read_text()`` or ``.read_bytes()``."""
+    name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+    if name in ("read_text", "read_bytes"):
+        return True
+    if name != "open":
+        return False
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (k.value for k in call.keywords if k.arg == "mode"), None
+    )
+    if mode is None:
+        return True
+    return not (isinstance(mode, ast.Constant) and set(str(mode.value)) & set("wax+"))
+
+
+def _file_reads(module: str) -> set[tuple[str, str]]:
+    """(module, innermost enclosing function) of every file read in a module."""
+    reads = set()
+
+    def visit(node: ast.AST, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and _is_read(node):
+            reads.add((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8")), "<module>")
+    return reads
+
+
+def test_files_are_read_only_by_the_readers():
+    reads = set().union(*(_file_reads(path.stem) for path in SRC.glob("*.py")))
+    assert reads == READERS

@@ -80,10 +80,22 @@ BAD_RECORDS = [
     ({7: "up,0.0,1,inf,0,0", 9: "up,25.0,1,2,0,0"}, "7: y_mm: expected a finite number, got 'inf'"),
     ({7: "up,0.0,1,2,0,zero", 8: "up,0.0,1,nan,0,0"}, "7: invalid literal for int() with base 10: 'zero'"),
     ({6: "up,0.0,1,2,1e999,0"}, "6: z_mm: expected a finite number, got '1e999'"),
+    # a record fault on an earlier line than a parse fault
+    ({5: "up,25.0,1,2,0,0", 9: "up,0.0,1,2,0"}, "5: yaw 25.00 deg inconsistent with direction 'up'"),
+    ({5: "sideways,0.0,1,2,0,0", 8: "up,0.0,x,2,0,0"}, "5: unknown direction 'sideways'"),
 ]
 
 
-@pytest.mark.parametrize("rows, message", BAD_RECORDS, ids=[m for _, m in BAD_RECORDS])
+def _case_ids(cases):
+    # each case's message; a message an earlier case has also names the
+    # case's later bad line, so that every id is unique
+    ids = []
+    for rows, message in cases:
+        ids.append(f"{message} (line {max(rows)} also bad)" if message in ids else message)
+    return ids
+
+
+@pytest.mark.parametrize("rows, message", BAD_RECORDS, ids=_case_ids(BAD_RECORDS))
 def test_measurements_csv_names_the_first_bad_line(tmp_path, rows, message):
     path = tmp_path / "m.csv"
     write_measurements_csv(sample_measurements(), path)
