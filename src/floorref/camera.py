@@ -24,6 +24,7 @@ from .errors import DegenerateConfiguration, DegenerateViewingGeometry, NonConve
 from .geometry import (
     MIN_PLANAR_SPREAD_MM,
     RigidTransform,
+    _renormalized,
     apply,
     compose,
     cross3,
@@ -175,7 +176,10 @@ class CameraModel:
 
     def normalized_to_pixel_array(self, xy: Array) -> Array:
         """Distort normalized coordinates and convert to (row, col) pairs, (n, 2)."""
-        d = distort_radial(np.atleast_2d(xy), *self.k)
+        return self._distorted_to_pixel(distort_radial(np.atleast_2d(xy), *self.k))
+
+    def _distorted_to_pixel(self, d: Array) -> Array:
+        # (row, col) pairs of (n, 2) distorted normalized coordinates
         return d[:, 1::-1] * self.focal_mm / self._pitch_rc + self._center_rc
 
     def pixel_to_normalized_array(self, rowcol: Array) -> Array:
@@ -261,6 +265,10 @@ def build_rectification_map(model: CameraModel, h_cam_ref: RigidTransform) -> Sc
     camera, y completes the right-handed basis (the projected column
     direction), and the origin is the componentwise minimum of the projected
     image corners, which places the whole footprint in the positive quadrant.
+    Both row probes hit the plate plane, so the row direction's plate-normal
+    component is rounding alone and is set to 0: the basis is then
+    orthonormal to rounding as built, and is used without re-orthonormalising
+    (the ``RigidTransform`` still validates it).
     The rays of these six probe pixels depend on the camera alone: the camera
     undistorts them once, when it is built (``CameraModel._check_invertible``),
     so building a map undistorts nothing.
@@ -288,6 +296,7 @@ def build_rectification_map(model: CameraModel, h_cam_ref: RigidTransform) -> Sc
 
     e_z = np.array([0.0, 0.0, sigma])
     row_dir = hits[0] - hits[1]
+    row_dir[2] = 0.0  # both hits lie in the plate plane
     with np.errstate(over="ignore"):  # inf for a camera pose near the float range
         n_row = norm(row_dir)
     if not 1e-12 <= n_row < math.inf:
@@ -301,9 +310,7 @@ def build_rectification_map(model: CameraModel, h_cam_ref: RigidTransform) -> Sc
     origin = u.min() * e_x + v.min() * e_y
 
     r_ref_scn = np.array([e_x, e_y, e_z]).T  # columns e_x, e_y, e_z
-    h_ref_scn = RigidTransform(
-        nearest_rotation(r_ref_scn), origin, source=frames.SCN, dest=h_cam_ref.source
-    )
+    h_ref_scn = RigidTransform(r_ref_scn, origin, source=frames.SCN, dest=h_cam_ref.source)
     h_scn_ref = invert(h_ref_scn)
     # the corners' plane hits in the scene frame: what map_image_points gives
     # for the corner pixels, without undistorting them a second time
@@ -329,7 +336,8 @@ class PlateImageFit(NamedTuple):
     tolerance, or an accepted trial did not lower the cost) or
     ``"no_descent"`` (the damping reached 1e12 while every trial step stayed
     above the tolerance and raised the cost beyond its rounding error).
-    ``h_cam_ref`` carries the last accepted rotation, re-orthonormalised once.
+    ``h_cam_ref`` carries the last accepted rotation, re-orthonormalised only
+    if its drift |R^T R - I|_F passes 1e-12 (the rule ``compose`` keeps).
     """
 
     h_cam_ref: RigidTransform
@@ -341,26 +349,32 @@ class PlateImageFit(NamedTuple):
 class _PlateProjection(NamedTuple):
     """Plate points projected at one pose, with the terms of the projection
     that the pose Jacobian reuses: the rotated points ``q = p r^T``, the
-    depths ``z`` and the undistorted normalized coordinates ``xy``."""
+    depths ``z``, the undistorted normalized coordinates ``xy``, their
+    squared radii ``r2`` and the distortion's scale ``f`` = f(r2)."""
 
     rc: Array
     q: Array
     z: Array
     xy: Array
+    r2: Array
+    f: Array
 
 
 def _project_plate(
     model: CameraModel, ref_pts: Array, r: Array, t: Array
 ) -> _PlateProjection | None:
     """Project (n, 3) plate points at the pose (r, t); None when a point is
-    not in front of the camera."""
+    not in front of the camera. The pixels are ``normalized_to_pixel_array``'s,
+    with its distortion written out so that its r^2 and f(r^2) are kept."""
     q = ref_pts @ r.T
     pc = q + t
     z = pc[:, 2]
     if (z <= _MIN_DEPTH_MM).any():
         return None
     xy = pc[:, :2] / z[:, None]
-    return _PlateProjection(model.normalized_to_pixel_array(xy), q, z, xy)
+    r2 = (xy * xy).sum(axis=1)
+    f = _radial_factor(r2, *model.k)
+    return _PlateProjection(model._distorted_to_pixel(xy * f[:, None]), q, z, xy, r2, f)
 
 
 # d pc / d(dw, dt) = [-[q]x, I] is q @ _SKEW + _EYE, each (3, 6) block flattened row by row
@@ -381,7 +395,8 @@ def _pose_jacobian(model: CameraModel, p: _PlateProjection) -> Array:
     ``c = [-[q]x, I]`` is d pc / d(dw, dt), and the (2, 3) block m chains the
     perspective division ``[I, -(x, y)] / z``, the (2, 2) distortion Jacobian
     ``f I + 2 f' (x, y) (x, y)^T`` with ``f' = df/d(r^2)``, and the pixel
-    scale (row from yd, column from xd). Multiplied out, row i of m is
+    scale (row from yd, column from xd); r^2 and f are the projection's own.
+    Multiplied out, row i of m is
     ``s_i (c_i (2 f' x, 2 f' y, -(f + 2 f' r^2)) + f e_i) / z``, where ``s_i``
     is the axis's pixel scale, ``c_i`` the coordinate it follows (y for the
     row, x for the column) and ``e_i`` the unit vector of that coordinate.
@@ -390,8 +405,8 @@ def _pose_jacobian(model: CameraModel, p: _PlateProjection) -> Array:
     n = p.z.shape[0]
     scale = model.focal_mm / model._pitch_rc
     iz = 1.0 / p.z
-    r2 = (p.xy * p.xy).sum(axis=1)
-    f_z = _radial_factor(r2, k1, k2, k3) * iz
+    r2 = p.r2
+    f_z = p.f * iz
     fp2_z = (2.0 * k1 + r2 * (4.0 * k2 + 6.0 * k3 * r2)) * iz  # 2 f' / z
     w = np.empty((n, 3))
     w[:, :2] = fp2_z[:, None] * p.xy
@@ -469,8 +484,9 @@ def estimate_plate_pose_from_image(
     projected once (``_project_plate``): that one projection gives the
     residual and, once the trial is accepted, the terms of the next Jacobian,
     so each iteration forms one Jacobian and projects no pose twice. The
-    trial rotation ``exp([dw]x) r`` stays orthonormal to rounding; it is
-    re-orthonormalised once, on the returned pose.
+    trial rotation ``exp([dw]x) r`` stays orthonormal to rounding, so the
+    returned rotation is re-orthonormalised only if its drift |R^T R - I|_F
+    passes 1e-12, the rule ``compose`` keeps.
 
     Each iteration first tests the sigma stop on the accepted pose, from the
     J, g = J^T r and A = J^T J it forms anyway: with the undamped Gauss-Newton
@@ -595,5 +611,5 @@ def estimate_plate_pose_from_image(
         )
 
     rms = math.sqrt(cost / n)
-    transform = RigidTransform(nearest_rotation(r), t, source=frames.REF, dest=frames.CAM)
+    transform = RigidTransform(_renormalized(r), t, source=frames.REF, dest=frames.CAM)
     return PlateImageFit(transform, rms, iterations, stop)

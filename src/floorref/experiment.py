@@ -180,9 +180,11 @@ def run_experiment(
 
     All repeats x directions go through one batched pass. The random numbers
     are drawn first, in per-measurement order from each repeat's substream
-    (yaw jitter, offset angle and radius, image noise, tracker noise) in three
-    calls: one standard normal, then two uniforms and five standard normals
-    written in place into the measurement's rows. They are scaled as
+    (yaw jitter, offset angle and radius, image noise, tracker noise): each
+    substream's first jitter alone, then per measurement two uniforms and six
+    standard normals written in place, its five noise normals and the next
+    measurement's jitter (the last measurement's sixth normal is unused).
+    The stream is the one that one draw per number gives. They are scaled as
     ``Generator.uniform`` (low + (high - low) u) and ``Generator.normal``
     (loc + scale z) scale their draws. The direction labels are the plan's
     (``ExperimentPlan.directions``). The geometry then runs on arrays: the
@@ -218,17 +220,23 @@ def run_experiment(
     )
     yaws = plan.yaw_deg_list
     count = plan.repeats * len(yaws)
-    jitter = np.empty(count)
     uniform = np.empty((count, 2))
-    normal = np.empty((count, 5))
+    # per measurement k, z[6k] is its jitter and z[6k + 1 : 6k + 6] its five
+    # normals; one draw of six fills the normals and the next jitter. A
+    # substream's last draw puts an unused normal in the next substream's
+    # first jitter, which that substream's first draw overwrites, or in the
+    # spare last entry
+    z = np.empty(6 * count + 1)
     k = 0
     for trial in range(plan.repeats):
         rng = rng_substream(base_seed, STREAM_EXPERIMENT, trial)
+        rng.standard_normal(out=z[6 * k : 6 * k + 1])
         for _ in yaws:
-            jitter[k] = rng.standard_normal()
             rng.random(out=uniform[k])
-            rng.standard_normal(out=normal[k])
+            rng.standard_normal(out=z[6 * k + 1 : 6 * k + 7])
             k += 1
+    draws = z[: 6 * count].reshape(count, 6)
+    jitter, normal = draws[:, 0], draws[:, 1:]
     yaw_deg = np.tile(yaws, plan.repeats) + plan.yaw_jitter_deg * jitter
     theta = 2.0 * math.pi * uniform[:, 0]
     radius = plan.max_offset_mm * np.sqrt(uniform[:, 1])

@@ -19,6 +19,15 @@ product of two such rotations is re-orthonormalised once its drift passes
 holds without re-checking every internal product. Their translations are still
 checked for finite entries (``ValueError``), since a product of finite values
 can overflow.
+
+Re-orthonormalisation
+---------------------
+``nearest_rotation`` (an SVD) runs only where a matrix can be far from
+orthonormal: a rotation estimated from data (the homography's columns, the
+chordal mean) or a product whose drift |R^T R - I|_F passes 1e-12. A rotation
+orthonormal by construction, to rounding, is used as it is: the Kabsch
+product of ``register_points``, the scene basis of the rectification map,
+and the image fit's last rotation below that drift.
 """
 
 from __future__ import annotations
@@ -127,6 +136,14 @@ def nearest_rotation(m: Array) -> Array:
         u = u.copy()
         u[:, 2] *= -1.0
         r = u @ vt
+    return r
+
+
+def _renormalized(r: Array) -> Array:
+    """A near rotation as it is, or its ``nearest_rotation`` once its drift
+    |R^T R - I|_F passes 1e-12: the library's one re-orthonormalisation rule."""
+    if norm(r.T @ r - _EYE3) > _RENORM_TRIGGER:
+        return nearest_rotation(r)
     return r
 
 
@@ -331,9 +348,7 @@ def compose(h_bc: RigidTransform, h_ab: RigidTransform) -> RigidTransform:
             f"compose: inner frames differ ({h_ab.source}->{h_ab.dest} then "
             f"{h_bc.source}->{h_bc.dest})"
         )
-    r = h_bc.rotation @ h_ab.rotation
-    if norm(r.T @ r - _EYE3) > _RENORM_TRIGGER:
-        r = nearest_rotation(r)
+    r = _renormalized(h_bc.rotation @ h_ab.rotation)
     t = h_bc.rotation @ h_ab.translation + h_bc.translation
     return RigidTransform._unchecked(r, t, h_ab.source, h_bc.dest)
 
@@ -407,18 +422,6 @@ def planar_spread(pts: Array) -> float:
     return float(np.linalg.svd(pts - pts.sum(axis=0) / len(pts), compute_uv=False)[1])
 
 
-def _rank2_check(pts: Array, label: str) -> None:
-    # A well-posed rotation needs planar spread. (The third singular value is
-    # identically zero for any 3-point or coplanar set; only rank < 2 is
-    # degenerate.)
-    spread = planar_spread(pts)
-    if spread <= MIN_PLANAR_SPREAD_MM:
-        raise DegenerateConfiguration(
-            f"register_points: {label} points collinear or coincident "
-            f"(spread singular value {spread:.3e} mm)"
-        )
-
-
 def register_points(
     source: Sequence[Sequence[float]] | Array,
     target: Sequence[Sequence[float]] | Array,
@@ -428,7 +431,12 @@ def register_points(
     """Least-squares rigid alignment H minimizing sum ||target_i - H source_i||^2.
 
     SVD-based (Kabsch) solution without scale, determinant-corrected to stay in
-    SO(3); n >= 3 points, uniformly weighted.
+    SO(3); n >= 3 points, uniformly weighted. The rotation is the product
+    V diag(1, 1, d) U^T of the SVD's orthogonal factors, orthonormal to
+    rounding, and is not re-orthonormalised; the ``RigidTransform`` it
+    builds still validates it. The source and target rank checks
+    (``planar_spread`` of each) run as one stacked SVD, the source named
+    first when both fail.
 
     Raises:
         ValueError: point lists not of shape (n, 3), or a non-finite source or
@@ -451,16 +459,28 @@ def register_points(
     for pts, label in ((src, "source"), (dst, "target")):
         if not np.isfinite(pts).all():
             raise ValueError(f"register_points: need finite {label} points")
-    _rank2_check(src, "source")
-    _rank2_check(dst, "target")
+    # A well-posed rotation needs planar spread: one SVD of both sets about
+    # their means gives the planar_spread of each. (The third singular value
+    # is identically zero for any 3-point or coplanar set; only rank < 2 is
+    # degenerate.)
+    both = np.stack([src, dst])
+    means = both.sum(axis=1) / n
+    centered = both - means[:, None, :]
+    spreads = np.linalg.svd(centered, compute_uv=False)[:, 1].tolist()
+    for spread, label in zip(spreads, ("source", "target")):
+        if spread <= MIN_PLANAR_SPREAD_MM:
+            raise DegenerateConfiguration(
+                f"register_points: {label} points collinear or coincident "
+                f"(spread singular value {spread:.3e} mm)"
+            )
 
-    src_mean = src.sum(axis=0) / n
-    dst_mean = dst.sum(axis=0) / n
-    h = (src - src_mean).T @ (dst - dst_mean)
+    src_mean, dst_mean = means
+    h = centered[0].T @ centered[1]
     u, _, vt = np.linalg.svd(h)
-    # diag(1, 1, d) with d = +-1, the sign of det(V U^T) for an orthogonal product
+    # V diag(1, 1, d) U^T with d = +-1, the sign of det(V U^T) for an
+    # orthogonal product: a rotation to rounding, as validated below
     d = _FLIP_Z if det3(vt.T @ u.T) < 0.0 else _EYE3
-    r = nearest_rotation(vt.T @ d @ u.T)
+    r = vt.T @ d @ u.T
     t = dst_mean - r @ src_mean
 
     transform = RigidTransform(r, t, source=source_frame, dest=target_frame)

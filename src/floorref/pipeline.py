@@ -62,7 +62,9 @@ class OffSensorPoint(ValueError):
 class ReferencingSession:
     """The measurements of one referencing run. The constructor checks them
     (``ValueError``, ``OffSensorPoint`` for an image point off the sensor)
-    and stores the arrays as read-only float copies.
+    and stores the arrays as read-only float copies. It also keeps the plate
+    points of the observed marks, in ``mark_ids`` order, which its check of
+    the ids looks up, for the image fit.
 
     Attributes:
         camera: calibrated camera model
@@ -87,7 +89,9 @@ class ReferencingSession:
         mark_ids = tuple(self.mark_ids)
         if len(set(mark_ids)) != len(mark_ids):
             raise ValueError("mark ids must be listed once each")
-        self.plate.mark_rows(mark_ids)
+        mark_points = self.plate.mark_points[self.plate.mark_rows(mark_ids)]
+        mark_points.setflags(write=False)
+        object.__setattr__(self, "_mark_points", mark_points)
         object.__setattr__(self, "mark_ids", mark_ids)
         shapes = {"image_points": (len(mark_ids), 2), "nest_points": (3, 3), "robot_points": (2, 3)}
         for name, shape in shapes.items():
@@ -189,8 +193,7 @@ def estimate_plate_pose(session: ReferencingSession) -> PlatePoseEstimate:
     A registration RMS above 0.5 mm is flagged as suspect (setup fault or a
     deformed plate) but does not fail the run.
     """
-    plate_points = session.plate.mark_points[session.plate.mark_rows(session.mark_ids)]
-    fit = estimate_plate_pose_from_image(session.camera, session.image_points, plate_points)
+    fit = estimate_plate_pose_from_image(session.camera, session.image_points, session._mark_points)
     log.debug(
         "estimate_plate_pose: image fit stopped by %s after %d iterations, RMS %.4f px",
         fit.stop,

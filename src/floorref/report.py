@@ -117,7 +117,8 @@ def read_measurements_csv(path: str | Path) -> list[MarkMeasurement]:
     row's column count, its four finite numbers and its integer trial, up to
     the first malformed row. The record rule (``measurement_records``)
     then runs over the rows before that row, so the error names the first
-    bad line, whichever check that line fails."""
+    bad line, whichever check that line fails. A file with a header and no
+    rows holds no measurement, and is refused with its name."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as f:
             rows = list(csv.reader(f))
@@ -125,6 +126,8 @@ def read_measurements_csv(path: str | Path) -> list[MarkMeasurement]:
         raise SchemaError(f"cannot read measurement CSV {path}: {e}") from e
     if not rows or tuple(rows[0]) != MEASUREMENT_COLUMNS:
         raise SchemaError(f"{path}: expected header {','.join(MEASUREMENT_COLUMNS)}")
+    if len(rows) == 1:
+        raise SchemaError(f"{path}: no measurements after the header")
     values: list[list[float]] = []
     trials: list[int] = []
     row_fault = None

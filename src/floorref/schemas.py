@@ -69,10 +69,11 @@ def write_json(doc: Mapping[str, Any], path: str | Path) -> None:
 # The text of ``json.dumps(value, indent=2)``, appended piece by piece to one
 # list and joined once (with an indent, json encodes through generators in
 # pure Python). What documents hold is spelled here as json spells it: str
-# keys, strings (ASCII-escaped), finite floats (an ``np.float64`` too, by
-# ``float.__repr__``), ints, bools and None. Every other key or scalar (NaN,
-# the infinities, a non-str key, a value json refuses) goes to ``json.dumps``,
-# which spells it or raises its own TypeError. Unlike json, a container that
+# keys, and in a container its strings (ASCII-escaped) and its finite floats
+# (by ``float.__repr__``); ints, bools and None anywhere. Every other key or
+# scalar (a top-level string, an ``np.float64``, NaN, the infinities, a
+# non-str key, a value json refuses) goes to ``json.dumps``, which spells it
+# or raises its own TypeError. Unlike json, a container that
 # holds itself is not detected: it ends in RecursionError, and no document
 # holds one.
 
@@ -123,8 +124,6 @@ def _json_pieces(value: Any, indent: str, append: Callable[[str], None]) -> None
 
 
 def _scalar_text(value: Any) -> str:
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
     if value is None:
         return "null"
     if value is True:
@@ -133,8 +132,6 @@ def _scalar_text(value: Any) -> str:
         return "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    if isinstance(value, float) and math.isfinite(value):
-        return float.__repr__(value)
     return json.dumps(value)
 
 

@@ -181,6 +181,25 @@ class SimWorld:
         t = np.array([self.plate_x_mm, self.plate_y_mm, 0.0])
         return RigidTransform(r, t, source=frames.REF, dest=frames.ABS)
 
+    @functools.cached_property
+    def _marks_abs(self) -> Array:
+        # the physical marks (true_mark_points_ref) in the tracker frame, read-only
+        marks = apply(self.h_abs_ref, self.true_mark_points_ref()[1])
+        marks.setflags(write=False)
+        return marks
+
+    @functools.cached_property
+    def _ground_offset(self) -> Array:
+        # camera_ground_offset's value, read-only
+        t = self.h_rob_cam_true.translation
+        axis = self.h_rob_cam_true.rotation @ np.array([0.0, 0.0, 1.0])
+        if axis[2] >= -1e-6:
+            raise DegenerateConfiguration("camera_ground_offset: camera does not look down")
+        s = (-self.robot.smr_height_mm - t[2]) / axis[2]
+        offset = (t + s * axis)[:2].copy()
+        offset.setflags(write=False)
+        return offset
+
     # --- surfaces -----------------------------------------------------------
 
     def surface_rise_pcs(self, px: Array | float, py: Array | float) -> Array | float:
@@ -358,14 +377,12 @@ def pose_on_surface(world: SimWorld, placement: RobotPlacement, surface: str) ->
 
 def camera_ground_offset(world: SimWorld) -> Array:
     """Footprint center of the camera principal ray in the robot frame (xy, mm),
-    for a robot standing on flat ground."""
-    t = world.h_rob_cam_true.translation
-    axis = world.h_rob_cam_true.rotation @ np.array([0.0, 0.0, 1.0])
-    if axis[2] >= -1e-6:
-        raise DegenerateConfiguration("camera_ground_offset: camera does not look down")
-    s = (-world.robot.smr_height_mm - t[2]) / axis[2]
-    hit = t + s * axis
-    return hit[:2].copy()
+    for a robot standing on flat ground; read-only, computed once per world.
+
+    Raises:
+        DegenerateConfiguration: the camera does not look down.
+    """
+    return world._ground_offset
 
 
 # --- observation generation ---------------------------------------------------
@@ -456,10 +473,9 @@ def _simulate_session(
     robot_points = both.translation + tracker_noise[len(NEST_IDS) :]
 
     # plate-target image at placement 0
-    mark_ids, marks_ref = world.true_mark_points_ref()
-    marks_abs = apply(h_abs_ref, marks_ref)
+    mark_ids = world.plate.mark_ids
     h_cam_abs = invert(compose(pose0, world.h_rob_cam_true))
-    rc, in_front = project_points(world.camera, apply(h_cam_abs, marks_abs))
+    rc, in_front = project_points(world.camera, apply(h_cam_abs, world._marks_abs))
     # noise is drawn for each mark whose true point is on the sensor, in mark
     # order and in one call (the same stream as one draw per mark); a mark
     # whose noisy point falls off the sensor is not observed

@@ -657,6 +657,10 @@ EXIT_2_CASES = {
         ),
         "long-field.csv: field larger than field limit (131072)",
     ),
+    "csv-header-only": (
+        lambda c, t: ("metrics", _written(t / "header-only.csv", CSV_HEADER), "--out-dir", "OUT"),
+        "header-only.csv: no measurements after the header",
+    ),
     "removed-flag-simulate": (
         lambda c, t: ("simulate", WORLD, "--out", "OUT", REMOVED_FLAG),
         f"unrecognized arguments: {REMOVED_FLAG}",

@@ -197,6 +197,16 @@ class TestRegisterPoints:
         with pytest.raises(DegenerateConfiguration):
             register_points(src, src, "a", "b")
 
+    def test_both_collinear_names_the_source(self):
+        # the two rank checks run as one stacked SVD; the source is named first
+        collinear = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        coincident = np.zeros((3, 3))
+        planar = np.array([[0.0, 0.0, 0.0], [9.0, 0.0, 0.0], [0.0, 9.0, 0.0]])
+        with pytest.raises(DegenerateConfiguration, match="^register_points: source points collinear"):
+            register_points(collinear, coincident, "a", "b")
+        with pytest.raises(DegenerateConfiguration, match="^register_points: target points collinear"):
+            register_points(planar, coincident, "a", "b")
+
     def test_coincident_target_rejected(self):
         src = np.array([[0.0, 0.0, 0.0], [100.0, 0.0, 0.0], [0.0, 100.0, 0.0]])
         dst = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 100.0, 0.0]])
