@@ -52,12 +52,17 @@ def _wrap_deg(a: float | Array) -> float | Array:
     return (a + 180.0) % 360.0 - 180.0
 
 
+def _yaw_text(yaw_deg: float) -> str:
+    """A yaw for a message: two decimals, or ``%g`` form beyond 1e6 degrees."""
+    return f"{yaw_deg:g}" if abs(yaw_deg) > 1e6 else f"{yaw_deg:.2f}"
+
+
 def direction_for_yaw(yaw_deg: float) -> str:
     """Direction label whose nominal yaw is within +-10 degrees of the input."""
     for label, nominal in DIRECTION_YAW_DEG.items():
         if abs(_wrap_deg(yaw_deg - nominal)) <= DIRECTION_TOLERANCE_DEG:
             return label
-    raise ValueError(f"yaw {yaw_deg:.2f} deg is not within 10 deg of any direction")
+    raise ValueError(f"yaw {_yaw_text(yaw_deg)} deg is not within 10 deg of any direction")
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,8 +105,11 @@ class ExperimentPlan:
             raise ValueError("repeats must be at least 1")
         if not self.yaw_deg_list:
             raise ValueError("yaw list must not be empty")
-        for yaw in self.yaw_deg_list:
-            direction = direction_for_yaw(yaw)  # raises for unmapped yaw
+        for i, yaw in enumerate(self.yaw_deg_list):
+            try:
+                direction = direction_for_yaw(yaw)
+            except ValueError as e:
+                raise ValueError(f"yaw_deg_list[{i}]: {e}") from None
             margin = DIRECTION_TOLERANCE_DEG - abs(_wrap_deg(yaw - DIRECTION_YAW_DEG[direction]))
             if not 6.0 * self.yaw_jitter_deg <= margin:  # NaN fails
                 raise ValueError(
@@ -190,7 +198,10 @@ def run_experiment(
     (``ExperimentPlan.directions``). The geometry then runs on arrays: the
     placements, the floor support poses (``simulate.mark_views``), one
     projection, one rectification of the noisy image points and one
-    robot-to-tracker transform. If measurements fail, the
+    robot-to-tracker transform. One stack of heading rotations
+    (``rotations_about_z``) serves the placements, the support poses and the
+    robot attitude; the offset directions are ``math.cos`` and ``math.sin``
+    of each offset angle. If measurements fail, the
     error of the first one in repeat-then-direction order is raised, as a
     one-at-a-time loop would.
 
@@ -238,19 +249,23 @@ def run_experiment(
     draws = z[: 6 * count].reshape(count, 6)
     jitter, normal = draws[:, 0], draws[:, 1:]
     yaw_deg = np.tile(yaws, plan.repeats) + plan.yaw_jitter_deg * jitter
-    theta = 2.0 * math.pi * uniform[:, 0]
-    radius = plan.max_offset_mm * np.sqrt(uniform[:, 1])
+    theta = (2.0 * math.pi * uniform[:, 0]).tolist()
     # columns (cos, sin) of the offset angle, from math as in the one-angle form
-    offset = radius[:, None] * rotations_about_z(theta)[:, :2, 0]
+    offset = np.empty((count, 2))
+    offset[:, 0] = list(map(math.cos, theta))
+    offset[:, 1] = list(map(math.sin, theta))
+    offset *= plan.max_offset_mm * np.sqrt(uniform[:, 1:])
     image_noise = 0.0 + noise.image_sigma_px * normal[:, :2]
     tracker_noise = 0.0 + noise.tracker_sigma_mm * normal[:, 2:]
 
     yaw_rad = np.radians(yaw_deg)
-    xy = experiment_placements(world, mark_abs, yaw_rad, offset)
-    views = mark_views(world, xy, yaw_rad, mark_abs)
+    # the heading rotations, also the measurement-time robot attitude (flat
+    # floor assumption)
+    r_abs_rob = rotations_about_z(yaw_rad)
+    xy = experiment_placements(world, mark_abs, r_abs_rob, offset)
+    views = mark_views(world, xy, r_abs_rob, yaw_rad, mark_abs)
     rowcol = views.rowcol + image_noise
     smr = views.smr_abs + tracker_noise
-    r_abs_rob = rotations_about_z(yaw_rad)  # flat-floor attitude assumption
 
     failed = ~result.scene.model.contains_points(rowcol)
     failed |= np.array([e is not None for e in views.error])
@@ -284,7 +299,7 @@ def _record_fault(directions: Sequence[str], yaw_deg: Array, positions: Array) -
     if directions[k] not in DIRECTION_YAW_DEG:
         return k, f"unknown direction {directions[k]!r}"
     if bad_yaw[k]:
-        return k, f"yaw {float(yaw_deg[k]):.2f} deg inconsistent with direction {directions[k]!r}"
+        return k, f"yaw {_yaw_text(float(yaw_deg[k]))} deg inconsistent with direction {directions[k]!r}"
     return k, f"point components must be finite, got {positions[k]}"
 
 
@@ -494,8 +509,10 @@ def _cluster_stats(xy: Array, yaws_deg: Array) -> Array:
     yaw max) for k clusters of one size s: xy (k, s, 2), yaws (k, s) degrees.
 
     Each reduction runs along one cluster's row, so every figure rounds as the
-    same reduction over that cluster alone does. The yaw range is taken around
-    the circular mean, robust to the +-180 wrap.
+    same reduction over that cluster alone does. The means are sums divided by
+    s and the distances square roots of summed squares, the arithmetic of
+    ``mean`` and of ``np.linalg.norm`` along an axis, without their wrappers.
+    The yaw range is taken around the circular mean, robust to the +-180 wrap.
 
     The distances square the coordinates, which overflows beyond about
     1.3e154, and the mean sums them, which can overflow near the float range:
@@ -504,37 +521,57 @@ def _cluster_stats(xy: Array, yaws_deg: Array) -> Array:
     points scaled by an exact power of two into [-1, 1], then scaled back, as
     ``enclosing_circle`` does.
     """
-    mean = xy.mean(axis=1)
-    dists = np.linalg.norm(xy - mean[:, None], axis=2)
+    k, size = yaws_deg.shape
+    mean = xy.sum(axis=1) / size
+    d = xy - mean[:, None]
+    dists = np.sqrt((d * d).sum(axis=2))
     if not np.isfinite(dists).all():
         redo = ~np.isfinite(dists).all(axis=1) & np.isfinite(xy).all(axis=(1, 2))
         e = np.frexp(np.abs(xy[redo]).max(axis=(1, 2)))[1]
         scaled = np.ldexp(xy[redo], -e[:, None, None])
-        m = scaled.mean(axis=1)
-        dists[redo] = np.ldexp(np.linalg.norm(scaled - m[:, None], axis=2), e[:, None])
+        m = scaled.sum(axis=1) / size
+        d = scaled - m[:, None]
+        dists[redo] = np.ldexp(np.sqrt((d * d).sum(axis=2)), e[:, None])
         # a finite mean keeps its value: the scaling can flush tiny points to zero
         mean[redo] = np.where(np.isfinite(mean[redo]), mean[redo], np.ldexp(m, e[:, None]))
     rad = np.radians(yaws_deg)
-    sin_mean = np.sin(rad).mean(axis=1).tolist()
-    cos_mean = np.cos(rad).mean(axis=1).tolist()
+    sin_mean = (np.sin(rad).sum(axis=1) / size).tolist()
+    cos_mean = (np.cos(rad).sum(axis=1) / size).tolist()
     # math.atan2: numpy's arctan2 can differ from it in the last place
     yaw_mean = np.degrees([math.atan2(y, x) for y, x in zip(sin_mean, cos_mean)])
     rel = _wrap_deg(yaws_deg - yaw_mean[:, None])
-    return np.column_stack(
-        [mean, dists.max(axis=1), dists.mean(axis=1), yaw_mean + rel.min(axis=1), yaw_mean + rel.max(axis=1)]
-    )
+    table = np.empty((k, 6))
+    table[:, :2] = mean
+    table[:, 2] = dists.max(axis=1)
+    table[:, 3] = dists.sum(axis=1) / size
+    table[:, 4] = yaw_mean + rel.min(axis=1)
+    table[:, 5] = yaw_mean + rel.max(axis=1)
+    return table
 
 
 def _mean_length(d: Array) -> float:
     """Mean length of the rows of an (m, 2) array."""
     # squared lengths as dot products, the form np.linalg.norm takes for one
     # vector (an elementwise x*x + y*y can differ in the last place)
-    return float(np.mean(np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])))
+    return float(np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]).sum() / d.shape[0])
+
+
+@functools.lru_cache(maxsize=len(DIRECTIONS) + 1)
+def _pairs(k: int) -> tuple[Array, Array]:
+    """Read-only row indices (i, j), i < j, of the unordered pairs of k rows
+    (cached per k, as ``np.triu_indices(k, 1)`` gives them)."""
+    i, j = np.triu_indices(k, 1)
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
 
 
 def _direction_stats(direction: str, count: int, row: list[float], radius_mm: float) -> DirectionStats:
+    # built as _records builds a MarkMeasurement, past the dataclass
+    # constructor, which has no check to run
     mean_x, mean_y, max_from, mean_from, yaw_min, yaw_max = row
-    return DirectionStats(
+    stats = object.__new__(DirectionStats)
+    stats.__dict__.update(
         direction=direction,
         count=count,
         mean_x_mm=mean_x,
@@ -545,6 +582,7 @@ def _direction_stats(direction: str, count: int, row: list[float], radius_mm: fl
         yaw_min_deg=yaw_min,
         yaw_max_deg=yaw_max,
     )
+    return stats
 
 
 def cluster_metrics(measurements: Sequence[MarkMeasurement]) -> ClusterReport:
@@ -557,9 +595,12 @@ def cluster_metrics(measurements: Sequence[MarkMeasurement]) -> ClusterReport:
     The statistics of all clusters of one size are computed together, as
     (k, size) arrays reduced along each cluster's row (one pass when every
     direction has the same count), so each figure is the one a cluster alone
-    gives; the enclosing circle is one ``enclosing_circle`` call per cluster
-    and one for all points, with its two- and three-point constructions
-    written out in that function's loop.
+    gives; means and lengths are taken as ``mean`` and ``np.linalg.norm``
+    take them (a sum, then a division; a square root of summed squares), with
+    no call to either. The pairs of cluster means come from indices cached
+    per cluster count. The enclosing circle is one ``enclosing_circle`` call
+    per cluster and one for all points, with its two- and three-point
+    constructions written out in that function's loop.
 
     Raises:
         EmptyCluster: no measurements.
@@ -585,7 +626,7 @@ def cluster_metrics(measurements: Sequence[MarkMeasurement]) -> ClusterReport:
             table[rows] = _cluster_stats(all_xy[members], all_yaws[members])
         overall_row = _cluster_stats(all_xy[None], all_yaws[None])[0].tolist()
         if present.size >= 2:
-            i, j = np.triu_indices(present.size, 1)
+            i, j = _pairs(present.size)
             d = table[i, :2] - table[j, :2]
             inter = _mean_length(d)
             if not math.isfinite(inter) and np.isfinite(d).all():

@@ -61,7 +61,8 @@ class OffSensorPoint(ValueError):
 @dataclass(frozen=True, eq=False)
 class ReferencingSession:
     """The measurements of one referencing run. The constructor checks them
-    (``ValueError``, ``OffSensorPoint`` for an image point off the sensor)
+    (``ValueError``; ``MarkNotOnPlate`` for an id not on the plate,
+    ``OffSensorPoint`` for an image point off the sensor)
     and stores the arrays as read-only float copies. It also keeps the plate
     points of the observed marks, in ``mark_ids`` order, which its check of
     the ids looks up, for the image fit.

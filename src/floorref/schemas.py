@@ -443,17 +443,13 @@ def _tracker_points(doc: Mapping[str, Any], where: str) -> Array:
     return xyz[[points.index(point) for point in _TRACKER_POINTS]]
 
 
-def _image_observation(
-    doc: Mapping[str, Any], where: str, plate: ReferencingPlate
-) -> tuple[tuple[str, ...], Array]:
-    """The observed mark ids of a session and their (n, 2) image points."""
+def _image_observation(doc: Mapping[str, Any], where: str) -> tuple[tuple[str, ...], Array]:
+    """The observed mark ids of a session, each listed once, and their (n, 2)
+    image points; the ``ReferencingSession`` constructor looks the ids up on
+    the plate."""
     w = f"{where}.image_observation"
     entries = _entries(doc, where, "image_observation", {"mark_id", "row", "col"}, set())
     mark_ids = _mark_ids(entries, w, "mark_id")
-    try:
-        plate.mark_rows(mark_ids)
-    except MarkNotOnPlate as e:
-        raise SchemaError(f"{w}[{e.index}].mark_id: {e}") from None
     return tuple(mark_ids), _entry_numbers(entries, w, ("row", "col"))
 
 
@@ -464,7 +460,7 @@ def session_from_dict(doc: Mapping[str, Any]) -> ReferencingSession:
     camera = camera_from_dict(doc["camera"])
     plate = plate_from_dict(doc["plate"])
     points = _tracker_points(doc, where)
-    mark_ids, rowcol = _image_observation(doc, where, plate)
+    mark_ids, rowcol = _image_observation(doc, where)
     try:
         session = ReferencingSession(
             camera=camera,
@@ -474,6 +470,8 @@ def session_from_dict(doc: Mapping[str, Any]) -> ReferencingSession:
             nest_points=points[:3],
             robot_points=points[3:],
         )
+    except MarkNotOnPlate as e:
+        raise SchemaError(f"{where}.image_observation[{e.index}].mark_id: {e}") from None
     except OffSensorPoint as e:
         row, col = rowcol[e.index].tolist()
         raise SchemaError(

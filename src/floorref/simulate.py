@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -279,9 +279,11 @@ class SupportPoses(NamedTuple):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def support_poses(world: SimWorld, xy: Array, yaw_rad: Array, surface: str) -> SupportPoses:
+def support_poses(world: SimWorld, xy: Array, rz: Array, surface: str) -> SupportPoses:
     """True robot poses with all three wheels on the named surface ("plate"
-    or "floor"), for (n, 2) robot positions and (n,) headings.
+    or "floor"), for (n, 2) robot positions and the (n, 3, 3) rotations
+    ``rotations_about_z`` gives for their headings (the caller builds them
+    once and may share them).
 
     Each row alternates between fitting the support plane through its wheel
     contacts and reposing the rigid wheel triangle on that plane until the
@@ -295,7 +297,6 @@ def support_poses(world: SimWorld, xy: Array, yaw_rad: Array, surface: str) -> S
     surf = world.plate_surface_z if surface == "plate" else world.floor_surface_z
     xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
     x0, y0 = xy[:, 0], xy[:, 1]
-    rz = rotations_about_z(yaw_rad)
     n_rows = rz.shape[0]
     wheels_xy = np.array(world.robot.wheel_contacts_xy_mm)
     wheel_x, wheel_y = wheels_xy[None, :, 0, None], wheels_xy[None, :, 1, None]
@@ -370,7 +371,10 @@ def pose_on_surface(world: SimWorld, placement: RobotPlacement, surface: str) ->
             settled within 100 iterations.
     """
     poses = support_poses(
-        world, np.array([[placement.x_mm, placement.y_mm]]), [placement.yaw_rad], surface
+        world,
+        np.array([[placement.x_mm, placement.y_mm]]),
+        rotations_about_z([placement.yaw_rad]),
+        surface,
     )
     return _support_pose(poses, 0)
 
@@ -464,7 +468,7 @@ def _simulate_session(
     both = support_poses(
         world,
         np.array([[placement0.x_mm, placement0.y_mm], [placement1.x_mm, placement1.y_mm]]),
-        [placement0.yaw_rad, placement1.yaw_rad],
+        rotations_about_z([placement0.yaw_rad, placement1.yaw_rad]),
         "plate",
     )
     pose0 = _support_pose(both, 0)
@@ -514,17 +518,21 @@ class MarkViews(NamedTuple):
     error: tuple[FloorRefError | None, ...]
 
 
-def mark_views(world: SimWorld, xy: Array, yaw_rad: Array, mark_abs: Array) -> MarkViews:
-    """True image points of a floor mark seen from (n, 2) robot positions with
-    (n,) headings on the experiment floor, each row equal to a one-row call.
+def mark_views(
+    world: SimWorld, xy: Array, rz: Array, yaw_rad: Sequence[float] | Array, mark_abs: Array
+) -> MarkViews:
+    """True image points of a floor mark seen from (n, 2) robot positions on
+    the experiment floor, each row equal to a one-row call. The headings come
+    as their (n, 3, 3) ``rotations_about_z`` stack, which the support poses
+    use, and as (n,) angles in radians, which only a ``MarkNotVisible``
+    message reads.
 
     The camera pose of each row is ``invert(compose(support pose, true
     hand-eye))`` taken row by row; the mark goes into every camera frame and
     then through one projection.
     """
     xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
-    yaw = np.asarray(yaw_rad, dtype=np.float64).reshape(-1)
-    support = support_poses(world, xy, yaw, "floor")
+    support = support_poses(world, xy, rz, "floor")
     h_rob_cam = world.h_rob_cam_true
     # h_abs_cam = compose(h_abs_rob, h_rob_cam), then its inverse applied to the mark
     r_abs_cam = compose_rotations(support.rotation, h_rob_cam.rotation)
@@ -539,7 +547,7 @@ def mark_views(world: SimWorld, xy: Array, yaw_rad: Array, mark_abs: Array) -> M
         if error[i] is None:
             error[i] = MarkNotVisible(
                 f"simulate_mark_observation: mark not visible at placement "
-                f"({xy[i, 0]:.0f}, {xy[i, 1]:.0f}, yaw {math.degrees(yaw[i]):.0f} deg)"
+                f"({xy[i, 0]:.0f}, {xy[i, 1]:.0f}, yaw {math.degrees(yaw_rad[i]):.0f} deg)"
             )
     return MarkViews(rc, support.translation, tuple(error))
 
@@ -561,8 +569,9 @@ def simulate_mark_observation(
         DegenerateConfiguration: no settled support pose.
     """
     rng = rng_substream(world.seed, STREAM_MARK, trial)
+    yaw = [placement.yaw_rad]
     views = mark_views(
-        world, np.array([[placement.x_mm, placement.y_mm]]), [placement.yaw_rad], mark_abs
+        world, np.array([[placement.x_mm, placement.y_mm]]), rotations_about_z(yaw), yaw, mark_abs
     )
     if views.error[0] is not None:
         raise views.error[0]
@@ -684,12 +693,13 @@ def default_placements(
 
 
 def experiment_placements(
-    world: SimWorld, mark_abs: Array, yaw_rad: Array, offset_xy: Array
+    world: SimWorld, mark_abs: Array, rz: Array, offset_xy: Array
 ) -> Array:
     """Robot positions (n, 2) putting the mark near the camera footprint
-    center plus (n, 2) offsets at (n,) headings, using the true rig geometry."""
+    center plus (n, 2) offsets, at the headings of an (n, 3, 3)
+    ``rotations_about_z`` stack, using the true rig geometry."""
     g0 = camera_ground_offset(world)
-    rot2 = np.ascontiguousarray(rotations_about_z(yaw_rad)[:, :2, :2])
+    rot2 = np.ascontiguousarray(rz[:, :2, :2])
     off = np.asarray(offset_xy, dtype=np.float64).reshape(-1, 2)
     return np.asarray(mark_abs, dtype=np.float64)[:2] + off - rot2 @ g0
 
@@ -699,5 +709,5 @@ def experiment_placement(
 ) -> RobotPlacement:
     """Placement putting the mark near the camera footprint center plus an
     offset, using the true rig geometry (one row of ``experiment_placements``)."""
-    xy = experiment_placements(world, mark_abs, [yaw_rad], [tuple(offset_xy)])[0]
+    xy = experiment_placements(world, mark_abs, rotations_about_z([yaw_rad]), [tuple(offset_xy)])[0]
     return RobotPlacement(float(xy[0]), float(xy[1]), yaw_rad)

@@ -533,7 +533,8 @@ TRUTH_MESSAGE = "error: session.ground_truth.rob_H_cam: expected an array of 4, 
 
 # case: (argv over the calibrated directory c and a scratch directory t, text
 # that stderr must hold). "OUT" stands for the output path: it must not exist
-# after the failed command.
+# after the failed command. No stderr line, the scratch paths aside, may pass
+# 200 characters: a number from the input is printed in bounded form.
 EXIT_2_CASES = {
     "trials-zero": (
         lambda c, t: _experiment(c / "result.json", PLAN, "--trials", 0),
@@ -661,6 +662,21 @@ EXIT_2_CASES = {
         lambda c, t: ("metrics", _written(t / "header-only.csv", CSV_HEADER), "--out-dir", "OUT"),
         "header-only.csv: no measurements after the header",
     ),
+    "plan-yaw-beyond-1e6": (
+        lambda c, t: _experiment(
+            c / "result.json", _edited(PLAN, t / "p.json", lambda d: d["yaw_deg_list"].insert(3, 1e300))
+        ),
+        "error: plan: yaw_deg_list[3]: yaw 1e+300 deg is not within 10 deg of any direction",
+    ),
+    "csv-yaw-beyond-1e6": (
+        lambda c, t: (
+            "metrics",
+            _written(t / "huge-yaw.csv", CSV_HEADER + b"up,0.0,1,2,0,0\nup,1e300,1,2,0,0\n"),
+            "--out-dir",
+            "OUT",
+        ),
+        "huge-yaw.csv:3: yaw 1e+300 deg inconsistent with direction 'up'",
+    ),
     "removed-flag-simulate": (
         lambda c, t: ("simulate", WORLD, "--out", "OUT", REMOVED_FLAG),
         f"unrecognized arguments: {REMOVED_FLAG}",
@@ -687,6 +703,7 @@ def test_exit_2_table(case, calibrated, tmp_path, capsys):
     except SystemExit as e:  # argparse rejects the command line
         code = e.code
     err = capsys.readouterr().err
+    assert max(len(line.replace(str(tmp_path), "")) for line in err.splitlines()) <= 200
     assert code == 2
     assert message in err
     assert "Traceback" not in err

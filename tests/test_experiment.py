@@ -287,13 +287,10 @@ class TestRecordChecks:
 
     def test_nan_yaw_rejected(self, world, noiseless_result, monkeypatch):
         # a NaN jitter (set past the plan's constructor, which rejects it)
-        # makes every yaw NaN; the geometry pass runs on yaw 0 here, so the
-        # record check decides
-        for name in ("experiment_placements", "mark_views"):
-            real = getattr(experiment, name)
-            monkeypatch.setattr(
-                experiment, name, lambda w, mark, yaw, *rest, real=real: real(w, mark, np.nan_to_num(yaw), *rest)
-            )
+        # makes every yaw NaN; the geometry pass runs on yaw 0 here (the
+        # heading stack is built from it), so the record check decides
+        real = experiment.rotations_about_z
+        monkeypatch.setattr(experiment, "rotations_about_z", lambda yaw: real(np.nan_to_num(yaw)))
         plan = self._plan()
         object.__setattr__(plan, "yaw_jitter_deg", math.nan)
         with pytest.raises(ValueError, match="^yaw nan deg inconsistent with direction 'left'$"):
@@ -349,15 +346,18 @@ def test_experiment_op_call_counts(world, noiseless_result, call_counts):
         (experiment, "_record_fault"),
         (experiment, "rng_substream"),
         (simulate, "rng_substream"),
+        (experiment, "rotations_about_z"),
+        (simulate, "rotations_about_z"),
     )
     plan = ExperimentPlan(mark_xy_mm=(1500.0, 700.0), repeats=5)
     measurements = run_experiment(world, GLASS_NOISE, plan, noiseless_result, seed=9)
     assert len(measurements) == 40
     assert counts["_record_fault"] == 1  # records are checked once per array
     assert counts["rng_substream"] == 5  # one substream per repeat
+    assert counts["rotations_about_z"] == 1  # one heading stack, shared
     cluster_metrics(measurements)
     # eight direction clusters and the overall one
-    assert counts == {"enclosing_circle": 9, "_record_fault": 1, "rng_substream": 5}
+    assert counts == {"enclosing_circle": 9, "_record_fault": 1, "rng_substream": 5, "rotations_about_z": 1}
 
 
 class TestMinEnclosingCircle:

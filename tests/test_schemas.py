@@ -29,6 +29,7 @@ from floorref.schemas import (
     write_json,
 )
 from floorref.experiment import ExperimentPlan
+from floorref.plate import ReferencingPlate
 from floorref.simulate import (
     GLASS_NOISE,
     default_placements,
@@ -136,6 +137,18 @@ class TestSessionSchema:
             SchemaError, match=rf"session\.image_observation\[{len(entries) - 1}\]\.mark_id"
         ):
             session_from_dict(doc)
+
+    def test_one_mark_id_look_up_per_session(self, noiseless_session, call_counts):
+        doc = session_to_dict(noiseless_session)
+        counts = call_counts((ReferencingPlate, "mark_rows"))
+        session_from_dict(doc)
+        assert counts["mark_rows"] == 1
+        doc["image_observation"][3]["mark_id"] = "Z9"
+        with pytest.raises(
+            SchemaError, match=r"^session\.image_observation\[3\]\.mark_id: mark 'Z9' is not on the plate$"
+        ):
+            session_from_dict(doc)
+        assert counts["mark_rows"] == 2
 
 
 class TestResultSchema:
@@ -270,6 +283,16 @@ class TestPlanSchema:
     def test_empty_yaw_list_rejected(self):
         with pytest.raises(SchemaError):
             plan_from_dict({"mark_xy_mm": [1.0, 2.0], "yaw_deg_list": []})
+
+    @pytest.mark.parametrize(
+        "yaw, text", [(22.5, "22.50"), (999967.5, "999967.50"), (1000012.5, "1.00001e+06"), (1e300, "1e+300")]
+    )
+    def test_unmapped_yaw_names_its_entry(self, yaw, text):
+        with pytest.raises(SchemaError) as info:
+            plan_from_dict({"mark_xy_mm": [1.0, 2.0], "yaw_deg_list": [0.0, yaw]})
+        assert str(info.value) == (
+            f"plan: yaw_deg_list[1]: yaw {text} deg is not within 10 deg of any direction"
+        )
 
 
 def test_json_file_round_trip(tmp_path, world, noiseless_session):
@@ -441,7 +464,9 @@ def test_malformed_field_names_its_path(quick_start_docs, kind, mutate, field):
 
 # (document, mutations, message) of documents with two faults in one array:
 # each check runs over the whole array, so the check that runs first names its
-# fault (keys, then labels, then numbers), wherever the other fault sits
+# fault (keys, then labels, then numbers), wherever the other fault sits. A
+# mark id off the plate is found by the session constructor's one look-up of
+# the ids, after the numbers are read
 TWO_FAULTS = [
     (
         "session",
@@ -452,6 +477,11 @@ TWO_FAULTS = [
         "session",
         [_set(["image_observation", 5, "row"], []), _set(["image_observation", 20, "mark_id"], True)],
         "session.image_observation[20].mark_id: expected a string, got True",
+    ),
+    (
+        "session",
+        [_set(["image_observation", 5, "row"], []), _set(["image_observation", 20, "mark_id"], "Z9")],
+        "session.image_observation[5].row: expected a finite number, got []",
     ),
     (
         "session",

@@ -13,7 +13,7 @@ from floorref.errors import (
     TargetNotVisible,
 )
 from floorref.experiment import measure_mark
-from floorref.geometry import apply, compose, invert, rotation_distance
+from floorref.geometry import apply, compose, invert, rotation_distance, rotations_about_z
 from floorref.pipeline import compute_rob_h_cam
 from floorref.plate import ReferencingPlate
 from floorref.schemas import session_from_dict, session_to_dict
@@ -202,10 +202,10 @@ class TestSupportPose:
         rng = np.random.default_rng(0)
         xy = np.column_stack([rng.uniform(-100.0, 700.0, 24), rng.uniform(-500.0, 100.0, 24)])
         yaw = rng.uniform(-math.pi, math.pi, 24)
-        poses = support_poses(world, xy, yaw, surface)
+        poses = support_poses(world, xy, rotations_about_z(yaw), surface)
         assert not any(poses.error)
         for i in range(24):
-            one = support_poses(world, xy[i : i + 1], yaw[i : i + 1], surface)
+            one = support_poses(world, xy[i : i + 1], rotations_about_z(yaw[i : i + 1]), surface)
             placement = RobotPlacement(float(xy[i, 0]), float(xy[i, 1]), float(yaw[i]))
             h = pose_on_surface(world, placement, surface)
             for r, t in ((one.rotation[0], one.translation[0]), (h.rotation, h.translation)):
@@ -215,7 +215,7 @@ class TestSupportPose:
             # with one plane fit allowed, the rows that settle in one keep
             # their pose and the others fail: rows settle at different times
             monkeypatch.setattr(simulate, "_SUPPORT_MAX_ITER", 1)
-            capped = support_poses(world, xy, yaw, surface)
+            capped = support_poses(world, xy, rotations_about_z(yaw), surface)
             unsettled = [e is not None for e in capped.error]
             assert 0 < sum(unsettled) < 24
             for i in range(24):
@@ -264,7 +264,7 @@ class TestSupportPose:
     def test_failed_row_leaves_other_rows_alone(self, world):
         xy = np.array([[210.0, -270.0], [np.nan, 0.0], [400.0, -100.0]])
         yaw = np.array([0.3, 0.0, -1.2])
-        poses = support_poses(world, xy, yaw, "plate")
+        poses = support_poses(world, xy, rotations_about_z(yaw), "plate")
         assert poses.error[0] is None and poses.error[2] is None
         assert isinstance(poses.error[1], DegenerateConfiguration)
         assert np.all(np.isnan(poses.rotation[1]))
@@ -280,7 +280,7 @@ class TestSupportPose:
         # floating point (1e17 still settles); the other rows settle
         xy = np.array([[210.0, -270.0], [1e20, 0.0], [400.0, -100.0]])
         yaw = np.array([0.3, 0.0, -1.2])
-        poses = support_poses(world, xy, yaw, "floor")
+        poses = support_poses(world, xy, rotations_about_z(yaw), "floor")
         assert poses.error[0] is None and poses.error[2] is None
         assert "contact plane singular" in str(poses.error[1])
         assert np.all(np.isnan(poses.rotation[1]))
