@@ -39,7 +39,7 @@ from .pipeline import (
     plate_normal,
     reversal_average,
 )
-from .plate import ReferencingPlate, nest_to_smr
+from .plate import ReferencingPlate
 from .simulate import (
     GLASS_NOISE,
     NoiseConfig,
@@ -88,7 +88,6 @@ __all__ = [
     "invert",
     "measure_mark",
     "min_enclosing_circle",
-    "nest_to_smr",
     "plate_normal",
     "random_world",
     "register_points",

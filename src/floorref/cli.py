@@ -26,6 +26,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import __version__
 from .errors import FloorRefError, InconsistentRuns, SchemaError
 from .experiment import cluster_metrics, run_experiment
 from .geometry import transform_gap
@@ -40,7 +41,6 @@ from .report import (
     read_measurements_csv,
 )
 from .schemas import (
-    TOOL_VERSION,
     plan_from_dict,
     provenance,
     read_json,
@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="floorref",
         description="Referencing toolkit: laser-tracker plus nadir-camera hand-eye calibration",
     )
-    parser.add_argument("--version", action="version", version=f"floorref {TOOL_VERSION}")
+    parser.add_argument("--version", action="version", version=f"floorref {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     seed = functools.partial(_integer_at_least, 0)
     trials = functools.partial(_integer_at_least, 1)

@@ -34,10 +34,6 @@ class NonConvergence(FloorRefError):
     """Iterative solver exhausted its iteration budget."""
 
 
-class UnknownNest(FloorRefError):
-    """Nest identifier not present on the plate."""
-
-
 class InconsistentRuns(FloorRefError):
     """Two referencing runs disagree too much to be averaged."""
 

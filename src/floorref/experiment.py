@@ -67,7 +67,8 @@ def direction_for_yaw(yaw_deg: float) -> str:
 
 @dataclass(frozen=True, eq=False)
 class MarkMeasurement:
-    """One recovered mark position with its approach direction."""
+    """One recovered mark position with its approach direction; the yaw and
+    the trial are stored as Python numbers, as ``run_experiment`` makes them."""
 
     direction: str
     yaw_deg: float
@@ -78,11 +79,14 @@ class MarkMeasurement:
         p = np.asarray(self.position, dtype=np.float64)
         if p.shape != (3,):
             raise ValueError(f"expected a 3-vector, got shape {p.shape}")
-        fault = _record_fault((self.direction,), np.array([self.yaw_deg]), p[None])
+        if not isinstance(self.trial, (int, np.integer)) or isinstance(self.trial, bool):
+            raise ValueError(f"trial must be an integer, got {self.trial!r}")
+        yaw = float(self.yaw_deg)
+        fault = _record_fault((self.direction,), np.array([yaw]), p[None])
         if fault is not None:
             raise ValueError(fault[1])
         p.setflags(write=False)
-        object.__setattr__(self, "position", p)
+        self.__dict__.update(position=p, yaw_deg=yaw, trial=int(self.trial))
 
 
 @dataclass(frozen=True)
@@ -614,8 +618,9 @@ def cluster_metrics(measurements: Sequence[MarkMeasurement]) -> ClusterReport:
     index = np.array([_DIRECTION_INDEX[m.direction] for m in measurements])
     grouped = np.argsort(index, kind="stable")
     bounds = np.searchsorted(index[grouped], np.arange(len(DIRECTIONS) + 1))
-    present = np.flatnonzero(np.diff(bounds))
-    counts = np.diff(bounds)[present]
+    sizes = np.diff(bounds)
+    present = np.flatnonzero(sizes)
+    counts = sizes[present]
     table = np.empty((present.size, 6))
     # coordinates near the float range overflow the sums: the figures turn
     # inf or nan, with no warning, and are refused below

@@ -15,7 +15,6 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import UnknownNest
 from .geometry import triangle_area
 
 Array = NDArray[np.float64]
@@ -123,22 +122,9 @@ class ReferencingPlate:
             raise MarkNotOnPlate(message, mark_ids.index(mark_id)) from None
 
 
-def nest_to_smr(plate: ReferencingPlate, nest_id: str) -> Array:
-    """Seated smr center for a nest: the ring center z-shifted by -delta.
-
-    The offset is subtracted because the plate z-axis mounts into the plate;
-    only the z component changes.
-
-    Raises:
-        UnknownNest: id not in {r, g, b}.
-    """
-    if nest_id not in NEST_IDS:
-        raise UnknownNest(f"nest_to_smr: unknown nest id {nest_id!r}")
-    return smr_points(plate)[NEST_IDS.index(nest_id)]
-
-
 def smr_points(plate: ReferencingPlate) -> Array:
-    """Seated smr centers for all three nests in canonical (r, g, b) order."""
+    """Seated smr centers for all three nests in canonical (r, g, b) order:
+    each ring center shifted by -delta in z, the only component that changes."""
     p = plate.nest_points.copy()
     p[:, 2] -= plate.delta_mm
     return p

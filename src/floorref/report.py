@@ -173,9 +173,19 @@ def _panel_svg(
     title: str, measurements: Sequence[MarkMeasurement], x0: float, y0: float, size: float
 ) -> list[str]:
     xy = np.array([m.position[:2] for m in measurements])
-    center = xy.mean(axis=0)
-    rel = xy - center
-    span = max(1e-6, 2.0 * float(np.max(np.abs(rel))) * 1.15)
+    e = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        rel = xy - xy.mean(axis=0)
+        spread = 2.0 * float(np.max(np.abs(rel))) * 1.15
+    if not math.isfinite(spread):
+        # coordinates near the float range overflow the mean or the spread:
+        # the same on the points scaled by an exact 2**-e, which moves no
+        # drawn point; only the grid label is scaled back
+        e = math.frexp(float(np.abs(xy).max()))[1]
+        xy = np.ldexp(xy, -e)
+        rel = xy - xy.mean(axis=0)
+        spread = 2.0 * float(np.max(np.abs(rel))) * 1.15
+    span = max(1e-6, spread)
     scale = size / span
     px = (x0 + size / 2.0 + rel[:, 0] * scale).tolist()
     py = (y0 + size / 2.0 - rel[:, 1] * scale).tolist()
@@ -204,7 +214,7 @@ def _panel_svg(
         )
     parts.append(
         f'<text x="{x0 + size - 4:.1f}" y="{y0 + size - 6:.1f}" text-anchor="end" '
-        f'font-size="10" font-family="sans-serif" fill="#555">grid {step:g} mm</text>'
+        f'font-size="10" font-family="sans-serif" fill="#555">grid {math.ldexp(step, e):g} mm</text>'
     )
     parts.extend(
         f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{_COLORS[m.direction]}" fill-opacity="0.8"/>'
@@ -216,11 +226,11 @@ def _panel_svg(
 def write_clusters_svg(
     panels: Sequence[tuple[str, Sequence[MarkMeasurement]]],
     path: str | Path,
-    desc: str | None = None,
+    desc: str,
 ) -> None:
     """Scatter of measurements normalized to each panel's overall mean, one
-    panel per run, two panels per row, with a shared direction legend. An
-    optional desc string (e.g. provenance JSON) is embedded as SVG metadata."""
+    panel per run, two panels per row, with a shared direction legend. The
+    desc string (e.g. provenance JSON) is embedded as SVG metadata."""
     if not panels:
         raise ValueError("write_clusters_svg: need at least one panel")
     panel_size = 320.0
@@ -230,14 +240,13 @@ def write_clusters_svg(
     width = margin + per_row * (panel_size + margin)
     height = margin + n_rows * (panel_size + margin) + 30.0
 
+    escaped = desc.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
         f'viewBox="0 0 {width:.0f} {height:.0f}">',
+        f"<desc>{escaped}</desc>",
         f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
     ]
-    if desc is not None:
-        escaped = desc.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-        parts.insert(1, f"<desc>{escaped}</desc>")
     for i, (title, measurements) in enumerate(panels):
         row, col = divmod(i, per_row)
         x0 = margin + col * (panel_size + margin)

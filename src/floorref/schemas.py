@@ -39,7 +39,6 @@ from .simulate import NoiseConfig, RobotModel, RobotPlacement, SimWorld
 Array = NDArray[np.float64]
 
 TOOL_NAME = "floorref"
-TOOL_VERSION = __version__
 
 _NUM = (int, float)
 
@@ -142,7 +141,7 @@ def file_sha256(path: str | Path) -> str:
 def provenance(inputs: Mapping[str, str | Path], seed: int | None) -> dict:
     return {
         "tool": TOOL_NAME,
-        "version": TOOL_VERSION,
+        "version": __version__,
         "seed": seed,
         "inputs": {role: f"sha256:{file_sha256(p)}" for role, p in sorted(inputs.items())},
     }

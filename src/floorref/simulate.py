@@ -183,14 +183,22 @@ class SimWorld:
 
     @functools.cached_property
     def _marks_abs(self) -> Array:
-        # the physical marks (true_mark_points_ref) in the tracker frame, read-only
-        marks = apply(self.h_abs_ref, self.true_mark_points_ref()[1])
+        # the physical marks in the tracker frame, read-only: each plate mark
+        # lifted by the surface's rise (plate z points into the plate)
+        pts = self.plate.mark_points.copy()
+        pts[:, 2] = -np.asarray(self.surface_rise_pcs(pts[:, 0], pts[:, 1]))
+        marks = apply(self.h_abs_ref, pts)
         marks.setflags(write=False)
         return marks
 
     @functools.cached_property
-    def _ground_offset(self) -> Array:
-        # camera_ground_offset's value, read-only
+    def camera_ground_offset(self) -> Array:
+        """Footprint center of the camera principal ray in the robot frame (xy,
+        mm), for a robot standing on flat ground; read-only, computed once.
+
+        Raises:
+            DegenerateConfiguration: the camera does not look down.
+        """
         t = self.h_rob_cam_true.translation
         axis = self.h_rob_cam_true.rotation @ np.array([0.0, 0.0, 1.0])
         if axis[2] >= -1e-6:
@@ -238,12 +246,6 @@ class SimWorld:
         return g * (ca * np.asarray(x, dtype=np.float64) + sa * np.asarray(y, dtype=np.float64))
 
     # --- true geometry ------------------------------------------------------
-
-    def true_mark_points_ref(self) -> tuple[tuple[str, ...], Array]:
-        """Physical mark positions in plate coordinates (z into the plate)."""
-        pts = self.plate.mark_points.copy()
-        pts[:, 2] = -np.asarray(self.surface_rise_pcs(pts[:, 0], pts[:, 1]))
-        return self.plate.mark_ids, pts
 
     def true_smr_points_ref(self, nest_offset_error_mm: float) -> Array:
         """Physical seated-smr centers in plate coordinates, all three nests."""
@@ -379,16 +381,6 @@ def pose_on_surface(world: SimWorld, placement: RobotPlacement, surface: str) ->
     return _support_pose(poses, 0)
 
 
-def camera_ground_offset(world: SimWorld) -> Array:
-    """Footprint center of the camera principal ray in the robot frame (xy, mm),
-    for a robot standing on flat ground; read-only, computed once per world.
-
-    Raises:
-        DegenerateConfiguration: the camera does not look down.
-    """
-    return world._ground_offset
-
-
 # --- observation generation ---------------------------------------------------
 
 
@@ -420,19 +412,18 @@ def simulate_session_with_truth(
     noise: NoiseConfig,
     placement0: RobotPlacement,
     placement1: RobotPlacement,
-    *,
-    trial: int = 0,
 ) -> tuple[ReferencingSession, dict[str, RigidTransform]]:
-    """``simulate_referencing_session`` together with the session's true
-    transforms (``rob_H_cam``, ``abs_H_ref``, ``abs_H_rob_0``, ``abs_H_rob_1``),
-    for embedding as file provenance. Both robot poses come from one two-row
-    ``support_poses`` call; each equals ``pose_on_surface`` on the plate.
+    """``simulate_referencing_session`` of trial 0 together with the session's
+    true transforms (``rob_H_cam``, ``abs_H_ref``, ``abs_H_rob_0``,
+    ``abs_H_rob_1``), for embedding as file provenance. Both robot poses come
+    from one two-row ``support_poses`` call; each equals ``pose_on_surface``
+    on the plate.
 
     Raises:
         DegenerateMotion, DegenerateConfiguration, TargetNotVisible: as
             ``simulate_referencing_session``.
     """
-    session, both, pose0 = _simulate_session(world, noise, placement0, placement1, trial)
+    session, both, pose0 = _simulate_session(world, noise, placement0, placement1, 0)
     truth = {
         "rob_H_cam": world.h_rob_cam_true,
         "abs_H_ref": world.h_abs_ref,
@@ -557,18 +548,16 @@ def simulate_mark_observation(
     noise: NoiseConfig,
     placement: RobotPlacement,
     mark_abs: Array,
-    *,
-    trial: int = 0,
 ) -> tuple[Array, Array]:
     """Image point (row, col) of a floor mark plus the robot smr tracker point
     at a placement on the experiment floor (a one-row ``mark_views`` plus
-    noise).
+    noise from the mark stream of trial 0).
 
     Raises:
         MarkNotVisible: mark outside the camera view at this placement.
         DegenerateConfiguration: no settled support pose.
     """
-    rng = rng_substream(world.seed, STREAM_MARK, trial)
+    rng = rng_substream(world.seed, STREAM_MARK, 0)
     yaw = [placement.yaw_rad]
     views = mark_views(
         world, np.array([[placement.x_mm, placement.y_mm]]), rotations_about_z(yaw), yaw, mark_abs
@@ -681,7 +670,7 @@ def default_placements(
         raise ValueError("default_placements: the plate has no marks to cover")
     center_abs = apply(world.h_abs_ref, center)
     yaw = world.plate_yaw_rad + (math.pi if reverse else 0.0)
-    g0 = camera_ground_offset(world)
+    g0 = world.camera_ground_offset
     c, s = math.cos(yaw), math.sin(yaw)
     rot2 = np.array([[c, -s], [s, c]])
     xy0 = center_abs[:2] - rot2 @ g0
@@ -698,7 +687,7 @@ def experiment_placements(
     """Robot positions (n, 2) putting the mark near the camera footprint
     center plus (n, 2) offsets, at the headings of an (n, 3, 3)
     ``rotations_about_z`` stack, using the true rig geometry."""
-    g0 = camera_ground_offset(world)
+    g0 = world.camera_ground_offset
     rot2 = np.ascontiguousarray(rz[:, :2, :2])
     off = np.asarray(offset_xy, dtype=np.float64).reshape(-1, 2)
     return np.asarray(mark_abs, dtype=np.float64)[:2] + off - rot2 @ g0

@@ -24,7 +24,7 @@ from floorref.experiment import (
     direction_for_yaw,
 )
 from floorref.geometry import RigidTransform, apply, compose, invert, rotation_about_z
-from floorref.simulate import STREAM_EXPERIMENT, camera_ground_offset, rng_substream
+from floorref.simulate import STREAM_EXPERIMENT, rng_substream
 
 
 def brute_force_enclosing_circle(points: np.ndarray) -> tuple[np.ndarray, float]:
@@ -177,7 +177,7 @@ def scalar_run_experiment(world, noise, plan, result, *, seed=None) -> list[Mark
             float(np.asarray(world.floor_surface_z(plan.mark_xy_mm[0], plan.mark_xy_mm[1]))),
         ]
     )
-    g0 = camera_ground_offset(world)
+    g0 = world.camera_ground_offset
     measurements = []
     for trial in range(plan.repeats):
         rng = rng_substream(base_seed, STREAM_EXPERIMENT, trial)

@@ -5,6 +5,8 @@ Runs, under a ``sys.settrace`` line tracer, what the package is used for:
 - the README quick start (``simulate`` in both headings, ``calibrate`` with
   and without ``--reversal``, ``experiment --trials 2`` and ``metrics``) on
   ``configs/world.json`` and ``configs/world_wooden.json`` at seeds 7 and 21;
+- ``metrics`` on the README's two large-value measurement files (``x_mm``
+  of +-1e200, and 1.7e308 with 1.6e308);
 - three ops of each benchmark workload of ``perfbench/workloads.py`` at
   seed 1;
 - the README library example.
@@ -47,6 +49,21 @@ def quick_start(main, config: str, seed: int) -> None:
         main(argv)
 
 
+# the README's large-value measurement files: every metric is representable,
+# though its squares or its sums are not
+LARGE_VALUES = {
+    "large_1e200.csv": ("up,0.0,1e200,900.0,0.0,0", "up,0.0,3e200,900.0,0.0,0",
+                        "down,180.0,-1e200,900.0,0.0,0", "down,180.0,-3e200,900.0,0.0,0"),
+    "large_1e308.csv": ("up,0.0,1.7e308,900.0,0.0,0", "up,0.5,1.6e308,900.0,0.0,0"),
+}
+
+
+def large_values(main) -> None:
+    for name, rows in LARGE_VALUES.items():
+        Path(name).write_text("direction,yaw_deg,x_mm,y_mm,z_mm,trial\n" + "\n".join(rows) + "\n")
+        main(["metrics", name, "--out-dir", f"{name}_out"])
+
+
 def library_example() -> None:
     from floorref import (
         GLASS_NOISE, ExperimentPlan, cluster_metrics, compute_rob_h_cam, default_placements,
@@ -71,6 +88,7 @@ def run_all(workdir: Path) -> None:
         for config in CONFIGS:
             for seed in (7, 21):
                 quick_start(floorref.cli.main, config, seed)
+        large_values(floorref.cli.main)
         sys.path.insert(0, str(ROOT / "perfbench"))
         import workloads
 

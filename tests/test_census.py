@@ -75,7 +75,6 @@ EXPORTS = {
     "invert",
     "measure_mark",
     "min_enclosing_circle",
-    "nest_to_smr",
     "plate_normal",
     "random_world",
     "register_points",
@@ -97,7 +96,6 @@ DEFAULTS = {
     },
     "experiment.run_experiment": {"seed": None},
     "pipeline.ReferencingResult": {"reversal_of": None},
-    "report.write_clusters_svg": {"desc": None},
     "schemas.session_to_dict": {"ground_truth": None, "prov": None},
     "schemas.result_to_dict": {"prov": None},
     "simulate.NoiseConfig": {"tracker_sigma_mm": 0.035, "image_sigma_px": 0.0, "nest_offset_error_mm": 0.0},
@@ -109,9 +107,6 @@ DEFAULTS = {
         "seed": 0,
     },
     "simulate.simulate_referencing_session": {"trial": 0},
-    "simulate.simulate_session_with_truth": {"trial": 0},
-    # no rng: a mark observation draws from its own substream
-    "simulate.simulate_mark_observation": {"trial": 0},
     "simulate.demo_world": {"seed": 0},
     "simulate.default_placements": {"reverse": False},
 }

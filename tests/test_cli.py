@@ -420,6 +420,29 @@ class TestMetrics:
         assert run("metrics", bad, "--out-dir", tmp_path / "out") == 2
         assert f"bad.csv:4: {column}: expected a finite number" in capsys.readouterr().err
 
+    # the README's large-value examples: every figure is representable, though
+    # its squares (about 1e200) or its sums (about 1.7e308) are not
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [
+                "up,0.0,1e200,900.0,0.0,0", "up,0.0,3e200,900.0,0.0,0",
+                "down,180.0,-1e200,900.0,0.0,0", "down,180.0,-3e200,900.0,0.0,0",
+            ],
+            ["up,0.0,1.7e308,900.0,0.0,0", "up,0.5,1.6e308,900.0,0.0,0"],
+        ],
+        ids=["1e200", "1.7e308"],
+    )
+    def test_large_values_write_every_output(self, tmp_path, capsys, rows):
+        path = tmp_path / "m.csv"
+        path.write_text("direction,yaw_deg,x_mm,y_mm,z_mm,trial\n" + "\n".join(rows) + "\n")
+        out_dir = tmp_path / "out"
+        assert run("metrics", path, "--out-dir", out_dir) == 0
+        assert capsys.readouterr().err == ""
+        assert sorted(p.name for p in out_dir.iterdir()) == ["clusters.svg", "report.csv", "report.json"]
+        svg = (out_dir / "clusters.svg").read_text()
+        assert "nan" not in svg and "inf" not in svg
+
 
 class TestRepeatedCalls:
     """main() may be called again in one process: the parser is built once and

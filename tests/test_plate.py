@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from floorref.errors import UnknownNest
-from floorref.plate import ReferencingPlate, nest_to_smr, smr_points
+from floorref.plate import ReferencingPlate, smr_points
 
 NESTS = [[40.0, 40.0, 0.0], [560.0, 60.0, 0.0], [300.0, 360.0, 0.0]]
 A = [0.0, 1.0, 0.0]  # a good mark
@@ -153,29 +152,22 @@ class TestPlateType:
             )
 
 
-class TestNestToSmr:
+class TestSmrPoints:
     def test_zero_delta_is_identity(self):
         plate = make_plate(delta=0.0)
-        assert np.array_equal(nest_to_smr(plate, "r"), plate.nest_points[0])
+        assert np.array_equal(smr_points(plate), plate.nest_points)
 
     def test_known_offset(self):
         plate = make_plate(
             delta=11.3, nest_points=[[100.0, 50.0, 0.0], *NESTS[1:]], **marks({})
         )
-        assert np.allclose(nest_to_smr(plate, "r"), [100.0, 50.0, -11.3], atol=0)
-
-    def test_unknown_nest(self):
-        with pytest.raises(UnknownNest):
-            nest_to_smr(make_plate(), "x")
+        assert np.allclose(smr_points(plate)[0], [100.0, 50.0, -11.3], atol=0)
 
     def test_only_z_changes(self):
         plate = make_plate()
-        for row, nid in enumerate(("r", "g", "b")):
-            smr = nest_to_smr(plate, nid)
-            assert smr[0] == plate.nest_points[row][0]
-            assert smr[1] == plate.nest_points[row][1]
-            assert smr[2] == plate.nest_points[row][2] - plate.delta_mm
-            assert np.array_equal(smr, smr_points(plate)[row])
+        smrs = smr_points(plate)
+        assert np.array_equal(smrs[:, :2], plate.nest_points[:, :2])
+        assert np.array_equal(smrs[:, 2], plate.nest_points[:, 2] - plate.delta_mm)
 
     def test_smr_plane_parallel_to_nest_plane(self):
         plate = make_plate()

@@ -71,6 +71,22 @@ def test_measurements_csv_round_trip(tmp_path):
         assert a.trial == b.trial
 
 
+def test_numpy_scalar_record_round_trips(tmp_path):
+    m = MarkMeasurement("up", np.float64(0.5), np.array([1.0, 2.0, 0.0]), np.int64(3))
+    assert (type(m.yaw_deg), type(m.trial)) == (float, int)
+    path = tmp_path / "m.csv"
+    write_measurements_csv([m], path)
+    (back,) = read_measurements_csv(path)
+    assert (back.direction, back.yaw_deg, back.trial) == ("up", 0.5, 3)
+    assert np.array_equal(back.position, m.position)
+
+
+@pytest.mark.parametrize("trial", [1.5, True, "0"])
+def test_non_integer_trial_refused(trial):
+    with pytest.raises(ValueError, match=rf"^trial must be an integer, got {trial!r}$"):
+        MarkMeasurement("up", 0.0, np.zeros(3), trial)
+
+
 # two bad records of a measurement CSV (line number -> row): the error names the
 # first bad line, whichever of the checks each one fails
 BAD_RECORDS = [
@@ -111,9 +127,10 @@ def test_measurements_csv_names_the_first_bad_line(tmp_path, rows, message):
 def test_svg_is_wellformed_and_has_points(tmp_path):
     ms = sample_measurements()
     path = tmp_path / "clusters.svg"
-    write_clusters_svg([("run 0", ms), ("run 1", ms)], path)
+    write_clusters_svg([("run 0", ms), ("run 1", ms)], path, desc='{"a": "<b> & c"}')
     root = ET.parse(path).getroot()
     assert root.tag.endswith("svg")
+    assert [e.text for e in root.iter() if e.tag.endswith("desc")] == ['{"a": "<b> & c"}']
     circles = [e for e in root.iter() if e.tag.endswith("circle")]
     assert len(circles) >= 2 * len(ms)
 

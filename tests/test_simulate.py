@@ -23,7 +23,6 @@ from floorref.simulate import (
     NoiseConfig,
     RobotModel,
     RobotPlacement,
-    camera_ground_offset,
     default_placements,
     demo_world,
     experiment_placement,
@@ -398,7 +397,7 @@ class TestFloorInclination:
 
 
 def test_camera_ground_offset_is_principal_ray_hit(world):
-    g0 = camera_ground_offset(world)
+    g0 = world.camera_ground_offset
     t = world.h_rob_cam_true.translation
     axis = world.h_rob_cam_true.rotation @ np.array([0.0, 0.0, 1.0])
     s = (-world.robot.smr_height_mm - t[2]) / axis[2]
