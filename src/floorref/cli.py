@@ -57,36 +57,23 @@ from .simulate import default_placements, simulate_session_with_truth
 log = logging.getLogger(__name__)
 
 
-class _StderrHandler(logging.StreamHandler):
-    """Writes each record to ``sys.stderr`` as it is when the record is
-    emitted, so the log lines of an in-process call go with its own output."""
-
-    def __init__(self) -> None:
-        logging.Handler.__init__(self)
-        self.setFormatter(logging.Formatter("%(name)s %(levelname)s %(message)s"))
-
-    @property
-    def stream(self):
-        return sys.stderr
-
-
-_LOG_HANDLER = _StderrHandler()
-
-
 @contextlib.contextmanager
 def _logging_to_stderr() -> Iterator[None]:
-    """Log to ``sys.stderr`` at the FLOORREF_LOG level for the duration of one call."""
+    """Log to ``sys.stderr`` at the FLOORREF_LOG level for the duration of one
+    call, through a handler of that call's own ``sys.stderr``."""
     level_name = os.environ.get("FLOORREF_LOG", "WARNING").upper()
     level = getattr(logging, level_name, logging.WARNING)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s %(levelname)s %(message)s"))
     root = logging.getLogger()
     saved = root.level
     if level != saved:  # setting a level clears every logger's level cache
         root.setLevel(level)
-    root.addHandler(_LOG_HANDLER)
+    root.addHandler(handler)
     try:
         yield
     finally:
-        root.removeHandler(_LOG_HANDLER)
+        root.removeHandler(handler)
         if level != saved:
             root.setLevel(saved)
 
@@ -100,11 +87,11 @@ def _load_world(args: argparse.Namespace):
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     world, noise, placements = _load_world(args)
-    if placements is None or args.reverse:
-        placement0, placement1 = default_placements(world, reverse=args.reverse)
-    else:
-        placement0, placement1 = placements
-    session, truth = simulate_session_with_truth(world, noise, placement0, placement1)
+    if placements is None:
+        placements = default_placements(world, reverse=args.reverse)
+    elif args.reverse:
+        raise ValueError("world.placements: a world config with fixed placements cannot take --reverse")
+    session, truth = simulate_session_with_truth(world, noise, *placements)
     doc = session_to_dict(
         session,
         ground_truth=truth,

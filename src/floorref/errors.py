@@ -2,8 +2,16 @@
 
 All exceptions are message-only (single string constructor argument); pipeline
 stages re-raise them with the stage name prefixed to the message, preserving
-the concrete type so callers can still dispatch on it.
+the concrete type so callers can still dispatch on it. A number from the
+input enters a message through ``number_text``, so its length stays bounded.
 """
+
+
+def number_text(value: float, spec: str) -> str:
+    """A number for a message: in the fixed-point format ``spec`` (for example
+    ``".2f"``), or in ``%g`` form beyond 1e6 in magnitude, where fixed-point
+    would print up to hundreds of digits."""
+    return f"{value:g}" if abs(value) > 1e6 else format(value, spec)
 
 
 class FloorRefError(Exception):

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import EmptyCluster, EmptyInput, FloorRefError, MetricOverflow, OutOfBounds
+from .errors import EmptyCluster, EmptyInput, FloorRefError, MetricOverflow, OutOfBounds, number_text
 from .geometry import RigidTransform, rotations_about_z
 from .pipeline import ReferencingResult
 from .simulate import (
@@ -52,17 +52,12 @@ def _wrap_deg(a: float | Array) -> float | Array:
     return (a + 180.0) % 360.0 - 180.0
 
 
-def _yaw_text(yaw_deg: float) -> str:
-    """A yaw for a message: two decimals, or ``%g`` form beyond 1e6 degrees."""
-    return f"{yaw_deg:g}" if abs(yaw_deg) > 1e6 else f"{yaw_deg:.2f}"
-
-
 def direction_for_yaw(yaw_deg: float) -> str:
     """Direction label whose nominal yaw is within +-10 degrees of the input."""
     for label, nominal in DIRECTION_YAW_DEG.items():
         if abs(_wrap_deg(yaw_deg - nominal)) <= DIRECTION_TOLERANCE_DEG:
             return label
-    raise ValueError(f"yaw {_yaw_text(yaw_deg)} deg is not within 10 deg of any direction")
+    raise ValueError(f"yaw {number_text(yaw_deg, '.2f')} deg is not within 10 deg of any direction")
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +90,8 @@ class ExperimentPlan:
 
     Six standard deviations of yaw jitter must stay inside the 10 degree band
     of each planned yaw's direction, so whether a plan runs does not depend on
-    the seed.
+    the seed. The constructor stores that direction of each planned yaw, in
+    order, as ``directions``.
     """
 
     mark_xy_mm: tuple[float, float]
@@ -109,6 +105,7 @@ class ExperimentPlan:
             raise ValueError("repeats must be at least 1")
         if not self.yaw_deg_list:
             raise ValueError("yaw list must not be empty")
+        directions = []
         for i, yaw in enumerate(self.yaw_deg_list):
             try:
                 direction = direction_for_yaw(yaw)
@@ -121,6 +118,7 @@ class ExperimentPlan:
                     f"{margin:.2f} deg between yaw {yaw:g} deg and the edge of the "
                     f"{DIRECTION_TOLERANCE_DEG:g} deg band of direction {direction!r}"
                 )
+            directions.append(direction)
         if not 0.0 <= self.max_offset_mm < math.inf:
             raise ValueError(f"max_offset_mm must be finite and non-negative, got {self.max_offset_mm}")
         if self.yaw_jitter_deg < 0.0:
@@ -129,11 +127,7 @@ class ExperimentPlan:
             raise ValueError(f"mark_xy_mm must be finite, got {self.mark_xy_mm}")
         object.__setattr__(self, "mark_xy_mm", tuple(float(v) for v in self.mark_xy_mm))
         object.__setattr__(self, "yaw_deg_list", tuple(float(v) for v in self.yaw_deg_list))
-
-    @functools.cached_property
-    def directions(self) -> tuple[str, ...]:
-        """Direction label of each planned yaw, worked out on first use."""
-        return tuple(map(direction_for_yaw, self.yaw_deg_list))
+        object.__setattr__(self, "directions", tuple(directions))
 
 
 def _measure_marks(
@@ -170,7 +164,9 @@ def measure_mark(result: ReferencingResult, image_point: Array, h_abs_rob: Rigid
 
 
 def _off_sensor(row: float, col: float) -> OutOfBounds:
-    return OutOfBounds(f"measure_mark: image point ({row:.1f}, {col:.1f}) outside the sensor")
+    return OutOfBounds(
+        f"measure_mark: image point ({number_text(row, '.1f')}, {number_text(col, '.1f')}) outside the sensor"
+    )
 
 
 def run_experiment(
@@ -209,9 +205,9 @@ def run_experiment(
     error of the first one in repeat-then-direction order is raised, as a
     one-at-a-time loop would.
 
-    The records are then checked once per array by the record rule of
-    ``measurement_records``, the rule the ``MarkMeasurement`` constructor
-    runs on one record: each yaw within 10 degrees of its direction's nominal
+    The records are then checked once per array by the record rule
+    (``_record_fault``), the rule the ``MarkMeasurement`` constructor runs on
+    one record: each yaw within 10 degrees of its direction's nominal
     yaw after wrapping, and each position finite. The first failing record
     raises the rule's error (its yaw before its position), after any failure
     of the geometry pass. The records share one read-only position array.
@@ -286,7 +282,10 @@ def run_experiment(
 
     directions = plan.directions * plan.repeats
     trials = [k // len(yaws) for k in range(count)]
-    return measurement_records(directions, yaw_deg, positions, trials)
+    fault = _record_fault(directions, yaw_deg, positions)
+    if fault is not None:
+        raise ValueError(fault[1])
+    return _records(directions, yaw_deg, positions, trials)
 
 
 def _record_fault(directions: Sequence[str], yaw_deg: Array, positions: Array) -> tuple[int, str] | None:
@@ -303,28 +302,16 @@ def _record_fault(directions: Sequence[str], yaw_deg: Array, positions: Array) -
     if directions[k] not in DIRECTION_YAW_DEG:
         return k, f"unknown direction {directions[k]!r}"
     if bad_yaw[k]:
-        return k, f"yaw {_yaw_text(float(yaw_deg[k]))} deg inconsistent with direction {directions[k]!r}"
+        yaw = number_text(float(yaw_deg[k]), ".2f")
+        return k, f"yaw {yaw} deg inconsistent with direction {directions[k]!r}"
     return k, f"point components must be finite, got {positions[k]}"
-
-
-def measurement_records(
-    directions: Sequence[str], yaw_deg: Array, positions: Array, trials: Sequence[int]
-) -> list[MarkMeasurement]:
-    """Mark measurements from a direction, an (n,) yaw array, an (n, 3)
-    position array and a trial per record, checked once per array by the
-    record rule that also checks each ``MarkMeasurement`` built one at a
-    time. The first failing record raises the rule's message as a
-    ValueError; the records share the position array, made read-only."""
-    fault = _record_fault(directions, yaw_deg, positions)
-    if fault is not None:
-        raise ValueError(fault[1])
-    return _records(directions, yaw_deg, positions, trials)
 
 
 def _records(
     directions: Sequence[str], yaw_deg: Array, positions: Array, trials: Sequence[int]
 ) -> list[MarkMeasurement]:
-    # records that have passed the record rule, built without a second check
+    # records that have passed _record_fault, built without a second check;
+    # they share the position array, made read-only
     positions.setflags(write=False)
     records = []
     for direction, yaw, position, trial in zip(directions, yaw_deg.tolist(), positions, trials):
@@ -480,8 +467,7 @@ def fit_circle(points: Sequence[Sequence[float]] | Array) -> Circle:
     return Circle(center, radius)
 
 
-@dataclass(frozen=True)
-class DirectionStats:
+class DirectionStats(NamedTuple):
     """Cluster summary for one approach direction (xy-plane metrics, mm)."""
 
     direction: str
@@ -499,8 +485,7 @@ class DirectionStats:
         return 2.0 * self.radius_mm
 
 
-@dataclass(frozen=True)
-class ClusterReport:
+class ClusterReport(NamedTuple):
     """Per-direction and overall repeatability metrics."""
 
     directions: tuple[DirectionStats, ...]
@@ -570,25 +555,6 @@ def _pairs(k: int) -> tuple[Array, Array]:
     return i, j
 
 
-def _direction_stats(direction: str, count: int, row: list[float], radius_mm: float) -> DirectionStats:
-    # built as _records builds a MarkMeasurement, past the dataclass
-    # constructor, which has no check to run
-    mean_x, mean_y, max_from, mean_from, yaw_min, yaw_max = row
-    stats = object.__new__(DirectionStats)
-    stats.__dict__.update(
-        direction=direction,
-        count=count,
-        mean_x_mm=mean_x,
-        mean_y_mm=mean_y,
-        max_from_mean_mm=max_from,
-        mean_from_mean_mm=mean_from,
-        radius_mm=radius_mm,
-        yaw_min_deg=yaw_min,
-        yaw_max_deg=yaw_max,
-    )
-    return stats
-
-
 def cluster_metrics(measurements: Sequence[MarkMeasurement]) -> ClusterReport:
     """Per-direction and overall cluster report over labeled measurements.
 
@@ -648,9 +614,10 @@ def cluster_metrics(measurements: Sequence[MarkMeasurement]) -> ClusterReport:
             "cluster_metrics: measurement coordinates too large, a metric overflows the float range"
         )
 
+    # a table row is a cluster's figures in field order, the radius aside
     stats = tuple(
-        _direction_stats(DIRECTIONS[d], count, row, radius)
+        DirectionStats(DIRECTIONS[d], count, *row[:4], radius, *row[4:])
         for d, count, row, radius in zip(present.tolist(), counts.tolist(), table.tolist(), radii)
     )
-    overall = _direction_stats("all", len(measurements), overall_row, overall_radius)
-    return ClusterReport(directions=stats, overall=overall, mean_intercluster_l2_mm=inter)
+    overall = DirectionStats("all", len(measurements), *overall_row[:4], overall_radius, *overall_row[4:])
+    return ClusterReport(stats, overall, inter)

@@ -306,9 +306,12 @@ def reversal_average(run_a: ReferencingResult, run_b: ReferencingResult) -> Refe
     of the two.
 
     Raises:
-        InconsistentRuns: the two hand-eye estimates differ by more than 2 mm
-            or 1 degree, which signals a setup fault rather than noise.
+        InconsistentRuns: the two runs were taken with different cameras, or
+            their hand-eye estimates differ by more than 2 mm or 1 degree,
+            which signals a setup fault rather than noise.
     """
+    if run_a.scene.model != run_b.scene.model:
+        raise InconsistentRuns("reversal runs were taken with different cameras")
     a = run_a.h_rob_cam
     b = run_b.h_rob_cam
     dt, dr = transform_gap(a, b)

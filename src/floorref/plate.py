@@ -104,9 +104,6 @@ class ReferencingPlate:
                     f"({ex:g}, {ey:g}) requires 0 <= x <= {ex:g} and 0 <= y <= {ey:g}"
                 )
         object.__setattr__(self, "extent_mm", extent)
-        # the marks' centroid (None without marks), built once for default_placements
-        center = tuple(marks.mean(axis=0).tolist()) if len(marks) else None
-        object.__setattr__(self, "_mark_center", center)
 
     def mark_rows(self, mark_ids: Sequence[str]) -> list[int]:
         """The row of ``mark_points`` of each id.

@@ -115,10 +115,11 @@ def write_measurements_csv(measurements: Sequence[MarkMeasurement], path: str | 
 def read_measurements_csv(path: str | Path) -> list[MarkMeasurement]:
     """The records of a measurement CSV, read in one pass in file order: each
     row's column count, its four finite numbers and its integer trial, up to
-    the first malformed row. The record rule (``measurement_records``)
-    then runs over the rows before that row, so the error names the first
-    bad line, whichever check that line fails. A file with a header and no
-    rows holds no measurement, and is refused with its name."""
+    the first malformed row. The record rule (``_record_fault``, as
+    ``run_experiment`` runs it) then runs over the rows before that row, so
+    the error names the first bad line, whichever check that line fails. A
+    file with a header and no rows holds no measurement, and is refused with
+    its name."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as f:
             rows = list(csv.reader(f))

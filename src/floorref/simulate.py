@@ -28,6 +28,7 @@ from .errors import (
     FloorRefError,
     MarkNotVisible,
     TargetNotVisible,
+    number_text,
 )
 from .geometry import (
     RigidTransform,
@@ -192,6 +193,14 @@ class SimWorld:
         return marks
 
     @functools.cached_property
+    def _mark_center_abs(self) -> Array:
+        # the plate marks' centroid in the tracker frame, for default_placements
+        marks = self.plate.mark_points
+        if not len(marks):
+            raise ValueError("default_placements: the plate has no marks to cover")
+        return apply(self.h_abs_ref, tuple(marks.mean(axis=0).tolist()))
+
+    @functools.cached_property
     def camera_ground_offset(self) -> Array:
         """Footprint center of the camera principal ray in the robot frame (xy,
         mm), for a robot standing on flat ground; read-only, computed once.
@@ -212,12 +221,10 @@ class SimWorld:
 
     def surface_rise_pcs(self, px: Array | float, py: Array | float) -> Array | float:
         """Upward plate-surface deviation (mm) at plate coordinates."""
+        px = np.asarray(px, dtype=np.float64)
+        py = np.asarray(py, dtype=np.float64)
         if self.deformation_amplitude_mm == 0.0:
-            return np.zeros_like(np.asarray(px, dtype=np.float64)) + 0.0
-        return self._rise(np.asarray(px, dtype=np.float64), np.asarray(py, dtype=np.float64))
-
-    def _rise(self, px: Array, py: Array) -> Array:
-        # surface_rise_pcs of a deformed plate, on float arrays
+            return np.zeros_like(px) + 0.0
         ex, ey = self.plate.extent_mm
         u = (px - ex / 2.0) / (ex / 2.0)
         v = (py - ey / 2.0) / (ey / 2.0)
@@ -235,7 +242,7 @@ class SimWorld:
         py = -(s * dx + c * dy)  # plate frame is mirrored about its x-axis
         ex, ey = self.plate.extent_mm
         inside = (0.0 <= px) & (px <= ex) & (0.0 <= py) & (py <= ey)
-        return np.where(inside, self._rise(px, py), 0.0)
+        return np.where(inside, self.surface_rise_pcs(px, py), 0.0)
 
     def floor_surface_z(self, x: Array | float, y: Array | float) -> Array | float:
         """World height of the experiment floor (possibly inclined)."""
@@ -538,7 +545,8 @@ def mark_views(
         if error[i] is None:
             error[i] = MarkNotVisible(
                 f"simulate_mark_observation: mark not visible at placement "
-                f"({xy[i, 0]:.0f}, {xy[i, 1]:.0f}, yaw {math.degrees(yaw_rad[i]):.0f} deg)"
+                f"({number_text(xy[i, 0], '.0f')}, {number_text(xy[i, 1], '.0f')}, "
+                f"yaw {number_text(math.degrees(yaw_rad[i]), '.0f')} deg)"
             )
     return MarkViews(rc, support.translation, tuple(error))
 
@@ -665,10 +673,7 @@ def default_placements(
     Raises:
         ValueError: a plate without marks.
     """
-    center = world.plate._mark_center
-    if center is None:
-        raise ValueError("default_placements: the plate has no marks to cover")
-    center_abs = apply(world.h_abs_ref, center)
+    center_abs = world._mark_center_abs
     yaw = world.plate_yaw_rad + (math.pi if reverse else 0.0)
     g0 = world.camera_ground_offset
     c, s = math.cos(yaw), math.sin(yaw)

@@ -263,6 +263,20 @@ class TestCalibrate:
         write_json(doc, session_b)
         assert run("calibrate", session_a, "--out", tmp_path / "r.json", "--reversal", session_b) == 5
 
+    def test_cross_camera_reversal_exit_5(self, tmp_path, capsys):
+        # two runs of different cameras are not one rig's reversal pair, however
+        # close their hand-eye estimates come out
+        world_b = _edited(
+            CONFIGS / "world.json", tmp_path / "w.json", lambda d: d["camera"].update(focal_mm=12.05)
+        )
+        session_a, session_b, result = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "r.json"
+        assert run("simulate", CONFIGS / "world.json", "--out", session_a) == 0
+        assert run("simulate", world_b, "--out", session_b) == 0
+        capsys.readouterr()
+        assert run("calibrate", session_a, "--reversal", session_b, "--out", result) == 5
+        assert capsys.readouterr().err == "error: reversal runs were taken with different cameras\n"
+        assert not result.exists()
+
     def test_wooden_config_reversal_exit_5_single_session_runs(self, tmp_path, capsys):
         # the README's wooden-plate commands: the 1 mm bow puts the reversal
         # runs 3.165 mm apart (limit 2 mm); one session still calibrates
@@ -517,6 +531,13 @@ def _far_smrs(doc):
     doc["plate"]["delta_mm"] = 1e300
 
 
+def _fixed_placements(doc):
+    doc["placements"] = {
+        "position0": {"x_mm": 100.0, "y_mm": -200.0, "yaw_deg": 0.0},
+        "position1": {"x_mm": 320.0, "y_mm": -200.0, "yaw_deg": 0.0},
+    }
+
+
 def _junk_truth(doc):
     doc["ground_truth"]["rob_H_cam"] = "junk"
 
@@ -601,6 +622,12 @@ EXIT_2_CASES = {
             "OUT",
         ),
         "error: camera: image size must be at most 2**53 px: cols",
+    ),
+    "reverse-with-world-placements": (
+        lambda c, t: (
+            "simulate", _edited(WORLD, t / "w.json", _fixed_placements), "--reverse", "--out", "OUT"
+        ),
+        "error: world.placements: a world config with fixed placements cannot take --reverse",
     ),
     "unknown-world-key": (
         lambda c, t: (
@@ -730,6 +757,44 @@ def test_exit_2_table(case, calibrated, tmp_path, capsys):
     assert code == 2
     assert message in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+# case: (argv as in EXIT_2_CASES, text that stderr must hold): a number of an
+# infeasible input prints in %g form, so no stderr line passes 200 characters
+EXIT_3_CASES = {
+    "mark-beyond-1e6": (
+        lambda c, t: _experiment(
+            c / "result.json", _edited(PLAN, t / "p.json", lambda d: d.update(mark_xy_mm=[1e308, 0]))
+        ),
+        "error: simulate_mark_observation: mark not visible at placement (1e+308, ",
+    ),
+    "image-point-beyond-1e6": (
+        lambda c, t: (
+            "experiment",
+            _edited(WORLD, t / "w.json", lambda d: d["noise"].update(image_sigma_px=1e200)),
+            c / "result.json",
+            "--plan",
+            PLAN,
+            "--out-dir",
+            "OUT",
+        ),
+        "error: measure_mark: image point (",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_3_CASES))
+def test_exit_3_table(case, calibrated, tmp_path, capsys):
+    build, message = EXIT_3_CASES[case]
+    out = tmp_path / "out"
+    argv = [out if a == "OUT" else a for a in build(calibrated, tmp_path)]
+    capsys.readouterr()
+    assert run(*argv) == 3
+    err = capsys.readouterr().err
+    assert max(len(line.replace(str(tmp_path), "")) for line in err.splitlines()) <= 200
+    assert message in err
+    assert "e+" in err
     assert not out.exists()
 
 

@@ -28,12 +28,12 @@ from floorref.experiment import (
     DIRECTIONS,
     ExperimentPlan,
     MarkMeasurement,
+    _record_fault,
     cluster_metrics,
     direction_for_yaw,
     enclosing_circle,
     fit_circle,
     measure_mark,
-    measurement_records,
     min_enclosing_circle,
     run_experiment,
 )
@@ -335,9 +335,7 @@ def test_constructor_and_array_check_agree(fault):
     direction, yaw, position = RECORD_FAULTS[fault]
     with pytest.raises(ValueError) as one:
         MarkMeasurement(direction, yaw, np.array(position), 0)
-    with pytest.raises(ValueError) as array:
-        measurement_records([direction], np.array([yaw]), np.array([position]), [0])
-    assert str(one.value) == str(array.value)
+    assert _record_fault([direction], np.array([yaw]), np.array([position])) == (0, str(one.value))
 
 
 def test_experiment_op_call_counts(world, noiseless_result, call_counts):

@@ -1,6 +1,7 @@
 """One equality rule for the package's dataclasses: a type that holds an
 array, a mapping or a transform compares by identity (``eq=False``), and a
-type whose fields are all scalars or tuples of them compares by value."""
+type whose fields are all scalars or tuples of them compares by value. The
+cluster report's named tuples compare and hash by value."""
 
 import collections.abc
 import dataclasses
@@ -13,7 +14,13 @@ import numpy as np
 import pytest
 
 import floorref
-from floorref.experiment import ExperimentPlan, run_experiment
+from floorref.experiment import (
+    ClusterReport,
+    DirectionStats,
+    ExperimentPlan,
+    cluster_metrics,
+    run_experiment,
+)
 from floorref.pipeline import compute_rob_h_cam
 from floorref.simulate import (
     GLASS_NOISE,
@@ -91,8 +98,6 @@ def test_value_types_hold_no_array_mapping_or_transform():
         "RobotModel",
         "RobotPlacement",
         "ExperimentPlan",
-        "DirectionStats",
-        "ClusterReport",
     }
     for cls in value_types:
         hints = typing.get_type_hints(cls)
@@ -100,6 +105,19 @@ def test_value_types_hold_no_array_mapping_or_transform():
         assert not held, f"{cls.__name__} compares by value but holds {held}"
     # every identity type is covered by test_identity_types_compare_by_identity
     assert {cls.__name__ for cls in classes if cls not in value_types} == set(IDENTITY_TYPES)
+
+
+def test_cluster_report_compares_and_hashes_by_value():
+    world, result = _instances()["SimWorld"], _instances()["ReferencingResult"]
+    records = run_experiment(world, GLASS_NOISE, ExperimentPlan(mark_xy_mm=(0.0, 0.0)), result, seed=1)
+    a, b = cluster_metrics(records), cluster_metrics(records)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert isinstance(a, ClusterReport) and isinstance(a.overall, DirectionStats)
+    assert a.overall == b.overall and hash(a.overall) == hash(b.overall)
+    assert a.overall == tuple(a.overall)  # a named tuple equals its plain tuple
+    moved = a.overall._replace(mean_x_mm=a.overall.mean_x_mm + 1.0)
+    assert moved != a.overall and a._replace(overall=moved) != a
+    assert a.overall.diameter_mm == 2.0 * a.overall.radius_mm
 
 
 def test_reader_sees_arrays_mappings_and_identity_types():
