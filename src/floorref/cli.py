@@ -78,15 +78,16 @@ def _logging_to_stderr() -> Iterator[None]:
             root.setLevel(saved)
 
 
-def _load_world(args: argparse.Namespace):
-    world, noise, placements = world_from_dict(read_json(args.world))
+def _load_world(args: argparse.Namespace, digests: dict):
+    world, noise, placements = world_from_dict(read_json(args.world, digests))
     if args.seed is not None:
         world = replace(world, seed=args.seed)
     return world, noise, placements
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    world, noise, placements = _load_world(args)
+    digests: dict = {}  # each input's sha256, stored by its reader
+    world, noise, placements = _load_world(args, digests)
     if placements is None:
         placements = default_placements(world, reverse=args.reverse)
     elif args.reverse:
@@ -95,7 +96,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     doc = session_to_dict(
         session,
         ground_truth=truth,
-        prov=provenance({"world": args.world}, world.seed),
+        prov=provenance({"world": args.world}, world.seed, digests),
     )
     write_json(doc, args.out)
     print(
@@ -105,24 +106,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_session(path: str):
+def _read_session(path: str, digests: dict):
     """A session file's session and its decoded ground truth (None if absent)."""
-    doc = read_json(path)
+    doc = read_json(path, digests)
     return session_from_dict(doc), session_ground_truth(doc)
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     # every input is decoded before the pipeline runs on any of them
-    session, truth = _read_session(args.session)
+    digests: dict = {}
+    session, truth = _read_session(args.session, digests)
     inputs = {"session": args.session}
     if args.reversal is None:
         result = compute_rob_h_cam(session)
     else:
-        session_b, _ = _read_session(args.reversal)
+        session_b, _ = _read_session(args.reversal, digests)
         result = reversal_average(compute_rob_h_cam(session), compute_rob_h_cam(session_b))
         inputs["session_reversal"] = args.reversal
 
-    out = result_to_dict(result, prov=provenance(inputs, None))
+    out = result_to_dict(result, prov=provenance(inputs, None, digests))
     residuals = {
         "reprojection_rms_px": result.reprojection_rms_px,
         "registration_rms_mm": result.registration_rms_mm,
@@ -159,9 +161,10 @@ def _write_reports(out_dir: Path, panels: list, reports: list, prov: dict) -> No
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    world, noise, _ = _load_world(args)
-    result = result_from_dict(read_json(args.result), world.camera)
-    plan = plan_from_dict(read_json(args.plan))
+    digests: dict = {}
+    world, noise, _ = _load_world(args, digests)
+    result = result_from_dict(read_json(args.result, digests), world.camera)
+    plan = plan_from_dict(read_json(args.plan, digests))
 
     panels = []
     reports = []
@@ -174,7 +177,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         print(f"run {trial}: {summary_line(report)}")
 
     prov = provenance(
-        {"world": args.world, "result": args.result, "plan": args.plan}, world.seed
+        {"world": args.world, "result": args.result, "plan": args.plan}, world.seed, digests
     )
     out_dir = Path(args.out_dir)
     _write_reports(out_dir, panels, reports, prov)
@@ -184,9 +187,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    measurements = read_measurements_csv(args.measurements)
+    digests: dict = {}
+    measurements = read_measurements_csv(args.measurements, digests)
     report = cluster_metrics(measurements)
-    prov = provenance({"measurements": args.measurements}, None)
+    prov = provenance({"measurements": args.measurements}, None, digests)
     _write_reports(Path(args.out_dir), [("measurements", measurements)], [report], prov)
     print(summary_line(report))
     return 0

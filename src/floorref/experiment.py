@@ -215,7 +215,8 @@ def run_experiment(
     Raises:
         MarkNotVisible: plan geometry pushes the mark out of view.
         OutOfBounds: image noise pushes a mark image off the sensor.
-        DegenerateConfiguration: no settled support pose on the floor.
+        DegenerateConfiguration: a support pose on the floor that is not
+            finite (a placement near the float range).
         DegenerateViewingGeometry: an image point does not rectify onto the
             scene plane.
         ValueError: yaw jitter pushes a yaw out of its direction's band, or a

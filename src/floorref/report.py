@@ -9,6 +9,8 @@ CSV keep full float precision.
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import math
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -112,17 +114,21 @@ def write_measurements_csv(measurements: Sequence[MarkMeasurement], path: str | 
         )
 
 
-def read_measurements_csv(path: str | Path) -> list[MarkMeasurement]:
+def read_measurements_csv(
+    path: str | Path, digests: dict[str | Path, str] | None = None
+) -> list[MarkMeasurement]:
     """The records of a measurement CSV, read in one pass in file order: each
     row's column count, its four finite numbers and its integer trial, up to
     the first malformed row. The record rule (``_record_fault``, as
     ``run_experiment`` runs it) then runs over the rows before that row, so
     the error names the first bad line, whichever check that line fails. A
     file with a header and no rows holds no measurement, and is refused with
-    its name."""
+    its name. The file is opened once; with ``digests``, the sha256 of the
+    bytes read is stored there under ``path``, for ``schemas.provenance``."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as f:
-            rows = list(csv.reader(f))
+        with open(path, "rb") as f:
+            data = f.read()
+        rows = list(csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")))
     except (OSError, UnicodeDecodeError, csv.Error) as e:
         raise SchemaError(f"cannot read measurement CSV {path}: {e}") from e
     if not rows or tuple(rows[0]) != MEASUREMENT_COLUMNS:
@@ -155,6 +161,8 @@ def read_measurements_csv(path: str | Path) -> list[MarkMeasurement]:
     fault = _record_fault(directions, yaw_deg, positions) or row_fault
     if fault is not None:
         raise SchemaError(f"{path}:{fault[0] + 2}: {fault[1]}")
+    if digests is not None:
+        digests[path] = hashlib.sha256(data).hexdigest()
     return _records(directions, yaw_deg, positions, trials)
 
 

@@ -12,6 +12,7 @@ round to nine decimals elsewhere.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 from collections.abc import Mapping
@@ -43,16 +44,22 @@ TOOL_NAME = "floorref"
 _NUM = (int, float)
 
 
-def read_json(path: str | Path) -> dict:
+def read_json(path: str | Path, digests: dict[str | Path, str] | None = None) -> dict:
+    """The JSON object in a file, which is opened once. Its bytes are decoded
+    as a UTF-8 text file reads them; with ``digests``, their sha256 is stored
+    there under ``path``, for ``provenance``."""
     # ValueError: malformed JSON, bytes that are not UTF-8, or an integer
     # beyond Python's digit limit; RecursionError: nesting beyond the stack
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
+        with open(path, "rb") as f:
+            data = f.read()
+        doc = json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     except (OSError, ValueError, RecursionError) as e:
         raise SchemaError(f"cannot read JSON document {path}: {e}") from e
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top-level JSON value must be an object")
+    if digests is not None:
+        digests[path] = hashlib.sha256(data).hexdigest()
     return doc
 
 
@@ -134,16 +141,16 @@ def _scalar_text(value: Any) -> str:
     return json.dumps(value)
 
 
-def file_sha256(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def provenance(inputs: Mapping[str, str | Path], seed: int | None) -> dict:
+def provenance(
+    inputs: Mapping[str, str | Path], seed: int | None, digests: Mapping[str | Path, str]
+) -> dict:
+    """The provenance block of an output: each input role's file by the
+    sha256 that its reader stored in ``digests`` when it decoded the file."""
     return {
         "tool": TOOL_NAME,
         "version": __version__,
         "seed": seed,
-        "inputs": {role: f"sha256:{file_sha256(p)}" for role, p in sorted(inputs.items())},
+        "inputs": {role: f"sha256:{digests[p]}" for role, p in sorted(inputs.items())},
     }
 
 

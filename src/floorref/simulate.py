@@ -278,8 +278,9 @@ class SupportPoses(NamedTuple):
 
     ``rotation`` (n, 3, 3) and ``translation`` (n, 3) map robot to tracker
     coordinates, and ``error`` holds, per row, None or the
-    ``DegenerateConfiguration`` the row fails with (singular contact plane, or
-    contacts not settled within 100 iterations). A failed row's pose is NaN.
+    ``DegenerateConfiguration`` the row fails with: on the plate, a singular
+    contact plane or contacts not settled within 100 iterations; on the floor,
+    a pose that is not finite. A failed row's pose is NaN.
     """
 
     rotation: Array
@@ -294,24 +295,36 @@ def support_poses(world: SimWorld, xy: Array, rz: Array, surface: str) -> Suppor
     ``rotations_about_z`` gives for their headings (the caller builds them
     once and may share them).
 
-    Each row alternates between fitting the support plane through its wheel
-    contacts and reposing the rigid wheel triangle on that plane until the
-    contacts sit on the surface within 1e-12 mm. A row that has settled keeps
-    its contacts, so it repeats its settling iteration bit for bit until every
-    row has settled or failed; the poses are the last iteration's arrays. Every
-    operation is taken row by row, so each row equals a one-row call. A row
-    that overflows (a surface near the float range) fails alone, with no numpy
-    warning.
+    The floor is the plane ``floor_surface_z``, so each pose is built from its
+    unit normal in closed form: the heading projected onto the plane, the
+    normal crossed with it, and the smr at height h along the normal above
+    the plane point under (x, y). On the plate, which may be bowed, each row
+    alternates between fitting the support plane through its wheel contacts
+    and reposing the rigid wheel triangle on that plane until the contacts sit
+    on the surface within 1e-12 mm. A row that has settled keeps its contacts,
+    so it repeats its settling iteration bit for bit until every row has
+    settled or failed; the poses are the last iteration's arrays.
+
+    Every operation is taken row by row, so each row equals a one-row call. A
+    row that overflows (a position or a surface near the float range) fails
+    alone, with no numpy warning.
+
+    Raises:
+        ValueError: a surface other than "plate" or "floor".
     """
-    surf = world.plate_surface_z if surface == "plate" else world.floor_surface_z
+    if surface not in ("plate", "floor"):
+        raise ValueError(f"surface must be 'plate' or 'floor', got {surface!r}")
     xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
+    heading = np.ascontiguousarray(rz[:, :, 0])
+    if surface == "floor":
+        return _floor_poses(world, xy, heading)
+    surf = world.plate_surface_z
     x0, y0 = xy[:, 0], xy[:, 1]
     n_rows = rz.shape[0]
     wheels_xy = np.array(world.robot.wheel_contacts_xy_mm)
     wheel_x, wheel_y = wheels_xy[None, :, 0, None], wheels_xy[None, :, 1, None]
     h = world.robot.smr_height_mm
 
-    heading = np.ascontiguousarray(rz[:, :, 0])
     # rows (x, y, 1) of the three contacts, for the plane z = a x + b y + d
     a_mat = np.ones((n_rows, 3, 3))
     a_mat[..., :2] = wheels_xy @ np.swapaxes(np.ascontiguousarray(rz[:, :2, :2]), 1, 2)
@@ -331,7 +344,7 @@ def support_poses(world: SimWorld, xy: Array, rz: Array, surface: str) -> Suppor
                 try:
                     coeffs[k] = np.linalg.solve(a_mat[k], contact_z[k])
                 except np.linalg.LinAlgError as e:
-                    error[k] = DegenerateConfiguration(f"pose_on_surface: contact plane singular: {e}")
+                    error[k] = DegenerateConfiguration(f"support_poses: contact plane singular: {e}")
                     failed[k] = True
         # row_dots inline: the same stacked vector products on the same
         # contiguous rows; the frame's columns x_r, y_r, n written in place
@@ -355,11 +368,42 @@ def support_poses(world: SimWorld, xy: Array, rz: Array, surface: str) -> Suppor
         contact_z[moving] = surf_z[moving]
     for i in np.flatnonzero(moving):
         error[i] = DegenerateConfiguration(
-            f"pose_on_surface: wheel contacts did not settle within {_SUPPORT_MAX_ITER} iterations"
+            f"support_poses: wheel contacts did not settle within {_SUPPORT_MAX_ITER} iterations"
         )
     translation = origin + h * n
     frame[~settled] = translation[~settled] = np.nan
     return SupportPoses(frame, translation, tuple(error))
+
+
+def _floor_poses(world: SimWorld, xy: Array, heading: Array) -> SupportPoses:
+    # the floor z = gx x + gy y has the unit normal (-gx, -gy, 1) / |.|; the
+    # frame's columns x_r, y_r, n take the plate loop's row-wise stacked
+    # products on that normal repeated per row, so each row equals a one-row
+    # call (a BLAS product over all rows need not)
+    n_rows = heading.shape[0]
+    g = math.tan(world.floor_inclination_rad)
+    gx = g * math.cos(world.floor_azimuth_rad)
+    gy = g * math.sin(world.floor_azimuth_rad)
+    n = np.empty((n_rows, 3))
+    n[:] = (-gx, -gy, 1.0)
+    n /= math.hypot(gx, gy, 1.0)
+    x_r = heading - (heading[:, None, :] @ n[:, :, None])[:, 0] * n
+    x_r /= np.sqrt((x_r[:, None, :] @ x_r[:, :, None])[:, 0])
+    frame = np.empty((n_rows, 3, 3))
+    frame[:, :, 0] = x_r
+    frame[:, :, 1] = cross3(n.T, x_r.T).T
+    frame[:, :, 2] = n
+    translation = np.empty((n_rows, 3))
+    translation[:, :2] = xy
+    translation[:, 2] = gx * xy[:, 0] + gy * xy[:, 1]
+    translation += world.robot.smr_height_mm * n
+    failed = ~(np.isfinite(frame).all(axis=(1, 2)) & np.isfinite(translation).all(axis=1))
+    frame[failed] = translation[failed] = np.nan
+    error = tuple(
+        DegenerateConfiguration("support_poses: robot pose on the floor is not finite") if f else None
+        for f in failed.tolist()
+    )
+    return SupportPoses(frame, translation, error)
 
 
 def _support_pose(poses: SupportPoses, i: int) -> RigidTransform:
@@ -376,8 +420,10 @@ def pose_on_surface(world: SimWorld, placement: RobotPlacement, surface: str) ->
     ("plate" or "floor"): the one-row case of ``support_poses``.
 
     Raises:
-        DegenerateConfiguration: singular contact plane, or contacts not
-            settled within 100 iterations.
+        DegenerateConfiguration: on the plate, a singular contact plane or
+            contacts not settled within 100 iterations; on the floor, a pose
+            that is not finite.
+        ValueError: a surface other than "plate" or "floor".
     """
     poses = support_poses(
         world,
@@ -508,7 +554,7 @@ class MarkViews(NamedTuple):
     ``rowcol`` (n, 2) holds the true image points (NaN behind the camera),
     ``smr_abs`` (n, 3) the true robot smr positions, and ``error`` per row None
     or the error the row fails with: ``DegenerateConfiguration`` from its
-    support pose or ``MarkNotVisible``.
+    support pose (a pose that is not finite) or ``MarkNotVisible``.
     """
 
     rowcol: Array
@@ -525,7 +571,8 @@ def mark_views(
     use, and as (n,) angles in radians, which only a ``MarkNotVisible``
     message reads.
 
-    The camera pose of each row is ``invert(compose(support pose, true
+    The support poses are the floor's closed-form ``support_poses``. The
+    camera pose of each row is ``invert(compose(support pose, true
     hand-eye))`` taken row by row; the mark goes into every camera frame and
     then through one projection.
     """
@@ -544,7 +591,7 @@ def mark_views(
     for i in np.flatnonzero(~visible):
         if error[i] is None:
             error[i] = MarkNotVisible(
-                f"simulate_mark_observation: mark not visible at placement "
+                f"mark_views: mark not visible at placement "
                 f"({number_text(xy[i, 0], '.0f')}, {number_text(xy[i, 1], '.0f')}, "
                 f"yaw {number_text(math.degrees(yaw_rad[i]), '.0f')} deg)"
             )
@@ -563,7 +610,7 @@ def simulate_mark_observation(
 
     Raises:
         MarkNotVisible: mark outside the camera view at this placement.
-        DegenerateConfiguration: no settled support pose.
+        DegenerateConfiguration: a support pose that is not finite.
     """
     rng = rng_substream(world.seed, STREAM_MARK, 0)
     yaw = [placement.yaw_rad]

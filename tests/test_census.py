@@ -96,6 +96,10 @@ DEFAULTS = {
     },
     "experiment.run_experiment": {"seed": None},
     "pipeline.ReferencingResult": {"reversal_of": None},
+    # a reader stores its file's digest only for a caller that records
+    # provenance (the CLI); the benchmark reads its plan with read_json(path)
+    "report.read_measurements_csv": {"digests": None},
+    "schemas.read_json": {"digests": None},
     "schemas.session_to_dict": {"ground_truth": None, "prov": None},
     "schemas.result_to_dict": {"prov": None},
     "simulate.NoiseConfig": {"tracker_sigma_mm": 0.035, "image_sigma_px": 0.0, "nest_offset_error_mm": 0.0},

@@ -1,4 +1,6 @@
+import collections
 import contextlib
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -90,7 +92,7 @@ class TestSimulate:
         world = tmp_path / "world.json"
         write_json(doc, world)
         assert run("simulate", world, "--out", tmp_path / "s.json") == 3
-        assert capsys.readouterr().err == "error: pose_on_surface: contact plane singular: Singular matrix\n"
+        assert capsys.readouterr().err == "error: support_poses: contact plane singular: Singular matrix\n"
         assert not (tmp_path / "s.json").exists()
 
     def test_demo_config_calibrates_accurately(self, tmp_path):
@@ -767,7 +769,7 @@ EXIT_3_CASES = {
         lambda c, t: _experiment(
             c / "result.json", _edited(PLAN, t / "p.json", lambda d: d.update(mark_xy_mm=[1e308, 0]))
         ),
-        "error: simulate_mark_observation: mark not visible at placement (1e+308, ",
+        "error: mark_views: mark not visible at placement (1e+308, ",
     ),
     "image-point-beyond-1e6": (
         lambda c, t: (
@@ -863,3 +865,65 @@ def test_undistortions_per_command(calibrated, tmp_path, call_counts):
     experiment = ("experiment", world, tmp_path / "r.json", "--plan", PLAN)
     assert run(*experiment, "--out-dir", tmp_path / "out", "--trials", 2) == 0
     assert counts["undistort_radial"] == 3
+
+
+# case: (each input role and the file the test copies for it, argv over the
+# copies by role and a scratch directory t, the output that holds the
+# provenance block)
+PROVENANCE_CASES = {
+    "simulate": (
+        lambda c, t: {"world": WORLD},
+        lambda f, t: ("simulate", f["world"], "--out", t / "s.json"),
+        lambda t: t / "s.json",
+    ),
+    "calibrate": (
+        lambda c, t: {"session": c / "a.json", "session_reversal": c / "b.json"},
+        lambda f, t: ("calibrate", f["session"], "--reversal", f["session_reversal"], "--out", t / "r.json"),
+        lambda t: t / "r.json",
+    ),
+    "experiment": (
+        lambda c, t: {"world": WORLD, "result": c / "result.json", "plan": PLAN},
+        lambda f, t: ("experiment", f["world"], f["result"], "--plan", f["plan"], "--out-dir", t / "out"),
+        lambda t: t / "out" / "report.json",
+    ),
+    "metrics": (
+        lambda c, t: {"measurements": _small_csv(t / "m.csv")},
+        lambda f, t: ("metrics", f["measurements"], "--out-dir", t / "out"),
+        lambda t: t / "out" / "report.json",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PROVENANCE_CASES))
+def test_provenance_digests_the_bytes_decoded(case, calibrated, tmp_path, monkeypatch):
+    # each input is opened once, and its recorded digest is the sha256 of the
+    # bytes the command decoded, though the file grows after it was read
+    sources, build, output = PROVENANCE_CASES[case]
+    copies, digests = {}, {}
+    for role, src in sources(calibrated, tmp_path).items():
+        data = Path(src).read_bytes()
+        copies[role] = _written(tmp_path / f"{role}.in", data)
+        digests[role] = "sha256:" + hashlib.sha256(data).hexdigest()
+    real_open, opened = open, collections.Counter()
+
+    def counted_open(file, mode="r", *args, **kwargs):
+        if not set(mode) & set("wax+"):
+            opened[str(file)] += 1
+        return real_open(file, mode, *args, **kwargs)
+
+    for name in ("read_json", "read_measurements_csv"):
+
+        def grown(path, *args, _read=getattr(cli, name), **kwargs):
+            decoded = _read(path, *args, **kwargs)
+            with real_open(path, "ab") as f:
+                f.write(b"\n")
+            return decoded
+
+        monkeypatch.setattr(cli, name, grown)
+    monkeypatch.setattr("builtins.open", counted_open)
+    monkeypatch.setattr(io, "open", counted_open)
+    code = run(*build(copies, tmp_path))
+    monkeypatch.undo()
+    assert code == 0
+    assert {str(p): opened[str(p)] for p in copies.values()} == {str(p): 1 for p in copies.values()}
+    assert read_json(output(tmp_path))["provenance"]["inputs"] == digests

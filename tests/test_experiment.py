@@ -346,6 +346,7 @@ def test_experiment_op_call_counts(world, noiseless_result, call_counts):
         (simulate, "rng_substream"),
         (experiment, "rotations_about_z"),
         (simulate, "rotations_about_z"),
+        (np.linalg, "solve"),
     )
     plan = ExperimentPlan(mark_xy_mm=(1500.0, 700.0), repeats=5)
     measurements = run_experiment(world, GLASS_NOISE, plan, noiseless_result, seed=9)
@@ -353,6 +354,7 @@ def test_experiment_op_call_counts(world, noiseless_result, call_counts):
     assert counts["_record_fault"] == 1  # records are checked once per array
     assert counts["rng_substream"] == 5  # one substream per repeat
     assert counts["rotations_about_z"] == 1  # one heading stack, shared
+    assert counts["solve"] == 0  # the floor poses take no plane fit
     cluster_metrics(measurements)
     # eight direction clusters and the overall one
     assert counts == {"enclosing_circle": 9, "_record_fault": 1, "rng_substream": 5, "rotations_about_z": 1}

@@ -48,9 +48,10 @@ def test_import_reader_sees_every_form():
 
 
 # The functions that read files. read_json and read_measurements_csv map a
-# failed read to a SchemaError naming the file, and file_sha256 hashes only
-# inputs they have read, so an OSError that reaches cli.main is an output's.
-READERS = {("schemas", "read_json"), ("schemas", "file_sha256"), ("report", "read_measurements_csv")}
+# failed read to a SchemaError naming the file, and take the digest that
+# provenance records from the bytes they read, so an OSError that reaches
+# cli.main is an output's.
+READERS = {("schemas", "read_json"), ("report", "read_measurements_csv")}
 
 
 def _is_read(call: ast.Call) -> bool:

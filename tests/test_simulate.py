@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from _oracles import scalar_pose_on_surface
 
 from floorref import simulate
 from floorref.errors import (
@@ -279,16 +280,80 @@ class TestSupportPose:
         # floating point (1e17 still settles); the other rows settle
         xy = np.array([[210.0, -270.0], [1e20, 0.0], [400.0, -100.0]])
         yaw = np.array([0.3, 0.0, -1.2])
-        poses = support_poses(world, xy, rotations_about_z(yaw), "floor")
+        poses = support_poses(world, xy, rotations_about_z(yaw), "plate")
         assert poses.error[0] is None and poses.error[2] is None
         assert "contact plane singular" in str(poses.error[1])
         assert np.all(np.isnan(poses.rotation[1]))
         for i in (0, 2):
-            h = pose_on_surface(world, RobotPlacement(xy[i, 0], xy[i, 1], yaw[i]), "floor")
+            h = pose_on_surface(world, RobotPlacement(xy[i, 0], xy[i, 1], yaw[i]), "plate")
             assert np.array_equal(h.rotation, poses.rotation[i])
             assert np.array_equal(h.translation, poses.translation[i])
         with pytest.raises(DegenerateConfiguration, match="contact plane singular"):
-            pose_on_surface(world, RobotPlacement(1e20, 0.0, 0.0), "floor")
+            pose_on_surface(world, RobotPlacement(1e20, 0.0, 0.0), "plate")
+
+    def test_far_floor_row_gets_its_exact_pose(self, world):
+        # the floor has no plane to fit: the row the plate fit finds singular
+        # stands upright at its own position
+        h = pose_on_surface(world, RobotPlacement(1e20, 0.0, 0.0), "floor")
+        assert np.array_equal(h.rotation, np.eye(3))
+        assert np.array_equal(h.translation, [1e20, 0.0, world.robot.smr_height_mm])
+
+    def test_non_finite_floor_row_fails_alone(self, world):
+        xy = np.array([[210.0, -270.0], [np.nan, 0.0], [400.0, -100.0], [1e308, 0.0]])
+        yaw = np.array([0.3, 0.0, -1.2, 0.5])
+        steep = replace(world, floor_inclination_rad=math.radians(70.0))
+        # the NaN row fails on any floor; at x = 1e308 the floor's height
+        # overflows on a 70-degree slope, not on the flat floor
+        for w, bad in ((world, {1}), (steep, {1, 3})):
+            poses = support_poses(w, xy, rotations_about_z(yaw), "floor")
+            for i in range(4):
+                if i in bad:
+                    assert isinstance(poses.error[i], DegenerateConfiguration)
+                    assert str(poses.error[i]) == "support_poses: robot pose on the floor is not finite"
+                    assert np.all(np.isnan(poses.rotation[i])) and np.all(np.isnan(poses.translation[i]))
+                else:
+                    assert poses.error[i] is None
+                    h = pose_on_surface(w, RobotPlacement(xy[i, 0], xy[i, 1], yaw[i]), "floor")
+                    assert np.array_equal(h.rotation, poses.rotation[i])
+                    assert np.array_equal(h.translation, poses.translation[i])
+        with pytest.raises(DegenerateConfiguration, match="^support_poses: robot pose on the floor"):
+            pose_on_surface(world, RobotPlacement(float("nan"), 0.0, 0.0), "floor")
+
+    # set in advance, not fitted to the measured gaps: the closed form and
+    # the iterative oracle agree within these on an inclined floor, at
+    # positions within 3 m
+    ORACLE_ROTATION_TOL = 1e-15
+    ORACLE_TRANSLATION_TOL_MM = 1e-11
+
+    @pytest.mark.parametrize(
+        "inclination_deg, azimuth_rad", [(0.0, 0.0), (0.0, 2.5), (0.5, 0.3), (1.0, -2.0), (2.0, 1.1)]
+    )
+    def test_floor_matches_the_iterative_oracle(self, inclination_deg, azimuth_rad):
+        world = replace(
+            random_world(5), floor_inclination_rad=math.radians(inclination_deg), floor_azimuth_rad=azimuth_rad
+        )
+        rng = np.random.default_rng(21)
+        xy = rng.uniform(-3000.0, 3000.0, (40, 2))
+        yaw = rng.uniform(-math.pi, math.pi, 40)
+        poses = support_poses(world, xy, rotations_about_z(yaw), "floor")
+        assert not any(poses.error)
+        for i in range(40):
+            h = scalar_pose_on_surface(world, float(xy[i, 0]), float(xy[i, 1]), float(yaw[i]), "floor")
+            if inclination_deg == 0.0:
+                # a flat floor: equal entry for entry (zeros may differ in sign)
+                assert np.array_equal(h.rotation, poses.rotation[i])
+                assert np.array_equal(h.translation, poses.translation[i])
+            else:
+                assert np.max(np.abs(h.rotation - poses.rotation[i])) <= self.ORACLE_ROTATION_TOL
+                assert np.max(np.abs(h.translation - poses.translation[i])) <= self.ORACLE_TRANSLATION_TOL_MM
+
+    @pytest.mark.parametrize("surface", ["Floor", "ground", ""])
+    def test_unknown_surface_is_refused_by_name(self, world, surface):
+        message = f"^surface must be 'plate' or 'floor', got {surface!r}$"
+        with pytest.raises(ValueError, match=message):
+            support_poses(world, np.zeros((1, 2)), rotations_about_z([0.0]), surface)
+        with pytest.raises(ValueError, match=message):
+            pose_on_surface(world, RobotPlacement(0.0, 0.0, 0.0), surface)
 
 
 class TestMarkObservation:
