@@ -60,9 +60,11 @@ log = logging.getLogger(__name__)
 @contextlib.contextmanager
 def _logging_to_stderr() -> Iterator[None]:
     """Log to ``sys.stderr`` at the FLOORREF_LOG level for the duration of one
-    call, through a handler of that call's own ``sys.stderr``."""
-    level_name = os.environ.get("FLOORREF_LOG", "WARNING").upper()
-    level = getattr(logging, level_name, logging.WARNING)
+    call, through a handler of that call's own ``sys.stderr``. A value that
+    names no level of ``logging`` (in any case) means WARNING."""
+    level = getattr(logging, os.environ.get("FLOORREF_LOG", "WARNING").upper(), None)
+    if not isinstance(level, int):  # e.g. BASIC_FORMAT, a format string
+        level = logging.WARNING
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(name)s %(levelname)s %(message)s"))
     root = logging.getLogger()

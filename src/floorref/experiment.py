@@ -101,6 +101,10 @@ class ExperimentPlan:
     yaw_jitter_deg: float = 0.15
 
     def __post_init__(self) -> None:
+        if len(self.mark_xy_mm) != 2:
+            raise ValueError(f"mark_xy_mm must hold 2 numbers, got {len(self.mark_xy_mm)}")
+        if not isinstance(self.repeats, (int, np.integer)) or isinstance(self.repeats, bool):
+            raise ValueError(f"repeats must be an integer, got {self.repeats!r}")
         if self.repeats < 1:
             raise ValueError("repeats must be at least 1")
         if not self.yaw_deg_list:
@@ -223,13 +227,8 @@ def run_experiment(
             position is not finite.
     """
     base_seed = world.seed if seed is None else seed
-    mark_abs = np.array(
-        [
-            plan.mark_xy_mm[0],
-            plan.mark_xy_mm[1],
-            float(np.asarray(world.floor_surface_z(plan.mark_xy_mm[0], plan.mark_xy_mm[1]))),
-        ]
-    )
+    x, y = plan.mark_xy_mm
+    mark_abs = np.array([x, y, float(world.floor_surface_z(x, y))])
     yaws = plan.yaw_deg_list
     count = plan.repeats * len(yaws)
     uniform = np.empty((count, 2))

@@ -688,8 +688,11 @@ def world_from_dict(
         )
     except ValueError as e:
         # the hand-eye's frames are fixed by _transform: the world rejects
-        # only the plate amplitude
-        raise SchemaError(f"{w}.plate_amplitude_mm: {e}") from e
+        # only the plate amplitude and the floor angles, whose messages start
+        # "floor inclination" or "floor azimuth"
+        words = str(e).split(maxsplit=2)
+        key = f"{wf}.{words[1]}_deg" if words[0] == "floor" else f"{w}.plate_amplitude_mm"
+        raise SchemaError(f"{key}: {e}") from e
 
     placements = None
     if "placements" in doc:

@@ -174,6 +174,11 @@ class SimWorld:
             raise ValueError(f"deformation_amplitude_mm must be finite, got {self.deformation_amplitude_mm}")
         if self.deformation_amplitude_mm < 0.0:
             raise ValueError("deformation amplitude must be non-negative")
+        if not abs(self.floor_inclination_rad) < math.pi / 2.0:  # NaN fails
+            deg = math.degrees(self.floor_inclination_rad)
+            raise ValueError(f"floor inclination must lie in (-90, 90) deg, got {deg:.10g} deg")
+        if not math.isfinite(self.floor_azimuth_rad):
+            raise ValueError(f"floor azimuth must be finite, got {self.floor_azimuth_rad} rad")
 
     @functools.cached_property
     def h_abs_ref(self) -> RigidTransform:
@@ -199,6 +204,13 @@ class SimWorld:
         if not len(marks):
             raise ValueError("default_placements: the plate has no marks to cover")
         return apply(self.h_abs_ref, tuple(marks.mean(axis=0).tolist()))
+
+    @functools.cached_property
+    def _floor_slope(self) -> tuple[float, float]:
+        # (gx, gy) of the floor plane z = gx x + gy y: tan(inclination) along
+        # the azimuth
+        g = math.tan(self.floor_inclination_rad)
+        return g * math.cos(self.floor_azimuth_rad), g * math.sin(self.floor_azimuth_rad)
 
     @functools.cached_property
     def camera_ground_offset(self) -> Array:
@@ -245,12 +257,10 @@ class SimWorld:
         return np.where(inside, self.surface_rise_pcs(px, py), 0.0)
 
     def floor_surface_z(self, x: Array | float, y: Array | float) -> Array | float:
-        """World height of the experiment floor (possibly inclined)."""
-        if self.floor_inclination_rad == 0.0:
-            return np.zeros_like(np.asarray(x, dtype=np.float64)) + 0.0
-        g = math.tan(self.floor_inclination_rad)
-        ca, sa = math.cos(self.floor_azimuth_rad), math.sin(self.floor_azimuth_rad)
-        return g * (ca * np.asarray(x, dtype=np.float64) + sa * np.asarray(y, dtype=np.float64))
+        """World height of the experiment floor, the plane z = gx x + gy y with
+        (gx, gy) = tan(inclination) (cos azimuth, sin azimuth)."""
+        gx, gy = self._floor_slope
+        return gx * np.asarray(x, dtype=np.float64) + gy * np.asarray(y, dtype=np.float64)
 
     # --- true geometry ------------------------------------------------------
 
@@ -295,10 +305,11 @@ def support_poses(world: SimWorld, xy: Array, rz: Array, surface: str) -> Suppor
     ``rotations_about_z`` gives for their headings (the caller builds them
     once and may share them).
 
-    The floor is the plane ``floor_surface_z``, so each pose is built from its
-    unit normal in closed form: the heading projected onto the plane, the
-    normal crossed with it, and the smr at height h along the normal above
-    the plane point under (x, y). On the plate, which may be bowed, each row
+    Each pose stands on the unit normal n of its support plane: its frame's
+    columns are the heading projected onto the plane, n crossed with it, and
+    n, and the smr sits at height h along n above the plane point under
+    (x, y). The floor is the plane ``floor_surface_z``, so its normal is
+    known in closed form. On the plate, which may be bowed, each row
     alternates between fitting the support plane through its wheel contacts
     and reposing the rigid wheel triangle on that plane until the contacts sit
     on the surface within 1e-12 mm. A row that has settled keeps its contacts,
@@ -316,14 +327,27 @@ def support_poses(world: SimWorld, xy: Array, rz: Array, surface: str) -> Suppor
         raise ValueError(f"surface must be 'plate' or 'floor', got {surface!r}")
     xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
     heading = np.ascontiguousarray(rz[:, :, 0])
-    if surface == "floor":
-        return _floor_poses(world, xy, heading)
-    surf = world.plate_surface_z
     x0, y0 = xy[:, 0], xy[:, 1]
     n_rows = rz.shape[0]
+    h = world.robot.smr_height_mm
+    if surface == "floor":
+        # the floor z = gx x + gy y has the unit normal (-gx, -gy, 1) / |.|,
+        # repeated per row
+        gx, gy = world._floor_slope
+        n = np.full((n_rows, 3), (-gx, -gy, 1.0)) / math.hypot(gx, gy, 1.0)
+        frame = _robot_frames(heading, n)
+        translation = np.empty((n_rows, 3))
+        translation[:, :2] = xy
+        translation[:, 2] = world.floor_surface_z(x0, y0)
+        translation += h * n
+        failed = ~(np.isfinite(frame).all(axis=(1, 2)) & np.isfinite(translation).all(axis=1))
+        frame[failed] = translation[failed] = np.nan
+        message = "support_poses: robot pose on the floor is not finite"
+        error = tuple(DegenerateConfiguration(message) if f else None for f in failed.tolist())
+        return SupportPoses(frame, translation, error)
+    surf = world.plate_surface_z
     wheels_xy = np.array(world.robot.wheel_contacts_xy_mm)
     wheel_x, wheel_y = wheels_xy[None, :, 0, None], wheels_xy[None, :, 1, None]
-    h = world.robot.smr_height_mm
 
     # rows (x, y, 1) of the three contacts, for the plane z = a x + b y + d
     a_mat = np.ones((n_rows, 3, 3))
@@ -346,19 +370,12 @@ def support_poses(world: SimWorld, xy: Array, rz: Array, surface: str) -> Suppor
                 except np.linalg.LinAlgError as e:
                     error[k] = DegenerateConfiguration(f"support_poses: contact plane singular: {e}")
                     failed[k] = True
-        # row_dots inline: the same stacked vector products on the same
-        # contiguous rows; the frame's columns x_r, y_r, n written in place
         n = np.ones((n_rows, 3))
         n[:, :2] = -coeffs[:, :2]
         n /= np.sqrt((n[:, None, :] @ n[:, :, None])[:, 0])
-        x_r = heading - (heading[:, None, :] @ n[:, :, None])[:, 0] * n
-        x_r /= np.sqrt((x_r[:, None, :] @ x_r[:, :, None])[:, 0])
-        frame = np.empty((n_rows, 3, 3))
-        frame[:, :, 0] = x_r
-        frame[:, :, 1] = y_r = cross3(n.T, x_r.T).T
-        frame[:, :, 2] = n
+        frame = _robot_frames(heading, n)
         origin[:, 2] = coeffs[:, 0] * x0 + coeffs[:, 1] * y0 + coeffs[:, 2]
-        contacts = origin[:, None, :] + wheel_x * x_r[:, None, :] + wheel_y * y_r[:, None, :]
+        contacts = origin[:, None, :] + wheel_x * frame[:, None, :, 0] + wheel_y * frame[:, None, :, 1]
         surf_z = np.asarray(surf(contacts[..., 0], contacts[..., 1]), dtype=np.float64)
         settled = np.abs(surf_z - contacts[..., 2]).max(axis=1) < _SUPPORT_TOL_MM
         moving = ~(settled | failed)
@@ -375,35 +392,18 @@ def support_poses(world: SimWorld, xy: Array, rz: Array, surface: str) -> Suppor
     return SupportPoses(frame, translation, tuple(error))
 
 
-def _floor_poses(world: SimWorld, xy: Array, heading: Array) -> SupportPoses:
-    # the floor z = gx x + gy y has the unit normal (-gx, -gy, 1) / |.|; the
-    # frame's columns x_r, y_r, n take the plate loop's row-wise stacked
-    # products on that normal repeated per row, so each row equals a one-row
-    # call (a BLAS product over all rows need not)
-    n_rows = heading.shape[0]
-    g = math.tan(world.floor_inclination_rad)
-    gx = g * math.cos(world.floor_azimuth_rad)
-    gy = g * math.sin(world.floor_azimuth_rad)
-    n = np.empty((n_rows, 3))
-    n[:] = (-gx, -gy, 1.0)
-    n /= math.hypot(gx, gy, 1.0)
+def _robot_frames(heading: Array, n: Array) -> Array:
+    # the (n, 3, 3) robot frames standing on (n, 3) unit normals at (n, 3)
+    # headings: columns x_r (the heading less its part along n, normalised),
+    # n × x_r and n, by row-wise stacked vector products, so each row equals
+    # a one-row call (a BLAS product over all rows need not)
     x_r = heading - (heading[:, None, :] @ n[:, :, None])[:, 0] * n
     x_r /= np.sqrt((x_r[:, None, :] @ x_r[:, :, None])[:, 0])
-    frame = np.empty((n_rows, 3, 3))
+    frame = np.empty((n.shape[0], 3, 3))
     frame[:, :, 0] = x_r
     frame[:, :, 1] = cross3(n.T, x_r.T).T
     frame[:, :, 2] = n
-    translation = np.empty((n_rows, 3))
-    translation[:, :2] = xy
-    translation[:, 2] = gx * xy[:, 0] + gy * xy[:, 1]
-    translation += world.robot.smr_height_mm * n
-    failed = ~(np.isfinite(frame).all(axis=(1, 2)) & np.isfinite(translation).all(axis=1))
-    frame[failed] = translation[failed] = np.nan
-    error = tuple(
-        DegenerateConfiguration("support_poses: robot pose on the floor is not finite") if f else None
-        for f in failed.tolist()
-    )
-    return SupportPoses(frame, translation, error)
+    return frame
 
 
 def _support_pose(poses: SupportPoses, i: int) -> RigidTransform:
@@ -720,13 +720,10 @@ def default_placements(
     Raises:
         ValueError: a plate without marks.
     """
-    center_abs = world._mark_center_abs
     yaw = world.plate_yaw_rad + (math.pi if reverse else 0.0)
-    g0 = world.camera_ground_offset
-    c, s = math.cos(yaw), math.sin(yaw)
-    rot2 = np.array([[c, -s], [s, c]])
-    xy0 = center_abs[:2] - rot2 @ g0
-    xy1 = xy0 + _TRAVEL_MM * np.array([c, s])
+    rz = rotations_about_z([yaw])
+    xy0 = experiment_placements(world, world._mark_center_abs, rz, np.zeros(2))[0]
+    xy1 = xy0 + _TRAVEL_MM * rz[0, :2, 0]
     return (
         RobotPlacement(float(xy0[0]), float(xy0[1]), yaw),
         RobotPlacement(float(xy1[0]), float(xy1[1]), yaw),

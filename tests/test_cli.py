@@ -489,6 +489,12 @@ class TestRepeatedCalls:
         assert err.startswith("floorref.pipeline WARNING estimate_plate_pose: registration RMS ")
         assert err.endswith(" mm above 0.5 mm, result suspect\n")
 
+    def test_a_log_name_that_is_no_level_means_warning(self, tmp_path, monkeypatch, capsys):
+        # logging.BASIC_FORMAT is a format string, not a level
+        monkeypatch.setenv("FLOORREF_LOG", "basic_format")
+        assert run("simulate", CONFIGS / "world.json", "--out", tmp_path / "s.json") == 0
+        assert capsys.readouterr().err == ""
+
     def test_command_looked_up_at_call_time(self, tmp_path, monkeypatch):
         assert run("simulate", CONFIGS / "world.json", "--out", tmp_path / "s.json") == 0
         seen = []
@@ -625,6 +631,18 @@ EXIT_2_CASES = {
         ),
         "error: camera: image size must be at most 2**53 px: cols",
     ),
+    **{
+        f"floor-inclination-{name}": (
+            lambda c, t, deg=deg: (
+                "simulate",
+                _edited(WORLD, t / "w.json", lambda d: d["floor"].update(inclination_deg=deg)),
+                "--out",
+                "OUT",
+            ),
+            f"error: world.floor.inclination_deg: floor inclination must lie in (-90, 90) deg, got {deg} deg",
+        )
+        for name, deg in (("90", 90), ("180", 180), ("minus-90", -90))
+    },
     "reverse-with-world-placements": (
         lambda c, t: (
             "simulate", _edited(WORLD, t / "w.json", _fixed_placements), "--reverse", "--out", "OUT"

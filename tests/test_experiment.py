@@ -169,6 +169,20 @@ class TestRunExperiment:
             ExperimentPlan(**{"mark_xy_mm": (0.0, 0.0), **kwargs})
 
     @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"repeats": 2.5}, "^repeats must be an integer, got 2.5$"),
+            ({"repeats": True}, "^repeats must be an integer, got True$"),
+            ({"mark_xy_mm": (1500.0,)}, "^mark_xy_mm must hold 2 numbers, got 1$"),
+            ({"mark_xy_mm": (1500.0, 700.0, 0.0)}, "^mark_xy_mm must hold 2 numbers, got 3$"),
+        ],
+        ids=["fractional-repeats", "bool-repeats", "one-coordinate", "three-coordinates"],
+    )
+    def test_plan_refuses_what_run_experiment_cannot_use(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentPlan(**{"mark_xy_mm": (1500.0, 700.0), **kwargs})
+
+    @pytest.mark.parametrize(
         "yaws, jitter, ok",
         [
             ((0.0, 180.0), 10.0 / 6.0, True),

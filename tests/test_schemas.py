@@ -403,6 +403,7 @@ MALFORMED = [
     ("world", _set(["noise", "nest_offset_error_mm"], True), "world.noise.nest_offset_error_mm"),
     ("world", _set(["noise", "plate_amplitude_mm"], "0"), "world.noise.plate_amplitude_mm"),
     ("world", _set(["floor", "inclination_deg"], math.inf), "world.floor.inclination_deg"),
+    ("world", _set(["floor", "inclination_deg"], 135.0), "world.floor.inclination_deg"),  # tan runs -45
     ("world", _set(["floor", "azimuth_deg"], True), "world.floor.azimuth_deg"),
     ("world", _set(["hand_eye", "matrix", 3, 3], True), "world.hand_eye.matrix[3][3]"),
     ("world", _set(["seed"], -5), "world.seed"),

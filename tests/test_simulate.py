@@ -60,6 +60,28 @@ def test_sim_world_refuses_a_non_finite_deformation_by_name(value):
         inject_wooden_plate(demo_world(), value)
 
 
+INCLINATION = r"^floor inclination must lie in \(-90, 90\) deg, got "
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("floor_inclination_rad", math.pi / 2.0, INCLINATION + "90 deg$"),
+        ("floor_inclination_rad", -math.pi / 2.0, INCLINATION + "-90 deg$"),
+        ("floor_inclination_rad", math.pi, INCLINATION + "180 deg$"),
+        ("floor_inclination_rad", np.nan, INCLINATION + "nan deg$"),
+        ("floor_azimuth_rad", np.nan, "^floor azimuth must be finite, got nan rad$"),
+        ("floor_azimuth_rad", -np.inf, "^floor azimuth must be finite, got -inf rad$"),
+    ],
+    ids=["plus-90", "minus-90", "180", "nan-inclination", "nan-azimuth", "minus-inf-azimuth"],
+)
+def test_sim_world_refuses_a_floor_it_cannot_stand_on(field, value, message):
+    # a floor at 90 deg or more has no plane z = gx x + gy y (at 180 deg, tan
+    # would run a flat floor)
+    with pytest.raises(ValueError, match=message):
+        replace(demo_world(), **{field: value})
+
+
 class TestDeterminism:
     def test_same_seed_bit_identical(self):
         world = demo_world(seed=123)
@@ -128,6 +150,19 @@ class TestSessionGeneration:
         )
         with pytest.raises(ValueError, match="^default_placements: the plate has no marks"):
             default_placements(replace(world, plate=bare))
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["ahead", "reversed"])
+    def test_default_placements_are_experiment_placements_at_the_mark_centroid(self, reverse):
+        for seed in range(50):
+            world = random_world(seed)
+            center = apply(world.h_abs_ref, tuple(world.plate.mark_points.mean(axis=0).tolist()))
+            p0, p1 = default_placements(world, reverse=reverse)
+            yaw = world.plate_yaw_rad + (math.pi if reverse else 0.0)
+            rz = rotations_about_z([yaw])
+            xy0 = simulate.experiment_placements(world, center, rz, np.zeros((1, 2)))[0]
+            xy1 = xy0 + simulate._TRAVEL_MM * rz[0, :2, 0]
+            assert p0 == RobotPlacement(*xy0.tolist(), yaw)
+            assert p1 == RobotPlacement(*xy1.tolist(), yaw)
 
     def test_robot_smr_equals_true_pose_translation(self, world, noiseless_session):
         p0, p1 = default_placements(world)
@@ -346,6 +381,19 @@ class TestSupportPose:
             else:
                 assert np.max(np.abs(h.rotation - poses.rotation[i])) <= self.ORACLE_ROTATION_TOL
                 assert np.max(np.abs(h.translation - poses.translation[i])) <= self.ORACLE_TRANSLATION_TOL_MM
+
+    def test_floor_poses_stand_on_floor_surface_z(self):
+        # one floor plane: each pose's smr is h along the normal above the
+        # height floor_surface_z gives, exactly
+        world = replace(random_world(5), floor_inclination_rad=math.radians(1.0), floor_azimuth_rad=-2.0)
+        rng = np.random.default_rng(34)
+        xy = rng.uniform(-3000.0, 3000.0, (10_000, 2))
+        yaw = rng.uniform(-math.pi, math.pi, 10_000)
+        poses = support_poses(world, xy, rotations_about_z(yaw), "floor")
+        assert not any(poses.error)
+        h = world.robot.smr_height_mm
+        expected = world.floor_surface_z(xy[:, 0], xy[:, 1]) + h * poses.rotation[:, 2, 2]
+        assert np.array_equal(poses.translation[:, 2], expected)
 
     @pytest.mark.parametrize("surface", ["Floor", "ground", ""])
     def test_unknown_surface_is_refused_by_name(self, world, surface):
